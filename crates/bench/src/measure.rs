@@ -1382,8 +1382,8 @@ pub struct RankSweepPoint {
 }
 
 /// Wall-clock-budgeted scaling sweep: a fixed number of barrier rounds at
-/// growing world sizes (one OS thread per rank — the point is that the
-/// kernel makes thousand-rank collectives routine, not heroic).
+/// growing world sizes (one simulated process per rank — the point is that
+/// the kernel makes thousand-rank collectives routine, not heroic).
 pub struct RankSweepReport {
     /// Barrier rounds per point.
     pub iters: usize,

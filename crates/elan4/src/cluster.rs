@@ -338,6 +338,23 @@ impl Cluster {
         inner.nodes[addr.node].mem[addr.off..addr.off + data.len()].copy_from_slice(data);
     }
 
+    /// Copy `len` bytes from `src` to `dst` in one pass under one lock,
+    /// with the semantics of reading the whole source before writing:
+    /// overlapping ranges on one node move like `memmove`.
+    pub(crate) fn mem_copy(&self, src: HostAddr, dst: HostAddr, len: usize) {
+        let mut inner = self.inner.lock();
+        let (from, to) = (src.off..src.off + len, dst.off..dst.off + len);
+        if src.node == dst.node {
+            inner.nodes[src.node].mem.copy_within(from, dst.off);
+        } else {
+            let [s, d] = inner
+                .nodes
+                .get_disjoint_mut([src.node, dst.node])
+                .expect("source and destination nodes exist");
+            d.mem[to].copy_from_slice(&s.mem[from]);
+        }
+    }
+
     // ---- engines ---------------------------------------------------------
 
     /// Reserve the NIC command processor of `(node, rail)` starting no
@@ -620,8 +637,7 @@ impl Cluster {
         let me = self.clone();
         sim.call_at(completed + cfg.event_fire, move |s| {
             if len > 0 {
-                let data = me.mem_read(src_host, len);
-                me.mem_write(dst_host, &data);
+                me.mem_copy(src_host, dst_host, len);
             }
             if let Some(ev) = done_event {
                 me.event_complete(s, issuer, ev);

@@ -156,6 +156,36 @@ fn rdma_write_moves_bytes() {
 }
 
 #[test]
+fn same_node_rdma_with_overlapping_ranges_lands_the_source_as_read() {
+    // Source and destination overlap in one buffer on one node, in both
+    // directions: the landed bytes must be the source as it was before the
+    // transfer, as if the NIC read all of it and then wrote it.
+    let cl = cluster();
+    let a = Arc::new(ElanCtx::attach(&cl, 3).unwrap());
+    let buf = a.alloc(8192);
+    let pattern: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+    let len = 4096;
+    for (from, to) in [(1000, 3000), (3000, 1000)] {
+        a.write(&buf, 0, &pattern);
+        let sim = Simulation::new();
+        let a2 = a.clone();
+        sim.spawn("copier", move |p| {
+            let base = a2.map(&p, &buf);
+            let ev = a2.event_create(1);
+            let sig = p.signal();
+            ev.set_signal(sig.clone());
+            let (local, remote) = (base.offset(from), base.offset(to));
+            a2.rdma(&p, 0, DmaKind::Write, local, remote, len, Some(ev.id()));
+            p.wait(&sig).expect_signaled();
+        });
+        sim.run().unwrap();
+        let mut want = pattern.clone();
+        want[to..to + len].copy_from_slice(&pattern[from..from + len]);
+        assert_eq!(a.read(&buf, 0, 8192), want, "copy {from} -> {to}");
+    }
+}
+
+#[test]
 fn rdma_read_pulls_bytes() {
     let cl = cluster();
     let sim = Simulation::new();

@@ -345,8 +345,7 @@ fn deliver_matched(
     let src_done = msg.src_done;
     sim.call_at(completed + cfg.event_fire, move |s| {
         if len > 0 {
-            let data = cl.mem_read(src_addr, len);
-            cl.mem_write(dst_addr, &data);
+            cl.mem_copy(src_addr, dst_addr, len);
         }
         *done.lock() = Some(msg.env);
         signal.notify(s);

@@ -10,9 +10,11 @@ use crate::time::{Dur, Time};
 ///
 /// Device models (NICs, switches) capture a `SimHandle` and use
 /// [`SimHandle::call_after`] to schedule their internal state transitions.
-/// All scheduled closures run on the kernel thread, serialized with every
-/// simulated process, so device state guarded by a mutex is effectively
-/// single-threaded.
+/// Scheduled closures run inline in whichever context is dispatching (the
+/// caller of [`crate::Simulation::run`], or a process that parked or
+/// finished), serialized with every simulated process on the one thread
+/// that runs the simulation, so device state guarded by a mutex is
+/// effectively single-threaded.
 #[derive(Clone)]
 pub struct SimHandle {
     pub(crate) shared: Arc<Shared>,

@@ -1,34 +1,46 @@
 //! The event kernel: a priority queue of timed events plus a set of
 //! cooperative simulated processes.
 //!
-//! Simulated processes are real OS threads, but **exactly one** of them
-//! runs at any instant. Event ordering is `(time, insertion sequence)`, so
+//! Simulated processes are stackful coroutines ([`crate::context`]) on the
+//! thread that calls [`Simulation::run`], so **exactly one** of them runs
+//! at any instant. Event ordering is `(time, insertion sequence)`, so
 //! identical programs produce identical schedules — the whole simulation
 //! is a deterministic function of its inputs.
 //!
 //! ## Dispatch model: the driver token
 //!
-//! There is no dedicated kernel thread while the simulation runs. The
-//! dispatch loop ([`drive`]) executes on whichever thread holds the
-//! *driver token* — initially the controller thread inside
-//! [`Simulation::run`], and from then on whichever simulated process most
+//! There is no dedicated scheduler context while the simulation runs. The
+//! dispatch loop ([`drive`]) executes on whichever context holds the
+//! *driver token* — initially the controller (the caller of
+//! [`Simulation::run`]), and from then on whichever simulated process most
 //! recently parked or finished. When a process gives up control it does
-//! not bounce through a scheduler thread: it drives the event queue
-//! forward itself, executing device callbacks ([`Event::Call`]) inline and
-//! batching runs of same-timestamp callbacks under a single lock
-//! acquisition. Control transfers to another OS thread only when a
-//! [`Event::Wake`] for a *different* process is dispatched (one
-//! gate-wake + one context switch), and a wake for the driving process
-//! itself costs no switch at all. The original design paid two context
-//! switches and four channel operations per wake; this one pays at most
-//! one switch, which is what moves the kernel from ~150k to deep into the
-//! hundreds of thousands of events per second on one core.
+//! not bounce through a scheduler: it drives the event queue forward
+//! itself, executing device callbacks ([`Event::Call`]) inline and batching
+//! runs of same-timestamp callbacks under a single lock acquisition.
+//! Control passes to another process only when an [`Event::Wake`] for a
+//! *different* process is dispatched, and then it is one register switch
+//! straight into that process's coroutine; a wake for the driving process
+//! itself costs no switch at all. A process's stack is mapped when it is
+//! first woken and unmapped, once it finishes, by the next context to run.
 //!
 //! Hot-path state ([`KernelState`]) is touched exactly once per dispatched
 //! wake (pop + accounting + handoff under one lock). The state mutex
-//! remains — device models and processes schedule events from their own
-//! threads — but it is uncontended by construction: only the active thread
-//! takes it, except for the brief handoff window.
+//! remains — [`crate::SimHandle`] is `Send`, so any thread may schedule
+//! events — but it is uncontended by construction and never held across a
+//! switch.
+//!
+//! ## Teardown
+//!
+//! Once the outcome is decided (every process finished, a process
+//! panicked, deadlock, or the event limit), [`drive`] stops dispatching
+//! and never switches again: a process that parks observes shutdown and
+//! keeps the CPU, unwinding or returning, until it finishes and passes the
+//! CPU back to the controller. The controller then enters each remaining
+//! process with [`Go::Shutdown`] in spawn order, and drops the body of any
+//! process that never started without entering it. A process never
+//! switches while it unwinds, which keeps `std::thread::panicking` — one
+//! flag for every process of the run — meaning "this process is
+//! unwinding".
 //!
 //! ## Clock monotonicity
 //!
@@ -39,10 +51,10 @@
 //! the clock and corrupt every latency measurement downstream.)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::gate::Gate;
+use crate::context::{Context, Stack};
 use crate::handle::SimHandle;
 use crate::proc::{Proc, ShutdownUnwind};
 use crate::queue::{default_queue_kind, EventQueue, QueueKind};
@@ -73,6 +85,21 @@ pub(crate) enum Go {
     Shutdown,
 }
 
+impl Go {
+    /// The word a [`Context::switch`] carries.
+    fn to_msg(self) -> usize {
+        self as usize
+    }
+
+    fn from_msg(msg: usize) -> Go {
+        if msg == Go::Run as usize {
+            Go::Run
+        } else {
+            Go::Shutdown
+        }
+    }
+}
+
 /// Why a parked process is parked. Used by the termination logic: when the
 /// event queue is empty no process can be parked on a timer.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -87,6 +114,9 @@ pub(crate) enum ParkKind {
 
 pub(crate) type CallFn = Box<dyn FnOnce(&SimHandle) + Send>;
 
+/// What a simulated process runs.
+pub(crate) type Body = Box<dyn FnOnce(Proc) + Send>;
+
 pub(crate) enum Event {
     Wake(ProcId),
     Call(CallFn),
@@ -97,7 +127,28 @@ pub(crate) struct ProcSlot {
     pub daemon: bool,
     pub finished: bool,
     pub park: ParkKind,
-    pub gate: Arc<Gate>,
+    /// The process body, until its coroutine starts running it.
+    pub body: Option<Body>,
+    /// The coroutine's stack, from its first wake until it finishes.
+    pub stack: Option<Stack>,
+    /// Where the coroutine's registers are kept while it is suspended.
+    pub ctx: Arc<Context>,
+}
+
+impl ProcSlot {
+    /// The context to switch to for this process. On its first wake this
+    /// maps its stack and lays out a frame that enters [`coroutine_main`].
+    fn enter(&mut self, shared: &Arc<Shared>, pid: ProcId) -> *const Context {
+        if self.stack.is_none() {
+            // The new coroutine owns this reference from its first
+            // instruction on (see `coroutine_main`).
+            let arg = Arc::into_raw(shared.clone()) as usize;
+            // SAFETY: a process without a stack has never been entered,
+            // and this dispatch is the only one that can enter it now.
+            self.stack = Some(unsafe { self.ctx.start(coroutine_main, arg, pid.index()) });
+        }
+        Arc::as_ptr(&self.ctx)
+    }
 }
 
 /// Chunked slab for [`ProcSlot`]s: pushes never move existing slots, so
@@ -242,10 +293,50 @@ pub(crate) struct Shared {
     pub state: Mutex<KernelState>,
     /// Mirror of `state.now` for lock-free clock reads (`SimHandle::now`).
     pub now_ns: AtomicU64,
-    /// Gate the controller thread waits on inside [`Simulation::run`].
-    pub controller: Gate,
-    /// Join handles of spawned process threads (collected at the end of run).
-    pub joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The context of [`Simulation::run`]'s caller while processes run.
+    controller: Context,
+    /// The stack of a process that has just finished: it cannot unmap the
+    /// stack it runs on, so the next context to run does ([`Shared::reap`]).
+    /// Only the thread running the simulation touches it, so program order
+    /// is the only ordering needed (`Relaxed`).
+    dead_stack: AtomicPtr<u8>,
+}
+
+impl Shared {
+    /// Suspend the running context `from` and resume `to` with `go`;
+    /// returns the command the running context is later resumed with.
+    ///
+    /// # Safety
+    ///
+    /// `from` must be the running context, and `to` a suspended one of
+    /// this simulation (a slot's or the controller's).
+    pub(crate) unsafe fn switch(&self, from: &Context, to: *const Context, go: Go) -> Go {
+        // SAFETY: by the caller's contract; slot and controller contexts
+        // live as long as `self`, and their stacks stay mapped until they
+        // finish.
+        let msg = unsafe { from.switch(&*to, go.to_msg()) };
+        self.reap();
+        Go::from_msg(msg)
+    }
+
+    /// Unmap the stack of the process that finished just before the
+    /// running context resumed, if one did.
+    fn reap(&self) {
+        if !self.dead_stack.load(Ordering::Relaxed).is_null() {
+            let base = self
+                .dead_stack
+                .swap(std::ptr::null_mut(), Ordering::Relaxed);
+            // SAFETY: `bury` stored it from `Stack::into_raw`, and the
+            // process on it has switched away for good.
+            drop(unsafe { Stack::from_raw(base) });
+        }
+    }
+
+    /// Leave the finishing process's stack for the next context to unmap.
+    fn bury(&self, stack: Stack) {
+        let old = self.dead_stack.swap(stack.into_raw(), Ordering::Relaxed);
+        debug_assert!(old.is_null(), "a dead stack was never reaped");
+    }
 }
 
 /// Error terminating a simulation run.
@@ -334,28 +425,25 @@ impl Report {
     }
 }
 
-/// What a [`drive`] call did on behalf of the calling thread.
+/// What a [`drive`] call decided for the calling context.
 pub(crate) enum Driven {
-    /// The caller's own wake was dispatched: resume running immediately
-    /// (no context switch).
-    Resume,
-    /// The driver token moved to another thread; the caller should wait on
-    /// its gate (parked processes) or exit (finished ones / controller).
-    Transferred,
-    /// The run outcome was decided; the caller should observe shutdown.
+    /// Keep running the calling process with this command: its own wake
+    /// came up, or it is the daemon being shut down. No switch.
+    Resume(Go),
+    /// Switch to this (suspended) process context, handing it the command.
+    Switch(*const Context, Go),
+    /// The run outcome is decided: observe shutdown without switching.
     Ended,
 }
 
-/// Dispatch events on the calling thread until control must leave it.
+/// Dispatch events on the calling context until control must leave it.
 ///
 /// `me` is the calling process when it is parking (so a wake for itself is
 /// a free resume), or `None` for the controller and finished processes.
 pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
     enum Action {
         RunCalls,
-        Resume,
-        Transfer(Arc<Gate>, Go),
-        Ended,
+        Done(Driven),
     }
 
     let handle = SimHandle::new(shared.clone());
@@ -363,14 +451,24 @@ pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
     loop {
         let action = {
             let mut st = shared.state.lock();
+            if let Some(me) = me {
+                // A switch saves the running registers into `me`'s context,
+                // so only `me`, on its own stack, may give up its turn.
+                let probe = 0u8;
+                let stack = st.procs.get(me.index()).stack.as_ref();
+                assert!(
+                    stack.is_some_and(|s| s.contains(&probe)),
+                    "{me} parked from outside its own coroutine"
+                );
+            }
             if st.teardown {
-                Action::Ended
+                Action::Done(Driven::Ended)
             } else {
                 loop {
                     if st.events_processed >= st.event_limit {
                         let limit = st.event_limit;
                         st.finish(Err(SimError::EventLimit { limit }));
-                        break Action::Ended;
+                        break Action::Done(Driven::Ended);
                     }
                     let Some((t, _seq, ev)) = st.queue.pop() else {
                         // Queue drained: completion, daemon shutdown, or
@@ -394,19 +492,23 @@ pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
                             st.finish(Err(SimError::Deadlock {
                                 parked: parked_nondaemon,
                             }));
-                            break Action::Ended;
+                            break Action::Done(Driven::Ended);
                         }
                         let Some(idx) = first_daemon else {
                             let report = st.report();
                             st.finish(Ok(report));
-                            break Action::Ended;
+                            break Action::Done(Driven::Ended);
                         };
                         // Shut daemons down one at a time, in spawn order;
                         // each one finishing drives us back here for the next.
                         st.shutdown = true;
+                        let pid = ProcId(idx as u32);
                         let slot = st.procs.get_mut(idx);
                         slot.park = ParkKind::Running;
-                        break Action::Transfer(slot.gate.clone(), Go::Shutdown);
+                        if me == Some(pid) {
+                            break Action::Done(Driven::Resume(Go::Shutdown));
+                        }
+                        break Action::Done(Driven::Switch(slot.enter(shared, pid), Go::Shutdown));
                     };
                     // Hard invariant in every build profile: the virtual
                     // clock is monotone (push_event clamps, so this can
@@ -436,8 +538,7 @@ pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
                             break Action::RunCalls;
                         }
                         Event::Wake(pid) => {
-                            let slot = st.procs.get_mut(pid.index());
-                            if slot.finished {
+                            if st.procs.get(pid.index()).finished {
                                 // A stale wake (e.g. the leftover timer of a
                                 // wait that raced its signal): skip it, and
                                 // keep it out of the headline throughput.
@@ -445,14 +546,14 @@ pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
                                 st.fold_hash(t, HASH_STALE, pid.0 as u64);
                                 continue;
                             }
-                            slot.park = ParkKind::Running;
-                            let gate = slot.gate.clone();
                             st.wakes_executed += 1;
                             st.fold_hash(t, HASH_WAKE, pid.0 as u64);
+                            let slot = st.procs.get_mut(pid.index());
+                            slot.park = ParkKind::Running;
                             if me == Some(pid) {
-                                break Action::Resume;
+                                break Action::Done(Driven::Resume(Go::Run));
                             }
-                            break Action::Transfer(gate, Go::Run);
+                            break Action::Done(Driven::Switch(slot.enter(shared, pid), Go::Run));
                         }
                     }
                 }
@@ -464,15 +565,7 @@ pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
                     f(&handle);
                 }
             }
-            Action::Resume => return Driven::Resume,
-            Action::Transfer(gate, go) => {
-                gate.wake(go);
-                return Driven::Transferred;
-            }
-            Action::Ended => {
-                shared.controller.wake(Go::Run);
-                return Driven::Ended;
-            }
+            Action::Done(driven) => return driven,
         }
     }
 }
@@ -483,75 +576,110 @@ pub(crate) fn spawn_proc(
     daemon: bool,
     f: impl FnOnce(Proc) + Send + 'static,
 ) -> ProcId {
-    let gate = Arc::new(Gate::new());
-    let pid;
-    {
-        let mut st = shared.state.lock();
-        pid = ProcId(st.procs.len() as u32);
-        st.procs.push(ProcSlot {
-            name: name.to_string(),
-            daemon,
-            finished: false,
-            park: ParkKind::Timer, // will be woken by the spawn event
-            gate: gate.clone(),
-        });
-        let at = st.now;
-        st.push_event(at, Event::Wake(pid));
-    }
-    let proc = Proc::new(pid, shared.clone(), gate.clone());
-    let shared2 = shared.clone();
-    let thread_name = format!("sim-{name}");
-    let join = std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            gate.register();
-            // Wait for the kernel to schedule our first run.
-            match gate.wait() {
-                Go::Run => {}
-                Go::Shutdown => {
-                    finish_proc(&shared2, pid, None);
-                    return;
-                }
-            }
-            let result = catch_unwind(AssertUnwindSafe(move || f(proc)));
-            match result {
-                Ok(()) => finish_proc(&shared2, pid, None),
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownUnwind>().is_some() {
-                        // Forced unwind during teardown, not a real panic.
-                        finish_proc(&shared2, pid, None);
-                    } else {
-                        let msg = payload_to_string(&*payload);
-                        finish_proc(&shared2, pid, Some(msg));
-                    }
-                }
-            }
-        })
-        .expect("failed to spawn simulated process thread");
-    shared.joins.lock().push(join);
+    let mut st = shared.state.lock();
+    let pid = ProcId(st.procs.len() as u32);
+    st.procs.push(ProcSlot {
+        name: name.to_string(),
+        daemon,
+        finished: false,
+        park: ParkKind::Timer, // will be woken by the spawn event
+        body: Some(Box::new(f)),
+        stack: None,
+        ctx: Arc::new(Context::new()),
+    });
+    let at = st.now;
+    st.push_event(at, Event::Wake(pid));
     pid
 }
 
-/// Mark `pid` finished and either hand the outcome to the controller (when
-/// the run is over or `pid` panicked) or keep driving the schedule forward
-/// on this thread.
-fn finish_proc(shared: &Arc<Shared>, pid: ProcId, panic_msg: Option<String>) {
+/// Where every process coroutine starts, on its own stack, when its first
+/// wake is dispatched: run the body, record how it ended, and pass the CPU
+/// on for good.
+///
+/// # Safety
+///
+/// Called only as the first frame of `pid`'s coroutine, laid out by
+/// [`ProcSlot::enter`]: `shared` is an `Arc<Shared>` that `enter` turned
+/// into a raw pointer, and its ownership moves here.
+unsafe extern "C" fn coroutine_main(shared: usize, pid: usize) -> ! {
+    let raw = shared as *const Shared;
+    let pid = ProcId(pid as u32);
+    let (to, go) = {
+        // SAFETY: by this function's contract, `raw` came from
+        // `Arc::into_raw` for this coroutine alone, entered exactly once.
+        let shared = unsafe { Arc::from_raw(raw) };
+        shared.reap();
+        let panic_msg = run_body(&shared, pid);
+        finish_proc(&shared, pid, panic_msg)
+        // Our reference drops here, like everything else this coroutine
+        // owns: its stack is unmapped without running any destructor.
+    };
+    // SAFETY: `Simulation::run` holds an `Arc<Shared>` until every process
+    // it entered has finished, and this one has not switched away yet.
+    let shared = unsafe { &*raw };
+    // A finished process is never resumed: this context only receives the
+    // stack pointer of a stack about to be unmapped.
+    let grave = Context::new();
+    // SAFETY: this coroutine is the running context; `to` is suspended.
+    unsafe { shared.switch(&grave, to, go) };
+    // A finished process resumed: nothing sound can follow.
+    std::process::abort()
+}
+
+/// Run the body of `pid` and catch its end: `None` if it returned (or was
+/// unwound by a forced shutdown), the panic message if it panicked.
+fn run_body(shared: &Arc<Shared>, pid: ProcId) -> Option<String> {
+    let (body, ctx) = {
+        let mut st = shared.state.lock();
+        let slot = st.procs.get_mut(pid.index());
+        let body = slot.body.take().expect("a process body runs once");
+        (body, slot.ctx.clone())
+    };
+    let proc = Proc::new(pid, shared.clone(), ctx);
+    match catch_unwind(AssertUnwindSafe(move || body(proc))) {
+        Ok(()) => None,
+        // Forced unwind during teardown, not a real panic.
+        Err(payload) if payload.is::<ShutdownUnwind>() => None,
+        Err(payload) => Some(payload_to_string(&*payload)),
+    }
+}
+
+/// Mark `pid` finished, record its panic if it panicked, and pick the
+/// context to pass the CPU to for good: the next process that `drive`
+/// wakes, or the controller once the run outcome is decided.
+fn finish_proc(
+    shared: &Arc<Shared>,
+    pid: ProcId,
+    panic_msg: Option<String>,
+) -> (*const Context, Go) {
     let teardown = {
         let mut st = shared.state.lock();
-        st.procs.get_mut(pid.index()).finished = true;
+        let slot = st.procs.get_mut(pid.index());
+        slot.finished = true;
+        shared.bury(slot.stack.take().expect("a running process has a stack"));
         if let Some(message) = panic_msg {
-            let proc = st.procs.get(pid.index()).name.clone();
+            let proc = slot.name.clone();
             st.finish(Err(SimError::ProcPanic { proc, message }));
         }
         st.teardown
     };
-    if teardown {
-        shared.controller.wake(Go::Run);
-        return;
+    if !teardown {
+        // The finishing process keeps the driver token and pushes the
+        // schedule forward until control passes elsewhere or the run ends.
+        // A device callback that panics here is this process's panic, as
+        // it would be had the process parked instead of finishing.
+        match catch_unwind(AssertUnwindSafe(|| drive(shared, None))) {
+            Ok(Driven::Switch(to, go)) => return (to, go),
+            Ok(_) => {}
+            Err(payload) => {
+                let mut st = shared.state.lock();
+                let proc = st.procs.get(pid.index()).name.clone();
+                let message = payload_to_string(&*payload);
+                st.finish(Err(SimError::ProcPanic { proc, message }));
+            }
+        }
     }
-    // The finishing thread keeps the driver token and pushes the schedule
-    // forward until control transfers or the run ends.
-    let _ = drive(shared, None);
+    (&shared.controller, Go::Run)
 }
 
 fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
@@ -605,8 +733,8 @@ impl Simulation {
                 schedule_hash: FNV_OFFSET,
             }),
             now_ns: AtomicU64::new(0),
-            controller: Gate::new(),
-            joins: Mutex::new(Vec::new()),
+            controller: Context::new(),
+            dead_stack: AtomicPtr::new(std::ptr::null_mut()),
         });
         Simulation { shared }
     }
@@ -635,43 +763,22 @@ impl Simulation {
 
     /// Drive the simulation to completion.
     pub fn run(self) -> Result<Report, SimError> {
-        self.shared.controller.register();
         let started = std::time::Instant::now();
+        let shared = &self.shared;
         // The controller drives until the first handoff; after that the
-        // token circulates among process threads until the outcome is
-        // decided by whichever thread observes it.
-        let _ = drive(&self.shared, None);
-        loop {
-            if self.shared.state.lock().teardown {
-                break;
-            }
-            let _ = self.shared.controller.wait();
+        // token circulates among the processes until one of them decides
+        // the outcome, finishes, and switches back here.
+        match drive(shared, None) {
+            // SAFETY: this is the running context, and `drive` returns a
+            // suspended process context of this simulation.
+            Driven::Switch(to, go) => unsafe {
+                shared.switch(&shared.controller, to, go);
+            },
+            Driven::Ended => {}
+            Driven::Resume(_) => unreachable!("the controller is not a process"),
         }
-        // Teardown: unblock parked processes (repeatedly — a process may
-        // park again while unwinding) until every thread has finished.
-        loop {
-            let gates: Vec<Arc<Gate>> = {
-                let st = self.shared.state.lock();
-                st.procs
-                    .iter()
-                    .filter(|(_, s)| !s.finished)
-                    .map(|(_, s)| s.gate.clone())
-                    .collect()
-            };
-            if gates.is_empty() {
-                break;
-            }
-            for g in &gates {
-                g.wake(Go::Shutdown);
-            }
-            let _ = self.shared.controller.wait();
-        }
-        let joins = std::mem::take(&mut *self.shared.joins.lock());
-        for j in joins {
-            let _ = j.join();
-        }
-        let result = self
-            .shared
+        shared.teardown();
+        let result = shared
             .state
             .lock()
             .result
@@ -684,25 +791,263 @@ impl Simulation {
     }
 }
 
+impl Shared {
+    /// Finish every process that has not finished, in spawn order, on the
+    /// controller's context: drop the body of one that never started
+    /// without entering it, and enter a suspended one with
+    /// [`Go::Shutdown`] until it finishes and switches back. A body may
+    /// hold a handle onto this simulation, a cycle through the process
+    /// table that would keep it alive for good if the body stayed there.
+    fn teardown(&self) {
+        let mut idx = 0;
+        loop {
+            let (body, to) = {
+                let mut st = self.state.lock();
+                st.teardown = true;
+                if idx == st.procs.len() {
+                    break;
+                }
+                let slot = st.procs.get_mut(idx);
+                idx += 1;
+                if slot.finished {
+                    continue;
+                }
+                match slot.body.take() {
+                    Some(body) => {
+                        slot.finished = true;
+                        (Some(body), None)
+                    }
+                    None => (None, Some(Arc::as_ptr(&slot.ctx))),
+                }
+            };
+            drop(body);
+            if let Some(to) = to {
+                // SAFETY: teardown runs on the controller's context, and a
+                // started, unfinished process is suspended.
+                unsafe { self.switch(&self.controller, to, Go::Shutdown) };
+            }
+        }
+    }
+}
+
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // A simulation dropped without `run` still has process threads
-        // parked at their start gates; release them so nothing leaks.
-        let gates: Vec<Arc<Gate>> = {
-            let mut st = self.shared.state.lock();
-            st.teardown = true;
-            st.procs
-                .iter()
-                .filter(|(_, s)| !s.finished)
-                .map(|(_, s)| s.gate.clone())
-                .collect()
-        };
-        for g in gates {
-            g.wake(Go::Shutdown);
+        // After `run` this finds nothing to do; a simulation dropped
+        // without running still owns the bodies of its processes.
+        self.shared.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Coroutine lifecycle: stacks are released however a run ends, and no
+    //! process switches away while it unwinds.
+
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use crate::context::live_stacks;
+    use crate::sync::Mutex;
+    use crate::{Dur, Proc, SimError, Simulation, Wait};
+
+    #[test]
+    fn sequential_simulations_release_every_stack() {
+        let before = live_stacks();
+        for round in 0..1000u64 {
+            let sim = Simulation::new();
+            let handle = sim.handle();
+            // A daemon left parked until shutdown, and 63 processes that
+            // interleave on their timers.
+            sim.spawn_daemon("d", |p| {
+                let s = p.signal();
+                assert_eq!(p.wait(&s), Wait::Shutdown);
+            });
+            for i in 1..64u64 {
+                sim.spawn(&format!("p{i}"), move |p| {
+                    p.advance(Dur::from_ns(1 + (i + round) % 7));
+                    p.advance(Dur::from_ns(1 + i % 3));
+                });
+            }
+            let report = sim.run().unwrap();
+            assert_eq!(report.procs_spawned, 64);
+            assert_eq!(live_stacks(), before, "round {round} left stacks mapped");
+            // Nothing else holds the simulation: no finished coroutine kept
+            // its reference, and no body stayed behind in the process table.
+            assert_eq!(Arc::strong_count(&handle.shared), 1, "round {round}");
         }
-        let joins = std::mem::take(&mut *self.shared.joins.lock());
-        for j in joins {
-            let _ = j.join();
+    }
+
+    /// Tries to give up the CPU while its process unwinds, and records
+    /// what it saw.
+    struct ParkWhileUnwinding<'a> {
+        p: &'a Proc,
+        seen: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Drop for ParkWhileUnwinding<'_> {
+        fn drop(&mut self) {
+            let t0 = self.p.now();
+            self.p.advance(Dur::from_us(5));
+            let s = self.p.signal();
+            let waited = self.p.wait_timeout(&s, Dur::from_us(5));
+            self.seen.lock().push(format!(
+                "unwinding={} moved={} {waited:?}",
+                std::thread::panicking(),
+                self.p.now() != t0
+            ));
         }
+    }
+
+    /// Counts the processes that were unwound or returned.
+    struct Finished(Arc<AtomicUsize>);
+
+    impl Drop for Finished {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_panic_among_parked_processes_ends_the_run_without_switching() {
+        let before = live_stacks();
+        let sim = Simulation::new();
+        let handle = sim.handle();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let finished = Arc::new(AtomicUsize::new(0));
+        for i in 0..64usize {
+            let (seen, done) = (seen.clone(), Finished(finished.clone()));
+            let (h, finished) = (handle.clone(), finished.clone());
+            sim.spawn(&format!("p{i}"), move |p| {
+                let _done = done;
+                let log = |what: &str| {
+                    let unwinding = std::thread::panicking();
+                    seen.lock()
+                        .push(format!("p{i} {what} unwinding={unwinding}"));
+                };
+                match i {
+                    32 => {
+                        let _probe = ParkWhileUnwinding {
+                            p: &p,
+                            seen: seen.clone(),
+                        };
+                        p.advance(Dur::from_ns(500));
+                        // Never started: its body is dropped at teardown.
+                        let late = Finished(finished.clone());
+                        p.spawn("late", move |_| {
+                            let _late = late;
+                            unreachable!("a process spawned after the panic ran");
+                        });
+                        panic!("boom in p32");
+                    }
+                    _ if i % 3 == 0 => {
+                        p.advance(Dur::from_us(1));
+                        log("advanced");
+                    }
+                    _ if i % 3 == 1 => {
+                        let s = p.signal();
+                        let s2 = s.clone();
+                        h.call_after(Dur::from_us(1), move |h| s2.notify(h));
+                        let w = p.wait(&s);
+                        log(&format!("{w:?}"));
+                    }
+                    _ => {
+                        let s = p.signal();
+                        let w = p.wait_timeout(&s, Dur::from_us(1));
+                        log(&format!("{w:?}"));
+                    }
+                }
+            });
+        }
+        match sim.run() {
+            Err(SimError::ProcPanic { proc, message }) => {
+                assert_eq!(proc, "p32");
+                assert!(message.contains("boom in p32"), "{message}");
+            }
+            other => panic!("expected p32's panic, got {other:?}"),
+        }
+        let seen = seen.lock().clone();
+        // p32's unwind kept the CPU: its parks returned at once, with no
+        // virtual time passing and no other process running meanwhile.
+        assert_eq!(seen[0], "unwinding=true moved=false Shutdown");
+        // Every other process was parked at 0.5 µs, and then entered once
+        // the run had ended: the advancing ones unwound, the waiting ones
+        // observed shutdown, and none of them saw an unwind not its own.
+        let mut rest = seen[1..].to_vec();
+        rest.sort();
+        let mut want: Vec<String> = (0..64)
+            .filter(|i| i % 3 != 0 && *i != 32)
+            .map(|i| format!("p{i} Shutdown unwinding=false"))
+            .collect();
+        want.sort();
+        assert_eq!(rest, want);
+        assert_eq!(finished.load(Ordering::SeqCst), 64 + 1);
+        assert_eq!(live_stacks(), before);
+        assert_eq!(Arc::strong_count(&handle.shared), 1);
+    }
+
+    #[test]
+    fn a_callback_panicking_while_a_finished_process_drives_is_its_panic() {
+        let before = live_stacks();
+        let sim = Simulation::new();
+        sim.spawn("short", |p| {
+            // Runs on this process's stack as it finishes and drives on.
+            p.call_after(Dur::ZERO, |_| panic!("callback boom"));
+        });
+        match sim.run() {
+            Err(SimError::ProcPanic { proc, message }) => {
+                assert_eq!(proc, "short");
+                assert!(message.contains("callback boom"), "{message}");
+            }
+            other => panic!("expected the callback's panic, got {other:?}"),
+        }
+        assert_eq!(live_stacks(), before);
+    }
+
+    #[test]
+    fn a_proc_used_by_another_process_panics_instead_of_switching() {
+        let sim = Simulation::new();
+        let lent: Arc<Mutex<Option<&'static Proc>>> = Arc::new(Mutex::new(None));
+        let lent2 = lent.clone();
+        sim.spawn("owner", move |p| {
+            let p: &'static Proc = Box::leak(Box::new(p));
+            *lent2.lock() = Some(p);
+            p.advance(Dur::from_us(10));
+        });
+        sim.spawn("borrower", move |p| {
+            p.advance(Dur::from_us(1));
+            let owners = lent.lock().expect("the owner ran first");
+            owners.advance(Dur::from_us(1));
+        });
+        match sim.run() {
+            Err(SimError::ProcPanic { proc, message }) => {
+                assert_eq!(proc, "borrower");
+                assert!(message.contains("outside its own coroutine"), "{message}");
+            }
+            other => panic!("expected the borrower's panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_world_of_4096_processes_runs_and_releases_its_stacks() {
+        const N: usize = 4096;
+        let before = live_stacks();
+        let sim = Simulation::new();
+        let peak = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
+        for i in 0..N {
+            let (peak, done) = (peak.clone(), done.clone());
+            sim.spawn(&format!("r{i}"), move |p| {
+                p.advance(Dur::from_ns(1 + (i % 13) as u64));
+                peak.fetch_max(live_stacks(), Ordering::SeqCst);
+                p.advance(Dur::from_ns(1 + (i % 5) as u64));
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let report = sim.run().unwrap();
+        assert_eq!(report.procs_spawned, N);
+        assert_eq!(done.load(Ordering::SeqCst), N);
+        // All of them were alive at once: each started at t = 0.
+        assert_eq!(peak.load(Ordering::SeqCst), before + N);
+        assert_eq!(live_stacks(), before);
     }
 }

@@ -3,12 +3,27 @@
 //! The substrate for the Open MPI / Quadrics-Elan4 reproduction: a virtual
 //! clock, an event queue, and cooperative *simulated processes*.
 //!
-//! Simulated processes are real OS threads, which lets MPI ranks be written
-//! as ordinary blocking Rust code, but the kernel enforces that at most one
-//! process runs at a time and that control transfers only through the event
-//! queue. Events at equal times execute in insertion order, so a simulation
-//! is a deterministic function of its inputs — latencies measured in virtual
-//! time are exactly reproducible.
+//! Simulated processes are stackful coroutines, which lets MPI ranks be
+//! written as ordinary blocking Rust code: each runs on a stack of its own,
+//! all of them on the thread that calls [`Simulation::run`]. At most one
+//! process runs at a time, and control passes only through the event queue:
+//! dispatching another process's wake is one register switch into its
+//! coroutine, with no OS context switch. Events at equal times execute in
+//! insertion order, so a simulation is a deterministic function of its
+//! inputs — latencies measured in virtual time are exactly reproducible.
+//!
+//! Two consequences of sharing one OS thread:
+//!
+//! * thread-locals, `std::thread::current()` and `std::thread::panicking()`
+//!   are the same for every process of a run. No process switches away
+//!   while it unwinds, so `panicking()` still means "this process is
+//!   unwinding";
+//! * a process must not hold a lock across a call that gives up control
+//!   (`advance`, the waits) that another process may take: the other
+//!   process would block the one thread every process runs on.
+//!
+//! Only x86_64 Linux is supported: the switch is System V assembly and
+//! the stacks are Linux mappings (see the `context` module).
 //!
 //! ## Example
 //!
@@ -29,7 +44,7 @@
 
 #![warn(missing_docs)]
 
-mod gate;
+mod context;
 mod handle;
 mod kernel;
 mod proc;
@@ -286,12 +301,22 @@ mod tests {
     }
 
     #[test]
-    fn dropping_unrun_simulation_joins_threads() {
-        // A simulation dropped without `run` must release the parked process
-        // threads instead of leaking them.
+    fn dropping_unrun_simulation_drops_bodies() {
+        // A simulation dropped without `run` must drop the bodies of its
+        // processes without entering them: a body holding a handle would
+        // otherwise keep the simulation alive through the process table.
         let sim = Simulation::new();
-        sim.spawn("p", |p| p.advance(Dur::from_us(1)));
+        let handle = sim.handle();
+        let ran = Arc::new(AtomicU64::new(0));
+        let (h, r) = (handle.clone(), ran.clone());
+        sim.spawn("p", move |p| {
+            r.store(1, Ordering::SeqCst);
+            h.call_after(Dur::from_us(1), |_| {});
+            p.advance(Dur::from_us(1));
+        });
         drop(sim);
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        assert_eq!(Arc::strong_count(&handle.shared), 1);
     }
 
     #[test]

@@ -5,22 +5,24 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::gate::Gate;
+use crate::context::Context;
 use crate::handle::SimHandle;
 use crate::kernel::{drive, spawn_proc, Driven, Event, Go, ParkKind, ProcId, Shared};
 use crate::signal::{Signal, SignalInner, TimedWait, Wait};
 use crate::time::{Dur, Time};
 
-/// Per-process handle. Not `Clone`: exactly one OS thread owns it.
+/// Per-process handle. Not `Clone`: exactly one simulated process owns
+/// it, and the calls that give up control (`advance`, the waits) must be
+/// made by that process, on its own coroutine.
 pub struct Proc {
     pid: ProcId,
     shared: Arc<Shared>,
-    gate: Arc<Gate>,
+    ctx: Arc<Context>,
 }
 
 impl Proc {
-    pub(crate) fn new(pid: ProcId, shared: Arc<Shared>, gate: Arc<Gate>) -> Self {
-        Proc { pid, shared, gate }
+    pub(crate) fn new(pid: ProcId, shared: Arc<Shared>, ctx: Arc<Context>) -> Self {
+        Proc { pid, shared, ctx }
     }
 
     /// This process's id.
@@ -60,7 +62,10 @@ impl Proc {
                     // still queued, so just park again until it arrives.
                     st.procs.get_mut(self.pid.index()).park = ParkKind::Timer;
                 }
-                // Forced shutdown while sleeping: unwind this thread. The
+                // Already unwinding (see `park`): a second panic would
+                // abort, so return and let the unwind go on.
+                Go::Shutdown if std::thread::panicking() => return,
+                // Forced shutdown while sleeping: unwind this process. The
                 // kernel treats the unwind as process completion during
                 // teardown.
                 Go::Shutdown => std::panic::panic_any(ShutdownUnwind),
@@ -193,18 +198,29 @@ impl Proc {
     }
 
     /// Give up control: keep the driver token and dispatch events on this
-    /// thread until either our own wake comes up (free resume, no context
-    /// switch) or control transfers elsewhere and we block on our gate.
+    /// coroutine until either our own wake comes up (free resume, no
+    /// switch) or another process is woken and we switch to it, to be
+    /// resumed by whichever context later dispatches our wake.
+    ///
+    /// A process unwinding a panic (or a forced shutdown) observes shutdown
+    /// instead and keeps the CPU: the run's processes share one thread, so
+    /// a switch would carry its unwind into another process.
     fn park(&self) -> Go {
+        if std::thread::panicking() {
+            return Go::Shutdown;
+        }
         match drive(&self.shared, Some(self.pid)) {
-            Driven::Resume => Go::Run,
-            Driven::Transferred => self.gate.wait(),
+            Driven::Resume(go) => go,
+            // SAFETY: `drive` asserted that we run on this process's own
+            // stack, so its context is the running one, and it hands back
+            // a suspended context of the same simulation.
+            Driven::Switch(to, go) => unsafe { self.shared.switch(&self.ctx, to, go) },
             Driven::Ended => Go::Shutdown,
         }
     }
 }
 
-/// Panic payload used to unwind a process thread during forced shutdown.
+/// Panic payload used to unwind a process during forced shutdown.
 pub(crate) struct ShutdownUnwind;
 
 impl std::fmt::Debug for Proc {

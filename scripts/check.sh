@@ -13,6 +13,12 @@ echo "== tier-1: build + root test suite"
 cargo build --release
 cargo test -q
 
+echo "== workspace tests: every crate's unit and integration tests"
+# Tier-1 runs only the root package; this runs the rest, including the
+# qsim coroutine lifecycle tests and the calendar-vs-BTree schedule-hash
+# cross-checks in crates/qsim/tests/determinism.rs.
+cargo test --workspace -q
+
 echo "== fault injection: reliability + dynamics/faults test groups"
 cargo test -q --test reliability --test dynamics_and_faults
 
