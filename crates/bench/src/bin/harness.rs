@@ -420,11 +420,12 @@ fn main() {
             eprintln!("[simulator profile written to {path}]");
         }
         eprintln!(
-            "[sim-bench: {} events ({} calls, {} wakes, {} stale) at \
-             {:.0} events/s, determinism {}, in {:.1?} wall time]",
+            "[sim-bench: {} events ({} calls, {} wakes of which {} in place, \
+             {} stale) at {:.0} events/s, determinism {}, in {:.1?} wall time]",
             report.report.events_processed,
             report.report.calls_executed,
             report.report.wakes_executed,
+            report.report.wakes_in_place,
             report.report.stale_wakes,
             report.report.events_per_sec(),
             if report.determinism_ok {

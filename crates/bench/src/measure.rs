@@ -1279,12 +1279,13 @@ pub struct SimBenchReport {
 
 /// The determinism fingerprint of a run: everything in the kernel report
 /// except wall-clock time.
-fn schedule_fingerprint(r: &qsim::Report) -> (u64, u64, u64, u64, u64, u64, u64) {
+fn schedule_fingerprint(r: &qsim::Report) -> (u64, u64, u64, u64, u64, u64, u64, u64) {
     (
         r.end_time.as_ns(),
         r.events_processed,
         r.schedule_hash,
         r.wakes_executed,
+        r.wakes_in_place,
         r.calls_executed,
         r.stale_wakes,
         r.sched_past,
@@ -1297,8 +1298,8 @@ impl SimBenchReport {
         format!(
             "{{\"bench\":\"sim_profile\",\"ranks\":{},\"len\":{},\"iters\":{},\
              \"end_time_ns\":{},\"events_processed\":{},\"wakes_executed\":{},\
-             \"calls_executed\":{},\"stale_wakes\":{},\"sched_past\":{},\
-             \"schedule_hash\":\"{:#018x}\",\"determinism_ok\":{},\
+             \"wakes_in_place\":{},\"calls_executed\":{},\"stale_wakes\":{},\
+             \"sched_past\":{},\"schedule_hash\":\"{:#018x}\",\"determinism_ok\":{},\
              \"procs_spawned\":{},\"max_queue_depth\":{},\
              \"wall_ns\":{},\"btree_wall_ns\":{},\"events_per_sec\":{:.1}}}",
             self.ranks,
@@ -1307,6 +1308,7 @@ impl SimBenchReport {
             self.report.end_time.as_ns(),
             self.report.events_processed,
             self.report.wakes_executed,
+            self.report.wakes_in_place,
             self.report.calls_executed,
             self.report.stale_wakes,
             self.report.sched_past,

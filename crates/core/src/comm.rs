@@ -17,8 +17,9 @@ pub struct Communicator {
     pub ctx: u32,
     /// Context id for collective traffic.
     pub coll_ctx: u32,
-    /// Member processes, in rank order.
-    pub group: Vec<ProcName>,
+    /// Member processes, in rank order; shared by every handle onto this
+    /// communicator and its collective plane.
+    pub group: Arc<[ProcName]>,
     /// This process's rank within `group`.
     pub my_rank: usize,
     /// True only for groups created synchronously at job launch: such
@@ -63,7 +64,7 @@ pub fn register_comm(proc: &Proc, ep: &Arc<Endpoint>, comm: &Communicator) {
                 "context id {ctx} registered twice"
             );
             st.comms
-                .insert(ctx, CommState::new(ctx, comm.group.clone(), comm.my_rank));
+                .insert(ctx, CommState::new(ctx, comm.group.to_vec(), comm.my_rank));
         }
         let mut early = Vec::new();
         let mut keep = Vec::new();

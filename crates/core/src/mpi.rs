@@ -534,7 +534,7 @@ impl Mpi {
             .map(|(r, p)| (p.1, r))
             .collect();
         members.sort_unstable();
-        let group: Vec<ProcName> = members.iter().map(|(_, r)| comm.group[*r]).collect();
+        let group: Arc<[ProcName]> = members.iter().map(|(_, r)| comm.group[*r]).collect();
         let my_rank = members
             .iter()
             .position(|(_, r)| *r == comm.my_rank)
@@ -606,7 +606,7 @@ impl Mpi {
         let inter = Communicator {
             ctx: ictx,
             coll_ctx: icoll,
-            group,
+            group: group.into(),
             my_rank: 0,
             hw_coll: false,
         };
@@ -663,7 +663,7 @@ impl Mpi {
                     let inter = Communicator {
                         ctx: v[0],
                         coll_ctx: v[1],
-                        group: inter_group,
+                        group: inter_group.into(),
                         my_rank: rank + 1,
                         hw_coll: false,
                     };

@@ -485,7 +485,7 @@ pub fn post_bcast_eager(
             // Stale communicator handle: nothing to broadcast into.
             return;
         }
-        let members: Vec<ProcName> = comm.group.clone();
+        let members = &comm.group;
         let mut out = Vec::with_capacity(members.len() - 1);
         for (rank, who) in members.iter().enumerate() {
             if rank == comm.my_rank {

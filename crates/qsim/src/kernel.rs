@@ -23,11 +23,19 @@
 //! itself costs no switch at all. A process's stack is mapped when it is
 //! first woken and unmapped, once it finishes, by the next context to run.
 //!
-//! Hot-path state ([`KernelState`]) is touched exactly once per dispatched
-//! wake (pop + accounting + handoff under one lock). The state mutex
-//! remains — [`crate::SimHandle`] is `Send`, so any thread may schedule
-//! events — but it is uncontended by construction and never held across a
-//! switch.
+//! A process that parks takes the kernel lock once: it queues its wake (if
+//! any), marks itself parked and enters [`drive`] holding that one guard,
+//! and pop, accounting and handoff happen under it. `drive` drops the guard
+//! only to run a batch of callbacks or to hand off, and a resumed process
+//! reads the clock from the lock-free mirror. Cheaper still is an `advance`
+//! whose own wake would be the next event dispatched: nothing queued is due
+//! at or before its target, so [`Shared::wake_in_place`] dispatches it on
+//! the spot, never touching the queue and recording exactly what a push
+//! then a pop would have (sequence number, clock, counters, queue-depth
+//! high-water, schedule hash). The state mutex ([`crate::Mutex`], a spin
+//! lock) remains — [`crate::SimHandle`] is `Send`, so any thread may
+//! schedule events — but it is uncontended by construction and never held
+//! across a switch.
 //!
 //! ## Teardown
 //!
@@ -58,7 +66,7 @@ use crate::context::{Context, Stack};
 use crate::handle::SimHandle;
 use crate::proc::{Proc, ShutdownUnwind};
 use crate::queue::{default_queue_kind, EventQueue, QueueKind};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, MutexGuard};
 use crate::time::Time;
 
 /// Identifies a simulated process.
@@ -223,6 +231,8 @@ pub(crate) struct KernelState {
     pub max_queue_depth: usize,
     /// Process wakeups executed (vs. device-callback events).
     pub wakes_executed: u64,
+    /// The subset of `wakes_executed` dispatched in place.
+    pub wakes_in_place: u64,
     /// Device-callback closures executed (the `Event::Call` category).
     pub calls_executed: u64,
     /// Wakes popped for already-finished processes (skipped, and excluded
@@ -234,6 +244,9 @@ pub(crate) struct KernelState {
     /// Running FNV-1a fold of every dispatched event `(time, kind, proc)` —
     /// the determinism fingerprint compared across queue implementations.
     pub schedule_hash: u64,
+    /// [`drive`]'s buffer for a batch of same-timestamp callbacks, kept
+    /// here so a dispatch does not allocate one.
+    call_buf: Vec<CallFn>,
 }
 
 impl KernelState {
@@ -265,6 +278,17 @@ impl KernelState {
         self.schedule_hash = h;
     }
 
+    /// A switch saves the running registers into `me`'s context, so only
+    /// `me`, on its own stack, may give up its turn.
+    fn assert_on_own_stack(&self, me: ProcId) {
+        let probe = 0u8;
+        let stack = self.procs.get(me.index()).stack.as_ref();
+        assert!(
+            stack.is_some_and(|s| s.contains(&probe)),
+            "{me} parked from outside its own coroutine"
+        );
+    }
+
     /// Decide the run outcome (first decision wins) and stop all driving.
     fn finish(&mut self, result: Result<Report, SimError>) {
         if self.result.is_none() {
@@ -280,6 +304,7 @@ impl KernelState {
             procs_spawned: self.procs.len(),
             max_queue_depth: self.max_queue_depth,
             wakes_executed: self.wakes_executed,
+            wakes_in_place: self.wakes_in_place,
             calls_executed: self.calls_executed,
             stale_wakes: self.stale_wakes,
             sched_past: self.sched_past,
@@ -336,6 +361,52 @@ impl Shared {
     fn bury(&self, stack: Stack) {
         let old = self.dead_stack.swap(stack.into_raw(), Ordering::Relaxed);
         debug_assert!(old.is_null(), "a dead stack was never reaped");
+    }
+
+    /// Move the clock to `t` for the event being dispatched, and count it.
+    #[inline]
+    fn dispatch_at(&self, st: &mut KernelState, t: Time) {
+        // Hard invariant in every build profile: the virtual clock is
+        // monotone (push_event clamps, so this can only fire on a kernel
+        // bug).
+        assert!(t >= st.now, "virtual clock would move backwards");
+        st.now = t;
+        self.now_ns.store(t.as_ns(), Ordering::Release);
+        st.events_processed += 1;
+    }
+
+    /// Dispatch `me`'s wake at `at` in place, as the running process
+    /// advances to `at`, when pushing it and driving would pop it straight
+    /// back: nothing queued is due at or before `at` (an event queued at
+    /// `at` itself has a smaller sequence number, so it comes first). Records
+    /// what that push and pop would have, and returns true; otherwise
+    /// changes nothing and returns false.
+    ///
+    /// The ordinary path is kept while the process unwinds (its park must
+    /// not dispatch), while daemons shut down, in teardown, and at the
+    /// event limit, where `drive` decides the outcome instead.
+    pub(crate) fn wake_in_place(&self, st: &mut KernelState, me: ProcId, at: Time) -> bool {
+        if st.teardown
+            || st.shutdown
+            || st.events_processed >= st.event_limit
+            || std::thread::panicking()
+        {
+            return false;
+        }
+        st.assert_on_own_stack(me);
+        if st.queue.peek().is_some_and(|(t, _)| t <= at) {
+            return false;
+        }
+        // `push_event`'s share: a sequence number, and the depth with the
+        // wake queued.
+        st.seq += 1;
+        st.max_queue_depth = st.max_queue_depth.max(st.queue.len() + 1);
+        // `drive`'s share: the dispatch of a wake for a live process.
+        self.dispatch_at(st, at);
+        st.wakes_executed += 1;
+        st.wakes_in_place += 1;
+        st.fold_hash(at, HASH_WAKE, me.0 as u64);
+        true
     }
 }
 
@@ -397,6 +468,10 @@ pub struct Report {
     /// Process wakeups actually executed (stale wakes for finished
     /// processes are *not* counted here — they are `stale_wakes`).
     pub wakes_executed: u64,
+    /// The subset of `wakes_executed` dispatched in place: a process's own
+    /// wake that was due next as it advanced, run without entering the
+    /// event queue.
+    pub wakes_in_place: u64,
     /// Device-callback events among the executed events.
     pub calls_executed: u64,
     /// Wakes popped for already-finished processes: skipped, counted
@@ -440,132 +515,109 @@ pub(crate) enum Driven {
 ///
 /// `me` is the calling process when it is parking (so a wake for itself is
 /// a free resume), or `None` for the controller and finished processes.
-pub(crate) fn drive(shared: &Arc<Shared>, me: Option<ProcId>) -> Driven {
-    enum Action {
-        RunCalls,
-        Done(Driven),
+/// `st` is the caller's kernel-lock guard: a park queues its wake and marks
+/// itself parked under the same acquisition that dispatches.
+pub(crate) fn drive<'a>(
+    sim: &'a SimHandle,
+    me: Option<ProcId>,
+    mut st: MutexGuard<'a, KernelState>,
+) -> Driven {
+    let shared = &sim.shared;
+    if let Some(me) = me {
+        st.assert_on_own_stack(me);
     }
-
-    let handle = SimHandle::new(shared.clone());
-    let mut calls: Vec<CallFn> = Vec::new();
     loop {
-        let action = {
-            let mut st = shared.state.lock();
-            if let Some(me) = me {
-                // A switch saves the running registers into `me`'s context,
-                // so only `me`, on its own stack, may give up its turn.
-                let probe = 0u8;
-                let stack = st.procs.get(me.index()).stack.as_ref();
-                assert!(
-                    stack.is_some_and(|s| s.contains(&probe)),
-                    "{me} parked from outside its own coroutine"
-                );
-            }
-            if st.teardown {
-                Action::Done(Driven::Ended)
-            } else {
-                loop {
-                    if st.events_processed >= st.event_limit {
-                        let limit = st.event_limit;
-                        st.finish(Err(SimError::EventLimit { limit }));
-                        break Action::Done(Driven::Ended);
+        if st.teardown {
+            return Driven::Ended;
+        }
+        if st.events_processed >= st.event_limit {
+            let limit = st.event_limit;
+            st.finish(Err(SimError::EventLimit { limit }));
+            return Driven::Ended;
+        }
+        let Some((t, _seq, ev)) = st.queue.pop() else {
+            // Queue drained: completion, daemon shutdown, or deadlock.
+            // Every unfinished process is parked (the driver token is
+            // here, so nothing else runs).
+            let mut parked_nondaemon = Vec::new();
+            let mut first_daemon = None;
+            for (idx, slot) in st.procs.iter() {
+                if slot.finished {
+                    continue;
+                }
+                if slot.daemon {
+                    if first_daemon.is_none() {
+                        first_daemon = Some(idx);
                     }
-                    let Some((t, _seq, ev)) = st.queue.pop() else {
-                        // Queue drained: completion, daemon shutdown, or
-                        // deadlock. Every unfinished process is parked (the
-                        // driver token is here, so nothing else runs).
-                        let mut parked_nondaemon = Vec::new();
-                        let mut first_daemon = None;
-                        for (idx, slot) in st.procs.iter() {
-                            if slot.finished {
-                                continue;
-                            }
-                            if slot.daemon {
-                                if first_daemon.is_none() {
-                                    first_daemon = Some(idx);
-                                }
-                            } else {
-                                parked_nondaemon.push(slot.name.clone());
-                            }
-                        }
-                        if !parked_nondaemon.is_empty() {
-                            st.finish(Err(SimError::Deadlock {
-                                parked: parked_nondaemon,
-                            }));
-                            break Action::Done(Driven::Ended);
-                        }
-                        let Some(idx) = first_daemon else {
-                            let report = st.report();
-                            st.finish(Ok(report));
-                            break Action::Done(Driven::Ended);
-                        };
-                        // Shut daemons down one at a time, in spawn order;
-                        // each one finishing drives us back here for the next.
-                        st.shutdown = true;
-                        let pid = ProcId(idx as u32);
-                        let slot = st.procs.get_mut(idx);
-                        slot.park = ParkKind::Running;
-                        if me == Some(pid) {
-                            break Action::Done(Driven::Resume(Go::Shutdown));
-                        }
-                        break Action::Done(Driven::Switch(slot.enter(shared, pid), Go::Shutdown));
-                    };
-                    // Hard invariant in every build profile: the virtual
-                    // clock is monotone (push_event clamps, so this can
-                    // only fire on a kernel bug).
-                    assert!(t >= st.now, "virtual clock would move backwards");
-                    st.now = t;
-                    shared.now_ns.store(t.as_ns(), Ordering::Release);
-                    st.events_processed += 1;
-                    match ev {
-                        Event::Call(f) => {
-                            st.calls_executed += 1;
-                            st.fold_hash(t, HASH_CALL, 0);
-                            calls.push(f);
-                            // Batch-drain the run of same-timestamp callbacks
-                            // without re-locking between them.
-                            while st.events_processed < st.event_limit
-                                && st.queue.next_is_call_at(t)
-                            {
-                                let Some((_, _, Event::Call(f2))) = st.queue.pop() else {
-                                    unreachable!("probe said next is a call");
-                                };
-                                st.events_processed += 1;
-                                st.calls_executed += 1;
-                                st.fold_hash(t, HASH_CALL, 0);
-                                calls.push(f2);
-                            }
-                            break Action::RunCalls;
-                        }
-                        Event::Wake(pid) => {
-                            if st.procs.get(pid.index()).finished {
-                                // A stale wake (e.g. the leftover timer of a
-                                // wait that raced its signal): skip it, and
-                                // keep it out of the headline throughput.
-                                st.stale_wakes += 1;
-                                st.fold_hash(t, HASH_STALE, pid.0 as u64);
-                                continue;
-                            }
-                            st.wakes_executed += 1;
-                            st.fold_hash(t, HASH_WAKE, pid.0 as u64);
-                            let slot = st.procs.get_mut(pid.index());
-                            slot.park = ParkKind::Running;
-                            if me == Some(pid) {
-                                break Action::Done(Driven::Resume(Go::Run));
-                            }
-                            break Action::Done(Driven::Switch(slot.enter(shared, pid), Go::Run));
-                        }
-                    }
+                } else {
+                    parked_nondaemon.push(slot.name.clone());
                 }
             }
+            if !parked_nondaemon.is_empty() {
+                st.finish(Err(SimError::Deadlock {
+                    parked: parked_nondaemon,
+                }));
+                return Driven::Ended;
+            }
+            let Some(idx) = first_daemon else {
+                let report = st.report();
+                st.finish(Ok(report));
+                return Driven::Ended;
+            };
+            // Shut daemons down one at a time, in spawn order; each one
+            // finishing drives us back here for the next.
+            st.shutdown = true;
+            let pid = ProcId(idx as u32);
+            let slot = st.procs.get_mut(idx);
+            slot.park = ParkKind::Running;
+            if me == Some(pid) {
+                return Driven::Resume(Go::Shutdown);
+            }
+            return Driven::Switch(slot.enter(shared, pid), Go::Shutdown);
         };
-        match action {
-            Action::RunCalls => {
-                for f in calls.drain(..) {
-                    f(&handle);
+        shared.dispatch_at(&mut st, t);
+        match ev {
+            Event::Call(f) => {
+                st.calls_executed += 1;
+                st.fold_hash(t, HASH_CALL, 0);
+                let mut calls = std::mem::take(&mut st.call_buf);
+                calls.push(f);
+                // Batch-drain the run of same-timestamp callbacks without
+                // re-locking between them.
+                while st.events_processed < st.event_limit && st.queue.next_is_call_at(t) {
+                    let Some((_, _, Event::Call(f2))) = st.queue.pop() else {
+                        unreachable!("probe said next is a call");
+                    };
+                    st.events_processed += 1;
+                    st.calls_executed += 1;
+                    st.fold_hash(t, HASH_CALL, 0);
+                    calls.push(f2);
                 }
+                drop(st);
+                for f in calls.drain(..) {
+                    f(sim);
+                }
+                st = shared.state.lock();
+                st.call_buf = calls;
             }
-            Action::Done(driven) => return driven,
+            Event::Wake(pid) => {
+                if st.procs.get(pid.index()).finished {
+                    // A stale wake (e.g. the leftover timer of a wait that
+                    // raced its signal): skip it, and keep it out of the
+                    // headline throughput.
+                    st.stale_wakes += 1;
+                    st.fold_hash(t, HASH_STALE, pid.0 as u64);
+                    continue;
+                }
+                st.wakes_executed += 1;
+                st.fold_hash(t, HASH_WAKE, pid.0 as u64);
+                let slot = st.procs.get_mut(pid.index());
+                slot.park = ParkKind::Running;
+                if me == Some(pid) {
+                    return Driven::Resume(Go::Run);
+                }
+                return Driven::Switch(slot.enter(shared, pid), Go::Run);
+            }
         }
     }
 }
@@ -607,10 +659,10 @@ unsafe extern "C" fn coroutine_main(shared: usize, pid: usize) -> ! {
     let (to, go) = {
         // SAFETY: by this function's contract, `raw` came from
         // `Arc::into_raw` for this coroutine alone, entered exactly once.
-        let shared = unsafe { Arc::from_raw(raw) };
-        shared.reap();
-        let panic_msg = run_body(&shared, pid);
-        finish_proc(&shared, pid, panic_msg)
+        let sim = SimHandle::new(unsafe { Arc::from_raw(raw) });
+        sim.shared.reap();
+        let panic_msg = run_body(&sim, pid);
+        finish_proc(&sim, pid, panic_msg)
         // Our reference drops here, like everything else this coroutine
         // owns: its stack is unmapped without running any destructor.
     };
@@ -628,14 +680,14 @@ unsafe extern "C" fn coroutine_main(shared: usize, pid: usize) -> ! {
 
 /// Run the body of `pid` and catch its end: `None` if it returned (or was
 /// unwound by a forced shutdown), the panic message if it panicked.
-fn run_body(shared: &Arc<Shared>, pid: ProcId) -> Option<String> {
+fn run_body(sim: &SimHandle, pid: ProcId) -> Option<String> {
     let (body, ctx) = {
-        let mut st = shared.state.lock();
+        let mut st = sim.shared.state.lock();
         let slot = st.procs.get_mut(pid.index());
         let body = slot.body.take().expect("a process body runs once");
         (body, slot.ctx.clone())
     };
-    let proc = Proc::new(pid, shared.clone(), ctx);
+    let proc = Proc::new(pid, sim.clone(), ctx);
     match catch_unwind(AssertUnwindSafe(move || body(proc))) {
         Ok(()) => None,
         // Forced unwind during teardown, not a real panic.
@@ -647,28 +699,22 @@ fn run_body(shared: &Arc<Shared>, pid: ProcId) -> Option<String> {
 /// Mark `pid` finished, record its panic if it panicked, and pick the
 /// context to pass the CPU to for good: the next process that `drive`
 /// wakes, or the controller once the run outcome is decided.
-fn finish_proc(
-    shared: &Arc<Shared>,
-    pid: ProcId,
-    panic_msg: Option<String>,
-) -> (*const Context, Go) {
-    let teardown = {
-        let mut st = shared.state.lock();
-        let slot = st.procs.get_mut(pid.index());
-        slot.finished = true;
-        shared.bury(slot.stack.take().expect("a running process has a stack"));
-        if let Some(message) = panic_msg {
-            let proc = slot.name.clone();
-            st.finish(Err(SimError::ProcPanic { proc, message }));
-        }
-        st.teardown
-    };
-    if !teardown {
+fn finish_proc(sim: &SimHandle, pid: ProcId, panic_msg: Option<String>) -> (*const Context, Go) {
+    let shared = &sim.shared;
+    let mut st = shared.state.lock();
+    let slot = st.procs.get_mut(pid.index());
+    slot.finished = true;
+    shared.bury(slot.stack.take().expect("a running process has a stack"));
+    if let Some(message) = panic_msg {
+        let proc = slot.name.clone();
+        st.finish(Err(SimError::ProcPanic { proc, message }));
+    }
+    if !st.teardown {
         // The finishing process keeps the driver token and pushes the
         // schedule forward until control passes elsewhere or the run ends.
         // A device callback that panics here is this process's panic, as
         // it would be had the process parked instead of finishing.
-        match catch_unwind(AssertUnwindSafe(|| drive(shared, None))) {
+        match catch_unwind(AssertUnwindSafe(|| drive(sim, None, st))) {
             Ok(Driven::Switch(to, go)) => return (to, go),
             Ok(_) => {}
             Err(payload) => {
@@ -727,10 +773,12 @@ impl Simulation {
                 next_signal_id: 0,
                 max_queue_depth: 0,
                 wakes_executed: 0,
+                wakes_in_place: 0,
                 calls_executed: 0,
                 stale_wakes: 0,
                 sched_past: 0,
                 schedule_hash: FNV_OFFSET,
+                call_buf: Vec::new(),
             }),
             now_ns: AtomicU64::new(0),
             controller: Context::new(),
@@ -764,11 +812,12 @@ impl Simulation {
     /// Drive the simulation to completion.
     pub fn run(self) -> Result<Report, SimError> {
         let started = std::time::Instant::now();
-        let shared = &self.shared;
+        let sim = self.handle();
+        let shared = &sim.shared;
         // The controller drives until the first handoff; after that the
         // token circulates among the processes until one of them decides
         // the outcome, finishes, and switches back here.
-        match drive(shared, None) {
+        match drive(&sim, None, shared.state.lock()) {
             // SAFETY: this is the running context, and `drive` returns a
             // suspended process context of this simulation.
             Driven::Switch(to, go) => unsafe {

@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use crate::context::Context;
 use crate::handle::SimHandle;
-use crate::kernel::{drive, spawn_proc, Driven, Event, Go, ParkKind, ProcId, Shared};
+use crate::kernel::{drive, spawn_proc, Driven, Event, Go, KernelState, ParkKind, ProcId};
 use crate::signal::{Signal, SignalInner, TimedWait, Wait};
+use crate::sync::MutexGuard;
 use crate::time::{Dur, Time};
 
 /// Per-process handle. Not `Clone`: exactly one simulated process owns
@@ -16,13 +17,17 @@ use crate::time::{Dur, Time};
 /// made by that process, on its own coroutine.
 pub struct Proc {
     pid: ProcId,
-    shared: Arc<Shared>,
+    sim: SimHandle,
     ctx: Arc<Context>,
 }
 
 impl Proc {
-    pub(crate) fn new(pid: ProcId, shared: Arc<Shared>, ctx: Arc<Context>) -> Self {
-        Proc { pid, shared, ctx }
+    pub(crate) fn new(pid: ProcId, sim: SimHandle, ctx: Arc<Context>) -> Self {
+        Proc { pid, sim, ctx }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, KernelState> {
+        self.sim.shared.state.lock()
     }
 
     /// This process's id.
@@ -32,36 +37,35 @@ impl Proc {
 
     /// A sharable handle for scheduling device callbacks.
     pub fn sim(&self) -> SimHandle {
-        SimHandle::new(self.shared.clone())
+        self.sim.clone()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        Time::from_ns(self.shared.now_ns.load(Ordering::Acquire))
+        self.sim.now()
     }
 
     /// Model `d` of computation: the process gives up control and resumes
     /// once virtual time has advanced by `d`.
+    ///
+    /// When nothing queued is due by then, no other process or callback
+    /// can run in between, and the wake is dispatched in place without
+    /// giving up control.
     pub fn advance(&self, d: Dur) {
-        let target = {
-            let mut st = self.shared.state.lock();
-            let at = st.now + d;
-            st.push_event(at, Event::Wake(self.pid));
-            st.procs.get_mut(self.pid.index()).park = ParkKind::Timer;
-            at
-        };
+        let mut st = self.lock();
+        let target = st.now + d;
+        if self.sim.shared.wake_in_place(&mut st, self.pid, target) {
+            return;
+        }
+        st.push_event(target, Event::Wake(self.pid));
         loop {
-            match self.park() {
-                Go::Run => {
-                    let mut st = self.shared.state.lock();
-                    if st.now >= target {
-                        return;
-                    }
-                    // A stale wake (e.g. the leftover timer of an earlier
-                    // `wait_timeout` that raced its signal): our own wake is
-                    // still queued, so just park again until it arrives.
-                    st.procs.get_mut(self.pid.index()).park = ParkKind::Timer;
-                }
+            st.procs.get_mut(self.pid.index()).park = ParkKind::Timer;
+            match self.park(st) {
+                Go::Run if self.now() >= target => return,
+                // A stale wake (e.g. the leftover timer of an earlier
+                // `wait_timeout` that raced its signal): our own wake is
+                // still queued, so just park again until it arrives.
+                Go::Run => st = self.lock(),
                 // Already unwinding (see `park`): a second panic would
                 // abort, so return and let the unwind go on.
                 Go::Shutdown if std::thread::panicking() => return,
@@ -75,7 +79,7 @@ impl Proc {
 
     /// Create a signal owned by this process.
     pub fn signal(&self) -> Signal {
-        let mut st = self.shared.state.lock();
+        let mut st = self.lock();
         let id = st.next_signal_id;
         st.next_signal_id += 1;
         Signal {
@@ -94,22 +98,16 @@ impl Proc {
             "a process may only wait on signals it owns"
         );
         loop {
-            {
-                let mut st = self.shared.state.lock();
-                if s.inner
-                    .pending
-                    .swap(false, std::sync::atomic::Ordering::Relaxed)
-                {
-                    return Wait::Signaled;
-                }
-                if st.shutdown {
-                    return Wait::Shutdown;
-                }
-                st.procs.get_mut(self.pid.index()).park = ParkKind::Signal(s.inner.id);
+            let mut st = self.lock();
+            if s.inner.pending.swap(false, Ordering::Relaxed) {
+                return Wait::Signaled;
             }
-            match self.park() {
-                Go::Run => continue,
-                Go::Shutdown => return Wait::Shutdown,
+            if st.shutdown {
+                return Wait::Shutdown;
+            }
+            st.procs.get_mut(self.pid.index()).park = ParkKind::Signal(s.inner.id);
+            if let Go::Shutdown = self.park(st) {
+                return Wait::Shutdown;
             }
         }
     }
@@ -128,46 +126,33 @@ impl Proc {
             s.inner.owner, self.pid,
             "a process may only wait on signals it owns"
         );
-        let key = {
-            let mut st = self.shared.state.lock();
-            if s.inner
-                .pending
-                .swap(false, std::sync::atomic::Ordering::Relaxed)
-            {
+        let mut st = self.lock();
+        if s.inner.pending.swap(false, Ordering::Relaxed) {
+            return TimedWait::Signaled;
+        }
+        if st.shutdown {
+            return TimedWait::Shutdown;
+        }
+        let at = st.now + timeout;
+        let key = st.push_event(at, Event::Wake(self.pid));
+        loop {
+            st.procs.get_mut(self.pid.index()).park = ParkKind::Signal(s.inner.id);
+            if let Go::Shutdown = self.park(st) {
+                self.lock().queue.cancel(key);
+                return TimedWait::Shutdown;
+            }
+            st = self.lock();
+            if s.inner.pending.swap(false, Ordering::Relaxed) {
+                st.queue.cancel(key);
                 return TimedWait::Signaled;
             }
             if st.shutdown {
+                st.queue.cancel(key);
                 return TimedWait::Shutdown;
             }
-            let at = st.now + timeout;
-            st.push_event(at, Event::Wake(self.pid))
-        };
-        loop {
-            {
-                let mut st = self.shared.state.lock();
-                if s.inner
-                    .pending
-                    .swap(false, std::sync::atomic::Ordering::Relaxed)
-                {
-                    st.queue.cancel(key);
-                    return TimedWait::Signaled;
-                }
-                if st.shutdown {
-                    st.queue.cancel(key);
-                    return TimedWait::Shutdown;
-                }
-                if !st.queue.contains(key) {
-                    // Our timer fired and nothing else woke us up.
-                    return TimedWait::TimedOut;
-                }
-                st.procs.get_mut(self.pid.index()).park = ParkKind::Signal(s.inner.id);
-            }
-            match self.park() {
-                Go::Run => continue,
-                Go::Shutdown => {
-                    self.shared.state.lock().queue.cancel(key);
-                    return TimedWait::Shutdown;
-                }
+            if !st.queue.contains(key) {
+                // Our timer fired and nothing else woke us up.
+                return TimedWait::TimedOut;
             }
         }
     }
@@ -184,37 +169,38 @@ impl Proc {
 
     /// Spawn a sibling (non-daemon) process that starts at the current time.
     pub fn spawn(&self, name: &str, f: impl FnOnce(Proc) + Send + 'static) -> ProcId {
-        spawn_proc(&self.shared, name, false, f)
+        spawn_proc(&self.sim.shared, name, false, f)
     }
 
     /// Spawn a daemon process (e.g. an asynchronous progress thread).
     pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(Proc) + Send + 'static) -> ProcId {
-        spawn_proc(&self.shared, name, true, f)
+        spawn_proc(&self.sim.shared, name, true, f)
     }
 
     /// Schedule a device callback after `delay`.
     pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + Send + 'static) {
-        self.sim().call_after(delay, f);
+        self.sim.call_after(delay, f);
     }
 
-    /// Give up control: keep the driver token and dispatch events on this
-    /// coroutine until either our own wake comes up (free resume, no
-    /// switch) or another process is woken and we switch to it, to be
-    /// resumed by whichever context later dispatches our wake.
+    /// Give up control, already marked parked under `st`: keep the driver
+    /// token and dispatch events on this coroutine until either our own
+    /// wake comes up (free resume, no switch) or another process is woken
+    /// and we switch to it, to be resumed by whichever context later
+    /// dispatches our wake.
     ///
     /// A process unwinding a panic (or a forced shutdown) observes shutdown
     /// instead and keeps the CPU: the run's processes share one thread, so
     /// a switch would carry its unwind into another process.
-    fn park(&self) -> Go {
+    fn park(&self, st: MutexGuard<'_, KernelState>) -> Go {
         if std::thread::panicking() {
             return Go::Shutdown;
         }
-        match drive(&self.shared, Some(self.pid)) {
+        match drive(&self.sim, Some(self.pid), st) {
             Driven::Resume(go) => go,
             // SAFETY: `drive` asserted that we run on this process's own
             // stack, so its context is the running one, and it hands back
             // a suspended context of the same simulation.
-            Driven::Switch(to, go) => unsafe { self.shared.switch(&self.ctx, to, go) },
+            Driven::Switch(to, go) => unsafe { self.sim.shared.switch(&self.ctx, to, go) },
             Driven::Ended => Go::Shutdown,
         }
     }

@@ -7,9 +7,11 @@
 //!   binary heap (min-ordered by `(time, seq)`) holding far-future
 //!   overflow. Near-future scheduling — the overwhelmingly common case for
 //!   NIC state transitions and process wakes — is an O(1) bucket push;
-//!   draining a bucket sorts it once. Cancellation (watchdog timers that
-//!   raced their signal) is a tombstone: the entry is skipped when its
-//!   bucket drains, and the live count is adjusted immediately.
+//!   draining a bucket sorts it once into an ascending stage, and an event
+//!   scheduled into the bucket being drained is usually the latest one
+//!   there, an O(1) append. Cancellation (watchdog timers that raced their
+//!   signal) is a tombstone: the entry is skipped when its bucket drains,
+//!   and the live count is adjusted immediately.
 //! * [`QueueKind::BTree`] — the original `BTreeMap<(Time, u64), Event>`
 //!   queue, kept as the determinism reference: the sim-bench cross-check
 //!   and the qsim test suite run identical programs on both queues and
@@ -21,7 +23,7 @@
 //! calendar queue answer [`EventQueue::contains`] with a single comparison
 //! against the last popped key.
 
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::kernel::Event;
@@ -98,9 +100,10 @@ impl Ord for Overflow {
 }
 
 pub(crate) struct CalendarQueue {
-    /// Entries of the bucket the cursor is on, sorted *descending* by key
-    /// so the next event pops from the back in O(1).
-    stage: Vec<Entry>,
+    /// Entries of the bucket the cursor is on, sorted ascending by key: the
+    /// next event pops from the front, and an entry later than every staged
+    /// one (the common insert) appends at the back.
+    stage: VecDeque<Entry>,
     /// Absolute bucket index (`time >> BUCKET_SHIFT`) the stage was built
     /// from. Slots hold only buckets in `(cur_bucket, cur_bucket+NBUCKETS)`.
     cur_bucket: u64,
@@ -119,7 +122,7 @@ pub(crate) struct CalendarQueue {
 impl CalendarQueue {
     fn new() -> CalendarQueue {
         CalendarQueue {
-            stage: Vec::new(),
+            stage: VecDeque::new(),
             cur_bucket: 0,
             slots: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
@@ -140,6 +143,12 @@ impl CalendarQueue {
         self.occupied[slot / 64] &= !(1u64 << (slot % 64));
     }
 
+    /// Take the tombstone for `seq`, if it was cancelled.
+    #[inline]
+    fn take_cancelled(&mut self, seq: u64) -> bool {
+        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
+    }
+
     fn insert(&mut self, at: Time, seq: u64, ev: Event) {
         let bucket = at.as_ns() >> BUCKET_SHIFT;
         let entry = Entry { at, seq, ev };
@@ -147,8 +156,12 @@ impl CalendarQueue {
             // At or before the staged bucket (time is still >= the last
             // popped key): merge into the stage at its sorted position.
             let key = entry.key();
-            let idx = self.stage.partition_point(|e| e.key() > key);
-            self.stage.insert(idx, entry);
+            if self.stage.back().is_none_or(|e| e.key() < key) {
+                self.stage.push_back(entry);
+            } else {
+                let idx = self.stage.partition_point(|e| e.key() < key);
+                self.stage.insert(idx, entry);
+            }
         } else if bucket < self.cur_bucket + NBUCKETS as u64 {
             let slot = (bucket % NBUCKETS as u64) as usize;
             self.slots[slot].push(entry);
@@ -162,7 +175,8 @@ impl CalendarQueue {
     /// Drop cancelled entries from the top of the overflow heap.
     fn trim_overflow(&mut self) {
         while let Some(top) = self.overflow.peek() {
-            if self.cancelled.remove(&top.0.seq) {
+            let seq = top.0.seq;
+            if self.take_cancelled(seq) {
                 self.overflow.pop();
             } else {
                 break;
@@ -170,14 +184,15 @@ impl CalendarQueue {
         }
     }
 
-    /// Make the back of `stage` the globally next live entry. Returns false
+    /// Make the front of `stage` the globally next live entry. Returns false
     /// when no live entry remains anywhere.
     fn ensure_stage(&mut self) -> bool {
         loop {
             // Skip tombstones at the stage front.
-            while let Some(e) = self.stage.last() {
-                if self.cancelled.remove(&e.seq) {
-                    self.stage.pop();
+            while let Some(e) = self.stage.front() {
+                let seq = e.seq;
+                if self.take_cancelled(seq) {
+                    self.stage.pop_front();
                 } else {
                     return true;
                 }
@@ -201,7 +216,10 @@ impl CalendarQueue {
             self.cur_bucket = target;
             let slot = (target % NBUCKETS as u64) as usize;
             if next_wheel == Some(target) {
-                std::mem::swap(&mut self.stage, &mut self.slots[slot]);
+                // The stage is empty here: trade its buffer for the slot's
+                // (both conversions keep the allocation).
+                let spare = Vec::from(std::mem::take(&mut self.stage));
+                self.stage = VecDeque::from(std::mem::replace(&mut self.slots[slot], spare));
                 self.clear_bit(slot);
             }
             // Pull overflow entries that landed in this same bucket.
@@ -210,14 +228,14 @@ impl CalendarQueue {
                 match self.overflow.peek() {
                     Some(top) if top.0.at.as_ns() >> BUCKET_SHIFT == target => {
                         let Overflow(e) = self.overflow.pop().unwrap();
-                        self.stage.push(e);
+                        self.stage.push_back(e);
                     }
                     _ => break,
                 }
             }
-            // Descending sort: next event at the back.
             self.stage
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+                .make_contiguous()
+                .sort_unstable_by_key(Entry::key);
         }
     }
 
@@ -238,25 +256,25 @@ impl CalendarQueue {
         if !self.ensure_stage() {
             return None;
         }
-        let e = self.stage.pop().unwrap();
+        let e = self.stage.pop_front().unwrap();
         self.live -= 1;
         self.last_popped = e.key();
         Some((e.at, e.seq, e.ev))
     }
 
-    fn next_is_call_at(&mut self, t: Time) -> bool {
-        if !self.ensure_stage() {
-            return false;
+    fn peek(&mut self) -> Option<&Entry> {
+        if self.ensure_stage() {
+            self.stage.front()
+        } else {
+            None
         }
-        let e = self.stage.last().unwrap();
-        e.at == t && matches!(e.ev, Event::Call(_))
     }
 
     fn contains(&self, key: (Time, u64)) -> bool {
         // Valid only for keys that were never cancelled (the kernel's
         // timer-probe contract): pops are strictly increasing, so a key is
         // still queued iff it is beyond the last one handed out.
-        key > self.last_popped && !self.cancelled.contains(&key.1)
+        key > self.last_popped && (self.cancelled.is_empty() || !self.cancelled.contains(&key.1))
     }
 
     fn cancel(&mut self, key: (Time, u64)) -> bool {
@@ -313,16 +331,22 @@ impl EventQueue {
         }
     }
 
+    /// Key of the next event in `(time, seq)` order, without removing it.
+    pub(crate) fn peek(&mut self) -> Option<(Time, u64)> {
+        match self {
+            EventQueue::Calendar(q) => q.peek().map(Entry::key),
+            EventQueue::BTree(q) => q.map.keys().next().copied(),
+        }
+    }
+
     /// True when the next event is an [`Event::Call`] stamped exactly `t`
     /// (the same-timestamp batch-drain probe).
     pub(crate) fn next_is_call_at(&mut self, t: Time) -> bool {
-        match self {
-            EventQueue::Calendar(q) => q.next_is_call_at(t),
-            EventQueue::BTree(q) => match q.map.iter().next() {
-                Some((&(at, _), Event::Call(_))) => at == t,
-                _ => false,
-            },
-        }
+        let next = match self {
+            EventQueue::Calendar(q) => q.peek().map(|e| (e.at, &e.ev)),
+            EventQueue::BTree(q) => q.map.iter().next().map(|(&(at, _), ev)| (at, ev)),
+        };
+        matches!(next, Some((at, Event::Call(_))) if at == t)
     }
 
     /// Whether the (never-cancelled) key is still queued.
@@ -373,7 +397,8 @@ mod tests {
     }
 
     /// Drive both implementations through an identical randomized schedule
-    /// of pushes, pops, and cancellations; every pop must match exactly.
+    /// of pushes, pops, and cancellations; every pop and every peek must
+    /// match exactly.
     #[test]
     fn calendar_matches_btree_pop_order() {
         let mut cal = EventQueue::new(QueueKind::Calendar);
@@ -418,6 +443,9 @@ mod tests {
                 assert_eq!(cal.len(), bt.len());
             }
             assert_eq!(cal.len(), bt.len(), "live counts diverged");
+            // The peek moves the calendar's cursor ahead of the clock, so
+            // the next pushes also merge behind a cursor that moved on.
+            assert_eq!(cal.peek(), bt.peek(), "peeks diverged");
         }
         // Drain what's left.
         loop {

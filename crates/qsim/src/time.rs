@@ -84,8 +84,13 @@ impl Dur {
         if bytes == 0 || bytes_per_us == 0 {
             return Dur::ZERO;
         }
-        let ns = (bytes as u128 * 1_000).div_ceil(bytes_per_us as u128);
-        Dur(ns as u64)
+        // u64 division unless `bytes * 1000` overflows it; both give the
+        // same quotient.
+        let ns = match (bytes as u64).checked_mul(1_000) {
+            Some(scaled) => scaled.div_ceil(bytes_per_us),
+            None => (bytes as u128 * 1_000).div_ceil(bytes_per_us as u128) as u64,
+        };
+        Dur(ns)
     }
 
     /// `self - rhs`, or `None` on underflow.
@@ -219,6 +224,66 @@ mod tests {
         assert_eq!(Dur::for_bytes(0, 900), Dur::ZERO);
         // one byte never takes zero time
         assert!(Dur::for_bytes(1, 1_000_000).as_ns() >= 1);
+    }
+
+    #[test]
+    fn bandwidth_duration_matches_the_u128_formula() {
+        fn in_u128(bytes: usize, bytes_per_us: u64) -> u64 {
+            if bytes == 0 || bytes_per_us == 0 {
+                return 0;
+            }
+            (bytes as u128 * 1_000).div_ceil(bytes_per_us as u128) as u64
+        }
+        // Sizes around where `bytes * 1000` stops fitting in a u64.
+        let edge = (u64::MAX / 1_000) as usize;
+        let sizes = [
+            0,
+            1,
+            999,
+            1_000,
+            1_001,
+            4_096,
+            1 << 20,
+            edge - 1,
+            edge,
+            edge + 1,
+            usize::MAX / 2,
+            usize::MAX,
+        ];
+        let rates = [
+            1,
+            2,
+            3,
+            7,
+            900,
+            1_000,
+            1_001,
+            3_200,
+            u32::MAX as u64,
+            u64::MAX / 1_000,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for b in sizes {
+            for r in rates {
+                assert_eq!(
+                    Dur::for_bytes(b, r).as_ns(),
+                    in_u128(b, r),
+                    "{b} B at {r} B/us"
+                );
+            }
+        }
+        // Random magnitudes: a random shift spreads values over every width.
+        let mut rng = crate::rng::Pcg32::new(0xB17E5);
+        for _ in 0..100_000 {
+            let b = (rng.next_u64() >> rng.below(64)) as usize;
+            let r = rng.next_u64() >> rng.below(64);
+            assert_eq!(
+                Dur::for_bytes(b, r).as_ns(),
+                in_u128(b, r),
+                "{b} B at {r} B/us"
+            );
+        }
     }
 
     #[test]

@@ -95,15 +95,24 @@ fn run_workload(kind: QueueKind) -> Report {
     sim.run().unwrap()
 }
 
-fn fingerprint(r: &Report) -> (u64, u64, u64, u64, u64) {
+/// End time, events, wakes, calls, stale wakes, queue-depth high-water
+/// mark and schedule hash.
+fn fingerprint(r: &Report) -> (u64, u64, u64, u64, u64, usize, u64) {
     (
         r.end_time.as_ns(),
         r.events_processed,
-        r.schedule_hash,
         r.wakes_executed,
         r.calls_executed,
+        r.stale_wakes,
+        r.max_queue_depth,
+        r.schedule_hash,
     )
 }
+
+/// The mixed workload's schedule as queueing every wake produces it:
+/// dispatching wakes in place must not move one dispatch.
+const MIXED_SCHEDULE: (u64, u64, u64, u64, u64, usize, u64) =
+    (107_050, 1_840, 1_834, 6, 0, 10, 0x8442_e814_0149_9a6c);
 
 #[test]
 fn repeated_runs_produce_identical_schedules() {
@@ -130,6 +139,16 @@ fn calendar_and_btree_queues_produce_identical_schedules() {
     );
     assert_eq!(cal.stale_wakes, btree.stale_wakes);
     assert_eq!(cal.sched_past, btree.sched_past);
+    assert_eq!(
+        fingerprint(&cal),
+        MIXED_SCHEDULE,
+        "calendar queue moved a dispatch"
+    );
+    assert_eq!(
+        fingerprint(&btree),
+        MIXED_SCHEDULE,
+        "BTree queue moved a dispatch"
+    );
 }
 
 /// A 256-rank NIC-offloaded allreduce on the full MPI stack: every
@@ -200,6 +219,20 @@ fn nic_offloaded_allreduce_schedules_identically_across_queues() {
     );
     assert_eq!(cal.stale_wakes, btree.stale_wakes);
     assert_eq!(cal.sched_past, btree.sched_past);
+    // Recorded like `MIXED_SCHEDULE`.
+    assert_eq!(
+        fingerprint(&cal),
+        (
+            9_065_984,
+            102_936,
+            95_270,
+            7_666,
+            0,
+            510,
+            0xe05c_c73a_ecbd_bb1b
+        ),
+        "the NIC-offloaded collective moved a dispatch"
+    );
 }
 
 #[test]
@@ -244,4 +277,63 @@ fn daemon_shutdown_is_deterministic() {
     let first = order();
     assert_eq!(first, vec![0, 1, 2, 3]);
     assert_eq!(first, order());
+}
+
+/// An advance whose target ties with a queued callback leaves its wake to
+/// the queue, where the callback's smaller sequence number runs it first;
+/// an advance that nothing queued precedes is dispatched in place. Both
+/// queue kinds agree on every dispatch either way.
+#[test]
+fn a_callback_due_at_the_target_runs_before_the_wake() {
+    fn run(kind: QueueKind, call_at_ns: u64) -> (Vec<&'static str>, Report) {
+        let sim = Simulation::with_queue(kind);
+        let order = Arc::new(qsim::Mutex::new(Vec::new()));
+        let o = order.clone();
+        sim.spawn("p", move |p| {
+            let o2 = o.clone();
+            p.call_after(Dur::from_ns(call_at_ns), move |_| o2.lock().push("call"));
+            p.advance(Dur::from_ns(100));
+            o.lock().push("woke");
+        });
+        let report = sim.run().unwrap();
+        let order = order.lock().clone();
+        (order, report)
+    }
+    for kind in [QueueKind::Calendar, QueueKind::BTree] {
+        let (order, tie) = run(kind, 100);
+        assert_eq!(order, ["call", "woke"], "{kind:?}");
+        // The spawn wake and the advance's wake both went through the queue.
+        assert_eq!((tie.wakes_executed, tie.wakes_in_place), (2, 0), "{kind:?}");
+        let (order, later) = run(kind, 101);
+        assert_eq!(order, ["woke", "call"], "{kind:?}");
+        assert_eq!(
+            (later.wakes_executed, later.wakes_in_place),
+            (2, 1),
+            "{kind:?}"
+        );
+        assert_eq!(
+            later.max_queue_depth, 2,
+            "{kind:?}: the in-place wake counts as queued"
+        );
+    }
+    assert_eq!(
+        fingerprint(&run(QueueKind::Calendar, 101).1),
+        fingerprint(&run(QueueKind::BTree, 101).1)
+    );
+}
+
+#[test]
+fn a_process_advancing_alone_wakes_in_place() {
+    let sim = Simulation::new();
+    sim.spawn("alone", |p| {
+        for _ in 0..3 {
+            p.advance(Dur::from_ns(10));
+        }
+        assert_eq!(p.now().as_ns(), 30);
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(report.end_time.as_ns(), 30);
+    // Only the spawn wake was queued.
+    assert_eq!((report.wakes_executed, report.wakes_in_place), (4, 3));
+    assert_eq!(report.events_processed, 4);
 }

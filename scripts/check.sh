@@ -19,6 +19,12 @@ echo "== workspace tests: every crate's unit and integration tests"
 # cross-checks in crates/qsim/tests/determinism.rs.
 cargo test --workspace -q
 
+echo "== qsim tests, optimised"
+# The kernel's spin lock, in-place wake dispatch and coroutine switch are
+# the code whose behaviour can differ under optimisation; the workspace
+# suite above builds in debug.
+cargo test -p qsim --release -q
+
 echo "== fault injection: reliability + dynamics/faults test groups"
 cargo test -q --test reliability --test dynamics_and_faults
 
