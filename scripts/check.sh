@@ -25,6 +25,11 @@ echo "== qsim tests, optimised"
 # suite above builds in debug.
 cargo test -p qsim --release -q
 
+echo "== paper figures: results/experiments.md matches the harness"
+# Regenerates every table and the paper-vs-measured anchors; a change to
+# any simulated figure must land as a reviewed diff of the snapshot.
+scripts/experiments.sh | diff -u results/experiments.md -
+
 echo "== fault injection: reliability + dynamics/faults test groups"
 cargo test -q --test reliability --test dynamics_and_faults
 
