@@ -477,11 +477,16 @@ fn main() {
         for p in &report.points {
             eprintln!(
                 "[rank-sweep: {} ranks, {} events in {:.1} ms wall \
-                 ({:.0} events/s)]",
+                 ({:.0} events/s); init {:.1} ms wall / {} us virtual, \
+                 work {:.1} ms wall / {} us virtual]",
                 p.ranks,
                 p.report.events_processed,
                 p.report.wall_ns as f64 / 1e6,
-                p.report.events_per_sec()
+                p.report.events_per_sec(),
+                p.init_ms,
+                p.init_ns / 1_000,
+                p.work_ms,
+                p.work_ns() / 1_000
             );
         }
         eprintln!(

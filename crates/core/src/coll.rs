@@ -117,20 +117,18 @@ impl Mpi {
             }
             if self.endpoint().tunables.coll_nic_offload() {
                 if self.nic_eligible(&c) {
-                    if let Some(prog) = self.nic_program(&c, NicCollKind::Barrier, None, 0) {
-                        return self.run_nic_barrier(&prog);
-                    }
+                    let prog = self.nic_program(&c, NicCollKind::Barrier, None, 0);
+                    return self.run_nic_barrier(&prog);
                 }
                 self.nic_fallback();
             }
-            self.host_barrier(&c, TAG_BARRIER);
+            self.host_barrier(&c);
         })
     }
 
     /// Host-driven dissemination barrier over point-to-point, with tags
-    /// drawn from `tag_base * 1000 + round`. Also the synchronization step
-    /// of NIC-program setup (which must not recurse into `barrier`).
-    fn host_barrier(&self, c: &Communicator, tag_base: i32) {
+    /// drawn from `TAG_BARRIER * 1000 + round`.
+    fn host_barrier(&self, c: &Communicator) {
         let n = c.size();
         let me = c.rank();
         let buf = self.alloc(1);
@@ -139,7 +137,7 @@ impl Mpi {
         while k < n {
             let to = (me + k) % n;
             let from = (me + n - k) % n;
-            let tag = tag_base * 1000 + round;
+            let tag = TAG_BARRIER * 1000 + round;
             let rr = self.irecv(c, from as i32, tag, &buf, 0);
             let sr = self.isend(c, to, tag, &buf, 0);
             self.wait(sr);
@@ -162,11 +160,10 @@ impl Mpi {
         }
         if self.endpoint().tunables.coll_nic_offload() {
             if self.nic_eligible(&c) && len <= NIC_COLL_MAX {
-                if let Some(prog) = self.nic_program(&c, NicCollKind::Bcast, None, root) {
-                    return self.with_coll(CollOp::Bcast, || {
-                        self.run_nic_bcast(&c, &prog, root, buf, len)
-                    });
-                }
+                let prog = self.nic_program(&c, NicCollKind::Bcast, None, root);
+                return self.with_coll(CollOp::Bcast, || {
+                    self.run_nic_bcast(&c, &prog, root, buf, len)
+                });
             }
             self.nic_fallback();
         }
@@ -334,11 +331,8 @@ impl Mpi {
                 let c = comm.coll_plane();
                 if self.nic_eligible(&c) && len <= NIC_COLL_MAX && len.is_multiple_of(8) {
                     if let Some(nic_op) = op.nic_reduce() {
-                        if let Some(prog) =
-                            self.nic_program(&c, NicCollKind::Allreduce, Some(nic_op), 0)
-                        {
-                            return self.run_nic_allreduce(&prog, buf, len);
-                        }
+                        let prog = self.nic_program(&c, NicCollKind::Allreduce, Some(nic_op), 0);
+                        return self.run_nic_allreduce(&prog, buf, len);
                     }
                 }
                 self.nic_fallback();
@@ -635,7 +629,7 @@ impl Mpi {
 
 /// Setup tag for the NIC-program event-id exchange.
 const TAG_NICPROG: i32 = 12;
-/// Tag base for the host barrier that closes NIC-program setup.
+/// Setup tag for the readiness fan-in that closes NIC-program setup.
 const TAG_NICPROG_SYNC: i32 = 13;
 
 /// NIC payloads ride in single event-write QDMAs, so an offloaded bcast or
@@ -713,22 +707,16 @@ pub struct NicProgram {
     children: Vec<(Vpid, EventId)>,
 }
 
-/// Cached outcome of NIC-program compilation for one [`ProgKey`]. A
-/// `Fallback` entry pins the decision so ineligible communicators don't
-/// rescan their peer list on every call.
-#[derive(Clone)]
-pub enum CachedProg {
-    /// Program armed and reusable.
-    Ready(Arc<NicProgram>),
-    /// Offload impossible for this key (e.g. a TCP-only member).
-    Fallback,
-}
-
 impl Mpi {
     /// Structural eligibility for NIC offload: a synchronously-created
     /// group (shared virtual address space, like the hardware broadcast
     /// gate of paper §4.1), an Elan rail to run on, and a non-trivial
     /// group. Per-call payload limits are checked at the call sites.
+    ///
+    /// Every input is the same on every member, so the decision is too,
+    /// and no rank can block in a setup exchange its peers skip: a
+    /// `hw_coll` communicator holds ranks of one launched job, and every
+    /// rank of a job starts with the universe's transports.
     fn nic_eligible(&self, c: &Communicator) -> bool {
         c.hw_coll && self.endpoint().transports.elan_rails > 0 && c.size() > 1
     }
@@ -740,17 +728,17 @@ impl Mpi {
             .metric(|m| m.counters.coll_nic_fallbacks += 1);
     }
 
-    /// Look up (or compile) the NIC program for `key`. Every member of the
-    /// communicator must call this with the same arguments — compilation
-    /// performs a setup exchange — which holds because all inputs to the
-    /// decision (cvars, group shape, modex contents) are job-uniform.
+    /// Look up (or compile) the NIC program for `key` on an eligible
+    /// communicator. Every member must call this with the same arguments —
+    /// compilation performs a setup exchange — which holds because all
+    /// inputs (cvars, group shape) are job-uniform.
     fn nic_program(
         &self,
         c: &Communicator,
         kind: NicCollKind,
         op: Option<NicReduce>,
         root: usize,
-    ) -> Option<Arc<NicProgram>> {
+    ) -> Arc<NicProgram> {
         let ep = self.endpoint();
         let radix = ep.tunables.coll_tree_radix();
         let key = ProgKey {
@@ -760,29 +748,26 @@ impl Mpi {
             radix,
             root,
         };
-        if let Some(cached) = ep.nic_progs.lock().get(&key) {
-            return match cached {
-                CachedProg::Ready(p) => Some(p.clone()),
-                CachedProg::Fallback => None,
-            };
+        if let Some(prog) = ep.nic_progs.lock().get(&key) {
+            return prog.clone();
         }
-        let built = self.build_nic_program(c, kind, op, radix, root);
-        let entry = match &built {
-            Some(p) => CachedProg::Ready(p.clone()),
-            None => CachedProg::Fallback,
-        };
-        ep.nic_progs.lock().insert(key, entry);
-        built
+        let prog = self.build_nic_program(c, kind, op, radix, root);
+        ep.nic_progs.lock().insert(key, prog.clone());
+        prog
     }
 
     /// Compile one rank's slice of a NIC collective program: create the up
-    /// and down events, exchange event ids through comm-rank 0, arm the
-    /// chains that encode a radix-`radix` tree rotated around `root`, and
-    /// synchronize so no rank enters a program a peer has not armed yet.
+    /// and down events, swap event ids with the tree parent and children,
+    /// arm the chains that encode a radix-`radix` tree rotated around
+    /// `root`, and report readiness up the same tree. Setup traffic runs
+    /// over the program's own edges only, so its cost grows with the
+    /// tree's depth and fan-out, not with the group.
     ///
-    /// Returns `None` when any member lacks Elan addressing (a TCP-only
-    /// route cannot host a counted event); the decision is identical on
-    /// every rank, so no rank blocks in the exchange.
+    /// Only the root waits for the whole tree to be armed. That is enough:
+    /// a barrier or allreduce `up` event counts the rank's own entry, so no
+    /// fan-in completes — and no `down` event is fed — before every rank
+    /// has left setup; a bcast root seeds its children's `down` events
+    /// directly, and it leaves setup last.
     fn build_nic_program(
         &self,
         c: &Communicator,
@@ -790,26 +775,19 @@ impl Mpi {
         op: Option<NicReduce>,
         radix: usize,
         root: usize,
-    ) -> Option<Arc<NicProgram>> {
+    ) -> Arc<NicProgram> {
         let ep = self.endpoint();
         let n = c.size();
-        let vpids: Option<Vec<Vpid>> = {
-            let st = ep.state.lock();
-            c.group
-                .iter()
-                .map(|p| st.peers.get(p).and_then(|pi| pi.elan.map(|e| e.vpid)))
-                .collect()
-        };
-        let vpids = vpids?;
-
         let me = c.rank();
         let vr = (me + n - root) % n;
         let to_rank = |v: usize| (v + root) % n;
-        let child_vrs: Vec<usize> = (1..=radix)
+        let parent = (vr > 0).then(|| to_rank((vr - 1) / radix));
+        let child_ranks: Vec<usize> = (1..=radix)
             .map(|i| radix * vr + i)
             .filter(|&cv| cv < n)
+            .map(to_rank)
             .collect();
-        let nchildren = child_vrs.len();
+        let nchildren = child_ranks.len();
 
         // Fan-in: every child's arrival plus this rank's own entry; the
         // auto-reset re-arms the count on the NIC so the program survives
@@ -822,35 +800,81 @@ impl Mpi {
         let down = ep.ectx.event_create(1);
         down.set_auto_reset(1);
 
-        let table = self.exchange_event_table(c, up.id(), down.id());
+        // Each tree edge carries one 8-byte (up, down) id pair each way.
+        // Raw tagged point-to-point: this runs underneath the collectives,
+        // so it must not call one.
+        let neighbours: Vec<usize> = parent
+            .into_iter()
+            .chain(child_ranks.iter().copied())
+            .collect();
+        let mine = self.alloc(8);
+        self.write(
+            &mine,
+            0,
+            &[up.id().0.to_le_bytes(), down.id().0.to_le_bytes()].concat(),
+        );
+        let theirs = self.alloc(8 * neighbours.len());
+        let reqs: Vec<_> = neighbours
+            .iter()
+            .map(|&r| self.isend(c, r, TAG_NICPROG, &mine, 8))
+            .collect();
+        for (i, &r) in neighbours.iter().enumerate() {
+            self.recv(c, r as i32, TAG_NICPROG, &theirs.slice(8 * i, 8), 8);
+        }
+        self.waitall(reqs);
+        let ids = self.read(&theirs, 0, 8 * neighbours.len());
+        self.free(mine);
+        self.free(theirs);
+
+        // (vpid, up id, down id) per neighbour, parent first.
+        let wiring: Vec<(Vpid, EventId, EventId)> = {
+            let mut st = ep.state.lock();
+            neighbours
+                .iter()
+                .zip(ids.chunks_exact(8))
+                .map(|(&r, pair)| {
+                    let vpid = st
+                        .peer(&c.group[r])
+                        .and_then(|p| p.elan)
+                        .expect("NIC-program neighbour without Elan addressing")
+                        .vpid;
+                    let id = |at: usize| {
+                        EventId(u32::from_le_bytes(pair[at..at + 4].try_into().unwrap()))
+                    };
+                    (vpid, id(0), id(4))
+                })
+                .collect()
+        };
+        let (to_parent, to_children) = wiring.split_at(parent.is_some() as usize);
+        let children: Vec<(Vpid, EventId)> = to_children
+            .iter()
+            .map(|&(vpid, _, child_down)| (vpid, child_down))
+            .collect();
 
         let rail = 0;
-        if vr > 0 {
-            let p = to_rank((vr - 1) / radix);
-            up.chain_qdma(QdmaSpec::forward_to_event(vpids[p], table[p].0, rail));
-            for &cv in &child_vrs {
-                let cr = to_rank(cv);
-                down.chain_qdma(QdmaSpec::forward_to_event(vpids[cr], table[cr].1, rail));
+        if let Some(&(vpid, parent_up, _)) = to_parent.first() {
+            up.chain_qdma(QdmaSpec::forward_to_event(vpid, parent_up, rail));
+            for &(vpid, child_down) in &children {
+                down.chain_qdma(QdmaSpec::forward_to_event(vpid, child_down, rail));
             }
         } else {
             // The root's fan-in completing IS the collective completing;
             // its chains launch the fan-out phase directly.
-            for &cv in &child_vrs {
-                let cr = to_rank(cv);
-                up.chain_qdma(QdmaSpec::forward_to_event(vpids[cr], table[cr].1, rail));
+            for &(vpid, child_down) in &children {
+                up.chain_qdma(QdmaSpec::forward_to_event(vpid, child_down, rail));
             }
         }
-        let children = child_vrs
-            .iter()
-            .map(|&cv| {
-                let cr = to_rank(cv);
-                (vpids[cr], table[cr].1)
-            })
-            .collect();
 
-        // No rank may enter until every rank's chains are armed: a host
-        // barrier on a dedicated tag closes the setup phase.
-        self.host_barrier(c, TAG_NICPROG_SYNC);
+        // Readiness fan-in up the same tree: once this rank's chains are
+        // armed, a 0-byte token from each child, then one to the parent.
+        let token = self.alloc(1);
+        for &r in &child_ranks {
+            self.recv(c, r as i32, TAG_NICPROG_SYNC, &token, 0);
+        }
+        if let Some(p) = parent {
+            self.send(c, p, TAG_NICPROG_SYNC, &token, 0);
+        }
+        self.free(token);
 
         let prog_id = ((c.ctx as u64) << 32) | up.id().0 as u64;
         ep.metric(|m| m.counters.coll_nic_programs += 1);
@@ -863,66 +887,13 @@ impl Mpi {
                 members: n,
             },
         );
-        Some(Arc::new(NicProgram {
+        Arc::new(NicProgram {
             prog_id,
             up,
             down,
             vr,
             children,
-        }))
-    }
-
-    /// Gather every rank's (up, down) event ids through comm-rank 0 and
-    /// redistribute the full table. Raw tagged point-to-point — this runs
-    /// underneath the collectives, so it must not call one.
-    fn exchange_event_table(
-        &self,
-        c: &Communicator,
-        up: EventId,
-        down: EventId,
-    ) -> Vec<(EventId, EventId)> {
-        let n = c.size();
-        let me = c.rank();
-        let mut mine = Vec::with_capacity(8);
-        mine.extend_from_slice(&up.0.to_le_bytes());
-        mine.extend_from_slice(&down.0.to_le_bytes());
-        let bytes = if me == 0 {
-            let mut table = vec![0u8; 8 * n];
-            table[..8].copy_from_slice(&mine);
-            let tmp = self.alloc(8);
-            for r in 1..n {
-                self.recv(c, r as i32, TAG_NICPROG, &tmp, 8);
-                table[8 * r..8 * r + 8].copy_from_slice(&self.read(&tmp, 0, 8));
-            }
-            self.free(tmp);
-            let tbuf = self.alloc(8 * n);
-            self.write(&tbuf, 0, &table);
-            let reqs: Vec<_> = (1..n)
-                .map(|r| self.isend(c, r, TAG_NICPROG, &tbuf, 8 * n))
-                .collect();
-            self.waitall(reqs);
-            self.free(tbuf);
-            table
-        } else {
-            let sbuf = self.alloc(8);
-            self.write(&sbuf, 0, &mine);
-            self.send(c, 0, TAG_NICPROG, &sbuf, 8);
-            self.free(sbuf);
-            let rbuf = self.alloc(8 * n);
-            self.recv(c, 0, TAG_NICPROG, &rbuf, 8 * n);
-            let table = self.read(&rbuf, 0, 8 * n);
-            self.free(rbuf);
-            table
-        };
-        bytes
-            .chunks_exact(8)
-            .map(|ch| {
-                (
-                    EventId(u32::from_le_bytes(ch[0..4].try_into().unwrap())),
-                    EventId(u32::from_le_bytes(ch[4..8].try_into().unwrap())),
-                )
-            })
-            .collect()
+        })
     }
 
     /// Block until `ev` fires: the single host wakeup of an offloaded

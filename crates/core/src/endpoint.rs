@@ -117,7 +117,8 @@ pub struct Endpoint {
     /// communicator + shape and reused across calls ([`crate::coll`]).
     /// Lives on the endpoint (not the communicator) because communicator
     /// handles are cloned per call. Leaf lock, never held across waits.
-    pub nic_progs: Mutex<std::collections::HashMap<crate::coll::ProgKey, crate::coll::CachedProg>>,
+    pub nic_progs:
+        Mutex<std::collections::HashMap<crate::coll::ProgKey, Arc<crate::coll::NicProgram>>>,
     /// This rank's published addressing.
     pub my_info: PeerInfo,
 }
@@ -178,22 +179,18 @@ impl Endpoint {
             tcp: transports.tcp.then_some(TcpPeer { node: node as u32 }),
         };
 
-        // Publish addressing, then wait for the whole job before fetching
-        // (the paper's collective connection setup during MPI_Init).
+        // Publish addressing and wait for the whole job (the paper's
+        // collective connection setup during MPI_Init), then fetch the
+        // job's addressing in one OOB request: a table every rank shares.
+        // A peer is decoded from it the first time this rank talks to it
+        // (`EpState::peer`), so init costs the same three OOB hops at any
+        // job size and a rank holds only the peers it uses.
         rte.modex_put(proc, name, "ptl", my_info.to_bytes());
         rte.barrier(proc, name.job);
-
-        let job_size = rte.job_size(name.job);
         let mut state = EpState::new();
-        for r in 0..job_size {
-            let who = ProcName {
-                job: name.job,
-                rank: r,
-            };
-            let raw = rte.modex_get(proc, who, "ptl");
-            let info = PeerInfo::from_bytes(&raw);
-            state.peers.insert(who, info);
-        }
+        state.ptl_table = Some((name.job, rte.modex_table(proc, name.job, "ptl")));
+        state.peers.insert(name, my_info.clone());
+        let job_size = rte.job_size(name.job);
 
         // Drive each component through the open -> init -> activate stages
         // of §2.2. Opening/initializing happened physically above (queues,

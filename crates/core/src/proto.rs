@@ -99,7 +99,7 @@ pub fn post_send_mode(
             Some(c) => (c.alloc_send_seq(dst_rank as u32), false),
             None => (0, true),
         };
-        let peer = st.peers[&dst].clone();
+        let peer = st.peer(&dst).cloned().expect("unresolved peer");
         let peer_failed = st.failed_peers.contains(&dst);
         (id, seq, peer, peer_failed, stale_comm)
     };
@@ -502,7 +502,7 @@ pub fn post_bcast_eager(
             hdr.seq = seq;
             hdr.msg_len = data.len() as u64;
             hdr.payload_len = data.len() as u32;
-            let peer = st.peers[who].clone();
+            let peer = st.peer(who).cloned().expect("unresolved peer");
             let e = peer.elan.expect("hw bcast to a peer without elan");
             out.push((e.vpid, e.main_q, hdr.frame(data)));
         }
@@ -1006,8 +1006,8 @@ fn matched(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
     // until now: resolve its addressing before replying.
     ensure_peer(proc, ep, frag.from);
     let peer = {
-        let st = ep.state.lock();
-        st.peers[&frag.from].clone()
+        let mut st = ep.state.lock();
+        st.peer(&frag.from).cloned().expect("unresolved peer")
     };
     proc.advance(ep.cfg.host.sched);
     let remainder = msg_len - inline_len;
@@ -1252,7 +1252,7 @@ fn handle_ack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
                 let cacheable = r.bounce.is_none();
                 let msg_len = r.msg_len;
                 let gid = r.gid;
-                let peer = st.peers[&dst].clone();
+                let peer = st.peer(&dst).cloned().expect("unresolved peer");
                 Some((peer, src_e4, region, cacheable, msg_len, gid))
             }
             None => None,
@@ -1464,8 +1464,8 @@ fn dma_done(proc: &Proc, ep: &Arc<Endpoint>, token: u64, role: DmaRole) {
         } => {
             if let Some((_ptl, to, hdr)) = fin_ack {
                 let peer = {
-                    let st = ep.state.lock();
-                    st.peers[&to].clone()
+                    let mut st = ep.state.lock();
+                    st.peer(&to).cloned().expect("unresolved peer")
                 };
                 if let Some(route) = first_route(ep, &peer) {
                     proc.advance(ep.cfg.host.hdr_build);
@@ -1481,8 +1481,8 @@ fn dma_done(proc: &Proc, ep: &Arc<Endpoint>, token: u64, role: DmaRole) {
         } => {
             if let Some((_ptl, to, hdr)) = fin {
                 let peer = {
-                    let st = ep.state.lock();
-                    st.peers[&to].clone()
+                    let mut st = ep.state.lock();
+                    st.peer(&to).cloned().expect("unresolved peer")
                 };
                 if let Some(route) = first_route(ep, &peer) {
                     proc.advance(ep.cfg.host.hdr_build);
@@ -2170,7 +2170,7 @@ fn pipe_pump(proc: &Proc, ep: &Arc<Endpoint>, req: u64) -> bool {
                 ps.fin.clone(),
                 ps.gid,
             );
-            (step, st.peers.get(&peer_name).cloned(), info)
+            (step, st.peer(&peer_name).cloned(), info)
         };
         let Some(peer) = peer else { return worked };
         let (region, base_off, cacheable, remote, is_read, fin, gid) = info;
@@ -2462,10 +2462,7 @@ fn pipe_chunk_landed(
         if !ep.cfg.chained_fin {
             // The control did not ride the final chunk: the host sends it,
             // like the monolithic un-chained path.
-            let peer = {
-                let st = ep.state.lock();
-                st.peers.get(&to).cloned()
-            };
+            let peer = ep.state.lock().peer(&to).cloned();
             if let Some(peer) = peer {
                 if let Some(route) = first_route(ep, &peer) {
                     proc.advance(ep.cfg.host.hdr_build);
@@ -2526,7 +2523,7 @@ pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
             if burst_end <= start {
                 continue;
             }
-            let Some(peer) = st.peers.get(&peer_name).cloned() else {
+            let Some(peer) = st.peer(&peer_name).cloned() else {
                 continue;
             };
             st.tcp_pushes[i].next_off = burst_end;
@@ -2751,7 +2748,7 @@ fn flow_drain_peer(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName) -> bool {
     if batch.is_empty() {
         return false;
     }
-    let peer_info = ep.state.lock().peers.get(&peer).cloned();
+    let peer_info = ep.state.lock().peer(&peer).cloned();
     let Some(pi) = peer_info else {
         for q in batch {
             fail_request(proc, ep, ReqKind::Send, q.sid, MpiErrClass::ProcFailed);
@@ -2795,7 +2792,7 @@ fn flow_drain_peer(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName) -> bool {
 /// — the same fields the reliability layer stamps, with the same values —
 /// and the count rides `seq`.
 fn send_credit_return(proc: &Proc, ep: &Arc<Endpoint>, to: ProcName, n: usize) {
-    let peer = ep.state.lock().peers.get(&to).cloned();
+    let peer = ep.state.lock().peer(&to).cloned();
     let restore = |ep: &Arc<Endpoint>| {
         if let Some(fp) = ep.state.lock().flow.get_mut(&to) {
             fp.pending_return += n;
@@ -2915,8 +2912,8 @@ fn err_from_code(code: u32) -> MpiErrClass {
 /// fresh receipt here.
 fn send_ctl_ack(proc: &Proc, ep: &Arc<Endpoint>, origin: ProcName, rel_seq: u32) {
     let peer = {
-        let st = ep.state.lock();
-        st.peers[&origin].clone()
+        let mut st = ep.state.lock();
+        st.peer(&origin).cloned().expect("unresolved peer")
     };
     let mut h = Hdr::new(HdrType::CtlAck);
     h.ctx = ep.name.job.0;
@@ -3201,14 +3198,14 @@ fn give_up_on(proc: &Proc, ep: &Arc<Endpoint>, e: InflightCtl) {
     // Request tokens are per-endpoint counters, so the NACK names only the
     // ids the *peer* owns, recovered from the abandoned frame itself.
     let (peer_send_req, peer_recv_req, peer) = {
-        let st = ep.state.lock();
+        let mut st = ep.state.lock();
         let orig = Hdr::decode(&e.frame).ok();
         let (s, r) = match (e.kind, &orig) {
             (HdrType::Ack | HdrType::FinAck, Some(h)) => (h.send_req, 0),
             (HdrType::Fin, Some(h)) => (0, h.recv_req),
             _ => (0, 0),
         };
-        (s, r, st.peers.get(&e.peer).cloned())
+        (s, r, st.peer(&e.peer).cloned())
     };
     if let Some(peer) = &peer {
         if peer_send_req != 0 || peer_recv_req != 0 {
@@ -3364,8 +3361,11 @@ fn write_packed(ep: &Arc<Endpoint>, r: &RecvReq, off: usize, data: &[u8]) {
     }
 }
 
+/// Resolve `who`'s addressing before first contact. A rank of this job
+/// comes from the `ptl` table fetched at `MPI_Init`; a process of another
+/// job (spawn, connect) costs one OOB lookup.
 fn ensure_peer(proc: &Proc, ep: &Arc<Endpoint>, who: ProcName) {
-    let known = ep.state.lock().peers.contains_key(&who);
+    let known = ep.state.lock().peer(&who).is_some();
     if !known {
         let raw = ep.rte.modex_get(proc, who, "ptl");
         let info = crate::peer::PeerInfo::from_bytes(&raw);

@@ -4,11 +4,13 @@
 //! virtual time is consumed at this layer (costs are charged by the caller
 //! from the [`crate::config::HostConfig`] model).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use elan4::E4Addr;
 use ompi_datatype::Convertor;
-use ompi_rte::ProcName;
+use ompi_rte::{JobId, ProcName};
 use qsim::{Dur, Signal, Time};
 
 use crate::hdr::{Hdr, HdrType};
@@ -574,8 +576,12 @@ pub struct EpState {
     pub recv_reqs: HashMap<u64, RecvReq>,
     /// DMA descriptors whose completion the host has not yet observed.
     pub pending_dmas: Vec<PendingDma>,
-    /// Resolved addressing for every known peer.
+    /// Addressing of the peers this rank has resolved so far; read it
+    /// through [`EpState::peer`], which fills it lazily.
     pub peers: HashMap<ProcName, PeerInfo>,
+    /// The own job's `ptl` modex table, indexed by rank: fetched in one
+    /// OOB request at `MPI_Init` and shared by every rank of the job.
+    pub ptl_table: Option<(JobId, Arc<[Vec<u8>]>)>,
     /// Next request id.
     pub next_req: u64,
     /// Next shared-completion-queue token.
@@ -622,6 +628,7 @@ impl EpState {
             recv_reqs: HashMap::new(),
             pending_dmas: Vec::new(),
             peers: HashMap::new(),
+            ptl_table: None,
             next_req: 1,
             next_dma_token: 1,
             finalizing: false,
@@ -635,6 +642,23 @@ impl EpState {
             tcp_pushes: Vec::new(),
             flow: BTreeMap::new(),
             bounce_pool: BouncePool::new(),
+        }
+    }
+
+    /// Addressing of `who`: a peer resolved earlier, or a rank of this
+    /// job decoded from the `ptl` table on first use (no virtual time: the
+    /// table arrived at `MPI_Init`). `None` for a process of another job
+    /// that `proto::ensure_peer` has not resolved yet.
+    pub fn peer(&mut self, who: &ProcName) -> Option<&PeerInfo> {
+        match self.peers.entry(*who) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(e) => {
+                let (job, table) = self.ptl_table.as_ref()?;
+                if who.job != *job {
+                    return None;
+                }
+                Some(e.insert(PeerInfo::from_bytes(table.get(who.rank)?)))
+            }
         }
     }
 

@@ -1825,6 +1825,127 @@ fn nic_offload_falls_back_when_ineligible() {
     }
 }
 
+/// A universe with one node per rank on the default fat tree.
+fn sized_universe(ranks: usize, cfg: StackConfig) -> Arc<Universe> {
+    Universe::new(
+        elan4::NicConfig::default(),
+        qsnet::FabricConfig {
+            nodes: ranks,
+            ..Default::default()
+        },
+        cfg,
+        Transports::default(),
+    )
+}
+
+#[test]
+fn mpi_init_costs_the_same_few_oob_hops_at_any_size() {
+    // MPI_Init publishes, waits for the job and fetches one shared modex
+    // table; the launch adds one more OOB barrier. None of it grows with
+    // the job.
+    let init_ns = |ranks: usize| {
+        let uni = sized_universe(ranks, StackConfig::best());
+        let oob = uni.rte.cfg().oob_latency.as_ns();
+        let t = Arc::new(AtomicU64::new(0));
+        let t2 = t.clone();
+        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+            t2.fetch_max(mpi.now().as_ns(), Ordering::SeqCst);
+        });
+        (t.load(Ordering::SeqCst), oob)
+    };
+    let (two, oob) = init_ns(2);
+    assert!(two <= 4 * oob, "MPI_Init took {two} ns, over 4 OOB hops");
+    for ranks in [64, 256] {
+        assert_eq!(init_ns(ranks).0, two, "MPI_Init at {ranks} ranks");
+    }
+}
+
+#[test]
+fn peers_resolve_lazily_from_the_shared_table() {
+    // After MPI_Init a rank has decoded only its own addressing; building
+    // a NIC allreduce program resolves exactly its tree neighbours.
+    const N: usize = 256;
+    let uni = sized_universe(N, nic_coll_cfg());
+    let radix = uni.cfg.coll_tree_radix;
+    uni.run_world(N, Placement::RoundRobin, move |mpi| {
+        let w = mpi.world();
+        let me = mpi.rank();
+        let known = |mpi: &Mpi| {
+            let mut ranks: Vec<usize> = mpi
+                .endpoint()
+                .state
+                .lock()
+                .peers
+                .keys()
+                .map(|p| p.rank)
+                .collect();
+            ranks.sort_unstable();
+            ranks
+        };
+        assert_eq!(known(&mpi), vec![me], "rank {me} after init");
+        let b = mpi.alloc(8);
+        mpi.write(&b, 0, &(me as u64).to_le_bytes());
+        mpi.allreduce(&w, crate::coll::ReduceOp::SumU64, &b, 8);
+        let sum = u64::from_le_bytes(mpi.read(&b, 0, 8).try_into().unwrap());
+        assert_eq!(sum, (N * (N - 1) / 2) as u64);
+        // Root 0: a rank's virtual rank is its rank.
+        let mut expect: Vec<usize> = (1..=radix)
+            .map(|i| radix * me + i)
+            .filter(|&c| c < N)
+            .collect();
+        if me > 0 {
+            expect.push((me - 1) / radix);
+        }
+        expect.push(me);
+        expect.sort_unstable();
+        assert_eq!(known(&mpi), expect, "rank {me} after the allreduce");
+    });
+}
+
+#[test]
+fn nic_program_setup_survives_skewed_entry() {
+    // Ranks reach each first call (and so each program's per-edge setup
+    // and readiness fan-in) up to 500 us apart, in seeded order.
+    const N: usize = 64;
+    for radix in [2, 4, 8] {
+        let mut cfg = nic_coll_cfg();
+        cfg.coll_tree_radix = radix;
+        let uni = sized_universe(N, cfg);
+        let rows: Arc<Mutex<Vec<crate::metrics::Metrics>>> = Arc::new(Mutex::new(Vec::new()));
+        let r2 = rows.clone();
+        uni.run_world(N, Placement::RoundRobin, move |mpi| {
+            let w = mpi.world();
+            let me = mpi.rank();
+            let mut rng = qsim::rng::Pcg32::new(((radix as u64) << 32) | me as u64);
+            let mut skew = || mpi.compute(qsim::Dur::from_ns(rng.below(500_001)));
+            skew();
+            mpi.barrier(&w);
+            for (i, root) in [0, 17, 63].into_iter().enumerate() {
+                let len = 64 + 100 * i;
+                let b = mpi.alloc(len);
+                if me == root {
+                    mpi.write(&b, 0, &pattern(len, i as u8));
+                }
+                skew();
+                mpi.bcast(&w, root, &b, len);
+                assert_eq!(mpi.read(&b, 0, len), pattern(len, i as u8), "radix {radix}");
+                mpi.free(b);
+            }
+            let b = mpi.alloc(8);
+            mpi.write(&b, 0, &(me as u64 + 1).to_le_bytes());
+            skew();
+            mpi.allreduce(&w, crate::coll::ReduceOp::SumU64, &b, 8);
+            let sum = u64::from_le_bytes(mpi.read(&b, 0, 8).try_into().unwrap());
+            assert_eq!(sum, (N * (N + 1) / 2) as u64, "radix {radix}");
+            r2.lock().push(mpi.endpoint().metrics_snapshot());
+        });
+        for m in rows.lock().iter() {
+            assert_eq!(m.counters.coll_nic_programs, 5, "radix {radix}");
+            assert_eq!(m.counters.coll_nic_offloaded, 5, "radix {radix}");
+        }
+    }
+}
+
 #[test]
 fn hw_bcast_cvar_gates_the_rail() {
     // Gate closed: eligible broadcasts run the binomial tree, the hardware

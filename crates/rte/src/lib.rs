@@ -64,6 +64,9 @@ struct JobState {
     size: usize,
     parent: Option<ProcName>,
     modex: HashMap<(usize, String), Vec<u8>>,
+    /// Whole-job tables handed out by [`Rte::modex_table`], by key. A new
+    /// `modex_put` of the key drops its table.
+    tables: HashMap<String, Arc<[Vec<u8>]>>,
     modex_waiters: Vec<Signal>,
     barrier: BarrierState,
     finalized: usize,
@@ -109,6 +112,7 @@ impl Rte {
                 size,
                 parent,
                 modex: HashMap::new(),
+                tables: HashMap::new(),
                 modex_waiters: Vec::new(),
                 barrier: BarrierState {
                     generation: 0,
@@ -137,6 +141,7 @@ impl Rte {
         let mut inner = self.inner.lock();
         let job = inner.jobs.get_mut(&who.job).expect("unknown job");
         job.modex.insert((who.rank, key.to_string()), value);
+        job.tables.remove(key);
         let waiters = std::mem::take(&mut job.modex_waiters);
         drop(inner);
         let sim = proc.sim();
@@ -171,6 +176,34 @@ impl Rte {
                 drop(inner);
                 proc.wait(&sig).expect_signaled();
             }
+        }
+    }
+
+    /// Every rank's value for `key` in one OOB request, indexed by rank:
+    /// waits (in virtual time) until the whole job has published it. The
+    /// table is built once and every caller shares the same `Arc`, so a
+    /// job fetches its modex in O(1) requests per rank and O(n) memory in
+    /// total.
+    pub fn modex_table(&self, proc: &Proc, job: JobId, key: &str) -> Arc<[Vec<u8>]> {
+        proc.advance(self.cfg.oob_latency);
+        loop {
+            let mut inner = self.inner.lock();
+            let st = inner.jobs.get_mut(&job).expect("unknown job");
+            if let Some(table) = st.tables.get(key) {
+                return table.clone();
+            }
+            let rows: Option<Vec<Vec<u8>>> = (0..st.size)
+                .map(|rank| st.modex.get(&(rank, key.to_string())).cloned())
+                .collect();
+            if let Some(rows) = rows {
+                let table: Arc<[Vec<u8>]> = rows.into();
+                st.tables.insert(key.to_string(), table.clone());
+                return table;
+            }
+            let sig = proc.signal();
+            st.modex_waiters.push(sig.clone());
+            drop(inner);
+            proc.wait(&sig).expect_signaled();
         }
     }
 
@@ -245,6 +278,56 @@ mod tests {
         }
         sim.run().unwrap();
         assert_eq!(*got.lock(), vec![42, 43]);
+    }
+
+    #[test]
+    fn modex_table_waits_for_the_job_and_is_shared() {
+        let sim = Simulation::new();
+        let rte = Rte::new(RteConfig::default());
+        let job = rte.create_job(3, None);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        for r in 0..3usize {
+            let (rte, got) = (rte.clone(), got.clone());
+            sim.spawn(&format!("r{r}"), move |p| {
+                p.advance(Dur::from_us(100 * r as u64));
+                rte.modex_put(&p, ProcName { job, rank: r }, "ptl", vec![r as u8; r + 1]);
+                let t0 = p.now().as_ns();
+                let table = rte.modex_table(&p, job, "ptl");
+                got.lock().push((r, t0, p.now().as_ns(), table));
+            });
+        }
+        sim.run().unwrap();
+        let got = got.lock();
+        let last_put = 200_000 + 30_000;
+        for (r, t0, t, table) in got.iter() {
+            assert_eq!(table.len(), 3);
+            for (rank, v) in table.iter().enumerate() {
+                assert_eq!(*v, vec![rank as u8; rank + 1]);
+            }
+            // One OOB hop, or the wait for the last rank's publish.
+            assert_eq!(*t, (t0 + 30_000).max(last_put), "rank {r}");
+            assert!(Arc::ptr_eq(table, &got[0].3), "one table for the job");
+        }
+    }
+
+    #[test]
+    fn modex_put_drops_the_cached_table() {
+        let sim = Simulation::new();
+        let rte = Rte::new(RteConfig::default());
+        let job = rte.create_job(1, None);
+        let who = ProcName { job, rank: 0 };
+        let rte2 = rte.clone();
+        sim.spawn("r0", move |p| {
+            rte2.modex_put(&p, who, "k", vec![1]);
+            let first = rte2.modex_table(&p, job, "k");
+            assert!(Arc::ptr_eq(&first, &rte2.modex_table(&p, job, "k")));
+            rte2.modex_put(&p, who, "other", vec![9]);
+            assert!(Arc::ptr_eq(&first, &rte2.modex_table(&p, job, "k")));
+            rte2.modex_put(&p, who, "k", vec![2]);
+            let second = rte2.modex_table(&p, job, "k");
+            assert_eq!((&*first[0], &*second[0]), (&[1u8][..], &[2u8][..]));
+        });
+        sim.run().unwrap();
     }
 
     #[test]

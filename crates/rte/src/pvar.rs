@@ -175,15 +175,13 @@ impl Rte {
         self.modex_put(proc, who, PVAR_KEY, encode_rows(rows));
     }
 
-    /// Gather every rank's published snapshot, blocking (in virtual time)
-    /// until all of them have published.
+    /// Gather every rank's published snapshot in one OOB request, blocking
+    /// (in virtual time) until all of them have published.
     pub fn pvar_collect(&self, proc: &Proc, job: JobId) -> Vec<(usize, Vec<(String, u64)>)> {
-        let size = self.job_size(job);
-        (0..size)
-            .map(|rank| {
-                let raw = self.modex_get(proc, ProcName { job, rank }, PVAR_KEY);
-                (rank, decode_rows(&raw))
-            })
+        self.modex_table(proc, job, PVAR_KEY)
+            .iter()
+            .enumerate()
+            .map(|(rank, raw)| (rank, decode_rows(raw)))
             .collect()
     }
 }
