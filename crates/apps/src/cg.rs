@@ -199,8 +199,8 @@ pub fn serial_reference(cfg: &CgConfig) -> (Vec<f64>, usize) {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Mutex;
-    use std::sync::Arc;
+    use qsim::Local;
+    use std::rc::Rc;
 
     #[test]
     fn serial_cg_solves_to_ones() {
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn distributed_cg_converges_to_ones_on_4_ranks() {
         let cfg = CgConfig::default();
-        let sol: Arc<Mutex<Vec<(usize, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let sol: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
         let s2 = sol.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
@@ -230,7 +230,7 @@ mod tests {
             );
             s2.lock().push((mpi.rank(), result.x));
         });
-        let mut parts = Arc::try_unwrap(sol).unwrap().into_inner();
+        let mut parts = Rc::try_unwrap(sol).unwrap().into_inner();
         parts.sort_by_key(|(r, _)| *r);
         let x: Vec<f64> = parts.into_iter().flat_map(|(_, b)| b).collect();
         assert_eq!(x.len(), cfg.n);
@@ -249,7 +249,7 @@ mod tests {
             ..Default::default()
         };
         let (_x, serial_iters) = serial_reference(&cfg);
-        let iters: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
+        let iters: Rc<Local<usize>> = Rc::new(Local::new(0));
         let i2 = iters.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());

@@ -114,15 +114,15 @@ pub fn serial_reference(cfg: &EpConfig) -> EpResult {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Mutex;
-    use std::sync::Arc;
+    use qsim::Local;
+    use std::rc::Rc;
 
     #[test]
     fn distributed_tallies_match_serial() {
         let cfg = EpConfig::default();
         let reference = serial_reference(&cfg);
         for ranks in [2usize, 5, 8] {
-            let got: Arc<Mutex<Vec<([u64; 10], u64)>>> = Arc::new(Mutex::new(Vec::new()));
+            let got: Rc<Local<Vec<([u64; 10], u64)>>> = Rc::new(Local::new(Vec::new()));
             let g2 = got.clone();
             let cfg2 = cfg.clone();
             let uni = Universe::paper_testbed(StackConfig::best());

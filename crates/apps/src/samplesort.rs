@@ -157,11 +157,11 @@ pub fn serial_reference(cfg: &SortConfig, nranks: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Mutex;
-    use std::sync::Arc;
+    use qsim::Local;
+    use std::rc::Rc;
 
     fn run_sort(nranks: usize, cfg: SortConfig) -> Vec<(usize, Vec<u32>)> {
-        let shards: Arc<Mutex<Vec<(usize, Vec<u32>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let shards: Rc<Local<Vec<(usize, Vec<u32>)>>> = Rc::new(Local::new(Vec::new()));
         let s2 = shards.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
         uni.run_world(nranks, Placement::RoundRobin, move |mpi| {
@@ -169,7 +169,7 @@ mod tests {
             let shard = run(&mpi, &w, &cfg);
             s2.lock().push((mpi.rank(), shard));
         });
-        let mut shards = Arc::try_unwrap(shards).unwrap().into_inner();
+        let mut shards = Rc::try_unwrap(shards).unwrap().into_inner();
         shards.sort_by_key(|(r, _)| *r);
         shards
     }

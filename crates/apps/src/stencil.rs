@@ -220,8 +220,8 @@ pub fn serial_reference(cfg: &StencilConfig) -> Vec<f64> {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Mutex;
-    use std::sync::Arc;
+    use qsim::Local;
+    use std::rc::Rc;
 
     #[test]
     fn rows_partition_covers_grid() {
@@ -244,7 +244,7 @@ mod tests {
     fn distributed_matches_serial_on_4_ranks() {
         let cfg = StencilConfig::default();
         let reference = serial_reference(&cfg);
-        let blocks: Arc<Mutex<Vec<(usize, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let blocks: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
         let b2 = blocks.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
@@ -253,7 +253,7 @@ mod tests {
             let result = run(&mpi, &w, &cfg2);
             b2.lock().push((mpi.rank(), result.block));
         });
-        let mut blocks = Arc::try_unwrap(blocks).unwrap().into_inner();
+        let mut blocks = Rc::try_unwrap(blocks).unwrap().into_inner();
         blocks.sort_by_key(|(r, _)| *r);
         let assembled: Vec<f64> = blocks.into_iter().flat_map(|(_, b)| b).collect();
         assert_eq!(assembled.len(), reference.len());
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn residual_decreases() {
         let cfg = StencilConfig::default();
-        let res: Arc<Mutex<f64>> = Arc::new(Mutex::new(f64::MAX));
+        let res: Rc<Local<f64>> = Rc::new(Local::new(f64::MAX));
         let r2 = res.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
         uni.run_world(2, Placement::RoundRobin, move |mpi| {

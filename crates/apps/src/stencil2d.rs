@@ -182,11 +182,11 @@ pub fn serial_reference(cfg: &Stencil2dConfig) -> Vec<f64> {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Mutex;
-    use std::sync::Arc;
+    use qsim::Local;
+    use std::rc::Rc;
 
     fn run_grid(cfg: Stencil2dConfig) -> Vec<f64> {
-        let blocks: Arc<Mutex<Vec<(usize, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let blocks: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
         let b2 = blocks.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
@@ -195,7 +195,7 @@ mod tests {
             let block = run(&mpi, &w, &cfg2);
             b2.lock().push((mpi.rank(), block));
         });
-        let mut blocks = Arc::try_unwrap(blocks).unwrap().into_inner();
+        let mut blocks = Rc::try_unwrap(blocks).unwrap().into_inner();
         blocks.sort_by_key(|(r, _)| *r);
         // Reassemble the global grid from the 2-D blocks.
         let lr = cfg.rows / cfg.pr;

@@ -304,12 +304,12 @@ pub fn sweep_rndv_threshold() -> Table {
 /// the binomial tree, across message sizes on the full 8-node testbed.
 pub fn coll_bcast() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn bcast_us(hw: bool, len: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(8, Placement::RoundRobin, move |mpi| {
             let mut w = mpi.world();
@@ -325,10 +325,10 @@ pub fn coll_bcast() -> Table {
             }
             mpi.barrier(&w);
             if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / iters, Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns() / iters);
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -346,12 +346,12 @@ pub fn coll_bcast() -> Table {
 /// headers, and receiver involvement entirely.
 pub fn onesided() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn rma_us(len: usize, get: bool) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -374,11 +374,11 @@ pub fn onesided() -> Table {
             if mpi.rank() == 0 {
                 // Subtract the fence (pure barrier) baseline.
                 let total = (mpi.now() - t0).as_ns() / iters;
-                t2.store(total, Ordering::SeqCst);
+                t2.set(total);
             }
             mpi.win_free(win);
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -398,12 +398,12 @@ pub fn onesided() -> Table {
 /// workloads on the stack).
 pub fn apps_scaling() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn stencil_us(ranks: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -417,15 +417,15 @@ pub fn apps_scaling() -> Table {
             let t0 = mpi.now();
             let _ = ompi_apps::stencil::run(&mpi, &w, &cfg);
             if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / 10, Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns() / 10);
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     fn cg_us(ranks: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -438,15 +438,15 @@ pub fn apps_scaling() -> Table {
             let t0 = mpi.now();
             let r = ompi_apps::cg::run(&mpi, &w, &cfg);
             if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / r.iters as u64, Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns() / r.iters as u64);
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     fn ep_us(ranks: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -455,10 +455,10 @@ pub fn apps_scaling() -> Table {
             let t0 = mpi.now();
             let _ = ompi_apps::ep::run(&mpi, &w, &cfg);
             if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns());
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -484,8 +484,8 @@ pub fn apps_scaling() -> Table {
 /// the progress thread services the ACK during the computation.
 pub fn overlap() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn total_us(progress: ProgressMode, compute_us: usize) -> f64 {
         let mut cfg = StackConfig::best();
@@ -495,7 +495,7 @@ pub fn overlap() -> Table {
             cfg.completion = CompletionMode::SharedQueueCombined;
         }
         let uni = Universe::paper_testbed(cfg);
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -507,12 +507,12 @@ pub fn overlap() -> Table {
                 let req = mpi.isend(&w, 1, 0, &buf, len);
                 mpi.compute(qsim::Dur::from_us(compute_us as u64));
                 mpi.wait(req);
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns());
             } else {
                 mpi.recv(&w, 0, 0, &buf, len);
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -536,8 +536,8 @@ pub fn overlap() -> Table {
 /// from one level (8 nodes) to three (64 nodes).
 pub fn scale() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn coll_us(ranks: usize, which: u8) -> f64 {
         let fabric = FabricConfig {
@@ -550,7 +550,7 @@ pub fn scale() -> Table {
             StackConfig::best(),
             Transports::default(),
         );
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -567,10 +567,10 @@ pub fn scale() -> Table {
             }
             mpi.barrier(&w);
             if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns() / iters, Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns() / iters);
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -592,8 +592,8 @@ pub fn scale() -> Table {
 /// ranks' request rate saturates.
 pub fn io_scaling() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn bw(io_nodes: usize, block: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
@@ -601,7 +601,7 @@ pub fn io_scaling() -> Table {
             io_nodes,
             ..Default::default()
         });
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(8, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -611,10 +611,10 @@ pub fn io_scaling() -> Table {
             let t0 = mpi.now();
             f.write_all(&mpi, 0, &buf, block);
             if mpi.rank() == 0 {
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns());
             }
         });
-        let ns = t.load(Ordering::SeqCst) as f64;
+        let ns = t.get() as f64;
         (8 * block) as f64 / (ns / 1e9) / 1e6
     }
 

@@ -2,16 +2,15 @@
 //! the Open MPI stack, the MPICH-QsNet baseline, and native QDMA — all in
 //! deterministic virtual time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use elan4::{Cluster, ElanCtx, NicConfig};
 use mpich_qsnet::{run_mpich, MpichConfig};
 use openmpi_core::{
     Metrics, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog, Transports, Universe,
 };
-use qsim::Mutex;
-use qsim::{Dur, Simulation};
+use qsim::{Dur, Local, Simulation};
 use qsnet::FabricConfig;
 
 /// Warm-up round trips before timing starts (the paper discards the first
@@ -46,7 +45,7 @@ impl Setup {
         }
     }
 
-    fn universe(&self) -> Arc<Universe> {
+    fn universe(&self) -> Rc<Universe> {
         Universe::new(
             self.nic.clone(),
             self.fabric.clone(),
@@ -58,7 +57,7 @@ impl Setup {
 
 /// Half round-trip latency of `len`-byte messages, in µs.
 pub fn ompi_latency(setup: &Setup, len: usize) -> f64 {
-    let lat = Arc::new(AtomicU64::new(0));
+    let lat = Rc::new(Cell::new(0));
     let l2 = lat.clone();
     setup
         .universe()
@@ -86,19 +85,16 @@ pub fn ompi_latency(setup: &Setup, len: usize) -> f64 {
                 round(i);
             }
             if mpi.rank() == 0 {
-                l2.store(
-                    (mpi.now() - t0).as_ns() / (2 * ITERS as u64),
-                    Ordering::SeqCst,
-                );
+                l2.set((mpi.now() - t0).as_ns() / (2 * ITERS as u64));
             }
         });
-    lat.load(Ordering::SeqCst) as f64 / 1_000.0
+    lat.get() as f64 / 1_000.0
 }
 
 /// Streaming bandwidth in MB/s: `window` messages of `len` bytes in flight,
 /// `reps` windows, closed by a zero-byte ack.
 pub fn ompi_bandwidth(setup: &Setup, len: usize, window: usize, reps: usize) -> f64 {
-    let bw = Arc::new(Mutex::new(0.0f64));
+    let bw = Rc::new(Local::new(0.0f64));
     let b2 = bw.clone();
     setup
         .universe()
@@ -214,7 +210,7 @@ pub fn telemetry_pingpong(setup: &Setup, ranks: usize, len: usize, iters: usize)
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
+    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
     let c2 = collected.clone();
     let report = setup
         .universe()
@@ -275,7 +271,7 @@ pub fn reliability_pingpong(setup: &Setup, len: usize, drops: u64) -> Telemetry 
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, drops);
     // One rendezvous round trip per injected drop, plus one clean round.
     let iters = drops as usize + 1;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
+    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
     let c2 = collected.clone();
     let report = uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -369,8 +365,8 @@ impl RegBenchReport {
 fn reg_bench_side(setup: &Setup, len: usize, iters: usize, cache: bool) -> RegBenchSide {
     let mut setup = setup.clone();
     setup.stack.reg_cache = cache;
-    let lat = Arc::new(AtomicU64::new(0));
-    let stats: Arc<Mutex<Option<openmpi_core::RegStats>>> = Arc::new(Mutex::new(None));
+    let lat = Rc::new(Cell::new(0));
+    let stats: Rc<Local<Option<openmpi_core::RegStats>>> = Rc::new(Local::new(None));
     let (l2, s2) = (lat.clone(), stats.clone());
     setup
         .universe()
@@ -393,16 +389,13 @@ fn reg_bench_side(setup: &Setup, len: usize, iters: usize, cache: bool) -> RegBe
                 }
             }
             if mpi.rank() == 0 {
-                l2.store(
-                    (mpi.now() - t0).as_ns() / (2 * iters as u64),
-                    Ordering::SeqCst,
-                );
+                l2.set((mpi.now() - t0).as_ns() / (2 * iters as u64));
                 *s2.lock() = Some(mpi.endpoint().reg_stats());
             }
         });
     let stats = stats.lock().take().expect("rank 0 recorded its stats");
     RegBenchSide {
-        latency_us: lat.load(Ordering::SeqCst) as f64 / 1_000.0,
+        latency_us: lat.get() as f64 / 1_000.0,
         stats,
     }
 }
@@ -570,8 +563,8 @@ pub fn introspect_pingpong(
     setup.stack.metrics = true;
     setup.stack.trace = true;
     setup.stack.watchdog_interval = watchdog_interval;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let cluster: Arc<Mutex<Option<ompi_rte::ClusterReport>>> = Arc::new(Mutex::new(None));
+    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
+    let cluster: Rc<Local<Option<ompi_rte::ClusterReport>>> = Rc::new(Local::new(None));
     let c2 = collected.clone();
     let cl2 = cluster.clone();
     let report = setup
@@ -691,9 +684,9 @@ pub fn incast_congestion(
     type Row = (u32, openmpi_core::PvarSnapshot);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-    let cluster: Arc<Mutex<Option<ompi_rte::ClusterReport>>> = Arc::new(Mutex::new(None));
-    let fabric: Arc<Mutex<Option<Arc<qsnet::Fabric>>>> = Arc::new(Mutex::new(None));
+    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
+    let cluster: Rc<Local<Option<ompi_rte::ClusterReport>>> = Rc::new(Local::new(None));
+    let fabric: Rc<Local<Option<Rc<qsnet::Fabric>>>> = Rc::new(Local::new(None));
     let (c2, cl2, f2) = (collected.clone(), cluster.clone(), fabric.clone());
     let report = setup
         .universe()
@@ -819,10 +812,10 @@ pub fn flow_scenario(
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.flow_enable = flow_on;
-    let metrics: Arc<Mutex<Vec<Metrics>>> = Arc::new(Mutex::new(Vec::new()));
-    let victim_peak = Arc::new(AtomicU64::new(0));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let overflows = Arc::new(AtomicU64::new(0));
+    let metrics: Rc<Local<Vec<Metrics>>> = Rc::new(Local::new(Vec::new()));
+    let victim_peak = Rc::new(Cell::new(0));
+    let delivered = Rc::new(Cell::new(0));
+    let overflows = Rc::new(Cell::new(0));
     let (m2, v2, d2, o2) = (
         metrics.clone(),
         victim_peak.clone(),
@@ -845,7 +838,7 @@ pub fn flow_scenario(
                         let rbuf = mpi.alloc(len.max(1));
                         for _ in 0..senders * msgs {
                             mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                            d2.fetch_add(1, Ordering::Relaxed);
+                            d2.set(d2.get() + 1);
                         }
                         mpi.free(rbuf);
                     } else if mpi.rank() <= senders {
@@ -868,7 +861,7 @@ pub fn flow_scenario(
                         .collect();
                     for _ in 0..(ranks - 1) * msgs {
                         mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                        d2.fetch_add(1, Ordering::Relaxed);
+                        d2.set(d2.get() + 1);
                     }
                     mpi.waitall(reqs);
                     mpi.free(sbuf);
@@ -879,8 +872,8 @@ pub fn flow_scenario(
             let ep = mpi.endpoint();
             if mpi.rank() == 0 {
                 let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
-                v2.store(ej.queue_peak, Ordering::SeqCst);
-                o2.store(ep.cluster.stats().queue_overflows, Ordering::SeqCst);
+                v2.set(ej.queue_peak);
+                o2.set(ep.cluster.stats().queue_overflows);
             }
             m2.lock().push(ep.metrics_snapshot());
         });
@@ -889,7 +882,7 @@ pub fn flow_scenario(
         rows.iter().map(|m| f(&m.counters)).sum()
     };
     let completion_ns = report.end_time.as_ns();
-    let msgs = delivered.load(Ordering::SeqCst);
+    let msgs = delivered.get();
     let name = format!(
         "{}.{}",
         match workload {
@@ -908,13 +901,13 @@ pub fn flow_scenario(
         } else {
             msgs as f64 * 1e9 / completion_ns as f64
         },
-        victim_ej_queue_peak: victim_peak.load(Ordering::SeqCst),
+        victim_ej_queue_peak: victim_peak.get(),
         pool_fallbacks: sum(|c| c.flow_pool_fallbacks),
         pool_hits: sum(|c| c.flow_pool_hits),
         sends_queued: sum(|c| c.flow_sends_queued),
         credit_frames: sum(|c| c.flow_credit_frames),
         grant_deferrals: sum(|c| c.flow_grant_deferrals),
-        qdma_overflows: overflows.load(Ordering::SeqCst),
+        qdma_overflows: overflows.get(),
     }
 }
 
@@ -1026,7 +1019,7 @@ pub fn critpath_pingpong(setup: &Setup, len: usize, iters: usize) -> CritPathCap
     // Record link busy windows from t=0 so the wire stages can be
     // cross-checked against what the ejection link actually serialized.
     uni.cluster.fabric().record_intervals(1 << 16);
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
+    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
     let c2 = collected.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -1118,7 +1111,7 @@ pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) ->
     // Sample roughly every wire-time of one message so the ramp is visible.
     let sample_ns = (len as u64).max(1_000) / 3;
     setup.stack.timeline_interval = Dur::from_ns(sample_ns);
-    let collected: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
+    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
     let c2 = collected.clone();
     setup
         .universe()
@@ -1159,7 +1152,7 @@ pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) ->
 /// registry (name, type, default, writability, live value, description)
 /// as one JSON document — the MPI_T-style discovery surface.
 pub fn introspect_registry(setup: &Setup) -> String {
-    let out: Arc<Mutex<String>> = Arc::new(Mutex::new(String::new()));
+    let out: Rc<Local<String>> = Rc::new(Local::new(String::new()));
     let o2 = out.clone();
     setup
         .universe()
@@ -1218,8 +1211,8 @@ pub fn stall_flight_demo() -> StallFlightDemo {
     );
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
-    type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
-    let eps: Arc<Mutex<Captured>> = Arc::new(Mutex::new(Vec::new()));
+    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
+    let eps: Rc<Local<Captured>> = Rc::new(Local::new(Vec::new()));
     let e2 = eps.clone();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         uni.run_world(2, Placement::RoundRobin, move |mpi| {
@@ -1471,24 +1464,24 @@ pub fn rank_sweep(
         let uni = setup.universe();
         // The last rank to enter its body, i.e. to return from MPI_Init,
         // on each clock.
-        let init_ns = Arc::new(AtomicU64::new(0));
-        let init_wall_ns = Arc::new(AtomicU64::new(0));
+        let init_ns = Rc::new(Cell::new(0));
+        let init_wall_ns = Rc::new(Cell::new(0));
         let (v2, w2) = (init_ns.clone(), init_wall_ns.clone());
         let start = std::time::Instant::now();
         let report = uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
-            v2.fetch_max(mpi.now().as_ns(), Ordering::SeqCst);
-            w2.fetch_max(start.elapsed().as_nanos() as u64, Ordering::SeqCst);
+            v2.set(v2.get().max(mpi.now().as_ns()));
+            w2.set(w2.get().max(start.elapsed().as_nanos() as u64));
             let w = mpi.world();
             for _ in 0..iters {
                 mpi.barrier(&w);
             }
         });
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        let init_ms = init_wall_ns.load(Ordering::SeqCst) as f64 / 1e6;
+        let init_ms = init_wall_ns.get() as f64 / 1e6;
         total_wall_ns += report.wall_ns;
         points.push(RankSweepPoint {
             ranks,
-            init_ns: init_ns.load(Ordering::SeqCst),
+            init_ns: init_ns.get(),
             init_ms,
             work_ms: total_ms - init_ms,
             report,
@@ -1599,7 +1592,7 @@ fn coll_curve_cell(
         // Host baseline: binomial trees only, hardware rail off too.
         setup.stack.coll_hw_bcast = false;
     }
-    let max_ns: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
+    let max_ns: Rc<Vec<Cell<u64>>> = Rc::new((0..3).map(|_| Cell::new(0)).collect());
     let m2 = max_ns.clone();
     setup
         .universe()
@@ -1616,7 +1609,7 @@ fn coll_curve_cell(
             for _ in 0..iters {
                 mpi.barrier(&w);
             }
-            m2[0].fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+            m2[0].set(m2[0].get().max((mpi.now() - t0).as_ns()));
             mpi.barrier(&w);
 
             // Broadcast from rank 0.
@@ -1628,7 +1621,7 @@ fn coll_curve_cell(
             for _ in 0..iters {
                 mpi.bcast(&w, 0, &buf, payload);
             }
-            m2[1].fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+            m2[1].set(m2[1].get().max((mpi.now() - t0).as_ns()));
             mpi.barrier(&w);
 
             // Allreduce (commutative sum, NIC-combinable).
@@ -1640,9 +1633,9 @@ fn coll_curve_cell(
             for _ in 0..iters {
                 mpi.allreduce(&w, openmpi_core::ReduceOp::SumU64, &buf, payload);
             }
-            m2[2].fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+            m2[2].set(m2[2].get().max((mpi.now() - t0).as_ns()));
         });
-    let cell = |i: usize| max_ns[i].load(Ordering::SeqCst) as f64 / iters as f64 / 1_000.0;
+    let cell = |i: usize| max_ns[i].get() as f64 / iters as f64 / 1_000.0;
     [cell(0), cell(1), cell(2)]
 }
 
@@ -1679,7 +1672,7 @@ pub fn coll_curve(
 /// MPICH-QsNet ping-pong latency in µs.
 pub fn mpich_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -> f64 {
     let cluster = Cluster::new(nic.clone(), fabric.clone());
-    let lat = Arc::new(AtomicU64::new(0));
+    let lat = Rc::new(Cell::new(0));
     let l2 = lat.clone();
     run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
         let sbuf = r.alloc(len.max(1));
@@ -1703,13 +1696,10 @@ pub fn mpich_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -> f64 
             round();
         }
         if r.rank() == 0 {
-            l2.store(
-                (r.now() - t0).as_ns() / (2 * ITERS as u64),
-                Ordering::SeqCst,
-            );
+            l2.set((r.now() - t0).as_ns() / (2 * ITERS as u64));
         }
     });
-    lat.load(Ordering::SeqCst) as f64 / 1_000.0
+    lat.get() as f64 / 1_000.0
 }
 
 /// MPICH-QsNet streaming bandwidth in MB/s.
@@ -1721,7 +1711,7 @@ pub fn mpich_bandwidth(
     reps: usize,
 ) -> f64 {
     let cluster = Cluster::new(nic.clone(), fabric.clone());
-    let bw = Arc::new(Mutex::new(0.0f64));
+    let bw = Rc::new(Local::new(0.0f64));
     let b2 = bw.clone();
     run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
         let bufs: Vec<_> = (0..window).map(|_| r.alloc(len.max(1))).collect();
@@ -1758,9 +1748,9 @@ pub fn qdma_native_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -
     assert!(len <= 2048);
     let cluster = Cluster::new(nic.clone(), fabric.clone());
     let sim = Simulation::new();
-    let lat = Arc::new(AtomicU64::new(0));
-    let a = Arc::new(ElanCtx::attach(&cluster, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cluster, 1).unwrap());
+    let lat = Rc::new(Cell::new(0));
+    let a = Rc::new(ElanCtx::attach(&cluster, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cluster, 1).unwrap());
     let (va, vb) = (a.vpid(), b.vpid());
     let iters = ITERS;
     {
@@ -1777,10 +1767,7 @@ pub fn qdma_native_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -
                 a.qdma(&p, 0, vb, elan4::QueueId(0), vec![1u8; len.max(1)], None);
                 let _ = q.wait_pop(&p, &sig, a.cluster().cfg().poll_check).unwrap();
             }
-            lat.store(
-                (p.now() - t0).as_ns() / (2 * iters as u64),
-                Ordering::SeqCst,
-            );
+            lat.set((p.now() - t0).as_ns() / (2 * iters as u64));
         });
     }
     {
@@ -1795,12 +1782,12 @@ pub fn qdma_native_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -
         });
     }
     sim.run().unwrap();
-    lat.load(Ordering::SeqCst) as f64 / 1_000.0
+    lat.get() as f64 / 1_000.0
 }
 
 /// Latency decomposition for §6.3: `(total, pml_cost, ptl_latency)` in µs.
 pub fn layer_decomposition(setup: &Setup, len: usize) -> (f64, f64, f64) {
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let out = Rc::new(Local::new((0.0f64, 0.0f64)));
     let o2 = out.clone();
     setup
         .universe()

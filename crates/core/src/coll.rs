@@ -5,7 +5,7 @@
 //! All collective traffic flows on the communicator's collective context so
 //! it can never match application receives.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use elan4::{EventId, NicReduce, QdmaSpec, Vpid};
 
@@ -738,7 +738,7 @@ impl Mpi {
         kind: NicCollKind,
         op: Option<NicReduce>,
         root: usize,
-    ) -> Arc<NicProgram> {
+    ) -> Rc<NicProgram> {
         let ep = self.endpoint();
         let radix = ep.tunables.coll_tree_radix();
         let key = ProgKey {
@@ -775,7 +775,7 @@ impl Mpi {
         op: Option<NicReduce>,
         radix: usize,
         root: usize,
-    ) -> Arc<NicProgram> {
+    ) -> Rc<NicProgram> {
         let ep = self.endpoint();
         let n = c.size();
         let me = c.rank();
@@ -887,7 +887,7 @@ impl Mpi {
                 members: n,
             },
         );
-        Arc::new(NicProgram {
+        Rc::new(NicProgram {
             prog_id,
             up,
             down,

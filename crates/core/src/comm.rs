@@ -2,7 +2,7 @@
 //! ids (one for point-to-point traffic, one for collectives, mirroring how
 //! real MPI keeps collective traffic from matching user receives).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ompi_rte::ProcName;
 use qsim::Proc;
@@ -19,7 +19,7 @@ pub struct Communicator {
     pub coll_ctx: u32,
     /// Member processes, in rank order; shared by every handle onto this
     /// communicator and its collective plane.
-    pub group: Arc<[ProcName]>,
+    pub group: Rc<[ProcName]>,
     /// This process's rank within `group`.
     pub my_rank: usize,
     /// True only for groups created synchronously at job launch: such
@@ -55,7 +55,7 @@ impl Communicator {
 
 /// Register `comm` with this endpoint's matching engine and re-dispatch any
 /// frames that arrived for its contexts before registration.
-pub fn register_comm(proc: &Proc, ep: &Arc<Endpoint>, comm: &Communicator) {
+pub fn register_comm(proc: &Proc, ep: &Rc<Endpoint>, comm: &Communicator) {
     let early = {
         let mut st = ep.state.lock();
         for ctx in [comm.ctx, comm.coll_ctx] {

@@ -33,9 +33,7 @@
 //! low overlap on a congested run means the time was queueing, not moving
 //! bytes.
 
-use std::collections::HashMap;
-
-use qsim::Time;
+use qsim::{FastMap, Time};
 
 use crate::trace::{TraceEvent, TraceLog};
 
@@ -208,7 +206,7 @@ fn overlap(lo: u64, hi: u64, windows: &[(u64, u64)]) -> u64 {
 }
 
 /// Decompose one message's merged events into named stages.
-fn decompose(gid: u64, m: &MsgEvents, ej_busy: &HashMap<u32, Vec<(u64, u64)>>) -> Option<MsgPath> {
+fn decompose(gid: u64, m: &MsgEvents, ej_busy: &FastMap<u32, Vec<(u64, u64)>>) -> Option<MsgPath> {
     let mut t0 = None;
     let (mut sender, mut receiver) = (0u32, 0u32);
     let (mut len, mut eager, mut coll) = (0usize, false, 0u64);
@@ -344,9 +342,9 @@ fn bucket_of(len: usize) -> (usize, usize) {
 /// windows (see `Fabric::record_intervals`); pass an empty slice to skip
 /// the queueing cross-check.
 pub fn analyze(logs: &[(u32, &TraceLog)], ej_busy: &[(u32, Vec<(u64, u64)>)]) -> CritPathReport {
-    let ej: HashMap<u32, Vec<(u64, u64)>> = ej_busy.iter().cloned().collect();
+    let ej: FastMap<u32, Vec<(u64, u64)>> = ej_busy.iter().cloned().collect();
     // Bin every gid-carrying event; registration windows attach by gid too.
-    let mut by_gid: HashMap<u64, MsgEvents> = HashMap::new();
+    let mut by_gid: FastMap<u64, MsgEvents> = FastMap::default();
     for (rank, log) in logs {
         for (t, ev) in log.events() {
             let gid = match ev {
@@ -414,7 +412,7 @@ pub fn analyze(logs: &[(u32, &TraceLog)], ej_busy: &[(u32, Vec<(u64, u64)>)]) ->
 /// Convenience for tests and tools: analyze one in-memory event stream
 /// shaped as `(rank, time, event)` rows.
 pub fn analyze_events(events: &[(u32, Time, TraceEvent)]) -> CritPathReport {
-    let mut per_rank: HashMap<u32, TraceLog> = HashMap::new();
+    let mut per_rank: FastMap<u32, TraceLog> = FastMap::default();
     for (rank, t, ev) in events {
         per_rank
             .entry(*rank)
@@ -696,7 +694,7 @@ mod tests {
     #[test]
     fn queue_overlap_prices_wire_time_against_ej_busy_windows() {
         let events = rndv_stream();
-        let mut per_rank: HashMap<u32, TraceLog> = HashMap::new();
+        let mut per_rank: FastMap<u32, TraceLog> = FastMap::default();
         for (rank, t, ev) in &events {
             per_rank
                 .entry(*rank)

@@ -3,18 +3,17 @@
 //!
 //! A rank's endpoint owns its Elan4 context (claimed dynamically from the
 //! capability — paper §4.1/§5), its receive queue(s), an optional TCP inbox,
-//! and the lock-guarded [`EpState`]. Progress is driven either by the
-//! application thread (polling / interrupt modes) or by one or two
-//! asynchronous progress threads over the shared completion queue
+//! and its [`EpState`], in a [`qsim::Local`] cell. Progress is driven
+//! either by the application thread (polling / interrupt modes) or by one
+//! or two asynchronous progress threads over the shared completion queue
 //! (paper §4.3).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use elan4::{Cluster, ElanCtx, HostBuf, RxQueue};
 use ompi_rte::{ProcName, Rte};
-use qsim::Mutex;
-use qsim::{Dur, Proc, Signal, Time, TimedWait, Wait};
+use qsim::{Dur, Local, Proc, Signal, Time, TimedWait, Wait};
 
 use crate::config::{CompletionMode, ProgressMode, StackConfig};
 use crate::peer::{ElanPeer, PeerInfo, TcpPeer};
@@ -63,62 +62,61 @@ pub struct Endpoint {
     /// Activated transports.
     pub transports: Transports,
     /// The simulated machine.
-    pub cluster: Arc<Cluster>,
+    pub cluster: Rc<Cluster>,
     /// The runtime environment.
-    pub rte: Arc<Rte>,
+    pub rte: Rc<Rte>,
     /// This rank's Elan4 context (claimed dynamically at init).
-    pub ectx: Arc<ElanCtx>,
+    pub ectx: Rc<ElanCtx>,
     /// Main QDMA receive queue (when the Elan PTL is active).
-    pub main_q: Option<Arc<RxQueue>>,
+    pub main_q: Option<Rc<RxQueue>>,
     /// Separate shared-completion queue (two-queue strategy).
-    pub comp_q: Option<Arc<RxQueue>>,
+    pub comp_q: Option<Rc<RxQueue>>,
     /// The Ethernet, when the TCP PTL is active.
-    pub tcp_net: Option<Arc<TcpNet>>,
+    pub tcp_net: Option<Rc<TcpNet>>,
     /// Incoming TCP frames.
-    pub tcp_inbox: Option<Arc<TcpInbox>>,
+    pub tcp_inbox: Option<Rc<TcpInbox>>,
     /// PML state (requests, matching, peers).
-    pub state: Mutex<EpState>,
+    pub state: Local<EpState>,
     /// Component lifecycle registry (paper §2.2's five stages).
-    pub ptls: Mutex<PtlRegistry>,
+    pub ptls: Local<PtlRegistry>,
     /// The progress driver's wakeup signal (polling/interrupt modes).
-    pub doorbell: Mutex<Option<Signal>>,
+    pub doorbell: Local<Option<Signal>>,
     /// §6.3 layer-cost instrumentation.
-    pub instr: Mutex<Instr>,
+    pub instr: Local<Instr>,
     /// Protocol event trace (populated when `cfg.trace` is set).
-    pub trace: Mutex<crate::trace::TraceLog>,
+    pub trace: Local<crate::trace::TraceLog>,
     /// Always-on post-mortem flight recorder (gated on the runtime-writable
     /// `flight.enable` cvar, on by default). Leaf lock: may be taken while
     /// holding any other endpoint lock.
-    pub flight: Mutex<crate::flight::FlightRecorder>,
+    pub flight: Local<crate::flight::FlightRecorder>,
     /// Telemetry counters + histograms (populated when `cfg.metrics` is set).
-    pub metrics: Mutex<crate::metrics::Metrics>,
+    pub metrics: Local<crate::metrics::Metrics>,
     /// Registration (pin-down) cache for rendezvous/RMA MMU mappings. Its
     /// lock is never held across a map/unmap (both advance virtual time).
-    pub reg: Mutex<crate::regcache::RegCache>,
+    pub reg: Local<crate::regcache::RegCache>,
     /// Runtime-writable knobs behind the cvar registry; the hot path reads
     /// these instead of the frozen [`StackConfig`] copies.
     pub tunables: crate::introspect::Tunables,
     /// Watchdog bookkeeping and recorded stall diagnostics. May be locked
     /// while holding the state lock, never the reverse.
-    pub introspect: Mutex<crate::introspect::IntrospectState>,
+    pub introspect: Local<crate::introspect::IntrospectState>,
     /// Periodic time-series snapshots of queue depths / link occupancy
     /// (gated on the `timeline.interval_ns` cvar). Leaf lock.
-    pub timeline: Mutex<crate::introspect::Timeline>,
+    pub timeline: Local<crate::introspect::Timeline>,
     /// Collective-operation ids: `coll_seq` allocates, `coll_depth` tracks
     /// nesting (bcast inside allreduce keeps the outer id), and `cur_coll`
     /// is the id point-to-point sends stamp on their trace events (0 when
     /// outside any collective).
-    pub coll_seq: AtomicU64,
+    pub coll_seq: Cell<u64>,
     /// Nesting depth of in-progress collectives on this rank.
-    pub coll_depth: AtomicU64,
+    pub coll_depth: Cell<u64>,
     /// Id of the outermost in-progress collective (0 = none).
-    pub cur_coll_id: AtomicU64,
+    pub cur_coll_id: Cell<u64>,
     /// Compiled NIC-resident collective event programs, keyed by
     /// communicator + shape and reused across calls ([`crate::coll`]).
     /// Lives on the endpoint (not the communicator) because communicator
     /// handles are cloned per call. Leaf lock, never held across waits.
-    pub nic_progs:
-        Mutex<std::collections::HashMap<crate::coll::ProgKey, Arc<crate::coll::NicProgram>>>,
+    pub nic_progs: Local<qsim::FastMap<crate::coll::ProgKey, Rc<crate::coll::NicProgram>>>,
     /// This rank's published addressing.
     pub my_info: PeerInfo,
 }
@@ -133,10 +131,10 @@ impl Endpoint {
         node: usize,
         cfg: StackConfig,
         transports: Transports,
-        cluster: Arc<Cluster>,
-        rte: Arc<Rte>,
-        tcp_net: Option<Arc<TcpNet>>,
-    ) -> Arc<Endpoint> {
+        cluster: Rc<Cluster>,
+        rte: Rc<Rte>,
+        tcp_net: Option<Rc<TcpNet>>,
+    ) -> Rc<Endpoint> {
         cfg.validate();
         assert!(
             transports.elan_rails <= cluster.rails(),
@@ -144,14 +142,14 @@ impl Endpoint {
         );
         // Dynamic join: claim an Elan4 context whenever this process starts.
         let ectx =
-            Arc::new(ElanCtx::attach(&cluster, node).expect("Elan4 capability exhausted on node"));
+            Rc::new(ElanCtx::attach(&cluster, node).expect("Elan4 capability exhausted on node"));
 
         let (main_q, comp_q) = if transports.elan_rails > 0 {
-            let main = Arc::new(ectx.create_queue(cfg.qslots, crate::hdr::SLOT_LEN));
+            let main = Rc::new(ectx.create_queue(cfg.qslots, crate::hdr::SLOT_LEN));
             let comp = match cfg.completion {
-                CompletionMode::SharedQueueSeparate => Some(Arc::new(
-                    ectx.create_queue(cfg.qslots, crate::hdr::SLOT_LEN),
-                )),
+                CompletionMode::SharedQueueSeparate => {
+                    Some(Rc::new(ectx.create_queue(cfg.qslots, crate::hdr::SLOT_LEN)))
+                }
                 _ => None,
             };
             (Some(main), comp)
@@ -243,7 +241,7 @@ impl Endpoint {
             cfg.reg_cache_bytes,
             cfg.reg_cache_entries,
         );
-        Arc::new(Endpoint {
+        Rc::new(Endpoint {
             name,
             node,
             cfg,
@@ -255,32 +253,32 @@ impl Endpoint {
             comp_q,
             tcp_net,
             tcp_inbox,
-            state: Mutex::new(state),
-            ptls: Mutex::new(ptls),
-            doorbell: Mutex::new(None),
-            instr: Mutex::new(Instr::default()),
-            trace: Mutex::new(crate::trace::TraceLog::with_capacity(trace_capacity)),
-            flight: Mutex::new(crate::flight::FlightRecorder::with_capacity(
+            state: Local::new(state),
+            ptls: Local::new(ptls),
+            doorbell: Local::new(None),
+            instr: Local::new(Instr::default()),
+            trace: Local::new(crate::trace::TraceLog::with_capacity(trace_capacity)),
+            flight: Local::new(crate::flight::FlightRecorder::with_capacity(
                 flight_capacity,
             )),
-            metrics: Mutex::new(crate::metrics::Metrics::default()),
-            reg: Mutex::new(reg),
+            metrics: Local::new(crate::metrics::Metrics::default()),
+            reg: Local::new(reg),
             tunables,
-            introspect: Mutex::new(crate::introspect::IntrospectState::default()),
-            timeline: Mutex::new(crate::introspect::Timeline::with_capacity(
+            introspect: Local::new(crate::introspect::IntrospectState::default()),
+            timeline: Local::new(crate::introspect::Timeline::with_capacity(
                 timeline_capacity,
             )),
-            coll_seq: AtomicU64::new(0),
-            coll_depth: AtomicU64::new(0),
-            cur_coll_id: AtomicU64::new(0),
-            nic_progs: Mutex::new(std::collections::HashMap::new()),
+            coll_seq: Cell::new(0),
+            coll_depth: Cell::new(0),
+            cur_coll_id: Cell::new(0),
+            nic_progs: Local::new(qsim::FastMap::default()),
             my_info,
         })
     }
 
     /// Install progress machinery for the configured mode. Must be called by
     /// the rank's own process before any communication.
-    pub fn start_progress(self: &Arc<Self>, proc: &Proc) {
+    pub fn start_progress(self: &Rc<Self>, proc: &Proc) {
         match self.cfg.progress {
             ProgressMode::Polling | ProgressMode::Interrupt => {
                 let bell = proc.signal();
@@ -393,7 +391,7 @@ impl Endpoint {
     }
 
     /// A bounded wait expired: service the timers that bounded it.
-    fn timers_tick(self: &Arc<Self>, proc: &Proc) {
+    fn timers_tick(self: &Rc<Self>, proc: &Proc) {
         crate::introspect::watchdog_tick(proc, self);
         crate::introspect::timeline_tick(proc, self);
         proto::reliability_tick(proc, self);
@@ -401,7 +399,7 @@ impl Endpoint {
 
     /// Drive progress until `done()` (checked under the state lock) returns
     /// true. Used by request waits, barriers, and finalize.
-    pub fn wait_until(self: &Arc<Self>, proc: &Proc, mut done: impl FnMut(&mut EpState) -> bool) {
+    pub fn wait_until(self: &Rc<Self>, proc: &Proc, mut done: impl FnMut(&mut EpState) -> bool) {
         match self.cfg.progress {
             ProgressMode::Polling | ProgressMode::Interrupt => {
                 let bell = self.doorbell().expect("progress not started");
@@ -508,9 +506,12 @@ impl Endpoint {
     /// nesting level (returned for the span), keeps the enclosing id for
     /// nested collectives (e.g. the bcast inside an allreduce).
     pub fn coll_enter(&self) -> Option<u64> {
-        if self.coll_depth.fetch_add(1, Ordering::Relaxed) == 0 {
-            let cid = self.coll_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            self.cur_coll_id.store(cid, Ordering::Relaxed);
+        let depth = self.coll_depth.get();
+        self.coll_depth.set(depth + 1);
+        if depth == 0 {
+            let cid = self.coll_seq.get() + 1;
+            self.coll_seq.set(cid);
+            self.cur_coll_id.set(cid);
             Some(cid)
         } else {
             None
@@ -519,15 +520,17 @@ impl Endpoint {
 
     /// Leave a collective; clears the current id at the outermost level.
     pub fn coll_exit(&self) {
-        if self.coll_depth.fetch_sub(1, Ordering::Relaxed) == 1 {
-            self.cur_coll_id.store(0, Ordering::Relaxed);
+        let depth = self.coll_depth.get() - 1;
+        self.coll_depth.set(depth);
+        if depth == 0 {
+            self.cur_coll_id.set(0);
         }
     }
 
     /// Id of the collective currently in progress on this rank (0 = none);
     /// stamped on `SendPosted` trace events for fan-in/fan-out attribution.
     pub fn cur_coll(&self) -> u64 {
-        self.cur_coll_id.load(Ordering::Relaxed)
+        self.cur_coll_id.get()
     }
 
     /// Update telemetry (no-op unless the runtime-writable
@@ -603,7 +606,7 @@ impl Endpoint {
     /// Tear the endpoint down: drain pending traffic, synchronize, release
     /// the context (paper §4.1: finalize only after pending messages are
     /// drained synchronously so no leftover DMA can regenerate traffic).
-    pub fn finalize(self: &Arc<Self>, proc: &Proc) {
+    pub fn finalize(self: &Rc<Self>, proc: &Proc) {
         self.wait_until(proc, |st| {
             st.finalizing = true;
             // Drain the retransmit buffer too: a peer blocked on a lost
@@ -667,7 +670,7 @@ enum QueueSel {
 
 /// Body of an asynchronous progress thread: block on the queue's interrupt,
 /// drain it, dispatch frames, wake any waiting application threads.
-fn progress_thread(proc: &Proc, ep: &Arc<Endpoint>, sel: QueueSel) {
+fn progress_thread(proc: &Proc, ep: &Rc<Endpoint>, sel: QueueSel) {
     let q = match sel {
         QueueSel::Main => ep.main_q.clone(),
         QueueSel::Completion => ep.comp_q.clone(),

@@ -20,11 +20,10 @@
 //!   and raises a structured [`StallDiagnostic`] naming the protocol phase
 //!   each stuck request is wedged in.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
-use qsim::{Proc, Time};
+use qsim::{FastMap, Proc, Time};
 
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
 use crate::endpoint::Endpoint;
@@ -35,128 +34,128 @@ use crate::state::DmaRole;
 // ---------------------------------------------------------------------------
 
 /// Runtime-writable stack knobs, initialized from [`StackConfig`] and read
-/// by the hot path instead of the frozen config copy. Plain atomics: the
-/// simulation runs one process at a time, so `Relaxed` suffices.
+/// by the hot path instead of the frozen config copy. Plain cells: a
+/// simulation runs its processes one at a time on one thread.
 pub struct Tunables {
-    eager_limit: AtomicUsize,
-    metrics: AtomicBool,
-    trace: AtomicBool,
-    flight_enable: AtomicBool,
-    watchdog_interval: AtomicU64,
-    watchdog_grace: AtomicU64,
-    retransmit_timeout_ns: AtomicU64,
-    retransmit_backoff: AtomicU64,
-    retransmit_max_retries: AtomicU64,
-    pipeline_enable: AtomicBool,
-    pipeline_chunk: AtomicUsize,
-    pipeline_depth: AtomicUsize,
-    pipeline_min_len: AtomicUsize,
-    flow_enable: AtomicBool,
+    eager_limit: Cell<usize>,
+    metrics: Cell<bool>,
+    trace: Cell<bool>,
+    flight_enable: Cell<bool>,
+    watchdog_interval: Cell<u64>,
+    watchdog_grace: Cell<u64>,
+    retransmit_timeout_ns: Cell<u64>,
+    retransmit_backoff: Cell<u64>,
+    retransmit_max_retries: Cell<u64>,
+    pipeline_enable: Cell<bool>,
+    pipeline_chunk: Cell<usize>,
+    pipeline_depth: Cell<usize>,
+    pipeline_min_len: Cell<usize>,
+    flow_enable: Cell<bool>,
     /// Per-peer eager credit window. Seeded from config; a configured 0
     /// (auto-scale) is resolved against the job size at endpoint init.
-    flow_credits: AtomicUsize,
-    flow_dma_cap: AtomicUsize,
-    coll_nic_offload: AtomicBool,
-    coll_tree_radix: AtomicUsize,
-    coll_hw_bcast: AtomicBool,
-    timeline_interval_ns: AtomicU64,
+    flow_credits: Cell<usize>,
+    flow_dma_cap: Cell<usize>,
+    coll_nic_offload: Cell<bool>,
+    coll_tree_radix: Cell<usize>,
+    coll_hw_bcast: Cell<bool>,
+    timeline_interval_ns: Cell<u64>,
     /// Virtual time of the last timeline sample; `u64::MAX` = never sampled,
     /// so the first due check fires immediately once sampling is enabled.
-    timeline_last_ns: AtomicU64,
+    timeline_last_ns: Cell<u64>,
     /// Progress ticks seen (progress passes + watchdog-timeout expiries).
     /// Lives here rather than in `Metrics` so the watchdog works with
     /// telemetry off.
-    ticks: AtomicU64,
+    ticks: Cell<u64>,
 }
 
 impl Tunables {
     /// Seed the writable knobs from a validated config.
     pub fn from_config(cfg: &StackConfig) -> Self {
         Tunables {
-            eager_limit: AtomicUsize::new(cfg.eager_limit),
-            metrics: AtomicBool::new(cfg.metrics),
-            trace: AtomicBool::new(cfg.trace),
-            flight_enable: AtomicBool::new(cfg.flight_recorder),
-            watchdog_interval: AtomicU64::new(cfg.watchdog_interval),
-            watchdog_grace: AtomicU64::new(cfg.watchdog_grace as u64),
-            retransmit_timeout_ns: AtomicU64::new(cfg.tcp_retransmit_timeout.as_ns()),
-            retransmit_backoff: AtomicU64::new(cfg.tcp_retransmit_backoff as u64),
-            retransmit_max_retries: AtomicU64::new(cfg.tcp_max_retries as u64),
-            pipeline_enable: AtomicBool::new(cfg.pipeline_enable),
-            pipeline_chunk: AtomicUsize::new(cfg.pipeline_chunk),
-            pipeline_depth: AtomicUsize::new(cfg.pipeline_depth),
-            pipeline_min_len: AtomicUsize::new(cfg.pipeline_min_len),
-            flow_enable: AtomicBool::new(cfg.flow_enable),
-            flow_credits: AtomicUsize::new(cfg.flow_credits),
-            flow_dma_cap: AtomicUsize::new(cfg.flow_dma_cap),
-            coll_nic_offload: AtomicBool::new(cfg.coll_nic_offload),
-            coll_tree_radix: AtomicUsize::new(cfg.coll_tree_radix),
-            coll_hw_bcast: AtomicBool::new(cfg.coll_hw_bcast),
-            timeline_interval_ns: AtomicU64::new(cfg.timeline_interval.as_ns()),
-            timeline_last_ns: AtomicU64::new(u64::MAX),
-            ticks: AtomicU64::new(0),
+            eager_limit: Cell::new(cfg.eager_limit),
+            metrics: Cell::new(cfg.metrics),
+            trace: Cell::new(cfg.trace),
+            flight_enable: Cell::new(cfg.flight_recorder),
+            watchdog_interval: Cell::new(cfg.watchdog_interval),
+            watchdog_grace: Cell::new(cfg.watchdog_grace as u64),
+            retransmit_timeout_ns: Cell::new(cfg.tcp_retransmit_timeout.as_ns()),
+            retransmit_backoff: Cell::new(cfg.tcp_retransmit_backoff as u64),
+            retransmit_max_retries: Cell::new(cfg.tcp_max_retries as u64),
+            pipeline_enable: Cell::new(cfg.pipeline_enable),
+            pipeline_chunk: Cell::new(cfg.pipeline_chunk),
+            pipeline_depth: Cell::new(cfg.pipeline_depth),
+            pipeline_min_len: Cell::new(cfg.pipeline_min_len),
+            flow_enable: Cell::new(cfg.flow_enable),
+            flow_credits: Cell::new(cfg.flow_credits),
+            flow_dma_cap: Cell::new(cfg.flow_dma_cap),
+            coll_nic_offload: Cell::new(cfg.coll_nic_offload),
+            coll_tree_radix: Cell::new(cfg.coll_tree_radix),
+            coll_hw_bcast: Cell::new(cfg.coll_hw_bcast),
+            timeline_interval_ns: Cell::new(cfg.timeline_interval.as_ns()),
+            timeline_last_ns: Cell::new(u64::MAX),
+            ticks: Cell::new(0),
         }
     }
 
     /// Is the pipelined chunked-RDMA rendezvous enabled right now?
     pub fn pipeline_enable(&self) -> bool {
-        self.pipeline_enable.load(Ordering::Relaxed)
+        self.pipeline_enable.get()
     }
 
     /// Pipeline chunk size in bytes (clamped to >= 1).
     pub fn pipeline_chunk(&self) -> usize {
-        self.pipeline_chunk.load(Ordering::Relaxed).max(1)
+        self.pipeline_chunk.get().max(1)
     }
 
     /// Chunks allowed in flight per rail (clamped to >= 1).
     pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth.load(Ordering::Relaxed).max(1)
+        self.pipeline_depth.get().max(1)
     }
 
     /// Elan shares below this stay on the monolithic single-RDMA path.
     pub fn pipeline_min_len(&self) -> usize {
-        self.pipeline_min_len.load(Ordering::Relaxed)
+        self.pipeline_min_len.get()
     }
 
     /// Is end-to-end injection flow control enabled right now?
     pub fn flow_enable(&self) -> bool {
-        self.flow_enable.load(Ordering::Relaxed)
+        self.flow_enable.get()
     }
 
     /// Per-peer eager credit window (resolved; never 0 once the endpoint
     /// has initialized with flow control on).
     pub fn flow_credits(&self) -> usize {
-        self.flow_credits.load(Ordering::Relaxed)
+        self.flow_credits.get()
     }
 
     /// Resolve the auto-scaled credit window at endpoint init.
     pub(crate) fn set_flow_credits(&self, v: usize) {
-        self.flow_credits.store(v, Ordering::Relaxed);
+        self.flow_credits.set(v);
     }
 
     /// Endpoint-wide outstanding-DMA descriptor cap; 0 = uncapped.
     pub fn flow_dma_cap(&self) -> usize {
-        self.flow_dma_cap.load(Ordering::Relaxed)
+        self.flow_dma_cap.get()
     }
 
     /// Are NIC-offloaded chained-event collectives enabled right now?
     pub fn coll_nic_offload(&self) -> bool {
-        self.coll_nic_offload.load(Ordering::Relaxed)
+        self.coll_nic_offload.get()
     }
 
     /// Fan-out of the NIC-offloaded collective tree (clamped to >= 2).
     pub fn coll_tree_radix(&self) -> usize {
-        self.coll_tree_radix.load(Ordering::Relaxed).max(2)
+        self.coll_tree_radix.get().max(2)
     }
 
     /// May eligible broadcasts use the hardware broadcast rail?
     pub fn coll_hw_bcast(&self) -> bool {
-        self.coll_hw_bcast.load(Ordering::Relaxed)
+        self.coll_hw_bcast.get()
     }
 
     /// Virtual-time gap between timeline samples; 0 = sampler off.
     pub fn timeline_interval_ns(&self) -> u64 {
-        self.timeline_interval_ns.load(Ordering::Relaxed)
+        self.timeline_interval_ns.get()
     }
 
     /// Is a timeline sample due at `now_ns`? Updates the last-sample stamp
@@ -166,69 +165,71 @@ impl Tunables {
         if interval == 0 {
             return false;
         }
-        let last = self.timeline_last_ns.load(Ordering::Relaxed);
+        let last = self.timeline_last_ns.get();
         if last != u64::MAX && now_ns.saturating_sub(last) < interval {
             return false;
         }
-        self.timeline_last_ns.store(now_ns, Ordering::Relaxed);
+        self.timeline_last_ns.set(now_ns);
         true
     }
 
     /// Current eager/rendezvous threshold in bytes.
     pub fn eager_limit(&self) -> usize {
-        self.eager_limit.load(Ordering::Relaxed)
+        self.eager_limit.get()
     }
 
     /// Is telemetry (counters + histograms) enabled right now?
     pub fn metrics(&self) -> bool {
-        self.metrics.load(Ordering::Relaxed)
+        self.metrics.get()
     }
 
     /// Is protocol tracing enabled right now?
     pub fn trace(&self) -> bool {
-        self.trace.load(Ordering::Relaxed)
+        self.trace.get()
     }
 
     /// Is the post-mortem flight recorder enabled right now?
     pub fn flight_enable(&self) -> bool {
-        self.flight_enable.load(Ordering::Relaxed)
+        self.flight_enable.get()
     }
 
     /// Progress ticks between watchdog scans; 0 = watchdog off.
     pub fn watchdog_interval(&self) -> u64 {
-        self.watchdog_interval.load(Ordering::Relaxed)
+        self.watchdog_interval.get()
     }
 
     /// Consecutive stale scans before a request is declared stalled.
     pub fn watchdog_grace(&self) -> u64 {
-        self.watchdog_grace.load(Ordering::Relaxed).max(1)
+        self.watchdog_grace.get().max(1)
     }
 
     /// Initial retransmit timeout for an unacknowledged control frame.
     pub fn retransmit_timeout(&self) -> qsim::Dur {
-        qsim::Dur::from_ns(self.retransmit_timeout_ns.load(Ordering::Relaxed))
+        qsim::Dur::from_ns(self.retransmit_timeout_ns.get())
     }
 
     /// Multiplier applied to the timeout after each retry (exponential
     /// backoff); clamped to >= 1.
     pub fn retransmit_backoff(&self) -> u32 {
-        self.retransmit_backoff.load(Ordering::Relaxed).max(1) as u32
+        self.retransmit_backoff.get().max(1) as u32
     }
 
     /// Retransmissions attempted before the frame is abandoned and the peer
     /// declared failed.
     pub fn retransmit_max_retries(&self) -> u32 {
-        self.retransmit_max_retries.load(Ordering::Relaxed) as u32
+        self.retransmit_max_retries.get() as u32
     }
 
     /// Count one progress tick; returns the new total.
     pub fn next_tick(&self) -> u64 {
-        self.ticks.fetch_add(1, Ordering::Relaxed) + 1
+        let tick = self.ticks.get() + 1;
+        self.ticks.set(tick);
+        tick
     }
 
     /// Progress ticks counted so far.
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
+        self.ticks.get()
     }
 }
 
@@ -537,52 +538,48 @@ pub fn cvar_write(ep: &Endpoint, name: &str, value: CvarValue) -> Result<(), Str
                     crate::hdr::MAX_INLINE
                 ));
             }
-            ep.tunables.eager_limit.store(v as usize, Ordering::Relaxed);
+            ep.tunables.eager_limit.set(v as usize);
             Ok(())
         }
         ("telemetry.metrics", CvarValue::Bool(b)) => {
-            ep.tunables.metrics.store(b, Ordering::Relaxed);
+            ep.tunables.metrics.set(b);
             Ok(())
         }
         ("telemetry.trace", CvarValue::Bool(b)) => {
-            ep.tunables.trace.store(b, Ordering::Relaxed);
+            ep.tunables.trace.set(b);
             Ok(())
         }
         ("flight.enable", CvarValue::Bool(b)) => {
-            ep.tunables.flight_enable.store(b, Ordering::Relaxed);
+            ep.tunables.flight_enable.set(b);
             Ok(())
         }
         ("watchdog.interval", CvarValue::U64(v)) => {
-            ep.tunables.watchdog_interval.store(v, Ordering::Relaxed);
+            ep.tunables.watchdog_interval.set(v);
             Ok(())
         }
         ("watchdog.grace", CvarValue::U64(v)) => {
             if v == 0 {
                 return Err("watchdog.grace must be >= 1".to_string());
             }
-            ep.tunables.watchdog_grace.store(v, Ordering::Relaxed);
+            ep.tunables.watchdog_grace.set(v);
             Ok(())
         }
         ("tcp.retransmit_timeout_ns", CvarValue::U64(v)) => {
             if v == 0 {
                 return Err("tcp.retransmit_timeout_ns must be > 0".to_string());
             }
-            ep.tunables
-                .retransmit_timeout_ns
-                .store(v, Ordering::Relaxed);
+            ep.tunables.retransmit_timeout_ns.set(v);
             Ok(())
         }
         ("tcp.retransmit_backoff", CvarValue::U64(v)) => {
             if v == 0 {
                 return Err("tcp.retransmit_backoff must be >= 1".to_string());
             }
-            ep.tunables.retransmit_backoff.store(v, Ordering::Relaxed);
+            ep.tunables.retransmit_backoff.set(v);
             Ok(())
         }
         ("tcp.max_retries", CvarValue::U64(v)) => {
-            ep.tunables
-                .retransmit_max_retries
-                .store(v, Ordering::Relaxed);
+            ep.tunables.retransmit_max_retries.set(v);
             Ok(())
         }
         ("reg.cache", CvarValue::Bool(b)) => {
@@ -606,35 +603,29 @@ pub fn cvar_write(ep: &Endpoint, name: &str, value: CvarValue) -> Result<(), Str
             Ok(())
         }
         ("pipe.enable", CvarValue::Bool(b)) => {
-            ep.tunables.pipeline_enable.store(b, Ordering::Relaxed);
+            ep.tunables.pipeline_enable.set(b);
             Ok(())
         }
         ("pipe.chunk", CvarValue::U64(v)) => {
             if v == 0 {
                 return Err("pipe.chunk must be > 0".to_string());
             }
-            ep.tunables
-                .pipeline_chunk
-                .store(v as usize, Ordering::Relaxed);
+            ep.tunables.pipeline_chunk.set(v as usize);
             Ok(())
         }
         ("pipe.depth", CvarValue::U64(v)) => {
             if v == 0 {
                 return Err("pipe.depth must be >= 1".to_string());
             }
-            ep.tunables
-                .pipeline_depth
-                .store(v as usize, Ordering::Relaxed);
+            ep.tunables.pipeline_depth.set(v as usize);
             Ok(())
         }
         ("pipe.min_len", CvarValue::U64(v)) => {
-            ep.tunables
-                .pipeline_min_len
-                .store(v as usize, Ordering::Relaxed);
+            ep.tunables.pipeline_min_len.set(v as usize);
             Ok(())
         }
         ("flow.enable", CvarValue::Bool(b)) => {
-            ep.tunables.flow_enable.store(b, Ordering::Relaxed);
+            ep.tunables.flow_enable.set(b);
             Ok(())
         }
         ("flow.credits", CvarValue::U64(v)) => {
@@ -647,39 +638,33 @@ pub fn cvar_write(ep: &Endpoint, name: &str, value: CvarValue) -> Result<(), Str
                     ep.cfg.flow_bounce_pool
                 ));
             }
-            ep.tunables
-                .flow_credits
-                .store(v as usize, Ordering::Relaxed);
+            ep.tunables.flow_credits.set(v as usize);
             Ok(())
         }
         ("flow.dma_cap", CvarValue::U64(v)) => {
-            ep.tunables
-                .flow_dma_cap
-                .store(v as usize, Ordering::Relaxed);
+            ep.tunables.flow_dma_cap.set(v as usize);
             Ok(())
         }
         ("coll.nic_offload", CvarValue::Bool(b)) => {
             // Armed programs are keyed by communicator/shape, so flipping
             // this mid-run only steers *future* collectives; it must still
             // be set uniformly across the job before the next collective.
-            ep.tunables.coll_nic_offload.store(b, Ordering::Relaxed);
+            ep.tunables.coll_nic_offload.set(b);
             Ok(())
         }
         ("coll.tree_radix", CvarValue::U64(v)) => {
             if v < 2 {
                 return Err("coll.tree_radix must be >= 2".to_string());
             }
-            ep.tunables
-                .coll_tree_radix
-                .store(v as usize, Ordering::Relaxed);
+            ep.tunables.coll_tree_radix.set(v as usize);
             Ok(())
         }
         ("coll.hw_bcast", CvarValue::Bool(b)) => {
-            ep.tunables.coll_hw_bcast.store(b, Ordering::Relaxed);
+            ep.tunables.coll_hw_bcast.set(b);
             Ok(())
         }
         ("timeline.interval_ns", CvarValue::U64(v)) => {
-            ep.tunables.timeline_interval_ns.store(v, Ordering::Relaxed);
+            ep.tunables.timeline_interval_ns.set(v);
             Ok(())
         }
         (n, v) => {
@@ -1135,9 +1120,9 @@ impl Timeline {
 
 /// Take a timeline sample if one is due (`timeline.interval_ns` of virtual
 /// time elapsed since the last). Called from every progress pass and timer
-/// tick; a cheap atomic check when sampling is off. Locks: state, then
+/// tick; a cheap cell read when sampling is off. Locks: state, then
 /// fabric, then timeline — each taken and released in turn, none nested.
-pub fn timeline_tick(proc: &Proc, ep: &Arc<Endpoint>) {
+pub fn timeline_tick(proc: &Proc, ep: &Rc<Endpoint>) {
     let now = proc.now();
     if !ep.tunables.timeline_due(now.as_ns()) {
         return;
@@ -1179,7 +1164,7 @@ pub fn timeline_tick(proc: &Proc, ep: &Arc<Endpoint>) {
 #[derive(Default)]
 pub struct IntrospectState {
     /// Per-request `(fingerprint, consecutive stale scans)`.
-    marks: HashMap<u64, (u64, u64)>,
+    marks: FastMap<u64, (u64, u64)>,
     /// Watchdog scans performed.
     pub scans: u64,
     /// Requests ever declared stalled.
@@ -1463,7 +1448,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     }
 
     // Requests no longer live stop being tracked.
-    let live_ids: std::collections::HashSet<u64> = live.iter().map(|(id, _)| *id).collect();
+    let live_ids: qsim::FastSet<u64> = live.iter().map(|(id, _)| *id).collect();
     ins.marks.retain(|id, _| live_ids.contains(id));
 
     let mut stalled: Vec<(u64, u64)> = Vec::new(); // (id, stale scans)
@@ -1628,7 +1613,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
 /// `SimError::ProcPanic` naming the stalled rank.
 ///
 /// No-op when the watchdog is disabled (`watchdog.interval == 0`).
-pub fn watchdog_tick(proc: &Proc, ep: &Arc<Endpoint>) {
+pub fn watchdog_tick(proc: &Proc, ep: &Rc<Endpoint>) {
     let interval = ep.tunables.watchdog_interval();
     if interval == 0 {
         return;

@@ -7,7 +7,7 @@
 //! process management (`spawn`).
 
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use elan4::HostBuf;
 use ompi_datatype::{Convertor, Datatype};
@@ -42,8 +42,8 @@ pub struct Status {
 /// Per-rank MPI handle. Owned by the rank's simulated process.
 pub struct Mpi {
     proc: Proc,
-    ep: Arc<Endpoint>,
-    universe: Arc<Universe>,
+    ep: Rc<Endpoint>,
+    universe: Rc<Universe>,
     world: Communicator,
     parent: RefCell<Option<Option<Communicator>>>,
     finalized: Cell<bool>,
@@ -52,8 +52,8 @@ pub struct Mpi {
 impl Mpi {
     pub(crate) fn new(
         proc: Proc,
-        ep: Arc<Endpoint>,
-        universe: Arc<Universe>,
+        ep: Rc<Endpoint>,
+        universe: Rc<Universe>,
         world: Communicator,
     ) -> Mpi {
         Mpi {
@@ -99,12 +99,12 @@ impl Mpi {
     }
 
     /// The communication endpoint (for stats and instrumentation).
-    pub fn endpoint(&self) -> &Arc<Endpoint> {
+    pub fn endpoint(&self) -> &Rc<Endpoint> {
         &self.ep
     }
 
     /// The shared machine/configuration.
-    pub fn universe(&self) -> &Arc<Universe> {
+    pub fn universe(&self) -> &Rc<Universe> {
         &self.universe
     }
 
@@ -534,7 +534,7 @@ impl Mpi {
             .map(|(r, p)| (p.1, r))
             .collect();
         members.sort_unstable();
-        let group: Arc<[ProcName]> = members.iter().map(|(_, r)| comm.group[*r]).collect();
+        let group: Rc<[ProcName]> = members.iter().map(|(_, r)| comm.group[*r]).collect();
         let my_rank = members
             .iter()
             .position(|(_, r)| *r == comm.my_rank)
@@ -578,7 +578,7 @@ impl Mpi {
         &self,
         count: usize,
         nodes: &[usize],
-        entry: impl Fn(Mpi) + Send + Sync + 'static,
+        entry: impl Fn(Mpi) + 'static,
     ) -> Communicator {
         assert_eq!(nodes.len(), count);
         let uni = self.universe.clone();
@@ -612,7 +612,7 @@ impl Mpi {
         };
         register_comm(&self.proc, &self.ep, &inter);
 
-        let entry = Arc::new(entry);
+        let entry = Rc::new(entry);
         let parent_name = self.ep.name;
         for (rank, &node) in nodes.iter().enumerate() {
             let uni = uni.clone();

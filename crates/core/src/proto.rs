@@ -6,7 +6,7 @@
 //! time-consuming call (`advance`, QDMA/RDMA issue). Handlers lock, mutate,
 //! collect work, unlock, then act.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use elan4::{DmaKind, E4Addr, HostBuf, QdmaSpec, Vpid};
 use ompi_datatype::Convertor;
@@ -57,7 +57,7 @@ enum Route {
 /// Post a send of `conv` over `buf` to `(comm, dst_rank, tag)`.
 pub fn post_send(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     comm: &Communicator,
     dst_rank: usize,
     tag: i32,
@@ -74,7 +74,7 @@ pub fn post_send(
 #[allow(clippy::too_many_arguments)]
 pub fn post_send_mode(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     comm: &Communicator,
     dst_rank: usize,
     tag: i32,
@@ -397,7 +397,7 @@ pub fn post_send_mode(
 /// MPI_ANY_TAG.
 pub fn post_recv(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     comm: &Communicator,
     src: Option<u32>,
     tag: Option<i32>,
@@ -467,7 +467,7 @@ pub fn post_recv(
 /// enforces that gate (paper §4.1).
 pub fn post_bcast_eager(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     comm: &Communicator,
     tag: i32,
     data: &[u8],
@@ -517,7 +517,7 @@ pub fn post_bcast_eager(
 // ---------------------------------------------------------------------------
 
 /// Block until `req` completes; reaps the request.
-pub fn wait(proc: &Proc, ep: &Arc<Endpoint>, req: Request) {
+pub fn wait(proc: &Proc, ep: &Rc<Endpoint>, req: Request) {
     ep.wait_until(proc, |st| req_done(st, req));
     let mut st = ep.state.lock();
     match req.kind {
@@ -538,7 +538,7 @@ fn req_done(st: &EpState, req: Request) -> bool {
 }
 
 /// Block until any of `reqs` completes; returns its index and reaps it.
-pub fn waitany(proc: &Proc, ep: &Arc<Endpoint>, reqs: &[Request]) -> usize {
+pub fn waitany(proc: &Proc, ep: &Rc<Endpoint>, reqs: &[Request]) -> usize {
     waitany_result(proc, ep, reqs).0
 }
 
@@ -546,7 +546,7 @@ pub fn waitany(proc: &Proc, ep: &Arc<Endpoint>, reqs: &[Request]) -> usize {
 /// instead of silently dropping it.
 pub fn waitany_result(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     reqs: &[Request],
 ) -> (usize, Option<MpiErrClass>) {
     assert!(!reqs.is_empty());
@@ -576,7 +576,7 @@ fn checksum_cost(len: usize) -> qsim::Dur {
 /// Nonblocking completion check (MPI_Test). Reaps the request when it
 /// reports completion (MPI semantics: a successful test frees the request;
 /// a later `wait` on it is a no-op because missing requests count as done).
-pub fn test(proc: &Proc, ep: &Arc<Endpoint>, req: Request) -> bool {
+pub fn test(proc: &Proc, ep: &Rc<Endpoint>, req: Request) -> bool {
     if matches!(
         ep.cfg.progress,
         ProgressMode::Polling | ProgressMode::Interrupt
@@ -604,7 +604,7 @@ pub fn test(proc: &Proc, ep: &Arc<Endpoint>, req: Request) -> bool {
 
 /// One polling sweep over every incoming channel and pending DMA; returns
 /// true if any work was done.
-pub fn progress_pass(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
+pub fn progress_pass(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     crate::introspect::watchdog_tick(proc, ep);
     crate::introspect::timeline_tick(proc, ep);
     reliability_tick(proc, ep);
@@ -666,7 +666,7 @@ pub fn progress_pass(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
 }
 
 /// Handle one incoming frame (from any queue or the TCP inbox).
-pub fn dispatch(proc: &Proc, ep: &Arc<Endpoint>, frame: Vec<u8>) {
+pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
     proc.advance(ep.cfg.host.hdr_parse);
     // A frame that fails header validation is counted and dropped, never
     // panicked on: one corrupt frame must not take the rank down.
@@ -780,7 +780,7 @@ pub fn dispatch(proc: &Proc, ep: &Arc<Endpoint>, frame: Vec<u8>) {
 }
 
 /// An Eager or Rendezvous fragment arrived: sequence-gate it, then match.
-pub(crate) fn handle_match_frame(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
+pub(crate) fn handle_match_frame(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
     proc.advance(ep.cfg.host.pml_match);
     let ctx = hdr.ctx;
     let mut work: Vec<(u64, UnexpectedFrag)> = Vec::new();
@@ -859,7 +859,7 @@ pub(crate) fn handle_match_frame(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr, payl
 /// `stage_fallbacks` (charging cannot happen here: the state lock is held).
 fn queue_or_match(
     st: &mut EpState,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     now: qsim::Time,
     mut frag: UnexpectedFrag,
     work: &mut Vec<(u64, UnexpectedFrag)>,
@@ -908,7 +908,7 @@ fn queue_or_match(
 
 /// A receive has matched a first fragment: copy any inline payload and run
 /// the configured long-message scheme for the remainder.
-fn matched(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
+fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
     let hdr = frag.hdr;
     let msg_len = hdr.msg_len as usize;
     let inline_len = hdr.payload_len as usize;
@@ -1220,7 +1220,7 @@ fn matched(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
     maybe_complete_recv(proc, ep, rid);
 }
 
-fn ctx_of(ep: &Arc<Endpoint>, rid: u64) -> u32 {
+fn ctx_of(ep: &Rc<Endpoint>, rid: u64) -> u32 {
     ep.state
         .lock()
         .recv_reqs
@@ -1231,7 +1231,7 @@ fn ctx_of(ep: &Arc<Endpoint>, rid: u64) -> u32 {
 
 /// Sender side: the receiver acknowledged a rendezvous (write scheme), or
 /// asked for a TCP push of part of the message (read-scheme striping).
-fn handle_ack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
+fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
     let host = ep.cfg.host.clone();
     let sid = hdr.send_req;
     // `seq` packs the inline-byte credit in its low half and piggybacked
@@ -1412,7 +1412,7 @@ fn handle_ack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
 }
 
 /// A pushed fragment landed (TCP path).
-fn handle_frag(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
+fn handle_frag(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
     {
         let st = ep.state.lock();
         let Some(r) = st.recv_reqs.get(&hdr.recv_req) else {
@@ -1427,7 +1427,7 @@ fn handle_frag(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
 /// A local DMA descriptor completed (observed via event poll or a
 /// shared-completion-queue token). `token` identifies the burst so its
 /// trace span can be closed.
-fn dma_done(proc: &Proc, ep: &Arc<Endpoint>, token: u64, role: DmaRole) {
+fn dma_done(proc: &Proc, ep: &Rc<Endpoint>, token: u64, role: DmaRole) {
     let bytes = match &role {
         DmaRole::Read { bytes, .. }
         | DmaRole::Write { bytes, .. }
@@ -1520,7 +1520,7 @@ fn req_gid(st: &EpState, send: bool, id: u64) -> u64 {
     }
 }
 
-fn credit_recv(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, bytes: usize) {
+fn credit_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, bytes: usize) {
     {
         let mut st = ep.state.lock();
         if let Some(r) = st.recv_reqs.get_mut(&rid) {
@@ -1530,7 +1530,7 @@ fn credit_recv(proc: &Proc, ep: &Arc<Endpoint>, rid: u64, bytes: usize) {
     maybe_complete_recv(proc, ep, rid);
 }
 
-fn credit_send(proc: &Proc, ep: &Arc<Endpoint>, sid: u64, bytes: usize) {
+fn credit_send(proc: &Proc, ep: &Rc<Endpoint>, sid: u64, bytes: usize) {
     {
         let mut st = ep.state.lock();
         if let Some(r) = st.send_reqs.get_mut(&sid) {
@@ -1544,7 +1544,7 @@ fn credit_send(proc: &Proc, ep: &Arc<Endpoint>, sid: u64, bytes: usize) {
 /// The first time a rendezvous sender hears back from the receiver (ACK in
 /// the write scheme, FIN_ACK in the read scheme) closes the handshake: the
 /// histogram sample and the `rndv` trace span both end here.
-fn first_receiver_contact(proc: &Proc, ep: &Arc<Endpoint>, sid: u64) {
+fn first_receiver_contact(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
     let posted_at = {
         let mut st = ep.state.lock();
         match st.send_reqs.get_mut(&sid) {
@@ -1575,7 +1575,7 @@ fn first_receiver_contact(proc: &Proc, ep: &Arc<Endpoint>, sid: u64) {
     );
 }
 
-fn maybe_complete_recv(proc: &Proc, ep: &Arc<Endpoint>, rid: u64) {
+fn maybe_complete_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64) {
     let finish = {
         let st = ep.state.lock();
         match st.recv_reqs.get(&rid) {
@@ -1648,7 +1648,7 @@ fn maybe_complete_recv(proc: &Proc, ep: &Arc<Endpoint>, rid: u64) {
     notify_waiters(proc, ep);
 }
 
-fn maybe_complete_send(proc: &Proc, ep: &Arc<Endpoint>, sid: u64) {
+fn maybe_complete_send(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
     let finish = {
         let st = ep.state.lock();
         match st.send_reqs.get(&sid) {
@@ -1698,7 +1698,7 @@ fn maybe_complete_send(proc: &Proc, ep: &Arc<Endpoint>, sid: u64) {
     notify_waiters(proc, ep);
 }
 
-fn notify_waiters(proc: &Proc, ep: &Arc<Endpoint>) {
+fn notify_waiters(proc: &Proc, ep: &Rc<Endpoint>) {
     let waiters = std::mem::take(&mut ep.state.lock().waiters);
     let sim = proc.sim();
     for w in waiters {
@@ -1711,28 +1711,28 @@ fn notify_waiters(proc: &Proc, ep: &Arc<Endpoint>) {
 // ---------------------------------------------------------------------------
 
 /// Pick the first-fragment transport: the lowest-latency *active*
-/// component that can reach the peer (paper §2.1's first heuristic).
-/// `None` when no common transport exists — the caller degrades the
-/// request to an error completion instead of panicking the rank.
-fn first_route(ep: &Arc<Endpoint>, peer: &crate::peer::PeerInfo) -> Option<Route> {
+/// component that can reach the peer (paper §2.1's first heuristic), the
+/// first in registry order among equals. `None` when no common transport
+/// exists — the caller degrades the request to an error completion
+/// instead of panicking the rank.
+fn first_route(ep: &Rc<Endpoint>, peer: &crate::peer::PeerInfo) -> Option<Route> {
     let reg = ep.ptls.lock();
-    let mut candidates: Vec<&crate::ptl::PtlInfo> = reg.active().collect();
-    candidates.sort_by_key(|i| i.latency_rank);
-    for info in candidates {
-        match info.kind {
+    reg.active()
+        .filter_map(|info| match info.kind {
             crate::ptl::PtlKind::Elan4 { rail } if peer.elan.is_some() => {
-                return Some(Route::Elan { rail });
+                Some((info.latency_rank, Route::Elan { rail }))
             }
-            crate::ptl::PtlKind::Tcp if peer.tcp.is_some() => return Some(Route::Tcp),
-            _ => {}
-        }
-    }
-    None
+            crate::ptl::PtlKind::Tcp if peer.tcp.is_some() => Some((info.latency_rank, Route::Tcp)),
+            _ => None,
+        })
+        // `min_by_key` keeps the first of equal keys.
+        .min_by_key(|&(rank, _)| rank)
+        .map(|(_, route)| route)
 }
 
 fn send_frame(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     peer: &crate::peer::PeerInfo,
     route: Route,
     mut hdr: Hdr,
@@ -1813,7 +1813,7 @@ fn send_frame(
 /// (paper §2.1's second heuristic). `None` when no transport can carry the
 /// bulk bytes — the caller degrades the request instead of panicking.
 fn plan_remainder(
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     peer: &crate::peer::PeerInfo,
     len: usize,
 ) -> Option<(usize, usize)> {
@@ -1847,7 +1847,7 @@ fn plan_remainder(
 #[allow(clippy::too_many_arguments)]
 fn issue_rdma(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     peer: &crate::peer::PeerInfo,
     gid: u64,
     kind: DmaKind,
@@ -1861,7 +1861,7 @@ fn issue_rdma(
     let chunks = rail_chunks(len, rails);
     let nchunks = chunks.len().max(1) as u32;
 
-    let event = Arc::new(ep.ectx.event_create(nchunks));
+    let event = Rc::new(ep.ectx.event_create(nchunks));
     let e_peer = peer.elan.as_ref().expect("rdma to a peer without elan");
 
     // Chained control message (FIN / FIN_ACK) — the paper's optimization:
@@ -1976,7 +1976,7 @@ fn issue_rdma(
 /// pipelining enabled, share at least `pipe.min_len`, and spanning more
 /// than one chunk (a single chunk is the monolithic path with extra
 /// bookkeeping).
-fn pipe_eligible(ep: &Arc<Endpoint>, elan_share: usize) -> bool {
+fn pipe_eligible(ep: &Rc<Endpoint>, elan_share: usize) -> bool {
     ep.tunables.pipeline_enable()
         && elan_share >= ep.tunables.pipeline_min_len()
         && elan_share > ep.tunables.pipeline_chunk()
@@ -1990,7 +1990,7 @@ fn pipe_eligible(ep: &Arc<Endpoint>, elan_share: usize) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn pipe_start(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     is_read: bool,
     req: u64,
     gid: u64,
@@ -2089,7 +2089,7 @@ fn pipe_pick_rail(ps: &mut PipeState) -> Option<usize> {
 /// time, so the hold-back tail costs one descriptor issue, not a map.
 /// Depth 1 on one rail degenerates to strictly sequential chunks with the
 /// same message semantics as the monolithic path.
-fn pipe_pump(proc: &Proc, ep: &Arc<Endpoint>, req: u64) -> bool {
+fn pipe_pump(proc: &Proc, ep: &Rc<Endpoint>, req: u64) -> bool {
     let mut worked = false;
     loop {
         let dma_cap = ep.tunables.flow_dma_cap();
@@ -2243,7 +2243,7 @@ fn pipe_pump(proc: &Proc, ep: &Arc<Endpoint>, req: u64) -> bool {
 /// count it.
 fn pipe_register(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     gid: u64,
     sub: &HostBuf,
     cacheable: bool,
@@ -2276,7 +2276,7 @@ fn pipe_register(
 #[allow(clippy::too_many_arguments)]
 fn pipe_issue_chunk(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     peer: &crate::peer::PeerInfo,
     req: u64,
     is_read: bool,
@@ -2288,7 +2288,7 @@ fn pipe_issue_chunk(
     len: usize,
     fin: Option<Hdr>,
 ) {
-    let event = Arc::new(ep.ectx.event_create(1));
+    let event = Rc::new(ep.ectx.event_create(1));
     let e_peer = peer.elan.as_ref().expect("rdma to a peer without elan");
     let last = fin.is_some();
     if let Some(ctl) = fin {
@@ -2412,7 +2412,7 @@ fn pipe_issue_chunk(
 /// final chunk.
 fn pipe_chunk_landed(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     req: u64,
     token: u64,
     bytes: usize,
@@ -2483,7 +2483,7 @@ fn pipe_chunk_landed(
 
 /// Pump every live pipeline. A safety net for the thread-progress modes —
 /// chunk completions normally refill their own windows.
-pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
+pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     let ids: Vec<u64> = ep.state.lock().pipelines.keys().copied().collect();
     let mut any = false;
     for id in ids {
@@ -2498,7 +2498,7 @@ pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
 /// push per call: the pacing that replaced `handle_ack`'s unbounded
 /// fragment loop. Returns true when fragments went out, so the polling
 /// wait loop keeps cycling until the pushes drain instead of blocking.
-pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
+pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     let host = ep.cfg.host.clone();
     let burst_frags = ep.tunables.pipeline_depth();
     let bursts: Vec<(u64, crate::peer::PeerInfo, Hdr, HostBuf, usize, usize)> = {
@@ -2623,12 +2623,7 @@ fn make_fin_ack(send_req: u64, credit: usize) -> Hdr {
 /// the unexpected-message path charge `host.bounce_alloc` for fallbacks;
 /// posted-receive/send staging passes `charge_fallback = false` because
 /// the base protocol already allocated per message there.
-fn flow_bounce_alloc(
-    proc: &Proc,
-    ep: &Arc<Endpoint>,
-    len: usize,
-    charge_fallback: bool,
-) -> HostBuf {
+fn flow_bounce_alloc(proc: &Proc, ep: &Rc<Endpoint>, len: usize, charge_fallback: bool) -> HostBuf {
     let slot = ep.state.lock().bounce_pool.acquire(len);
     match slot {
         Some(b) => {
@@ -2647,7 +2642,7 @@ fn flow_bounce_alloc(
 
 /// Return a bounce region to wherever it came from: the pool when it is a
 /// pool slot, the allocator otherwise.
-fn flow_bounce_free(ep: &Arc<Endpoint>, buf: HostBuf) {
+fn flow_bounce_free(ep: &Rc<Endpoint>, buf: HostBuf) {
     let pooled = ep.state.lock().bounce_pool.release(buf);
     if !pooled {
         ep.free(buf);
@@ -2658,7 +2653,7 @@ fn flow_bounce_free(ep: &Arc<Endpoint>, buf: HostBuf) {
 /// so one unit of receiver-side buffering is free again. The credit is
 /// *noted*, not sent — it rides the next control frame toward that peer,
 /// or an explicit return once enough accumulate (see `flow_pump`).
-fn flow_note_delivered(ep: &Arc<Endpoint>, peer: ProcName) {
+fn flow_note_delivered(ep: &Rc<Endpoint>, peer: ProcName) {
     let init = ep.tunables.flow_credits();
     let mut st = ep.state.lock();
     let fp = st.flow_entry(peer, init);
@@ -2670,7 +2665,7 @@ fn flow_note_delivered(ep: &Arc<Endpoint>, peer: ProcName) {
 /// outgoing control frame (capped at what a u16 carries; the remainder
 /// stays pending). Zero when flow control is off — the packed fields then
 /// carry exactly the legacy values.
-fn flow_take_pending(ep: &Arc<Endpoint>, peer: ProcName) -> u16 {
+fn flow_take_pending(ep: &Rc<Endpoint>, peer: ProcName) -> u16 {
     if !ep.tunables.flow_enable() {
         return 0;
     }
@@ -2686,7 +2681,7 @@ fn flow_take_pending(ep: &Arc<Endpoint>, peer: ProcName) -> u16 {
 /// Build a FIN_ACK stamped with any credits owed to `peer`: `e4_vpid` is
 /// meaningless on a FIN_ACK (no address travels), so the credits ride
 /// there for free.
-fn fin_ack_with_credits(ep: &Arc<Endpoint>, peer: ProcName, send_req: u64, credit: usize) -> Hdr {
+fn fin_ack_with_credits(ep: &Rc<Endpoint>, peer: ProcName, send_req: u64, credit: usize) -> Hdr {
     let mut h = make_fin_ack(send_req, credit);
     let pb = flow_take_pending(ep, peer);
     if pb > 0 {
@@ -2698,7 +2693,7 @@ fn fin_ack_with_credits(ep: &Arc<Endpoint>, peer: ProcName, send_req: u64, credi
 
 /// Re-pack an ACK's `seq` so its high half carries any credits owed to
 /// `peer` (the low half keeps the inline-byte credit already stored).
-fn stamp_ack_credits(ep: &Arc<Endpoint>, peer: ProcName, ack: &mut Hdr) {
+fn stamp_ack_credits(ep: &Rc<Endpoint>, peer: ProcName, ack: &mut Hdr) {
     let inline = ack.seq;
     let pb = flow_take_pending(ep, peer);
     if pb > 0 {
@@ -2710,7 +2705,7 @@ fn stamp_ack_credits(ep: &Arc<Endpoint>, peer: ProcName, ack: &mut Hdr) {
 /// Sender side: `n` credits came back from `peer` (piggybacked or via an
 /// explicit CREDIT_RETURN). Restock the window and drain any sends parked
 /// on it.
-fn flow_credits_in(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName, n: usize, _piggyback: bool) {
+fn flow_credits_in(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName, n: usize, _piggyback: bool) {
     if n == 0 || !ep.tunables.flow_enable() {
         return;
     }
@@ -2729,7 +2724,7 @@ fn flow_credits_in(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName, n: usize, _p
 /// in FIFO order (MPI ordering: `hdr.seq` was assigned at post time, and
 /// the receiver's in-order check would park anything sent out of order
 /// anyway). Each drained send completes like a normal buffered eager send.
-fn flow_drain_peer(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName) -> bool {
+fn flow_drain_peer(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName) -> bool {
     let batch: Vec<QueuedSend> = {
         let mut st = ep.state.lock();
         match st.flow.get_mut(&peer) {
@@ -2791,9 +2786,9 @@ fn flow_drain_peer(proc: &Proc, ep: &Arc<Endpoint>, peer: ProcName) -> bool {
 /// travel in their own control frame. Origin identity rides ctx/src_rank
 /// — the same fields the reliability layer stamps, with the same values —
 /// and the count rides `seq`.
-fn send_credit_return(proc: &Proc, ep: &Arc<Endpoint>, to: ProcName, n: usize) {
+fn send_credit_return(proc: &Proc, ep: &Rc<Endpoint>, to: ProcName, n: usize) {
     let peer = ep.state.lock().peer(&to).cloned();
-    let restore = |ep: &Arc<Endpoint>| {
+    let restore = |ep: &Rc<Endpoint>| {
         if let Some(fp) = ep.state.lock().flow.get_mut(&to) {
             fp.pending_return += n;
         }
@@ -2829,7 +2824,7 @@ fn send_credit_return(proc: &Proc, ep: &Arc<Endpoint>, to: ProcName, n: usize) {
 /// backed up past `flow.ej_backoff` — the fabric's congestion signal
 /// feeding the end-to-end window — and retry on a later pass, so deferral
 /// can stall but never deadlock.
-pub(crate) fn flow_pump(proc: &Proc, ep: &Arc<Endpoint>) -> bool {
+pub(crate) fn flow_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     if !ep.tunables.flow_enable() {
         return false;
     }
@@ -2910,7 +2905,7 @@ fn err_from_code(code: u32) -> MpiErrClass {
 /// Receipt for a sequence-stamped control frame. Itself unreliable by
 /// design: if it is lost, the peer retransmits and the duplicate triggers a
 /// fresh receipt here.
-fn send_ctl_ack(proc: &Proc, ep: &Arc<Endpoint>, origin: ProcName, rel_seq: u32) {
+fn send_ctl_ack(proc: &Proc, ep: &Rc<Endpoint>, origin: ProcName, rel_seq: u32) {
     let peer = {
         let mut st = ep.state.lock();
         st.peer(&origin).cloned().expect("unresolved peer")
@@ -2926,7 +2921,7 @@ fn send_ctl_ack(proc: &Proc, ep: &Arc<Endpoint>, origin: ProcName, rel_seq: u32)
 
 /// The peer receipted one of our stamped control frames: retire its
 /// retransmit-buffer entry.
-fn handle_ctl_ack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
+fn handle_ctl_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
     let from = ProcName {
         job: ompi_rte::JobId(hdr.ctx),
         rank: hdr.src_rank as usize,
@@ -2956,7 +2951,7 @@ fn handle_ctl_ack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
 /// Best-effort failure notice from a peer that gave up retransmitting a
 /// control frame naming one of our requests: complete it with an error
 /// status instead of leaving it to stall.
-fn handle_nack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
+fn handle_nack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
     let err = err_from_code(hdr.seq);
     if hdr.send_req != 0 {
         fail_request(proc, ep, ReqKind::Send, hdr.send_req, err);
@@ -2970,7 +2965,7 @@ fn handle_nack(proc: &Proc, ep: &Arc<Endpoint>, hdr: Hdr) {
 /// `send_req` / `recv_req` (zero = not named). Unreliable and unstamped.
 fn send_nack(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     peer: &crate::peer::PeerInfo,
     send_req: u64,
     recv_req: u64,
@@ -2995,7 +2990,7 @@ fn send_nack(
 /// waiter wakeup) with `error` set instead of a delivered payload.
 pub(crate) fn fail_request(
     proc: &Proc,
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     kind: ReqKind,
     id: u64,
     err: MpiErrClass,
@@ -3122,7 +3117,7 @@ pub(crate) fn fail_request(
 /// exponential backoff) and give up on entries whose retries are exhausted,
 /// degrading the affected requests to error completions. Driven from every
 /// progress pass and from bounded-wait expiries.
-pub(crate) fn reliability_tick(proc: &Proc, ep: &Arc<Endpoint>) {
+pub(crate) fn reliability_tick(proc: &Proc, ep: &Rc<Endpoint>) {
     if !ep.cfg.tcp_reliability {
         return;
     }
@@ -3178,7 +3173,7 @@ pub(crate) fn reliability_tick(proc: &Proc, ep: &Arc<Endpoint>) {
 /// Retries exhausted on one stamped control frame: the peer is now
 /// considered failed. Tell it (best effort) which of *its* requests will
 /// never complete, then degrade every live local request bound to it.
-fn give_up_on(proc: &Proc, ep: &Arc<Endpoint>, e: InflightCtl) {
+fn give_up_on(proc: &Proc, ep: &Rc<Endpoint>, e: InflightCtl) {
     ep.metric(|m| m.counters.gave_up += 1);
     ep.trace(
         proc.now(),
@@ -3310,7 +3305,7 @@ fn give_up_on(proc: &Proc, ep: &Arc<Endpoint>, e: InflightCtl) {
 // data staging helpers
 // ---------------------------------------------------------------------------
 
-fn charge_pack(proc: &Proc, ep: &Arc<Endpoint>, len: usize) {
+fn charge_pack(proc: &Proc, ep: &Rc<Endpoint>, len: usize) {
     if len == 0 {
         return;
     }
@@ -3321,7 +3316,7 @@ fn charge_pack(proc: &Proc, ep: &Arc<Endpoint>, len: usize) {
     proc.advance(cost);
 }
 
-fn charge_unpack(proc: &Proc, ep: &Arc<Endpoint>, len: usize) {
+fn charge_unpack(proc: &Proc, ep: &Rc<Endpoint>, len: usize) {
     if len == 0 {
         return;
     }
@@ -3330,7 +3325,7 @@ fn charge_unpack(proc: &Proc, ep: &Arc<Endpoint>, len: usize) {
 
 /// Read `[off, off+len)` of the packed stream of a send.
 fn read_packed(
-    ep: &Arc<Endpoint>,
+    ep: &Rc<Endpoint>,
     buf: &HostBuf,
     conv: &Convertor,
     bounce: Option<&HostBuf>,
@@ -3351,7 +3346,7 @@ fn read_packed(
 }
 
 /// Write packed-stream bytes into a receive's landing region.
-fn write_packed(ep: &Arc<Endpoint>, r: &RecvReq, off: usize, data: &[u8]) {
+fn write_packed(ep: &Rc<Endpoint>, r: &RecvReq, off: usize, data: &[u8]) {
     if data.is_empty() {
         return;
     }
@@ -3364,7 +3359,7 @@ fn write_packed(ep: &Arc<Endpoint>, r: &RecvReq, off: usize, data: &[u8]) {
 /// Resolve `who`'s addressing before first contact. A rank of this job
 /// comes from the `ptl` table fetched at `MPI_Init`; a process of another
 /// job (spawn, connect) costs one OOB lookup.
-fn ensure_peer(proc: &Proc, ep: &Arc<Endpoint>, who: ProcName) {
+fn ensure_peer(proc: &Proc, ep: &Rc<Endpoint>, who: ProcName) {
     let known = ep.state.lock().peer(&who).is_some();
     if !known {
         let raw = ep.rte.modex_get(proc, who, "ptl");

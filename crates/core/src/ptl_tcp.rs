@@ -7,13 +7,12 @@
 //! copy costs. Frames arrive whole in a per-rank inbox (the stream framing
 //! of a real socket is below the fidelity this reproduction needs).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 use elan4::NicConfig;
 use ompi_rte::ProcName;
-use qsim::Mutex;
-use qsim::{Dur, Proc, Signal, Time};
+use qsim::{Dur, FastMap, Local, Proc, Signal, Time};
 
 /// Ethernet + kernel-stack timing model.
 #[derive(Clone, Debug)]
@@ -41,18 +40,18 @@ impl Default for TcpConfig {
 
 /// Incoming frame queue of one rank.
 pub struct TcpInbox {
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    doorbell: Mutex<Option<Signal>>,
-    depth_hwm: Mutex<usize>,
+    queue: Local<VecDeque<Vec<u8>>>,
+    doorbell: Local<Option<Signal>>,
+    depth_hwm: Local<usize>,
 }
 
 impl TcpInbox {
     /// An empty inbox with no doorbell.
-    pub fn new() -> Arc<TcpInbox> {
-        Arc::new(TcpInbox {
-            queue: Mutex::new(VecDeque::new()),
-            doorbell: Mutex::new(None),
-            depth_hwm: Mutex::new(0),
+    pub fn new() -> Rc<TcpInbox> {
+        Rc::new(TcpInbox {
+            queue: Local::new(VecDeque::new()),
+            doorbell: Local::new(None),
+            depth_hwm: Local::new(0),
         })
     }
 
@@ -88,7 +87,7 @@ impl TcpInbox {
 }
 
 struct TcpNetInner {
-    inboxes: HashMap<ProcName, (usize, Arc<TcpInbox>)>,
+    inboxes: FastMap<ProcName, (usize, Rc<TcpInbox>)>,
     tx_free: Vec<Time>,
     rx_free: Vec<Time>,
     stats: TcpNetStats,
@@ -128,16 +127,16 @@ pub struct TcpNetStats {
 /// The shared Ethernet.
 pub struct TcpNet {
     cfg: TcpConfig,
-    inner: Mutex<TcpNetInner>,
+    inner: Local<TcpNetInner>,
 }
 
 impl TcpNet {
     /// A fresh Ethernet for `nodes` hosts.
-    pub fn new(cfg: TcpConfig, nodes: usize) -> Arc<TcpNet> {
-        Arc::new(TcpNet {
+    pub fn new(cfg: TcpConfig, nodes: usize) -> Rc<TcpNet> {
+        Rc::new(TcpNet {
             cfg,
-            inner: Mutex::new(TcpNetInner {
-                inboxes: HashMap::new(),
+            inner: Local::new(TcpNetInner {
+                inboxes: FastMap::default(),
                 tx_free: vec![Time::ZERO; nodes],
                 rx_free: vec![Time::ZERO; nodes],
                 stats: TcpNetStats::default(),
@@ -158,7 +157,7 @@ impl TcpNet {
     }
 
     /// Bind a rank's inbox (the `listen`/`accept` moment).
-    pub fn bind(&self, who: ProcName, node: usize, inbox: Arc<TcpInbox>) {
+    pub fn bind(&self, who: ProcName, node: usize, inbox: Rc<TcpInbox>) {
         self.inner.lock().inboxes.insert(who, (node, inbox));
     }
 
@@ -193,7 +192,7 @@ impl TcpNet {
     /// matching receive-side copy cost is charged when the frame is popped
     /// (see `Endpoint` dispatch).
     pub fn send(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         proc: &Proc,
         nic_cfg: &NicConfig,
         src_node: usize,
@@ -269,7 +268,7 @@ impl TcpNet {
 mod tests {
     use super::*;
     use qsim::Simulation;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn tcp_latency_dominated_by_wire_and_syscalls() {
@@ -286,7 +285,7 @@ mod tests {
         let inbox = TcpInbox::new();
         net.bind(a, 0, TcpInbox::new());
         net.bind(b, 1, inbox.clone());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         {
             let net = net.clone();
             let inbox = inbox.clone();
@@ -301,7 +300,7 @@ mod tests {
                     }
                     p.wait(&sig).expect_signaled();
                 }
-                t.store(p.now().as_ns(), Ordering::SeqCst);
+                t.set(p.now().as_ns());
             });
         }
         {
@@ -312,7 +311,7 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        let ns = t.load(Ordering::SeqCst);
+        let ns = t.get();
         // syscall 2.5us + copy + 22us wire + serialization.
         assert!(ns > 24_000 && ns < 30_000, "tcp one-way {ns}ns");
     }
@@ -327,7 +326,7 @@ mod tests {
         };
         let inbox = TcpInbox::new();
         net.bind(b, 1, inbox.clone());
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(Local::new(Vec::new()));
         {
             let got = got.clone();
             let inbox = inbox.clone();
@@ -376,7 +375,7 @@ mod tests {
         let inbox = TcpInbox::new();
         net.bind(b, 1, inbox.clone());
         net.inject_drop(crate::hdr::HdrType::FinAck, 1);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(Local::new(Vec::new()));
         {
             let got = got.clone();
             let inbox = inbox.clone();
@@ -425,7 +424,7 @@ mod tests {
         let inbox = TcpInbox::new();
         net.bind(b, 1, inbox.clone());
         net.inject_dup(crate::hdr::HdrType::FinAck, 1);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(Local::new(Vec::new()));
         {
             let got = got.clone();
             let inbox = inbox.clone();

@@ -23,9 +23,8 @@
 //! progress thread.
 
 use elan4::{E4Addr, HostBuf};
-use qsim::Proc;
-use std::collections::HashMap;
-use std::sync::Arc;
+use qsim::{FastMap, Proc};
+use std::rc::Rc;
 
 use crate::endpoint::Endpoint;
 
@@ -64,7 +63,7 @@ pub struct RegCache {
     cap_entries: usize,
     /// Keyed by `(host base offset, len)`; the owning node is fixed per
     /// endpoint, so it is not part of the key.
-    entries: HashMap<(usize, usize), Entry>,
+    entries: FastMap<(usize, usize), Entry>,
     cur_bytes: usize,
     tick: u64,
     hits: u64,
@@ -79,7 +78,7 @@ impl RegCache {
             enabled,
             cap_bytes,
             cap_entries,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             cur_bytes: 0,
             tick: 0,
             hits: 0,
@@ -163,7 +162,7 @@ impl RegCache {
 /// lookup); a miss pays the full [`elan4::NicConfig::map_cost`] and inserts
 /// the mapping, evicting idle LRU entries past capacity. With the cache
 /// disabled this degenerates to a plain charged `map`.
-pub fn acquire(proc: &Proc, ep: &Arc<Endpoint>, region: &HostBuf) -> E4Addr {
+pub fn acquire(proc: &Proc, ep: &Rc<Endpoint>, region: &HostBuf) -> E4Addr {
     let key = (region.addr.off, region.len);
     {
         let mut c = ep.reg.lock();
@@ -222,7 +221,7 @@ pub fn acquire(proc: &Proc, ep: &Arc<Endpoint>, region: &HostBuf) -> E4Addr {
 /// evictable (the common case costs nothing). Anything the cache does not
 /// own — bounce-buffer mappings, mappings made while the cache was off —
 /// is unmapped directly with the shootdown charged.
-pub fn release(proc: &Proc, ep: &Arc<Endpoint>, region: &HostBuf, e4: E4Addr) {
+pub fn release(proc: &Proc, ep: &Rc<Endpoint>, region: &HostBuf, e4: E4Addr) {
     let key = (region.addr.off, region.len);
     let mut victims = Vec::new();
     let owned = {
@@ -249,7 +248,7 @@ pub fn release(proc: &Proc, ep: &Arc<Endpoint>, region: &HostBuf, e4: E4Addr) {
 /// Entries still referenced are left alone — by finalize time there are
 /// none, which [`crate::endpoint::Endpoint::finalize`] asserts via
 /// `mapping_count()`.
-pub fn drain(proc: &Proc, ep: &Arc<Endpoint>) {
+pub fn drain(proc: &Proc, ep: &Rc<Endpoint>) {
     let victims: Vec<E4Addr> = {
         let mut c = ep.reg.lock();
         let keys: Vec<(usize, usize)> = c

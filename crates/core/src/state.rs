@@ -1,17 +1,17 @@
 //! Per-rank PML state: requests, communicators, and the matching engine.
 //!
-//! Everything here is plain data manipulated under the endpoint lock; no
+//! Everything here is plain data held in the endpoint's `state` cell; no
 //! virtual time is consumed at this layer (costs are charged by the caller
 //! from the [`crate::config::HostConfig`] model).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use elan4::E4Addr;
 use ompi_datatype::Convertor;
 use ompi_rte::{JobId, ProcName};
-use qsim::{Dur, Signal, Time};
+use qsim::{Dur, FastMap, FastSet, Signal, Time};
 
 use crate::hdr::{Hdr, HdrType};
 use crate::peer::PeerInfo;
@@ -248,7 +248,7 @@ pub struct BouncePool {
     /// Uniform slot length.
     slot_len: usize,
     /// Base addresses of every pool slot (membership test for `release`).
-    slots: HashSet<elan4::HostAddr>,
+    slots: FastSet<elan4::HostAddr>,
     /// Slots currently handed out.
     in_use: usize,
 }
@@ -259,7 +259,7 @@ impl BouncePool {
         BouncePool {
             free: Vec::new(),
             slot_len: 0,
-            slots: HashSet::new(),
+            slots: FastSet::default(),
             in_use: 0,
         }
     }
@@ -341,9 +341,9 @@ pub struct CommState {
     /// Fragments that matched no posted receive yet.
     pub unexpected: Vec<UnexpectedFrag>,
     /// Next sequence number per destination rank.
-    pub next_send_seq: HashMap<u32, u32>,
+    pub next_send_seq: FastMap<u32, u32>,
     /// Next expected sequence number per source rank.
-    pub next_recv_seq: HashMap<u32, u32>,
+    pub next_recv_seq: FastMap<u32, u32>,
     /// Match-class fragments that arrived ahead of their sequence number
     /// (possible with multi-rail striping).
     pub out_of_order: Vec<UnexpectedFrag>,
@@ -359,8 +359,8 @@ impl CommState {
             my_rank,
             posted: Vec::new(),
             unexpected: Vec::new(),
-            next_send_seq: HashMap::new(),
-            next_recv_seq: HashMap::new(),
+            next_send_seq: FastMap::default(),
+            next_recv_seq: FastMap::default(),
             out_of_order: Vec::new(),
             arrival_counter: 0,
         }
@@ -561,27 +561,27 @@ pub struct PendingDma {
     /// Token linking shared-completion-queue messages to this entry.
     pub token: u64,
     /// The counted completion event.
-    pub event: std::sync::Arc<elan4::ElanEvent>,
+    pub event: std::rc::Rc<elan4::ElanEvent>,
     /// What to do when it fires.
     pub role: DmaRole,
 }
 
-/// The lock-guarded heart of one rank's PML.
+/// The heart of one rank's PML, in the endpoint's `state` cell.
 pub struct EpState {
     /// Matching state per registered context id.
-    pub comms: HashMap<u32, CommState>,
+    pub comms: FastMap<u32, CommState>,
     /// Live send requests by id.
-    pub send_reqs: HashMap<u64, SendReq>,
+    pub send_reqs: FastMap<u64, SendReq>,
     /// Live receive requests by id.
-    pub recv_reqs: HashMap<u64, RecvReq>,
+    pub recv_reqs: FastMap<u64, RecvReq>,
     /// DMA descriptors whose completion the host has not yet observed.
     pub pending_dmas: Vec<PendingDma>,
     /// Addressing of the peers this rank has resolved so far; read it
     /// through [`EpState::peer`], which fills it lazily.
-    pub peers: HashMap<ProcName, PeerInfo>,
+    pub peers: FastMap<ProcName, PeerInfo>,
     /// The own job's `ptl` modex table, indexed by rank: fetched in one
     /// OOB request at `MPI_Init` and shared by every rank of the job.
-    pub ptl_table: Option<(JobId, Arc<[Vec<u8>]>)>,
+    pub ptl_table: Option<(JobId, Rc<[Vec<u8>]>)>,
     /// Next request id.
     pub next_req: u64,
     /// Next shared-completion-queue token.
@@ -596,19 +596,19 @@ pub struct EpState {
     pub early_frames: Vec<(Hdr, Vec<u8>)>,
     /// Next reliability sequence number per peer (1-based; 0 on the wire
     /// means "not sequence-stamped").
-    pub ctl_next_seq: HashMap<ProcName, u32>,
+    pub ctl_next_seq: FastMap<ProcName, u32>,
     /// Sequence-stamped control frames not yet receipted by their peer; the
     /// retransmit buffer. Scanned by `reliability_tick`.
     pub ctl_inflight: Vec<InflightCtl>,
     /// Reliability sequence numbers already processed, per origin peer:
     /// duplicate-suppression state making redelivered frames idempotent.
-    pub ctl_seen: HashMap<ProcName, HashSet<u32>>,
+    pub ctl_seen: FastMap<ProcName, FastSet<u32>>,
     /// Peers declared failed after retransmission retries were exhausted.
     /// New sends to them error out immediately.
-    pub failed_peers: HashSet<ProcName>,
+    pub failed_peers: FastSet<ProcName>,
     /// Active pipelined bulk transfers, keyed by the owning request id
     /// (request ids are unique across sends and receives).
-    pub pipelines: HashMap<u64, PipeState>,
+    pub pipelines: FastMap<u64, PipeState>,
     /// TCP bulk pushes awaiting their next paced burst.
     pub tcp_pushes: Vec<TcpPush>,
     /// Per-peer credit/backpressure state (lazily created on first
@@ -623,22 +623,22 @@ impl EpState {
     /// Empty PML state.
     pub fn new() -> Self {
         EpState {
-            comms: HashMap::new(),
-            send_reqs: HashMap::new(),
-            recv_reqs: HashMap::new(),
+            comms: FastMap::default(),
+            send_reqs: FastMap::default(),
+            recv_reqs: FastMap::default(),
             pending_dmas: Vec::new(),
-            peers: HashMap::new(),
+            peers: FastMap::default(),
             ptl_table: None,
             next_req: 1,
             next_dma_token: 1,
             finalizing: false,
             waiters: Vec::new(),
             early_frames: Vec::new(),
-            ctl_next_seq: HashMap::new(),
+            ctl_next_seq: FastMap::default(),
             ctl_inflight: Vec::new(),
-            ctl_seen: HashMap::new(),
-            failed_peers: HashSet::new(),
-            pipelines: HashMap::new(),
+            ctl_seen: FastMap::default(),
+            failed_peers: FastSet::default(),
+            pipelines: FastMap::default(),
             tcp_pushes: Vec::new(),
             flow: BTreeMap::new(),
             bounce_pool: BouncePool::new(),

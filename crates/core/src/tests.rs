@@ -1,10 +1,10 @@
 //! End-to-end tests of the whole stack on the simulated testbed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use ompi_datatype::{Convertor, Datatype};
-use qsim::Mutex;
+use qsim::Local;
 
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
 use crate::endpoint::Transports;
@@ -18,11 +18,7 @@ fn pattern(n: usize, seed: u8) -> Vec<u8> {
 }
 
 /// Run a 2-rank world; rank 0 and rank 1 run the respective closures.
-fn run_pair(
-    cfg: StackConfig,
-    f0: impl Fn(&Mpi) + Send + Sync + 'static,
-    f1: impl Fn(&Mpi) + Send + Sync + 'static,
-) {
+fn run_pair(cfg: StackConfig, f0: impl Fn(&Mpi) + 'static, f1: impl Fn(&Mpi) + 'static) {
     let uni = Universe::paper_testbed(cfg);
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         if mpi.rank() == 0 {
@@ -35,7 +31,7 @@ fn run_pair(
 
 /// Ping-pong `iters` round trips of `len` bytes; returns half-RTT in ns.
 fn pingpong(cfg: StackConfig, len: usize, iters: usize) -> u64 {
-    let lat = Arc::new(AtomicU64::new(0));
+    let lat = Rc::new(Cell::new(0));
     let lat2 = lat.clone();
     let uni = Universe::paper_testbed(cfg);
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
@@ -56,11 +52,11 @@ fn pingpong(cfg: StackConfig, len: usize, iters: usize) -> u64 {
         }
         if mpi.rank() == 0 {
             let total = (mpi.now() - t0).as_ns();
-            lat2.store(total / (2 * iters as u64), Ordering::SeqCst);
+            lat2.set(total / (2 * iters as u64));
             assert_eq!(mpi.read(&rbuf, 0, len), pattern(len, 1), "data corrupt");
         }
     });
-    lat.load(Ordering::SeqCst)
+    lat.get()
 }
 
 #[test]
@@ -445,7 +441,7 @@ fn comm_split_and_dup() {
 #[test]
 fn dynamic_spawn_parent_child_traffic() {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let spawned_check = Arc::new(AtomicU64::new(0));
+    let spawned_check = Rc::new(Cell::new(0));
     let sc = spawned_check.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -464,7 +460,7 @@ fn dynamic_spawn_parent_child_traffic() {
                 let v = u64::from_le_bytes(child.read(&buf, 0, 8).try_into().unwrap());
                 child.write(&buf, 0, &(v * 2).to_le_bytes());
                 child.send(&pc, 0, 10, &buf, 8);
-                sc2.fetch_add(1, Ordering::SeqCst);
+                sc2.set(sc2.get() + 1);
             });
             let buf = mpi.alloc(8);
             for c in 1..=2usize {
@@ -479,7 +475,7 @@ fn dynamic_spawn_parent_child_traffic() {
         }
         mpi.barrier(&w);
     });
-    assert_eq!(spawned_check.load(Ordering::SeqCst), 2);
+    assert_eq!(spawned_check.get(), 2);
 }
 
 #[test]
@@ -498,7 +494,7 @@ fn multirail_striping_is_faster_and_correct() {
                 tcp: false,
             },
         );
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -512,7 +508,7 @@ fn multirail_striping_is_faster_and_correct() {
                 // Round-trip one byte to bound delivery.
                 let ack = mpi.alloc(1);
                 mpi.recv(&w, 1, 1, &ack, 1);
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns());
             } else {
                 mpi.barrier(&w);
                 mpi.recv(&w, 0, 0, &buf, len);
@@ -521,7 +517,7 @@ fn multirail_striping_is_faster_and_correct() {
                 mpi.send(&w, 0, 1, &ack, 1);
             }
         });
-        t.load(Ordering::SeqCst)
+        t.get()
     }
     let one = bw_run(1);
     let two = bw_run(2);
@@ -571,7 +567,7 @@ fn tcp_only_transport_works_and_is_slow() {
             tcp: true,
         },
     );
-    let t = Arc::new(AtomicU64::new(0));
+    let t = Rc::new(Cell::new(0));
     let t2 = t.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -581,13 +577,13 @@ fn tcp_only_transport_works_and_is_slow() {
             let t0 = mpi.now();
             mpi.send(&w, 1, 0, &buf, 64);
             mpi.recv(&w, 1, 0, &buf, 64);
-            t2.store((mpi.now() - t0).as_ns() / 2, Ordering::SeqCst);
+            t2.set((mpi.now() - t0).as_ns() / 2);
         } else {
             mpi.recv(&w, 0, 0, &buf, 64);
             mpi.send(&w, 0, 0, &buf, 64);
         }
     });
-    let lat = t.load(Ordering::SeqCst);
+    let lat = t.get();
     // TCP latency is tens of microseconds — the paper's motivation.
     assert!(lat > 20_000, "tcp latency {lat}ns suspiciously low");
 }
@@ -595,7 +591,7 @@ fn tcp_only_transport_works_and_is_slow() {
 #[test]
 fn pml_layer_cost_instrumentation() {
     // Paper §6.3: the PML layer and above costs ≈ 0.5 µs per message.
-    let cost = Arc::new(Mutex::new(None));
+    let cost = Rc::new(Local::new(None));
     let c2 = cost.clone();
     let uni = Universe::paper_testbed(StackConfig::best());
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
@@ -742,7 +738,7 @@ fn rma_accumulate_sum() {
 fn hardware_bcast_used_and_faster_than_tree() {
     fn bcast_time(hw: bool, len: usize) -> (u64, u64) {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(8, Placement::RoundRobin, move |mpi| {
             let mut w = mpi.world();
@@ -761,10 +757,10 @@ fn hardware_bcast_used_and_faster_than_tree() {
             assert_eq!(mpi.read(&buf, 0, len), pattern(len, 9));
             mpi.barrier(&w);
             if mpi.rank() == 0 {
-                t2.fetch_max((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                t2.set(t2.get().max((mpi.now() - t0).as_ns()));
             }
         });
-        (t.load(Ordering::SeqCst), uni.cluster.stats().hw_bcasts)
+        (t.get(), uni.cluster.stats().hw_bcasts)
     }
     let (hw_t, hw_count) = bcast_time(true, 1024);
     let (tree_t, tree_count) = bcast_time(false, 1024);
@@ -896,7 +892,7 @@ fn without_integrity_check_corruption_is_silent() {
     // Documents why the check exists: the same fault passes undetected.
     let uni = Universe::paper_testbed(StackConfig::best());
     uni.cluster.inject_payload_corruption(1);
-    let delivered = Arc::new(Mutex::new(Vec::new()));
+    let delivered = Rc::new(Local::new(Vec::new()));
     let d2 = delivered.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -1091,7 +1087,7 @@ fn trace_records_protocol_flow() {
     let mut cfg = StackConfig::best();
     cfg.trace = true;
     #[allow(clippy::type_complexity)]
-    let traces: Arc<Mutex<Vec<(usize, Vec<String>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let traces: Rc<Local<Vec<(usize, Vec<String>)>>> = Rc::new(Local::new(Vec::new()));
     let t2 = traces.clone();
     let uni = Universe::paper_testbed(cfg);
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
@@ -1138,7 +1134,7 @@ fn trace_records_protocol_flow() {
 #[test]
 fn trace_off_records_nothing() {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let empty = Arc::new(AtomicU64::new(1));
+    let empty = Rc::new(Cell::new(1));
     let e2 = empty.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -1149,16 +1145,16 @@ fn trace_off_records_nothing() {
             mpi.recv(&w, 0, 0, &buf, 64);
         }
         if !mpi.endpoint().trace.lock().is_empty() {
-            e2.store(0, Ordering::SeqCst);
+            e2.set(0);
         }
     });
-    assert_eq!(empty.load(Ordering::SeqCst), 1, "tracing leaked when off");
+    assert_eq!(empty.get(), 1, "tracing leaked when off");
 }
 
 #[test]
 fn ssend_completes_only_after_match() {
-    let recv_posted_at = Arc::new(AtomicU64::new(0));
-    let send_done_at = Arc::new(AtomicU64::new(0));
+    let recv_posted_at = Rc::new(Cell::new(0));
+    let send_done_at = Rc::new(Cell::new(0));
     let (rp, sd) = (recv_posted_at.clone(), send_done_at.clone());
     run_pair(
         StackConfig::best(),
@@ -1168,18 +1164,18 @@ fn ssend_completes_only_after_match() {
             // Small message: a plain send would complete locally at once;
             // the synchronous send must wait for the late receiver.
             mpi.ssend(&w, 1, 0, &buf, 16);
-            sd.store(mpi.now().as_ns(), Ordering::SeqCst);
+            sd.set(mpi.now().as_ns());
         },
         move |mpi| {
             let w = mpi.world();
             mpi.compute(qsim::Dur::from_us(300));
-            rp.store(mpi.now().as_ns(), Ordering::SeqCst);
+            rp.set(mpi.now().as_ns());
             let buf = mpi.alloc(16);
             mpi.recv(&w, 0, 0, &buf, 16);
         },
     );
-    let posted = recv_posted_at.load(Ordering::SeqCst);
-    let done = send_done_at.load(Ordering::SeqCst);
+    let posted = recv_posted_at.get();
+    let done = send_done_at.get();
     assert!(
         done > posted,
         "ssend completed at {done}ns before the recv was posted at {posted}ns"
@@ -1189,7 +1185,7 @@ fn ssend_completes_only_after_match() {
 #[test]
 fn plain_small_send_completes_before_match() {
     // Contrast with the ssend test: buffered eager semantics.
-    let send_done_at = Arc::new(AtomicU64::new(0));
+    let send_done_at = Rc::new(Cell::new(0));
     let sd = send_done_at.clone();
     run_pair(
         StackConfig::best(),
@@ -1197,7 +1193,7 @@ fn plain_small_send_completes_before_match() {
             let w = mpi.world();
             let buf = mpi.alloc(16);
             mpi.send(&w, 1, 0, &buf, 16);
-            sd.store(mpi.now().as_ns(), Ordering::SeqCst);
+            sd.set(mpi.now().as_ns());
         },
         |mpi| {
             let w = mpi.world();
@@ -1207,7 +1203,7 @@ fn plain_small_send_completes_before_match() {
         },
     );
     assert!(
-        send_done_at.load(Ordering::SeqCst) < 300_000,
+        send_done_at.get() < 300_000,
         "eager send should complete before the receiver wakes"
     );
 }
@@ -1408,9 +1404,9 @@ fn incast_run(flow_on: bool) -> (u64, u64, u64, u64) {
     cfg.metrics = true;
     cfg.flow_enable = flow_on;
     let (ranks, msgs, len) = (8usize, 32usize, 1024usize);
-    let peak = Arc::new(AtomicU64::new(0));
-    let fallbacks = Arc::new(AtomicU64::new(0));
-    let credits = Arc::new(AtomicU64::new(0));
+    let peak = Rc::new(Cell::new(0));
+    let fallbacks = Rc::new(Cell::new(0));
+    let credits = Rc::new(Cell::new(0));
     let (p2, f2, c2) = (peak.clone(), fallbacks.clone(), credits.clone());
     let uni = Universe::paper_testbed(cfg);
     let report = uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
@@ -1433,19 +1429,16 @@ fn incast_run(flow_on: bool) -> (u64, u64, u64, u64) {
         let ep = mpi.endpoint();
         if mpi.rank() == 0 {
             let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
-            p2.store(ej.queue_peak, Ordering::SeqCst);
-            c2.store(ep.tunables.flow_credits() as u64, Ordering::SeqCst);
+            p2.set(ej.queue_peak);
+            c2.set(ep.tunables.flow_credits() as u64);
         }
-        f2.fetch_add(
-            ep.metrics_snapshot().counters.flow_pool_fallbacks,
-            Ordering::SeqCst,
-        );
+        f2.set(f2.get() + ep.metrics_snapshot().counters.flow_pool_fallbacks);
     });
     (
         report.end_time.as_ns(),
-        peak.load(Ordering::SeqCst),
-        fallbacks.load(Ordering::SeqCst),
-        credits.load(Ordering::SeqCst),
+        peak.get(),
+        fallbacks.get(),
+        credits.get(),
     )
 }
 
@@ -1490,7 +1483,7 @@ fn flow_credit_invariant_over_random_interleavings() {
         cfg.flow_enable = true;
         cfg.flow_credits = 3; // tiny window: parking on every burst
         let (ranks, msgs) = (4usize, 10usize);
-        let rows: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
+        let rows: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
         let r2 = rows.clone();
         let uni = Universe::paper_testbed(cfg);
         uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
@@ -1598,8 +1591,8 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
     cfg.flow_enable = true;
     cfg.flow_credits = 4;
     let sleep_ns = 2_000_000u64;
-    let queued = Arc::new(AtomicU64::new(0));
-    let pp_done = Arc::new(AtomicU64::new(0));
+    let queued = Rc::new(Cell::new(0));
+    let pp_done = Rc::new(Cell::new(0));
     let (q2, p2) = (queued.clone(), pp_done.clone());
     let uni = Universe::paper_testbed(cfg);
     uni.run_world(3, Placement::RoundRobin, move |mpi| {
@@ -1625,12 +1618,9 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
                     mpi.send(&w, 2, 1, &buf, 512);
                     mpi.recv(&w, 2, 1, &rbuf, 512);
                 }
-                p2.store(mpi.now().as_ns(), Ordering::SeqCst);
+                p2.set(mpi.now().as_ns());
                 mpi.waitall(reqs);
-                q2.store(
-                    mpi.endpoint().metrics_snapshot().counters.flow_sends_queued,
-                    Ordering::SeqCst,
-                );
+                q2.set(mpi.endpoint().metrics_snapshot().counters.flow_sends_queued);
             }
             _ => {
                 let rbuf = mpi.alloc(512);
@@ -1643,10 +1633,10 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
         mpi.barrier(&w);
     });
     assert!(
-        queued.load(Ordering::SeqCst) > 0,
+        queued.get() > 0,
         "the flood never exhausted rank 1's credits to rank 0"
     );
-    let done = pp_done.load(Ordering::SeqCst);
+    let done = pp_done.get();
     assert!(
         done < sleep_ns,
         "rank 1 <-> rank 2 ping-pong ({done}ns) stalled behind the parked \
@@ -1699,7 +1689,7 @@ fn nic_coll_cfg() -> StackConfig {
 #[test]
 fn nic_offloaded_collectives_match_host_results() {
     let uni = Universe::paper_testbed(nic_coll_cfg());
-    let rows: Arc<Mutex<Vec<(usize, crate::metrics::Metrics)>>> = Arc::new(Mutex::new(Vec::new()));
+    let rows: Rc<Local<Vec<(usize, crate::metrics::Metrics)>>> = Rc::new(Local::new(Vec::new()));
     let r2 = rows.clone();
     uni.run_world(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -1783,7 +1773,7 @@ fn nic_bcast_bytes_pipelines_without_payload_mixups() {
 #[test]
 fn nic_offload_falls_back_when_ineligible() {
     let uni = Universe::paper_testbed(nic_coll_cfg());
-    let rows: Arc<Mutex<Vec<(usize, crate::metrics::Metrics)>>> = Arc::new(Mutex::new(Vec::new()));
+    let rows: Rc<Local<Vec<(usize, crate::metrics::Metrics)>>> = Rc::new(Local::new(Vec::new()));
     let r2 = rows.clone();
     uni.run_world(4, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -1826,7 +1816,7 @@ fn nic_offload_falls_back_when_ineligible() {
 }
 
 /// A universe with one node per rank on the default fat tree.
-fn sized_universe(ranks: usize, cfg: StackConfig) -> Arc<Universe> {
+fn sized_universe(ranks: usize, cfg: StackConfig) -> Rc<Universe> {
     Universe::new(
         elan4::NicConfig::default(),
         qsnet::FabricConfig {
@@ -1846,12 +1836,12 @@ fn mpi_init_costs_the_same_few_oob_hops_at_any_size() {
     let init_ns = |ranks: usize| {
         let uni = sized_universe(ranks, StackConfig::best());
         let oob = uni.rte.cfg().oob_latency.as_ns();
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
-            t2.fetch_max(mpi.now().as_ns(), Ordering::SeqCst);
+            t2.set(t2.get().max(mpi.now().as_ns()));
         });
-        (t.load(Ordering::SeqCst), oob)
+        (t.get(), oob)
     };
     let (two, oob) = init_ns(2);
     assert!(two <= 4 * oob, "MPI_Init took {two} ns, over 4 OOB hops");
@@ -1911,7 +1901,7 @@ fn nic_program_setup_survives_skewed_entry() {
         let mut cfg = nic_coll_cfg();
         cfg.coll_tree_radix = radix;
         let uni = sized_universe(N, cfg);
-        let rows: Arc<Mutex<Vec<crate::metrics::Metrics>>> = Arc::new(Mutex::new(Vec::new()));
+        let rows: Rc<Local<Vec<crate::metrics::Metrics>>> = Rc::new(Local::new(Vec::new()));
         let r2 = rows.clone();
         uni.run_world(N, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -1954,7 +1944,7 @@ fn hw_bcast_cvar_gates_the_rail() {
     cfg.coll_hw_bcast = false;
     cfg.metrics = true;
     let uni = Universe::paper_testbed(cfg);
-    let rows: Arc<Mutex<Vec<crate::metrics::Metrics>>> = Arc::new(Mutex::new(Vec::new()));
+    let rows: Rc<Local<Vec<crate::metrics::Metrics>>> = Rc::new(Local::new(Vec::new()));
     let r2 = rows.clone();
     uni.run_world(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -1979,7 +1969,7 @@ fn hw_bcast_cvar_gates_the_rail() {
     let mut cfg = StackConfig::best();
     cfg.metrics = true;
     let uni = Universe::paper_testbed(cfg);
-    let rows: Arc<Mutex<Vec<crate::metrics::Metrics>>> = Arc::new(Mutex::new(Vec::new()));
+    let rows: Rc<Local<Vec<crate::metrics::Metrics>>> = Rc::new(Local::new(Vec::new()));
     let r2 = rows.clone();
     uni.run_world(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -2033,7 +2023,7 @@ fn long_tail_collectives_match_scalar_reference_and_attribute_spans() {
     cfg.trace = true;
     cfg.trace_capacity = 65536;
     let uni = Universe::paper_testbed(cfg);
-    let rows: Arc<Mutex<Vec<(usize, crate::trace::TraceLog)>>> = Arc::new(Mutex::new(Vec::new()));
+    let rows: Rc<Local<Vec<(usize, crate::trace::TraceLog)>>> = Rc::new(Local::new(Vec::new()));
     let r2 = rows.clone();
     uni.run_world(6, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();

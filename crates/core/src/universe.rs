@@ -1,8 +1,8 @@
 //! The universe: the shared simulated machine plus everything needed to
 //! launch MPI worlds on it (and spawn further jobs dynamically).
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use elan4::{Cluster, NicConfig};
 use ompi_rte::{JobId, ProcName, Rte, RteConfig};
@@ -34,19 +34,19 @@ impl Placement {
     }
 }
 
-/// Shared machine + configuration; cheap to clone via `Arc`.
+/// Shared machine + configuration; cheap to clone via `Rc`.
 pub struct Universe {
     /// The simulated machine.
-    pub cluster: Arc<Cluster>,
+    pub cluster: Rc<Cluster>,
     /// The runtime environment.
-    pub rte: Arc<Rte>,
+    pub rte: Rc<Rte>,
     /// The management Ethernet for the TCP PTL.
-    pub tcp_net: Arc<TcpNet>,
+    pub tcp_net: Rc<TcpNet>,
     /// Stack configuration every launched rank uses.
     pub cfg: StackConfig,
     /// Transports every launched rank activates.
     pub transports: Transports,
-    next_ctx: AtomicU32,
+    next_ctx: Cell<u32>,
 }
 
 impl Universe {
@@ -56,22 +56,22 @@ impl Universe {
         fabric: FabricConfig,
         cfg: StackConfig,
         transports: Transports,
-    ) -> Arc<Universe> {
+    ) -> Rc<Universe> {
         cfg.validate();
         let nodes = fabric.nodes;
         let cluster = Cluster::new(nic, fabric);
-        Arc::new(Universe {
+        Rc::new(Universe {
             cluster,
             rte: Rte::new(RteConfig::default()),
             tcp_net: TcpNet::new(TcpConfig::default(), nodes),
             cfg,
             transports,
-            next_ctx: AtomicU32::new(0),
+            next_ctx: Cell::new(0),
         })
     }
 
     /// Default machine: the paper's 8-node QS-8A testbed, Elan4 only.
-    pub fn paper_testbed(cfg: StackConfig) -> Arc<Universe> {
+    pub fn paper_testbed(cfg: StackConfig) -> Rc<Universe> {
         Universe::new(
             NicConfig::default(),
             FabricConfig::default(),
@@ -82,22 +82,23 @@ impl Universe {
 
     /// Allocate a (p2p, collective) context-id pair, globally unique.
     pub fn alloc_ctx_pair(&self) -> (u32, u32) {
-        let base = self.next_ctx.fetch_add(2, Ordering::SeqCst);
+        let base = self.next_ctx.get();
+        self.next_ctx.set(base + 2);
         (base, base + 1)
     }
 
     /// Launch an MPI world of `n` ranks; each runs `entry`. Returns the job
     /// id (the simulation must be driven to completion by the caller).
     pub fn launch_world(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &Simulation,
         n: usize,
         placement: Placement,
-        entry: impl Fn(Mpi) + Send + Sync + 'static,
+        entry: impl Fn(Mpi) + 'static,
     ) -> JobId {
         let job = self.rte.create_job(n, None);
         let (ctx, coll_ctx) = self.alloc_ctx_pair();
-        let entry = Arc::new(entry);
+        let entry = Rc::new(entry);
         let nodes = self.cluster.nodes();
         for rank in 0..n {
             let node = placement.node_of(rank, nodes);
@@ -138,10 +139,10 @@ impl Universe {
 
     /// Convenience: build a simulation, launch one world, run to completion.
     pub fn run_world(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         n: usize,
         placement: Placement,
-        entry: impl Fn(Mpi) + Send + Sync + 'static,
+        entry: impl Fn(Mpi) + 'static,
     ) -> qsim::Report {
         let sim = Simulation::new();
         self.launch_world(&sim, n, placement, entry);

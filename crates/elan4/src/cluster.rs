@@ -2,16 +2,14 @@
 //! state (MMU, receive queues, events), and the QDMA/RDMA engines that move
 //! bytes through the [`qsnet::Fabric`].
 //!
-//! All mutable state sits behind one mutex; the `qsim` kernel serializes
-//! every process and device callback, so the lock is uncontended and exists
-//! only to satisfy `Send`/`Sync`.
+//! All mutable state sits in one [`qsim::Local`] cell: the `qsim` kernel
+//! runs every process and device callback of a run on one thread, one at
+//! a time, so the state needs no lock.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use qsim::Mutex;
-use qsim::{Signal, SimHandle, Time};
+use qsim::{FastMap, Local, Signal, SimHandle, Time};
 use qsnet::{Fabric, FabricConfig, NodeId};
 
 use crate::alloc::Allocator;
@@ -207,7 +205,7 @@ pub struct ClusterStats {
 
 pub(crate) struct ClusterInner {
     pub nodes: Vec<NodeState>,
-    pub ctxs: HashMap<u32, CtxState>,
+    pub ctxs: FastMap<u32, CtxState>,
     pub free_ctxs: Vec<Vec<u16>>,
     pub stats: ClusterStats,
     /// Fault injection: payload-carrying QDMA deposits to corrupt (flips
@@ -218,13 +216,13 @@ pub(crate) struct ClusterInner {
 /// The whole simulated machine: fabric + NICs + node memory.
 pub struct Cluster {
     pub(crate) cfg: NicConfig,
-    pub(crate) fabric: Arc<Fabric>,
-    pub(crate) inner: Mutex<ClusterInner>,
+    pub(crate) fabric: Rc<Fabric>,
+    pub(crate) inner: Local<ClusterInner>,
 }
 
 impl Cluster {
     /// Build the simulated machine: fabric, per-node memory, NIC state.
-    pub fn new(cfg: NicConfig, fabric_cfg: FabricConfig) -> Arc<Cluster> {
+    pub fn new(cfg: NicConfig, fabric_cfg: FabricConfig) -> Rc<Cluster> {
         let fabric = Fabric::new(fabric_cfg);
         let nodes = (0..fabric.config().nodes)
             .map(|_| NodeState {
@@ -238,12 +236,12 @@ impl Cluster {
         let free_ctxs = (0..fabric.config().nodes)
             .map(|_| (0..cfg.ctxs_per_node).rev().collect())
             .collect();
-        Arc::new(Cluster {
+        Rc::new(Cluster {
             cfg,
             fabric,
-            inner: Mutex::new(ClusterInner {
+            inner: Local::new(ClusterInner {
                 nodes,
-                ctxs: HashMap::new(),
+                ctxs: FastMap::default(),
                 free_ctxs,
                 stats: ClusterStats::default(),
                 corrupt_deposits: 0,
@@ -257,7 +255,7 @@ impl Cluster {
     }
 
     /// The wire this machine is built on.
-    pub fn fabric(&self) -> &Arc<Fabric> {
+    pub fn fabric(&self) -> &Rc<Fabric> {
         &self.fabric
     }
 
@@ -411,7 +409,7 @@ impl Cluster {
     /// `local_event`, if any, fires on the issuing NIC once the payload has
     /// been pulled from host memory (send buffer reusable).
     pub(crate) fn qdma_from_nic(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &SimHandle,
         start: Time,
         src_vpid: Vpid,
@@ -459,7 +457,7 @@ impl Cluster {
 
     /// Place a QDMA payload at its destination: a queue slot (retrying
     /// while full) or a remote counted event (the collective-program hop).
-    fn deposit(self: &Arc<Self>, sim: &SimHandle, mut spec: QdmaSpec) {
+    fn deposit(self: &Rc<Self>, sim: &SimHandle, mut spec: QdmaSpec) {
         let qid = match spec.target {
             QdmaTarget::Event(ev) => {
                 // Event writes bypass the queue machinery entirely: the
@@ -534,7 +532,7 @@ impl Cluster {
     /// while short ones pay each stage's latency in sequence.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rdma_from_nic(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &SimHandle,
         start: Time,
         issuer: Vpid,
@@ -651,7 +649,7 @@ impl Cluster {
     /// caller is responsible for that gate. Per-target payloads may differ
     /// only in header sequencing; the wire carries the frame once.
     pub(crate) fn hw_bcast_from_nic(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &SimHandle,
         start: Time,
         src_vpid: Vpid,
@@ -700,7 +698,7 @@ impl Cluster {
 
     /// Decrement an event's count; on reaching zero: latch the fire, notify
     /// the host (optionally via interrupt), and launch any chained QDMA.
-    pub(crate) fn event_complete(self: &Arc<Self>, sim: &SimHandle, vpid: Vpid, ev: EventId) {
+    pub(crate) fn event_complete(self: &Rc<Self>, sim: &SimHandle, vpid: Vpid, ev: EventId) {
         self.event_complete_with_data(sim, vpid, ev, None);
     }
 
@@ -710,7 +708,7 @@ impl Cluster {
     /// captured for the host and for chained payload-forwarding specs, and
     /// an auto-reset event re-arms its count for the next round.
     pub(crate) fn event_complete_with_data(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &SimHandle,
         vpid: Vpid,
         ev: EventId,

@@ -6,7 +6,7 @@
 //! process's virtual clock; NIC-side costs run asynchronously through the
 //! event queue.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use qsim::{Dur, Proc, Signal, Wait};
 use qsnet::NodeId;
@@ -19,7 +19,7 @@ use crate::types::{DmaKind, E4Addr, EventId, HostAddr, HostBuf, QueueId, Vpid};
 /// Dropping the handle does *not* release the context (finalization is an
 /// explicit protocol step in the paper); call [`ElanCtx::detach`].
 pub struct ElanCtx {
-    cluster: Arc<Cluster>,
+    cluster: Rc<Cluster>,
     vpid: Vpid,
     node: NodeId,
 }
@@ -27,7 +27,7 @@ pub struct ElanCtx {
 impl ElanCtx {
     /// Claim a free context on `node` (dynamic join). Returns `None` when
     /// the node's capability is exhausted.
-    pub fn attach(cluster: &Arc<Cluster>, node: NodeId) -> Option<ElanCtx> {
+    pub fn attach(cluster: &Rc<Cluster>, node: NodeId) -> Option<ElanCtx> {
         let vpid = cluster.claim_ctx(node)?;
         Some(ElanCtx {
             cluster: cluster.clone(),
@@ -47,7 +47,7 @@ impl ElanCtx {
     }
 
     /// The machine this context is attached to.
-    pub fn cluster(&self) -> &Arc<Cluster> {
+    pub fn cluster(&self) -> &Rc<Cluster> {
         &self.cluster
     }
 
@@ -322,7 +322,7 @@ impl ElanCtx {
 
 /// Host handle onto a QDMA receive queue.
 pub struct RxQueue {
-    cluster: Arc<Cluster>,
+    cluster: Rc<Cluster>,
     vpid: Vpid,
     qid: QueueId,
 }
@@ -406,7 +406,7 @@ impl RxQueue {
 
 /// Host handle onto an Elan event.
 pub struct ElanEvent {
-    cluster: Arc<Cluster>,
+    cluster: Rc<Cluster>,
     vpid: Vpid,
     id: EventId,
 }

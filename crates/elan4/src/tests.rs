@@ -1,16 +1,15 @@
 //! Cross-module tests of the NIC model: QDMA delivery, RDMA data movement,
 //! chained events, interrupts, dynamic attach/detach, and Tport matching.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
-use qsim::Mutex;
-use qsim::{Dur, Simulation};
+use qsim::{Dur, Local, Simulation};
 use qsnet::FabricConfig;
 
 use crate::{Cluster, DmaKind, ElanCtx, NicConfig, QdmaSpec, Tport, TPORT_ANY_TAG};
 
-fn cluster() -> Arc<Cluster> {
+fn cluster() -> Rc<Cluster> {
     Cluster::new(NicConfig::default(), FabricConfig::default())
 }
 
@@ -51,11 +50,11 @@ fn capability_exhaustion() {
 fn qdma_delivers_payload_and_costs_time() {
     let cl = cluster();
     let sim = Simulation::new();
-    let rx_ctx = Arc::new(ElanCtx::attach(&cl, 4).unwrap());
-    let tx_ctx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let rx_ctx = Rc::new(ElanCtx::attach(&cl, 4).unwrap());
+    let tx_ctx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     let rx_vpid = rx_ctx.vpid();
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let t_arrive = Arc::new(AtomicU64::new(0));
+    let got = Rc::new(Local::new(Vec::new()));
+    let t_arrive = Rc::new(Cell::new(0));
 
     {
         let rx_ctx = rx_ctx.clone();
@@ -66,7 +65,7 @@ fn qdma_delivers_payload_and_costs_time() {
             let sig = p.signal();
             q.set_signal(sig.clone());
             let msg = q.wait_pop(&p, &sig, Dur::from_ns(100)).unwrap();
-            t.store(p.now().as_ns(), Ordering::SeqCst);
+            t.set(p.now().as_ns());
             *got.lock() = msg;
         });
     }
@@ -80,7 +79,7 @@ fn qdma_delivers_payload_and_costs_time() {
     }
     sim.run().unwrap();
     assert_eq!(&*got.lock(), &vec![7u8; 512]);
-    let ns = t_arrive.load(Ordering::SeqCst);
+    let ns = t_arrive.get();
     // pio + cmd + bus + wire(3 hops) + deposit + detect: roughly 1.2-2.5us.
     assert!(ns > 1_000 && ns < 4_000, "qdma latency {ns}ns out of band");
     assert_eq!(cl.stats().qdmas, 1);
@@ -90,11 +89,11 @@ fn qdma_delivers_payload_and_costs_time() {
 fn qdma_local_event_fires_when_buffer_drained() {
     let cl = cluster();
     let sim = Simulation::new();
-    let rx = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-    let tx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let rx = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let tx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     let rx_vpid = rx.vpid();
     let _q = rx.create_queue(4, 2048);
-    let fired_at = Arc::new(AtomicU64::new(0));
+    let fired_at = Rc::new(Cell::new(0));
     let f2 = fired_at.clone();
     sim.spawn("tx", move |p| {
         let ev = tx.event_create(1);
@@ -110,10 +109,10 @@ fn qdma_local_event_fires_when_buffer_drained() {
         );
         p.wait(&sig).expect_signaled();
         assert!(ev.take_fired_ready());
-        f2.store(p.now().as_ns(), Ordering::SeqCst);
+        f2.set(p.now().as_ns());
     });
     sim.run().unwrap();
-    let ns = fired_at.load(Ordering::SeqCst);
+    let ns = fired_at.get();
     assert!(ns > 0, "event never fired");
     // Local completion happens before full remote delivery would.
     assert!(ns < 3_000, "local completion too slow: {ns}");
@@ -123,15 +122,15 @@ fn qdma_local_event_fires_when_buffer_drained() {
 fn rdma_write_moves_bytes() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 5).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 5).unwrap());
 
     let src = a.alloc(8192);
     let dst = b.alloc(8192);
     let pattern: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
     a.write(&src, 0, &pattern);
 
-    let done_t = Arc::new(AtomicU64::new(0));
+    let done_t = Rc::new(Cell::new(0));
     {
         let a = a.clone();
         let b = b.clone();
@@ -145,12 +144,12 @@ fn rdma_write_moves_bytes() {
             a.rdma(&p, 0, DmaKind::Write, local, remote, 8192, Some(ev.id()));
             p.wait(&sig).expect_signaled();
             assert!(ev.take_fired_ready());
-            dt.store(p.now().as_ns(), Ordering::SeqCst);
+            dt.set(p.now().as_ns());
         });
     }
     sim.run().unwrap();
     assert_eq!(b.read(&dst, 0, 8192), pattern);
-    let ns = done_t.load(Ordering::SeqCst);
+    let ns = done_t.get();
     // 8KB at ~min(bus,link) plus latencies: several microseconds.
     assert!(ns > 7_000 && ns < 20_000, "rdma write time {ns}");
 }
@@ -161,7 +160,7 @@ fn same_node_rdma_with_overlapping_ranges_lands_the_source_as_read() {
     // directions: the landed bytes must be the source as it was before the
     // transfer, as if the NIC read all of it and then wrote it.
     let cl = cluster();
-    let a = Arc::new(ElanCtx::attach(&cl, 3).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 3).unwrap());
     let buf = a.alloc(8192);
     let pattern: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
     let len = 4096;
@@ -189,8 +188,8 @@ fn same_node_rdma_with_overlapping_ranges_lands_the_source_as_read() {
 fn rdma_read_pulls_bytes() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 2).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 6).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 2).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 6).unwrap());
 
     let theirs = b.alloc(4096);
     let mine = a.alloc(4096);
@@ -217,11 +216,11 @@ fn rdma_read_slower_than_write_by_request_trip() {
     fn timed(kind: DmaKind) -> u64 {
         let cl = cluster();
         let sim = Simulation::new();
-        let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-        let b = Arc::new(ElanCtx::attach(&cl, 4).unwrap());
+        let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+        let b = Rc::new(ElanCtx::attach(&cl, 4).unwrap());
         let mine = a.alloc(256);
         let theirs = b.alloc(256);
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         sim.spawn("p", move |p| {
             let local = a.map(&p, &mine);
@@ -231,10 +230,10 @@ fn rdma_read_slower_than_write_by_request_trip() {
             ev.set_signal(sig.clone());
             a.rdma(&p, 0, kind, local, remote, 256, Some(ev.id()));
             p.wait(&sig).expect_signaled();
-            t2.store(p.now().as_ns(), Ordering::SeqCst);
+            t2.set(p.now().as_ns());
         });
         sim.run().unwrap();
-        t.load(Ordering::SeqCst)
+        t.get()
     }
     let w = timed(DmaKind::Write);
     let r = timed(DmaKind::Read);
@@ -246,8 +245,8 @@ fn rdma_read_slower_than_write_by_request_trip() {
 fn counted_event_fires_after_n_completions() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
     let mine = a.alloc(4 * 1024);
     let theirs = b.alloc(4 * 1024);
 
@@ -281,8 +280,8 @@ fn chained_qdma_launches_on_event_fire() {
     // completion without the sender's host touching the NIC again.
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 7).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 7).unwrap());
     let b_vpid = b.vpid();
 
     let src = a.alloc(2048);
@@ -326,10 +325,10 @@ fn interrupt_mode_adds_latency() {
     fn qdma_latency(irq: bool) -> u64 {
         let cl = cluster();
         let sim = Simulation::new();
-        let rx = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-        let tx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+        let rx = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+        let tx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
         let rx_vpid = rx.vpid();
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         {
             let t = t.clone();
             sim.spawn("rx", move |p| {
@@ -338,7 +337,7 @@ fn interrupt_mode_adds_latency() {
                 let sig = p.signal();
                 q.set_signal(sig.clone());
                 q.wait_pop(&p, &sig, Dur::from_ns(100)).unwrap();
-                t.store(p.now().as_ns(), Ordering::SeqCst);
+                t.set(p.now().as_ns());
             });
         }
         sim.spawn("tx", move |p| {
@@ -346,7 +345,7 @@ fn interrupt_mode_adds_latency() {
             tx.qdma(&p, 0, rx_vpid, crate::QueueId(0), vec![1, 2, 3], None);
         });
         sim.run().unwrap();
-        t.load(Ordering::SeqCst)
+        t.get()
     }
     let poll = qdma_latency(false);
     let irq = qdma_latency(true);
@@ -359,10 +358,10 @@ fn interrupt_mode_adds_latency() {
 fn queue_overflow_retries_and_delivers_eventually() {
     let cl = cluster();
     let sim = Simulation::new();
-    let rx = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-    let tx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let rx = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let tx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     let rx_vpid = rx.vpid();
-    let received = Arc::new(AtomicU64::new(0));
+    let received = Rc::new(Cell::new(0));
     {
         let rx = rx.clone();
         let received = received.clone();
@@ -373,7 +372,7 @@ fn queue_overflow_retries_and_delivers_eventually() {
             // Drain slowly so senders overflow.
             for _ in 0..8 {
                 let _ = q.wait_pop(&p, &sig, Dur::from_ns(100)).unwrap();
-                received.fetch_add(1, Ordering::SeqCst);
+                received.set(received.get() + 1);
                 p.advance(Dur::from_us(5));
             }
         });
@@ -385,7 +384,7 @@ fn queue_overflow_retries_and_delivers_eventually() {
         }
     });
     sim.run().unwrap();
-    assert_eq!(received.load(Ordering::SeqCst), 8);
+    assert_eq!(received.get(), 8);
     assert!(
         cl.stats().queue_overflows > 0,
         "test should exercise overflow"
@@ -400,7 +399,7 @@ fn qdma_to_detached_context_is_dropped() {
     let rx_vpid = rx.vpid();
     let _q = rx.create_queue(4, 2048);
     rx.detach();
-    let tx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let tx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     sim.spawn("tx", move |p| {
         tx.qdma(&p, 0, rx_vpid, crate::QueueId(0), vec![1], None);
         p.advance(Dur::from_us(50));
@@ -413,10 +412,10 @@ fn qdma_to_detached_context_is_dropped() {
 fn tport_eager_pingpong_and_latency_band() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 4).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 4).unwrap());
     let (va, vb) = (a.vpid(), b.vpid());
-    let rtt = Arc::new(AtomicU64::new(0));
+    let rtt = Rc::new(Cell::new(0));
     {
         let rtt = rtt.clone();
         let a = a.clone();
@@ -430,7 +429,7 @@ fn tport_eager_pingpong_and_latency_band() {
             let s = tp.isend(&p, vb, 0, sbuf, 64);
             tp.wait_send(&p, &s);
             tp.wait_recv(&p, &r);
-            rtt.store((p.now() - t0).as_ns(), Ordering::SeqCst);
+            rtt.set((p.now() - t0).as_ns());
             assert_eq!(a.read(&rbuf, 0, 64), [3u8; 64]);
         });
     }
@@ -449,7 +448,7 @@ fn tport_eager_pingpong_and_latency_band() {
         });
     }
     sim.run().unwrap();
-    let half = rtt.load(Ordering::SeqCst) / 2;
+    let half = rtt.get() / 2;
     // MPICH-QsNetII small-message latency is ~3us in the paper.
     assert!(half > 1_500 && half < 5_000, "tport latency {half}ns");
 }
@@ -458,8 +457,8 @@ fn tport_eager_pingpong_and_latency_band() {
 fn tport_large_message_rendezvous() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
     let vb = b.vpid();
     let len = 256 * 1024;
     let pattern: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
@@ -494,8 +493,8 @@ fn tport_large_message_rendezvous() {
 fn tport_matching_order_fifo_per_tag() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
     let vb = b.vpid();
     {
         let a = a.clone();
@@ -529,14 +528,14 @@ fn tport_matching_order_fifo_per_tag() {
 fn hw_bcast_delivers_to_all_targets() {
     let cl = cluster();
     let sim = Simulation::new();
-    let root = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let root = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     let mut receivers = Vec::new();
     for node in 1..=3 {
-        receivers.push(Arc::new(ElanCtx::attach(&cl, node).unwrap()));
+        receivers.push(Rc::new(ElanCtx::attach(&cl, node).unwrap()));
     }
     let targets: Vec<_> = receivers.iter().map(|r| r.vpid()).collect();
-    let got = Arc::new(AtomicU64::new(0));
-    let times = Arc::new(Mutex::new(Vec::new()));
+    let got = Rc::new(Cell::new(0));
+    let times = Rc::new(Local::new(Vec::new()));
     for (i, rx) in receivers.iter().enumerate() {
         let rx = rx.clone();
         let got = got.clone();
@@ -547,7 +546,7 @@ fn hw_bcast_delivers_to_all_targets() {
             q.set_signal(sig.clone());
             let msg = q.wait_pop(&p, &sig, Dur::from_ns(100)).unwrap();
             assert_eq!(msg, vec![i as u8 + 1; 100]);
-            got.fetch_add(1, Ordering::SeqCst);
+            got.set(got.get() + 1);
             times.lock().push(p.now().as_ns());
         });
     }
@@ -566,7 +565,7 @@ fn hw_bcast_delivers_to_all_targets() {
         });
     }
     sim.run().unwrap();
-    assert_eq!(got.load(Ordering::SeqCst), 3);
+    assert_eq!(got.get(), 3);
     assert_eq!(cl.stats().hw_bcasts, 1);
     // Deliveries are near-simultaneous (switch replication), not serialized
     // message-by-message.
@@ -581,16 +580,16 @@ fn hw_bcast_cheaper_than_sequential_sends() {
     fn run(bcast: bool) -> u64 {
         let cl = cluster();
         let sim = Simulation::new();
-        let root = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+        let root = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
         let mut vpids = Vec::new();
         let mut receivers = Vec::new();
         for node in 1..=6 {
-            let c = Arc::new(ElanCtx::attach(&cl, node).unwrap());
+            let c = Rc::new(ElanCtx::attach(&cl, node).unwrap());
             let _q = c.create_queue(8, 2048);
             vpids.push(c.vpid());
             receivers.push(c);
         }
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         let d2 = done.clone();
         sim.spawn("root", move |p| {
             let payload = vec![7u8; 1984];
@@ -607,7 +606,7 @@ fn hw_bcast_cheaper_than_sequential_sends() {
             }
             // Let deliveries complete.
             p.advance(Dur::from_us(100));
-            d2.store(p.now().as_ns(), Ordering::SeqCst);
+            d2.set(p.now().as_ns());
             drop(receivers);
         });
         sim.run().unwrap();
@@ -627,8 +626,8 @@ fn hw_bcast_cheaper_than_sequential_sends() {
 fn counted_event_reset_and_reuse() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
     let mine = a.alloc(1024);
     let theirs = b.alloc(1024);
     sim.spawn("p", move |p| {
@@ -663,9 +662,9 @@ fn event_write_qdma_decrements_remote_event() {
     // the count hits zero a chained QDMA launches — all NIC→NIC.
     let cl = cluster();
     let sim = Simulation::new();
-    let parent = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let child = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-    let observer = Arc::new(ElanCtx::attach(&cl, 2).unwrap());
+    let parent = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let child = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let observer = Rc::new(ElanCtx::attach(&cl, 2).unwrap());
     let pv = parent.vpid();
     let ov = observer.vpid();
     {
@@ -700,8 +699,8 @@ fn event_write_qdma_decrements_remote_event() {
 fn auto_reset_event_survives_multiple_rounds() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
     let av = a.vpid();
     sim.spawn("rounds", move |p| {
         let ev = a.event_create(2);
@@ -732,9 +731,9 @@ fn event_combine_accumulates_and_forwards_payload() {
     // payload to another context's event, whose host reads it back.
     let cl = cluster();
     let sim = Simulation::new();
-    let mid = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let leaf = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-    let root = Arc::new(ElanCtx::attach(&cl, 2).unwrap());
+    let mid = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let leaf = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let root = Rc::new(ElanCtx::attach(&cl, 2).unwrap());
     let mid_v = mid.vpid();
     let root_v = root.vpid();
     let root_ev = root.event_create(1);
@@ -772,8 +771,8 @@ fn event_combine_accumulates_and_forwards_payload() {
 fn rdma_to_unmapped_address_faults() {
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
     let mine = a.alloc(64);
     // Forge a remote address that was never mapped.
     let bogus = crate::E4Addr::from_raw(b.vpid(), 0xDEAD_0000);
@@ -794,9 +793,9 @@ fn queues_are_isolated_between_contexts() {
     let cl = cluster();
     let sim = Simulation::new();
     // Two contexts on the same node, each with queue 0.
-    let rx1 = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-    let rx2 = Arc::new(ElanCtx::attach(&cl, 1).unwrap());
-    let tx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let rx1 = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let rx2 = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let tx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     let v1 = rx1.vpid();
     {
         let rx1 = rx1.clone();
@@ -828,10 +827,10 @@ fn queues_are_isolated_between_contexts() {
 fn tport_wildcard_source() {
     let cl = cluster();
     let sim = Simulation::new();
-    let rx = Arc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let rx = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
     let mut senders = Vec::new();
     for node in 1..=3 {
-        senders.push(Arc::new(ElanCtx::attach(&cl, node).unwrap()));
+        senders.push(Rc::new(ElanCtx::attach(&cl, node).unwrap()));
     }
     let rxv = rx.vpid();
     {
@@ -869,8 +868,8 @@ fn tport_same_node_loopback() {
     // Two contexts on the same node exchange through the NIC (hops = 0).
     let cl = cluster();
     let sim = Simulation::new();
-    let a = Arc::new(ElanCtx::attach(&cl, 2).unwrap());
-    let b = Arc::new(ElanCtx::attach(&cl, 2).unwrap());
+    let a = Rc::new(ElanCtx::attach(&cl, 2).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 2).unwrap());
     let vb = b.vpid();
     {
         let a = a.clone();

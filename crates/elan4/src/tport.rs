@@ -9,7 +9,7 @@
 //! concurrency and MPI-2 dynamic process support.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use qsim::{Proc, Signal, SimHandle};
 
@@ -40,7 +40,7 @@ struct PostedRecv {
     buf: HostBuf,
     seq: u64,
     signal: Signal,
-    done: Arc<qsim::Mutex<Option<TportEnvelope>>>,
+    done: Rc<qsim::Local<Option<TportEnvelope>>>,
 }
 
 /// A message that arrived before its receive was posted. Small messages
@@ -57,7 +57,7 @@ struct UnexpectedMsg {
 #[derive(Clone)]
 struct SenderDone {
     signal: Signal,
-    flag: Arc<qsim::Mutex<bool>>,
+    flag: Rc<qsim::Local<bool>>,
 }
 
 /// Per-context NIC tport state.
@@ -70,30 +70,30 @@ pub struct TportState {
 
 /// Host handle for tagged-port communication on an attached context.
 pub struct Tport {
-    ctx: Arc<ElanCtx>,
+    ctx: Rc<ElanCtx>,
     rail: usize,
 }
 
 /// Handle for a pending receive.
 pub struct TportRecv {
     signal: Signal,
-    done: Arc<qsim::Mutex<Option<TportEnvelope>>>,
+    done: Rc<qsim::Local<Option<TportEnvelope>>>,
 }
 
 /// Handle for a pending send.
 pub struct TportSend {
     signal: Signal,
-    flag: Arc<qsim::Mutex<bool>>,
+    flag: Rc<qsim::Local<bool>>,
 }
 
 impl Tport {
     /// Open a tagged port over `ctx` on `rail`.
-    pub fn new(ctx: Arc<ElanCtx>, rail: usize) -> Tport {
+    pub fn new(ctx: Rc<ElanCtx>, rail: usize) -> Tport {
         Tport { ctx, rail }
     }
 
     /// The context this port is bound to.
-    pub fn ctx(&self) -> &Arc<ElanCtx> {
+    pub fn ctx(&self) -> &Rc<ElanCtx> {
         &self.ctx
     }
 
@@ -103,7 +103,7 @@ impl Tport {
         let cluster = self.ctx.cluster().clone();
         proc.advance(cluster.cfg().pio_cmd);
         let signal = proc.signal();
-        let done: Arc<qsim::Mutex<Option<TportEnvelope>>> = Arc::new(qsim::Mutex::new(None));
+        let done: Rc<qsim::Local<Option<TportEnvelope>>> = Rc::new(qsim::Local::new(None));
         let vpid = self.ctx.vpid();
         let rail = self.rail;
 
@@ -152,7 +152,7 @@ impl Tport {
         let cfg = cluster.cfg().clone();
         proc.advance(cfg.pio_cmd);
         let signal = proc.signal();
-        let flag = Arc::new(qsim::Mutex::new(false));
+        let flag = Rc::new(qsim::Local::new(false));
         let src = self.ctx.vpid();
         let rail = self.rail;
         let env = TportEnvelope { src, tag, len };
@@ -252,7 +252,7 @@ fn tag_match(want_src: u32, want_tag: i64, src: Vpid, tag: i64) -> bool {
 }
 
 /// NIC-side handling of an arriving envelope at the destination.
-fn nic_arrival(cluster: &Arc<Cluster>, sim: &SimHandle, dst: Vpid, msg: UnexpectedMsg) {
+fn nic_arrival(cluster: &Rc<Cluster>, sim: &SimHandle, dst: Vpid, msg: UnexpectedMsg) {
     let mut inner = cluster.inner.lock();
     let Some(ctx) = inner.ctxs.get_mut(&dst.raw()) else {
         return;
@@ -277,11 +277,11 @@ fn nic_arrival(cluster: &Arc<Cluster>, sim: &SimHandle, dst: Vpid, msg: Unexpect
 
 /// Move a matched message into the user buffer and complete both sides.
 fn deliver_matched(
-    cluster: &Arc<Cluster>,
+    cluster: &Rc<Cluster>,
     sim: &SimHandle,
     msg: UnexpectedMsg,
     buf: HostBuf,
-    done: Arc<qsim::Mutex<Option<TportEnvelope>>>,
+    done: Rc<qsim::Local<Option<TportEnvelope>>>,
     signal: Signal,
 ) {
     let cfg = cluster.cfg().clone();

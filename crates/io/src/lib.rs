@@ -13,7 +13,7 @@ mod pfs;
 
 pub use pfs::{Pfs, PfsConfig, PfsStats};
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use elan4::HostBuf;
 use openmpi_core::{Communicator, Mpi};
@@ -22,14 +22,14 @@ use qsim::Wait;
 /// An open file handle bound to a communicator (MPI_File semantics: opens
 /// and collective operations involve the whole group).
 pub struct File {
-    pfs: Arc<Pfs>,
+    pfs: Rc<Pfs>,
     comm: Communicator,
     name: String,
 }
 
 impl File {
     /// Collectively open (creating if absent) `name` on `pfs`.
-    pub fn open(mpi: &Mpi, pfs: &Arc<Pfs>, comm: &Communicator, name: &str) -> File {
+    pub fn open(mpi: &Mpi, pfs: &Rc<Pfs>, comm: &Communicator, name: &str) -> File {
         // Rank 0 creates; everyone synchronizes before first use.
         if comm.rank() == 0 && !pfs.exists(name) {
             pfs.create(name);
@@ -112,7 +112,7 @@ fn block_until(mpi: &Mpi, t: qsim::Time) {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn collective_write_then_read_back() {
@@ -148,7 +148,7 @@ mod tests {
                 io_nodes,
                 ..Default::default()
             });
-            let t = std::sync::Arc::new(AtomicU64::new(0));
+            let t = std::rc::Rc::new(Cell::new(0));
             let t2 = t.clone();
             uni.run_world(4, Placement::RoundRobin, move |mpi| {
                 let w = mpi.world();
@@ -159,10 +159,10 @@ mod tests {
                 let t0 = mpi.now();
                 f.write_all(&mpi, 0, &buf, block);
                 if mpi.rank() == 0 {
-                    t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                    t2.set((mpi.now() - t0).as_ns());
                 }
             });
-            t.load(Ordering::SeqCst)
+            t.get()
         }
         let wide = run(8);
         let narrow = run(1);

@@ -6,11 +6,9 @@
 //! same I/O node serialize — the behaviour that makes collective I/O
 //! worthwhile.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use qsim::Mutex;
-use qsim::{Dur, Time};
+use qsim::{Dur, FastMap, Local, Time};
 
 /// File-system shape and timing.
 #[derive(Clone, Debug)]
@@ -43,7 +41,7 @@ struct FileState {
 }
 
 struct PfsInner {
-    files: HashMap<String, FileState>,
+    files: FastMap<String, FileState>,
     /// Disk availability per I/O node.
     disk_free: Vec<Time>,
     reads: u64,
@@ -54,7 +52,7 @@ struct PfsInner {
 /// The shared file system.
 pub struct Pfs {
     cfg: PfsConfig,
-    inner: Mutex<PfsInner>,
+    inner: Local<PfsInner>,
 }
 
 /// Counters for tests.
@@ -70,13 +68,13 @@ pub struct PfsStats {
 
 impl Pfs {
     /// An empty file system.
-    pub fn new(cfg: PfsConfig) -> Arc<Pfs> {
+    pub fn new(cfg: PfsConfig) -> Rc<Pfs> {
         assert!(cfg.io_nodes > 0 && cfg.stripe > 0);
         let disks = cfg.io_nodes;
-        Arc::new(Pfs {
+        Rc::new(Pfs {
             cfg,
-            inner: Mutex::new(PfsInner {
-                files: HashMap::new(),
+            inner: Local::new(PfsInner {
+                files: FastMap::default(),
                 disk_free: vec![Time::ZERO; disks],
                 reads: 0,
                 writes: 0,

@@ -18,7 +18,7 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use elan4::{Cluster, ElanCtx, HostBuf, Tport, TportRecv, TportSend, Vpid};
 use qsim::{Dur, Proc, Simulation};
@@ -46,10 +46,10 @@ pub const MPICH_ANY_TAG: i64 = elan4::TPORT_ANY_TAG;
 /// One rank of an MPICH-QsNet job.
 pub struct MpichRank {
     proc: Proc,
-    ctx: Arc<ElanCtx>,
+    ctx: Rc<ElanCtx>,
     tport: Tport,
     rank: usize,
-    vpids: Arc<Vec<Vpid>>,
+    vpids: Rc<Vec<Vpid>>,
     cfg: MpichConfig,
 }
 
@@ -172,10 +172,10 @@ impl MpichRank {
 /// completion. Contexts are claimed up front (static pool) with rank `r`
 /// placed on node `r % nodes`.
 pub fn run_mpich(
-    cluster: &Arc<Cluster>,
+    cluster: &Rc<Cluster>,
     n: usize,
     cfg: MpichConfig,
-    entry: impl Fn(MpichRank) + Send + Sync + 'static,
+    entry: impl Fn(MpichRank) + 'static,
 ) {
     let sim = Simulation::new();
     launch_mpich(&sim, cluster, n, cfg, entry);
@@ -187,18 +187,18 @@ pub fn run_mpich(
 /// Like [`run_mpich`] but on an existing simulation.
 pub fn launch_mpich(
     sim: &Simulation,
-    cluster: &Arc<Cluster>,
+    cluster: &Rc<Cluster>,
     n: usize,
     cfg: MpichConfig,
-    entry: impl Fn(MpichRank) + Send + Sync + 'static,
+    entry: impl Fn(MpichRank) + 'static,
 ) {
     let nodes = cluster.nodes();
     // Static pool: claim every context before any rank runs.
-    let ctxs: Vec<Arc<ElanCtx>> = (0..n)
-        .map(|r| Arc::new(ElanCtx::attach(cluster, r % nodes).expect("capability exhausted")))
+    let ctxs: Vec<Rc<ElanCtx>> = (0..n)
+        .map(|r| Rc::new(ElanCtx::attach(cluster, r % nodes).expect("capability exhausted")))
         .collect();
-    let vpids = Arc::new(ctxs.iter().map(|c| c.vpid()).collect::<Vec<_>>());
-    let entry = Arc::new(entry);
+    let vpids = Rc::new(ctxs.iter().map(|c| c.vpid()).collect::<Vec<_>>());
+    let entry = Rc::new(entry);
     for (rank, ctx) in ctxs.into_iter().enumerate() {
         let vpids = vpids.clone();
         let entry = entry.clone();
@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use elan4::NicConfig;
     use qsnet::FabricConfig;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
     fn pattern(n: usize, seed: u8) -> Vec<u8> {
         (0..n)
@@ -230,13 +230,13 @@ mod tests {
             .collect()
     }
 
-    fn cluster() -> Arc<Cluster> {
+    fn cluster() -> Rc<Cluster> {
         Cluster::new(NicConfig::default(), FabricConfig::default())
     }
 
     fn pingpong(len: usize, iters: usize) -> u64 {
         let cl = cluster();
-        let lat = Arc::new(AtomicU64::new(0));
+        let lat = Rc::new(Cell::new(0));
         let l2 = lat.clone();
         run_mpich(&cl, 2, MpichConfig::default(), move |r| {
             let sbuf = r.alloc(len.max(1));
@@ -254,14 +254,11 @@ mod tests {
                 }
             }
             if r.rank() == 0 {
-                l2.store(
-                    (r.now() - t0).as_ns() / (2 * iters as u64),
-                    Ordering::SeqCst,
-                );
+                l2.set((r.now() - t0).as_ns() / (2 * iters as u64));
                 assert_eq!(r.read(&rbuf, 0, len), pattern(len, 1));
             }
         });
-        lat.load(Ordering::SeqCst)
+        lat.get()
     }
 
     #[test]

@@ -69,10 +69,6 @@ pub(crate) struct Stack {
     base: NonNull<u8>,
 }
 
-// SAFETY: a `Stack` is an owned mapping; nothing about it is tied to the
-// thread that mapped it.
-unsafe impl Send for Stack {}
-
 impl Stack {
     fn new() -> Stack {
         let len = GUARD_SIZE + STACK_SIZE;
@@ -153,13 +149,6 @@ impl Drop for Stack {
 pub(crate) struct Context {
     sp: UnsafeCell<*mut u8>,
 }
-
-// SAFETY: a context is read and written only by `switch` and `start`, on
-// the one thread that runs the simulation owning it; the kernel never lets
-// two of them touch the same context at once.
-unsafe impl Send for Context {}
-// SAFETY: as for `Send`.
-unsafe impl Sync for Context {}
 
 impl Context {
     pub(crate) fn new() -> Context {

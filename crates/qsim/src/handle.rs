@@ -1,7 +1,7 @@
 //! [`SimHandle`] — the capability that device models and processes use to
 //! read the clock and schedule future work.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::kernel::{Event, Shared};
 use crate::time::{Dur, Time};
@@ -13,30 +13,32 @@ use crate::time::{Dur, Time};
 /// Scheduled closures run inline in whichever context is dispatching (the
 /// caller of [`crate::Simulation::run`], or a process that parked or
 /// finished), serialized with every simulated process on the one thread
-/// that runs the simulation, so device state guarded by a mutex is
-/// effectively single-threaded.
+/// that runs the simulation. Device state therefore lives in a
+/// [`crate::Local`] (a `RefCell`), and the handle is not `Send`: a
+/// simulation stays on the thread that built it.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(qsim::Simulation::new().handle());
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
 }
 
 impl SimHandle {
-    pub(crate) fn new(shared: Arc<Shared>) -> Self {
+    pub(crate) fn new(shared: Rc<Shared>) -> Self {
         SimHandle { shared }
     }
 
-    /// Current virtual time (lock-free: reads the kernel's clock mirror).
+    /// Current virtual time (reads the kernel's clock mirror).
     pub fn now(&self) -> Time {
-        Time::from_ns(
-            self.shared
-                .now_ns
-                .load(std::sync::atomic::Ordering::Acquire),
-        )
+        Time::from_ns(self.shared.now_ns.get())
     }
 
     /// Run `f` after `delay` of virtual time.
-    pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + Send + 'static) {
-        let mut st = self.shared.state.lock();
+    pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + 'static) {
+        let mut st = self.shared.state.borrow_mut();
         let at = st.now + delay;
         st.push_event(at, Event::Call(Box::new(f)));
     }
@@ -44,8 +46,8 @@ impl SimHandle {
     /// Run `f` at the absolute virtual time `at`. A past `at` is clamped to
     /// the current time (and counted in the report's `sched_past`): the
     /// virtual clock never moves backwards.
-    pub fn call_at(&self, at: Time, f: impl FnOnce(&SimHandle) + Send + 'static) {
-        let mut st = self.shared.state.lock();
+    pub fn call_at(&self, at: Time, f: impl FnOnce(&SimHandle) + 'static) {
+        let mut st = self.shared.state.borrow_mut();
         st.push_event(at, Event::Call(Box::new(f)));
     }
 }
@@ -58,14 +60,14 @@ impl std::fmt::Debug for SimHandle {
 
 #[cfg(test)]
 mod tests {
-    use crate::sync::Mutex;
+    use crate::sync::Local;
     use crate::{Dur, Simulation, Time};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn call_at_in_the_past_clamps_to_now() {
         let sim = Simulation::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(Local::new(Vec::new()));
         let h = sim.handle();
         let o = order.clone();
         h.call_after(Dur::from_us(5), move |s| {
@@ -85,7 +87,7 @@ mod tests {
     #[test]
     fn nested_calls_preserve_fifo_at_equal_times() {
         let sim = Simulation::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(Local::new(Vec::new()));
         let h = sim.handle();
         for i in 0..4u32 {
             let o = order.clone();

@@ -16,26 +16,29 @@
 //! recently parked or finished. When a process gives up control it does
 //! not bounce through a scheduler: it drives the event queue forward
 //! itself, executing device callbacks ([`Event::Call`]) inline and batching
-//! runs of same-timestamp callbacks under a single lock acquisition.
+//! runs of same-timestamp callbacks under a single borrow of its state.
 //! Control passes to another process only when an [`Event::Wake`] for a
 //! *different* process is dispatched, and then it is one register switch
 //! straight into that process's coroutine; a wake for the driving process
 //! itself costs no switch at all. A process's stack is mapped when it is
 //! first woken and unmapped, once it finishes, by the next context to run.
 //!
-//! A process that parks takes the kernel lock once: it queues its wake (if
-//! any), marks itself parked and enters [`drive`] holding that one guard,
-//! and pop, accounting and handoff happen under it. `drive` drops the guard
-//! only to run a batch of callbacks or to hand off, and a resumed process
-//! reads the clock from the lock-free mirror. Cheaper still is an `advance`
+//! A process that parks borrows the kernel state once: it queues its wake
+//! (if any), marks itself parked and enters [`drive`] holding that one
+//! borrow, and pop, accounting and handoff happen under it. `drive` drops
+//! the borrow only to run a batch of callbacks or to hand off, and a
+//! resumed process reads the clock from its mirror. Cheaper still is an `advance`
 //! whose own wake would be the next event dispatched: nothing queued is due
 //! at or before its target, so [`Shared::wake_in_place`] dispatches it on
 //! the spot, never touching the queue and recording exactly what a push
 //! then a pop would have (sequence number, clock, counters, queue-depth
-//! high-water, schedule hash). The state mutex ([`crate::Mutex`], a spin
-//! lock) remains — [`crate::SimHandle`] is `Send`, so any thread may
-//! schedule events — but it is uncontended by construction and never held
-//! across a switch.
+//! high-water, schedule hash).
+//!
+//! The kernel state lives in a `RefCell` behind an `Rc`, not a lock behind
+//! an `Arc`: a simulation never leaves the thread that builds it
+//! ([`Simulation`], [`crate::SimHandle`] and [`crate::Proc`] are not
+//! `Send`), so taking the state is a borrow-flag check, and the state is
+//! never borrowed across a switch.
 //!
 //! ## Teardown
 //!
@@ -58,15 +61,14 @@
 //! kernel only `debug_assert`ed, so a release build could silently rewind
 //! the clock and corrupt every latency measurement downstream.)
 
+use std::cell::{Cell, RefCell, RefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::context::{Context, Stack};
 use crate::handle::SimHandle;
 use crate::proc::{Proc, ShutdownUnwind};
 use crate::queue::{default_queue_kind, EventQueue, QueueKind};
-use crate::sync::{Mutex, MutexGuard};
 use crate::time::Time;
 
 /// Identifies a simulated process.
@@ -120,10 +122,10 @@ pub(crate) enum ParkKind {
     Signal(u64),
 }
 
-pub(crate) type CallFn = Box<dyn FnOnce(&SimHandle) + Send>;
+pub(crate) type CallFn = Box<dyn FnOnce(&SimHandle)>;
 
 /// What a simulated process runs.
-pub(crate) type Body = Box<dyn FnOnce(Proc) + Send>;
+pub(crate) type Body = Box<dyn FnOnce(Proc)>;
 
 pub(crate) enum Event {
     Wake(ProcId),
@@ -140,22 +142,22 @@ pub(crate) struct ProcSlot {
     /// The coroutine's stack, from its first wake until it finishes.
     pub stack: Option<Stack>,
     /// Where the coroutine's registers are kept while it is suspended.
-    pub ctx: Arc<Context>,
+    pub ctx: Rc<Context>,
 }
 
 impl ProcSlot {
     /// The context to switch to for this process. On its first wake this
     /// maps its stack and lays out a frame that enters [`coroutine_main`].
-    fn enter(&mut self, shared: &Arc<Shared>, pid: ProcId) -> *const Context {
+    fn enter(&mut self, shared: &Rc<Shared>, pid: ProcId) -> *const Context {
         if self.stack.is_none() {
             // The new coroutine owns this reference from its first
             // instruction on (see `coroutine_main`).
-            let arg = Arc::into_raw(shared.clone()) as usize;
+            let arg = Rc::into_raw(shared.clone()) as usize;
             // SAFETY: a process without a stack has never been entered,
             // and this dispatch is the only one that can enter it now.
             self.stack = Some(unsafe { self.ctx.start(coroutine_main, arg, pid.index()) });
         }
-        Arc::as_ptr(&self.ctx)
+        Rc::as_ptr(&self.ctx)
     }
 }
 
@@ -315,16 +317,15 @@ impl KernelState {
 }
 
 pub(crate) struct Shared {
-    pub state: Mutex<KernelState>,
-    /// Mirror of `state.now` for lock-free clock reads (`SimHandle::now`).
-    pub now_ns: AtomicU64,
+    pub state: RefCell<KernelState>,
+    /// Mirror of `state.now`, read without borrowing the state
+    /// (`SimHandle::now`).
+    pub now_ns: Cell<u64>,
     /// The context of [`Simulation::run`]'s caller while processes run.
     controller: Context,
     /// The stack of a process that has just finished: it cannot unmap the
     /// stack it runs on, so the next context to run does ([`Shared::reap`]).
-    /// Only the thread running the simulation touches it, so program order
-    /// is the only ordering needed (`Relaxed`).
-    dead_stack: AtomicPtr<u8>,
+    dead_stack: Cell<*mut u8>,
 }
 
 impl Shared {
@@ -347,10 +348,8 @@ impl Shared {
     /// Unmap the stack of the process that finished just before the
     /// running context resumed, if one did.
     fn reap(&self) {
-        if !self.dead_stack.load(Ordering::Relaxed).is_null() {
-            let base = self
-                .dead_stack
-                .swap(std::ptr::null_mut(), Ordering::Relaxed);
+        let base = self.dead_stack.replace(std::ptr::null_mut());
+        if !base.is_null() {
             // SAFETY: `bury` stored it from `Stack::into_raw`, and the
             // process on it has switched away for good.
             drop(unsafe { Stack::from_raw(base) });
@@ -359,7 +358,7 @@ impl Shared {
 
     /// Leave the finishing process's stack for the next context to unmap.
     fn bury(&self, stack: Stack) {
-        let old = self.dead_stack.swap(stack.into_raw(), Ordering::Relaxed);
+        let old = self.dead_stack.replace(stack.into_raw());
         debug_assert!(old.is_null(), "a dead stack was never reaped");
     }
 
@@ -371,7 +370,7 @@ impl Shared {
         // bug).
         assert!(t >= st.now, "virtual clock would move backwards");
         st.now = t;
-        self.now_ns.store(t.as_ns(), Ordering::Release);
+        self.now_ns.set(t.as_ns());
         st.events_processed += 1;
     }
 
@@ -515,12 +514,12 @@ pub(crate) enum Driven {
 ///
 /// `me` is the calling process when it is parking (so a wake for itself is
 /// a free resume), or `None` for the controller and finished processes.
-/// `st` is the caller's kernel-lock guard: a park queues its wake and marks
-/// itself parked under the same acquisition that dispatches.
+/// `st` is the caller's borrow of the kernel state: a park queues its wake
+/// and marks itself parked under the same borrow that dispatches.
 pub(crate) fn drive<'a>(
     sim: &'a SimHandle,
     me: Option<ProcId>,
-    mut st: MutexGuard<'a, KernelState>,
+    mut st: RefMut<'a, KernelState>,
 ) -> Driven {
     let shared = &sim.shared;
     if let Some(me) = me {
@@ -583,7 +582,7 @@ pub(crate) fn drive<'a>(
                 let mut calls = std::mem::take(&mut st.call_buf);
                 calls.push(f);
                 // Batch-drain the run of same-timestamp callbacks without
-                // re-locking between them.
+                // re-borrowing between them.
                 while st.events_processed < st.event_limit && st.queue.next_is_call_at(t) {
                     let Some((_, _, Event::Call(f2))) = st.queue.pop() else {
                         unreachable!("probe said next is a call");
@@ -597,7 +596,7 @@ pub(crate) fn drive<'a>(
                 for f in calls.drain(..) {
                     f(sim);
                 }
-                st = shared.state.lock();
+                st = shared.state.borrow_mut();
                 st.call_buf = calls;
             }
             Event::Wake(pid) => {
@@ -623,12 +622,12 @@ pub(crate) fn drive<'a>(
 }
 
 pub(crate) fn spawn_proc(
-    shared: &Arc<Shared>,
+    shared: &Rc<Shared>,
     name: &str,
     daemon: bool,
-    f: impl FnOnce(Proc) + Send + 'static,
+    f: impl FnOnce(Proc) + 'static,
 ) -> ProcId {
-    let mut st = shared.state.lock();
+    let mut st = shared.state.borrow_mut();
     let pid = ProcId(st.procs.len() as u32);
     st.procs.push(ProcSlot {
         name: name.to_string(),
@@ -637,7 +636,7 @@ pub(crate) fn spawn_proc(
         park: ParkKind::Timer, // will be woken by the spawn event
         body: Some(Box::new(f)),
         stack: None,
-        ctx: Arc::new(Context::new()),
+        ctx: Rc::new(Context::new()),
     });
     let at = st.now;
     st.push_event(at, Event::Wake(pid));
@@ -651,22 +650,22 @@ pub(crate) fn spawn_proc(
 /// # Safety
 ///
 /// Called only as the first frame of `pid`'s coroutine, laid out by
-/// [`ProcSlot::enter`]: `shared` is an `Arc<Shared>` that `enter` turned
+/// [`ProcSlot::enter`]: `shared` is an `Rc<Shared>` that `enter` turned
 /// into a raw pointer, and its ownership moves here.
 unsafe extern "C" fn coroutine_main(shared: usize, pid: usize) -> ! {
     let raw = shared as *const Shared;
     let pid = ProcId(pid as u32);
     let (to, go) = {
         // SAFETY: by this function's contract, `raw` came from
-        // `Arc::into_raw` for this coroutine alone, entered exactly once.
-        let sim = SimHandle::new(unsafe { Arc::from_raw(raw) });
+        // `Rc::into_raw` for this coroutine alone, entered exactly once.
+        let sim = SimHandle::new(unsafe { Rc::from_raw(raw) });
         sim.shared.reap();
         let panic_msg = run_body(&sim, pid);
         finish_proc(&sim, pid, panic_msg)
         // Our reference drops here, like everything else this coroutine
         // owns: its stack is unmapped without running any destructor.
     };
-    // SAFETY: `Simulation::run` holds an `Arc<Shared>` until every process
+    // SAFETY: `Simulation::run` holds an `Rc<Shared>` until every process
     // it entered has finished, and this one has not switched away yet.
     let shared = unsafe { &*raw };
     // A finished process is never resumed: this context only receives the
@@ -682,7 +681,7 @@ unsafe extern "C" fn coroutine_main(shared: usize, pid: usize) -> ! {
 /// unwound by a forced shutdown), the panic message if it panicked.
 fn run_body(sim: &SimHandle, pid: ProcId) -> Option<String> {
     let (body, ctx) = {
-        let mut st = sim.shared.state.lock();
+        let mut st = sim.shared.state.borrow_mut();
         let slot = st.procs.get_mut(pid.index());
         let body = slot.body.take().expect("a process body runs once");
         (body, slot.ctx.clone())
@@ -701,7 +700,7 @@ fn run_body(sim: &SimHandle, pid: ProcId) -> Option<String> {
 /// wakes, or the controller once the run outcome is decided.
 fn finish_proc(sim: &SimHandle, pid: ProcId, panic_msg: Option<String>) -> (*const Context, Go) {
     let shared = &sim.shared;
-    let mut st = shared.state.lock();
+    let mut st = shared.state.borrow_mut();
     let slot = st.procs.get_mut(pid.index());
     slot.finished = true;
     shared.bury(slot.stack.take().expect("a running process has a stack"));
@@ -718,7 +717,7 @@ fn finish_proc(sim: &SimHandle, pid: ProcId, panic_msg: Option<String>) -> (*con
             Ok(Driven::Switch(to, go)) => return (to, go),
             Ok(_) => {}
             Err(payload) => {
-                let mut st = shared.state.lock();
+                let mut st = shared.state.borrow_mut();
                 let proc = st.procs.get(pid.index()).name.clone();
                 let message = payload_to_string(&*payload);
                 st.finish(Err(SimError::ProcPanic { proc, message }));
@@ -740,7 +739,7 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A whole simulation: build, spawn root processes, then [`Simulation::run`].
 pub struct Simulation {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl Default for Simulation {
@@ -759,8 +758,8 @@ impl Simulation {
 
     /// A fresh simulation using a specific event-queue implementation.
     pub fn with_queue(kind: QueueKind) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(KernelState {
+        let shared = Rc::new(Shared {
+            state: RefCell::new(KernelState {
                 now: Time::ZERO,
                 seq: 0,
                 queue: EventQueue::new(kind),
@@ -780,9 +779,9 @@ impl Simulation {
                 schedule_hash: FNV_OFFSET,
                 call_buf: Vec::new(),
             }),
-            now_ns: AtomicU64::new(0),
+            now_ns: Cell::new(0),
             controller: Context::new(),
-            dead_stack: AtomicPtr::new(std::ptr::null_mut()),
+            dead_stack: Cell::new(std::ptr::null_mut()),
         });
         Simulation { shared }
     }
@@ -790,7 +789,7 @@ impl Simulation {
     /// Guard against runaway simulations (e.g. a polling loop that never
     /// advances time correctly would still consume events).
     pub fn set_event_limit(&self, limit: u64) {
-        self.shared.state.lock().event_limit = limit;
+        self.shared.state.borrow_mut().event_limit = limit;
     }
 
     /// Handle usable by device models and test scaffolding.
@@ -799,13 +798,13 @@ impl Simulation {
     }
 
     /// Spawn a root (non-daemon) simulated process starting at t=0.
-    pub fn spawn(&self, name: &str, f: impl FnOnce(Proc) + Send + 'static) -> ProcId {
+    pub fn spawn(&self, name: &str, f: impl FnOnce(Proc) + 'static) -> ProcId {
         spawn_proc(&self.shared, name, false, f)
     }
 
     /// Spawn a daemon process: the run ends once all non-daemon processes
     /// finish; parked daemons then observe `Wait::Shutdown`.
-    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(Proc) + Send + 'static) -> ProcId {
+    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(Proc) + 'static) -> ProcId {
         spawn_proc(&self.shared, name, true, f)
     }
 
@@ -817,7 +816,7 @@ impl Simulation {
         // The controller drives until the first handoff; after that the
         // token circulates among the processes until one of them decides
         // the outcome, finishes, and switches back here.
-        match drive(&sim, None, shared.state.lock()) {
+        match drive(&sim, None, shared.state.borrow_mut()) {
             // SAFETY: this is the running context, and `drive` returns a
             // suspended process context of this simulation.
             Driven::Switch(to, go) => unsafe {
@@ -829,7 +828,7 @@ impl Simulation {
         shared.teardown();
         let result = shared
             .state
-            .lock()
+            .borrow_mut()
             .result
             .take()
             .expect("run ended without a result");
@@ -851,7 +850,7 @@ impl Shared {
         let mut idx = 0;
         loop {
             let (body, to) = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 st.teardown = true;
                 if idx == st.procs.len() {
                     break;
@@ -866,7 +865,7 @@ impl Shared {
                         slot.finished = true;
                         (Some(body), None)
                     }
-                    None => (None, Some(Arc::as_ptr(&slot.ctx))),
+                    None => (None, Some(Rc::as_ptr(&slot.ctx))),
                 }
             };
             drop(body);
@@ -892,11 +891,11 @@ mod tests {
     //! Coroutine lifecycle: stacks are released however a run ends, and no
     //! process switches away while it unwinds.
 
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     use crate::context::live_stacks;
-    use crate::sync::Mutex;
+    use crate::sync::Local;
     use crate::{Dur, Proc, SimError, Simulation, Wait};
 
     #[test]
@@ -922,7 +921,7 @@ mod tests {
             assert_eq!(live_stacks(), before, "round {round} left stacks mapped");
             // Nothing else holds the simulation: no finished coroutine kept
             // its reference, and no body stayed behind in the process table.
-            assert_eq!(Arc::strong_count(&handle.shared), 1, "round {round}");
+            assert_eq!(Rc::strong_count(&handle.shared), 1, "round {round}");
         }
     }
 
@@ -930,7 +929,7 @@ mod tests {
     /// what it saw.
     struct ParkWhileUnwinding<'a> {
         p: &'a Proc,
-        seen: Arc<Mutex<Vec<String>>>,
+        seen: Rc<Local<Vec<String>>>,
     }
 
     impl Drop for ParkWhileUnwinding<'_> {
@@ -948,11 +947,11 @@ mod tests {
     }
 
     /// Counts the processes that were unwound or returned.
-    struct Finished(Arc<AtomicUsize>);
+    struct Finished(Rc<Cell<usize>>);
 
     impl Drop for Finished {
         fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
+            self.0.set(self.0.get() + 1);
         }
     }
 
@@ -961,8 +960,8 @@ mod tests {
         let before = live_stacks();
         let sim = Simulation::new();
         let handle = sim.handle();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let finished = Arc::new(AtomicUsize::new(0));
+        let seen = Rc::new(Local::new(Vec::new()));
+        let finished = Rc::new(Cell::new(0usize));
         for i in 0..64usize {
             let (seen, done) = (seen.clone(), Finished(finished.clone()));
             let (h, finished) = (handle.clone(), finished.clone());
@@ -1029,9 +1028,9 @@ mod tests {
             .collect();
         want.sort();
         assert_eq!(rest, want);
-        assert_eq!(finished.load(Ordering::SeqCst), 64 + 1);
+        assert_eq!(finished.get(), 64 + 1);
         assert_eq!(live_stacks(), before);
-        assert_eq!(Arc::strong_count(&handle.shared), 1);
+        assert_eq!(Rc::strong_count(&handle.shared), 1);
     }
 
     #[test]
@@ -1055,7 +1054,7 @@ mod tests {
     #[test]
     fn a_proc_used_by_another_process_panics_instead_of_switching() {
         let sim = Simulation::new();
-        let lent: Arc<Mutex<Option<&'static Proc>>> = Arc::new(Mutex::new(None));
+        let lent: Rc<Local<Option<&'static Proc>>> = Rc::new(Local::new(None));
         let lent2 = lent.clone();
         sim.spawn("owner", move |p| {
             let p: &'static Proc = Box::leak(Box::new(p));
@@ -1081,22 +1080,22 @@ mod tests {
         const N: usize = 4096;
         let before = live_stacks();
         let sim = Simulation::new();
-        let peak = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(AtomicUsize::new(0));
+        let peak = Rc::new(Cell::new(0usize));
+        let done = Rc::new(Cell::new(0usize));
         for i in 0..N {
             let (peak, done) = (peak.clone(), done.clone());
             sim.spawn(&format!("r{i}"), move |p| {
                 p.advance(Dur::from_ns(1 + (i % 13) as u64));
-                peak.fetch_max(live_stacks(), Ordering::SeqCst);
+                peak.set(peak.get().max(live_stacks()));
                 p.advance(Dur::from_ns(1 + (i % 5) as u64));
-                done.fetch_add(1, Ordering::SeqCst);
+                done.set(done.get() + 1);
             });
         }
         let report = sim.run().unwrap();
         assert_eq!(report.procs_spawned, N);
-        assert_eq!(done.load(Ordering::SeqCst), N);
+        assert_eq!(done.get(), N);
         // All of them were alive at once: each started at t = 0.
-        assert_eq!(peak.load(Ordering::SeqCst), before + N);
+        assert_eq!(peak.get(), before + N);
         assert_eq!(live_stacks(), before);
     }
 }

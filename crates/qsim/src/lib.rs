@@ -12,15 +12,25 @@
 //! insertion order, so a simulation is a deterministic function of its
 //! inputs — latencies measured in virtual time are exactly reproducible.
 //!
-//! Two consequences of sharing one OS thread:
+//! Three consequences of sharing one OS thread:
 //!
+//! * a simulation never leaves the thread that builds it: [`Simulation`],
+//!   [`SimHandle`] and [`Proc`] are not `Send`, and process bodies and
+//!   device callbacks need not be either. Run state shared between them is
+//!   an `Rc` of a [`Local`] (a `RefCell`) or a `Cell`, never a lock or an
+//!   atomic;
 //! * thread-locals, `std::thread::current()` and `std::thread::panicking()`
 //!   are the same for every process of a run. No process switches away
 //!   while it unwinds, so `panicking()` still means "this process is
 //!   unwinding";
-//! * a process must not hold a lock across a call that gives up control
-//!   (`advance`, the waits) that another process may take: the other
-//!   process would block the one thread every process runs on.
+//! * a process must not hold a [`Local`] guard across a call that gives up
+//!   control (`advance`, the waits): the next `lock()` of that state, by
+//!   any process, panics and names both call sites.
+//!
+//! Maps are [`FastMap`]s and sets [`FastSet`]s: every key the stack hashes
+//! is one it made itself, so a fixed multiply-rotate hash replaces std's
+//! randomly keyed SipHash, and a map iterates in the same order on every
+//! run.
 //!
 //! Only x86_64 Linux is supported: the switch is System V assembly and
 //! the stacks are Linux mappings (see the `context` module).
@@ -29,23 +39,24 @@
 //!
 //! ```
 //! use qsim::{Simulation, Dur};
-//! use std::sync::{Arc, atomic::{AtomicU64, Ordering}};
+//! use std::{cell::Cell, rc::Rc};
 //!
 //! let sim = Simulation::new();
-//! let end = Arc::new(AtomicU64::new(0));
+//! let end = Rc::new(Cell::new(0));
 //! let end2 = end.clone();
 //! sim.spawn("worker", move |p| {
 //!     p.advance(Dur::from_us(3));          // model 3us of work
-//!     end2.store(p.now().as_ns(), Ordering::SeqCst);
+//!     end2.set(p.now().as_ns());
 //! });
 //! sim.run().unwrap();
-//! assert_eq!(end.load(Ordering::SeqCst), 3_000);
+//! assert_eq!(end.get(), 3_000);
 //! ```
 
 #![warn(missing_docs)]
 
 mod context;
 mod handle;
+mod hash;
 mod kernel;
 mod proc;
 mod queue;
@@ -55,20 +66,21 @@ mod sync;
 mod time;
 
 pub use handle::SimHandle;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use kernel::{ProcId, Report, SimError, Simulation};
 pub use proc::Proc;
 pub use queue::{default_queue_kind, set_default_queue_kind, QueueKind};
 pub use rng::Pcg32;
 pub use signal::{Signal, TimedWait, Wait};
-pub use sync::{Mailbox, MailboxTx, Mutex, MutexGuard};
+pub use sync::{Local, Mailbox, MailboxTx};
 pub use time::{Dur, Time};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::Mutex;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use crate::sync::Local;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn empty_simulation_completes() {
@@ -80,22 +92,22 @@ mod tests {
     #[test]
     fn advance_accumulates() {
         let sim = Simulation::new();
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         sim.spawn("p", move |p| {
             p.advance(Dur::from_ns(100));
             p.advance(Dur::from_ns(250));
-            t2.store(p.now().as_ns(), Ordering::SeqCst);
+            t2.set(p.now().as_ns());
         });
         let report = sim.run().unwrap();
-        assert_eq!(t.load(Ordering::SeqCst), 350);
+        assert_eq!(t.get(), 350);
         assert_eq!(report.end_time, Time::from_ns(350));
     }
 
     #[test]
     fn calls_fire_in_time_order_with_fifo_ties() {
         let sim = Simulation::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(Local::new(Vec::new()));
         let h = sim.handle();
         for (i, d) in [(0u32, 50u64), (1, 20), (2, 20), (3, 0)] {
             let order = order.clone();
@@ -108,7 +120,7 @@ mod tests {
     #[test]
     fn signal_before_wait_is_not_lost() {
         let sim = Simulation::new();
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         let done2 = done.clone();
         sim.spawn("p", move |p| {
             let s = p.signal();
@@ -116,53 +128,53 @@ mod tests {
             // Notification fires while we are still running.
             s2.notify(&p.sim());
             p.wait(&s).expect_signaled();
-            done2.store(p.now().as_ns() + 1, Ordering::SeqCst);
+            done2.set(p.now().as_ns() + 1);
         });
         sim.run().unwrap();
-        assert_eq!(done.load(Ordering::SeqCst), 1);
+        assert_eq!(done.get(), 1);
     }
 
     #[test]
     fn signal_wakes_parked_process_at_notify_time() {
         let sim = Simulation::new();
-        let woke_at = Arc::new(AtomicU64::new(0));
+        let woke_at = Rc::new(Cell::new(0));
         let woke_at2 = woke_at.clone();
-        let sig_slot: Arc<Mutex<Option<Signal>>> = Arc::new(Mutex::new(None));
+        let sig_slot: Rc<Local<Option<Signal>>> = Rc::new(Local::new(None));
         let sig_slot2 = sig_slot.clone();
         sim.spawn("waiter", move |p| {
             let s = p.signal();
             *sig_slot2.lock() = Some(s.clone());
             p.wait(&s).expect_signaled();
-            woke_at2.store(p.now().as_ns(), Ordering::SeqCst);
+            woke_at2.set(p.now().as_ns());
         });
         let h = sim.handle();
         h.call_after(Dur::from_us(7), move |sim| {
             sig_slot.lock().as_ref().unwrap().notify(sim);
         });
         sim.run().unwrap();
-        assert_eq!(woke_at.load(Ordering::SeqCst), 7_000);
+        assert_eq!(woke_at.get(), 7_000);
     }
 
     #[test]
     fn wait_timeout_times_out_at_deadline() {
         let sim = Simulation::new();
-        let out = Arc::new(AtomicU64::new(0));
+        let out = Rc::new(Cell::new(0));
         let out2 = out.clone();
         sim.spawn("p", move |p| {
             let s = p.signal();
             assert_eq!(p.wait_timeout(&s, Dur::from_us(5)), TimedWait::TimedOut);
-            out2.store(p.now().as_ns(), Ordering::SeqCst);
+            out2.set(p.now().as_ns());
         });
         sim.run().unwrap();
-        assert_eq!(out.load(Ordering::SeqCst), 5_000);
+        assert_eq!(out.get(), 5_000);
     }
 
     #[test]
     fn wait_timeout_signal_wins_and_cancels_timer() {
         let sim = Simulation::new();
-        let out = Arc::new(AtomicU64::new(0));
+        let out = Rc::new(Cell::new(0));
         let out2 = out.clone();
-        let sig_slot: Arc<Mutex<Option<Signal>>> = Arc::new(Mutex::new(None));
+        let sig_slot: Rc<Local<Option<Signal>>> = Rc::new(Local::new(None));
         let sig_slot2 = sig_slot.clone();
         sim.spawn("p", move |p| {
             let s = p.signal();
@@ -170,30 +182,30 @@ mod tests {
             assert_eq!(p.wait_timeout(&s, Dur::from_us(100)), TimedWait::Signaled);
             // The cancelled timer must not cut this sleep short.
             p.advance(Dur::from_us(500));
-            out2.store(p.now().as_ns(), Ordering::SeqCst);
+            out2.set(p.now().as_ns());
         });
         let h = sim.handle();
         h.call_after(Dur::from_us(3), move |sim| {
             sig_slot.lock().as_ref().unwrap().notify(sim);
         });
         let report = sim.run().unwrap();
-        assert_eq!(out.load(Ordering::SeqCst), 503_000);
+        assert_eq!(out.get(), 503_000);
         assert_eq!(report.end_time, Time::from_ns(503_000));
     }
 
     #[test]
     fn wait_timeout_latched_signal_returns_immediately() {
         let sim = Simulation::new();
-        let out = Arc::new(AtomicU64::new(u64::MAX));
+        let out = Rc::new(Cell::new(u64::MAX));
         let out2 = out.clone();
         sim.spawn("p", move |p| {
             let s = p.signal();
             s.notify(&p.sim());
             assert_eq!(p.wait_timeout(&s, Dur::from_us(9)), TimedWait::Signaled);
-            out2.store(p.now().as_ns(), Ordering::SeqCst);
+            out2.set(p.now().as_ns());
         });
         sim.run().unwrap();
-        assert_eq!(out.load(Ordering::SeqCst), 0);
+        assert_eq!(out.get(), 0);
     }
 
     #[test]
@@ -201,9 +213,9 @@ mod tests {
         // A watchdog-style loop: repeated timeouts keep the event queue
         // non-empty (no deadlock) until a very late notification arrives.
         let sim = Simulation::new();
-        let ticks = Arc::new(AtomicU64::new(0));
+        let ticks = Rc::new(Cell::new(0));
         let ticks2 = ticks.clone();
-        let sig_slot: Arc<Mutex<Option<Signal>>> = Arc::new(Mutex::new(None));
+        let sig_slot: Rc<Local<Option<Signal>>> = Rc::new(Local::new(None));
         let sig_slot2 = sig_slot.clone();
         sim.spawn("p", move |p| {
             let s = p.signal();
@@ -212,7 +224,7 @@ mod tests {
                 match p.wait_timeout(&s, Dur::from_us(10)) {
                     TimedWait::Signaled => break,
                     TimedWait::TimedOut => {
-                        ticks2.fetch_add(1, Ordering::SeqCst);
+                        ticks2.set(ticks2.get() + 1);
                     }
                     TimedWait::Shutdown => panic!("unexpected shutdown"),
                 }
@@ -223,7 +235,7 @@ mod tests {
             sig_slot.lock().as_ref().unwrap().notify(sim);
         });
         sim.run().unwrap();
-        assert_eq!(ticks.load(Ordering::SeqCst), 5);
+        assert_eq!(ticks.get(), 5);
     }
 
     #[test]
@@ -232,7 +244,7 @@ mod tests {
         // builds (debug_assert only), letting the dispatch loop rewind the
         // virtual clock. Now the event is clamped to `now` and counted.
         let sim = Simulation::new();
-        let times = Arc::new(Mutex::new(Vec::new()));
+        let times = Rc::new(Local::new(Vec::new()));
         let h = sim.handle();
         let t2 = times.clone();
         h.call_after(Dur::from_us(5), move |s| {
@@ -262,7 +274,7 @@ mod tests {
         // stale no-op. It must be counted in `stale_wakes`, not inflate
         // `wakes_executed` or the headline events/s.
         let sim = Simulation::new();
-        let sig_slot: Arc<Mutex<Option<Signal>>> = Arc::new(Mutex::new(None));
+        let sig_slot: Rc<Local<Option<Signal>>> = Rc::new(Local::new(None));
         let ss = sig_slot.clone();
         let h = sim.handle();
         h.call_after(Dur::from_us(5), move |s| {
@@ -284,7 +296,7 @@ mod tests {
     #[test]
     fn daemons_shut_down_in_spawn_order() {
         let sim = Simulation::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(Local::new(Vec::new()));
         for i in 0..3u32 {
             let o = order.clone();
             sim.spawn_daemon(&format!("d{i}"), move |p| {
@@ -307,16 +319,16 @@ mod tests {
         // otherwise keep the simulation alive through the process table.
         let sim = Simulation::new();
         let handle = sim.handle();
-        let ran = Arc::new(AtomicU64::new(0));
+        let ran = Rc::new(Cell::new(0));
         let (h, r) = (handle.clone(), ran.clone());
         sim.spawn("p", move |p| {
-            r.store(1, Ordering::SeqCst);
+            r.set(1);
             h.call_after(Dur::from_us(1), |_| {});
             p.advance(Dur::from_us(1));
         });
         drop(sim);
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
-        assert_eq!(Arc::strong_count(&handle.shared), 1);
+        assert_eq!(ran.get(), 0);
+        assert_eq!(Rc::strong_count(&handle.shared), 1);
     }
 
     #[test]
@@ -348,37 +360,37 @@ mod tests {
     #[test]
     fn daemons_do_not_block_completion() {
         let sim = Simulation::new();
-        let observed = Arc::new(AtomicU64::new(0));
+        let observed = Rc::new(Cell::new(0));
         let observed2 = observed.clone();
         sim.spawn_daemon("d", move |p| {
             let s = p.signal();
             match p.wait(&s) {
-                Wait::Shutdown => observed2.store(1, Ordering::SeqCst),
+                Wait::Shutdown => observed2.set(1),
                 Wait::Signaled => panic!("unexpected signal"),
             }
         });
         sim.spawn("main", |p| p.advance(Dur::from_us(2)));
         let report = sim.run().unwrap();
         assert_eq!(report.end_time, Time::from_us_like(2));
-        assert_eq!(observed.load(Ordering::SeqCst), 1);
+        assert_eq!(observed.get(), 1);
     }
 
     #[test]
     fn nested_spawn_runs_at_spawn_time() {
         let sim = Simulation::new();
-        let child_start = Arc::new(AtomicU64::new(u64::MAX));
+        let child_start = Rc::new(Cell::new(u64::MAX));
         let cs = child_start.clone();
         sim.spawn("parent", move |p| {
             p.advance(Dur::from_us(4));
             let cs = cs.clone();
             p.spawn("child", move |c| {
-                cs.store(c.now().as_ns(), Ordering::SeqCst);
+                cs.set(c.now().as_ns());
                 c.advance(Dur::from_us(1));
             });
             p.advance(Dur::from_us(10));
         });
         sim.run().unwrap();
-        assert_eq!(child_start.load(Ordering::SeqCst), 4_000);
+        assert_eq!(child_start.get(), 4_000);
     }
 
     #[test]
@@ -399,7 +411,7 @@ mod tests {
         // Run the identical two-process program twice; event traces must match.
         fn trace() -> Vec<(u64, u32)> {
             let sim = Simulation::new();
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(Local::new(Vec::new()));
             for id in 0..2u32 {
                 let log = log.clone();
                 sim.spawn(&format!("p{id}"), move |p| {
@@ -410,7 +422,7 @@ mod tests {
                 });
             }
             sim.run().unwrap();
-            Arc::try_unwrap(log).unwrap().into_inner()
+            Rc::try_unwrap(log).unwrap().into_inner()
         }
         assert_eq!(trace(), trace());
     }

@@ -2,32 +2,38 @@
 //! time: advancing the clock, creating and waiting on signals, spawning
 //! further processes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefMut};
+use std::rc::Rc;
 
 use crate::context::Context;
 use crate::handle::SimHandle;
 use crate::kernel::{drive, spawn_proc, Driven, Event, Go, KernelState, ParkKind, ProcId};
 use crate::signal::{Signal, SignalInner, TimedWait, Wait};
-use crate::sync::MutexGuard;
 use crate::time::{Dur, Time};
 
 /// Per-process handle. Not `Clone`: exactly one simulated process owns
 /// it, and the calls that give up control (`advance`, the waits) must be
-/// made by that process, on its own coroutine.
+/// made by that process, on its own coroutine. Not `Send` either: like the
+/// rest of its simulation, it stays on the thread that built it.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// let sim = qsim::Simulation::new();
+/// sim.spawn("p", |p| send(p));
+/// ```
 pub struct Proc {
     pid: ProcId,
     sim: SimHandle,
-    ctx: Arc<Context>,
+    ctx: Rc<Context>,
 }
 
 impl Proc {
-    pub(crate) fn new(pid: ProcId, sim: SimHandle, ctx: Arc<Context>) -> Self {
+    pub(crate) fn new(pid: ProcId, sim: SimHandle, ctx: Rc<Context>) -> Self {
         Proc { pid, sim, ctx }
     }
 
-    fn lock(&self) -> MutexGuard<'_, KernelState> {
-        self.sim.shared.state.lock()
+    fn lock(&self) -> RefMut<'_, KernelState> {
+        self.sim.shared.state.borrow_mut()
     }
 
     /// This process's id.
@@ -83,10 +89,10 @@ impl Proc {
         let id = st.next_signal_id;
         st.next_signal_id += 1;
         Signal {
-            inner: Arc::new(SignalInner {
+            inner: Rc::new(SignalInner {
                 id,
                 owner: self.pid,
-                pending: AtomicBool::new(false),
+                pending: Cell::new(false),
             }),
         }
     }
@@ -99,7 +105,7 @@ impl Proc {
         );
         loop {
             let mut st = self.lock();
-            if s.inner.pending.swap(false, Ordering::Relaxed) {
+            if s.inner.pending.replace(false) {
                 return Wait::Signaled;
             }
             if st.shutdown {
@@ -127,7 +133,7 @@ impl Proc {
             "a process may only wait on signals it owns"
         );
         let mut st = self.lock();
-        if s.inner.pending.swap(false, Ordering::Relaxed) {
+        if s.inner.pending.replace(false) {
             return TimedWait::Signaled;
         }
         if st.shutdown {
@@ -142,7 +148,7 @@ impl Proc {
                 return TimedWait::Shutdown;
             }
             st = self.lock();
-            if s.inner.pending.swap(false, Ordering::Relaxed) {
+            if s.inner.pending.replace(false) {
                 st.queue.cancel(key);
                 return TimedWait::Signaled;
             }
@@ -168,17 +174,17 @@ impl Proc {
     }
 
     /// Spawn a sibling (non-daemon) process that starts at the current time.
-    pub fn spawn(&self, name: &str, f: impl FnOnce(Proc) + Send + 'static) -> ProcId {
+    pub fn spawn(&self, name: &str, f: impl FnOnce(Proc) + 'static) -> ProcId {
         spawn_proc(&self.sim.shared, name, false, f)
     }
 
     /// Spawn a daemon process (e.g. an asynchronous progress thread).
-    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(Proc) + Send + 'static) -> ProcId {
+    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(Proc) + 'static) -> ProcId {
         spawn_proc(&self.sim.shared, name, true, f)
     }
 
     /// Schedule a device callback after `delay`.
-    pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + Send + 'static) {
+    pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + 'static) {
         self.sim.call_after(delay, f);
     }
 
@@ -191,7 +197,7 @@ impl Proc {
     /// A process unwinding a panic (or a forced shutdown) observes shutdown
     /// instead and keeps the CPU: the run's processes share one thread, so
     /// a switch would carry its unwind into another process.
-    fn park(&self, st: MutexGuard<'_, KernelState>) -> Go {
+    fn park(&self, st: RefMut<'_, KernelState>) -> Go {
         if std::thread::panicking() {
             return Go::Shutdown;
         }

@@ -23,9 +23,10 @@
 //! calendar queue answer [`EventQueue::contains`] with a single comparison
 //! against the last popped key.
 
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use crate::hash::FastSet;
 use crate::kernel::Event;
 use crate::time::Time;
 
@@ -38,6 +39,8 @@ pub enum QueueKind {
     BTree,
 }
 
+/// Process-global, unlike everything a simulation holds: simulations built
+/// on parallel test threads read it, so it stays atomic.
 static DEFAULT_KIND: AtomicU8 = AtomicU8::new(0);
 
 /// Set the queue implementation used by subsequently created
@@ -112,7 +115,7 @@ pub(crate) struct CalendarQueue {
     occupied: [u64; BITMAP_WORDS],
     overflow: BinaryHeap<Overflow>,
     /// Seqs cancelled while still queued; entries are dropped when reached.
-    cancelled: HashSet<u64>,
+    cancelled: FastSet<u64>,
     /// Queued, non-cancelled entries.
     live: usize,
     /// Key of the last event handed out by `pop`.
@@ -127,7 +130,7 @@ impl CalendarQueue {
             slots: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             overflow: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            cancelled: FastSet::default(),
             live: 0,
             last_popped: (Time::ZERO, 0),
         }

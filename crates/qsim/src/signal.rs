@@ -6,8 +6,8 @@
 //! is running is latched and consumed by the owner's next wait, so wakeups
 //! are never lost.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::handle::SimHandle;
 use crate::kernel::{Event, KernelState, ParkKind, ProcId};
@@ -15,15 +15,14 @@ use crate::kernel::{Event, KernelState, ParkKind, ProcId};
 pub(crate) struct SignalInner {
     pub id: u64,
     pub owner: ProcId,
-    /// Latched pending flag. Only mutated while the kernel lock is held, so
-    /// `Relaxed` ordering suffices; the atomic is for `Send`/`Sync` only.
-    pub pending: AtomicBool,
+    /// Latched pending flag.
+    pub pending: Cell<bool>,
 }
 
 /// A one-owner, many-notifier wakeup flag in virtual time.
 #[derive(Clone)]
 pub struct Signal {
-    pub(crate) inner: Arc<SignalInner>,
+    pub(crate) inner: Rc<SignalInner>,
 }
 
 impl Signal {
@@ -31,12 +30,12 @@ impl Signal {
     ///
     /// May be called from device callbacks or from other processes.
     pub fn notify(&self, sim: &SimHandle) {
-        let mut st = sim.shared.state.lock();
+        let mut st = sim.shared.state.borrow_mut();
         self.notify_locked(&mut st);
     }
 
     pub(crate) fn notify_locked(&self, st: &mut KernelState) {
-        self.inner.pending.store(true, Ordering::Relaxed);
+        self.inner.pending.set(true);
         let slot = st.procs.get_mut(self.inner.owner.index());
         if !slot.finished && slot.park == ParkKind::Signal(self.inner.id) {
             slot.park = ParkKind::Timer; // wake is now queued
@@ -48,7 +47,7 @@ impl Signal {
     /// Non-destructive check of the pending flag (e.g. polling loops that do
     /// their own cost accounting).
     pub fn is_pending(&self) -> bool {
-        self.inner.pending.load(Ordering::Relaxed)
+        self.inner.pending.get()
     }
 
     /// Owner of this signal.

@@ -1,180 +1,110 @@
-//! Virtual-time synchronization helpers built on [`Signal`]: a single-owner
-//! mailbox (used for out-of-band control messages) and a rendezvous cell —
-//! plus the [`Mutex`] the whole stack uses for host-side shared state.
+//! Host-side state of a run: [`Local`], the cell every layer of the stack
+//! keeps its run state in, plus two virtual-time helpers built on
+//! [`Signal`] — a single-owner mailbox (used for out-of-band control
+//! messages) and its sending side.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::panic::Location;
+use std::rc::Rc;
 
 use crate::handle::SimHandle;
 use crate::proc::Proc;
 use crate::signal::{Signal, Wait};
 use crate::time::Dur;
 
-/// Busy-wait iterations before a contended [`Mutex::lock`] starts yielding
-/// its OS thread.
-const SPINS_BEFORE_YIELD: u32 = 64;
-
-/// The mutex the whole stack uses for host-side shared state: a spin lock
-/// that takes the lock with one compare-exchange and releases it with one
-/// store.
+/// Run state shared by the processes and device callbacks of one
+/// simulation: a [`RefCell`] handed out whole by [`Local::lock`].
 ///
-/// Every simulated process of a run executes on one OS thread, so the lock
-/// is uncontended by construction there. It stays a real cross-thread lock
-/// ([`crate::SimHandle`] is `Send`): a contended `lock()` spins briefly,
-/// then yields its thread until the holder releases.
+/// Every simulated process of a run executes on one OS thread, and a
+/// simulation never leaves the thread that builds it ([`crate::SimHandle`]
+/// is not `Send`), so the state needs no lock: `lock()` is a borrow flag,
+/// checked and set. What a lock would do wrong here, it catches instead. A
+/// guard held across a call that gives up control (`advance`, the waits)
+/// stays held while other processes run; the next `lock()` of the same
+/// state — by them, or a re-entrant one by the holder — panics with a
+/// message naming its own call site and the holder's, where a lock would
+/// wait forever on the one thread that could release it.
 ///
-/// `lock()` returns the guard directly, and there is no poisoning: a
-/// panicking simulated process unwinds through kernel teardown and must not
-/// wedge every other rank's endpoint state. The guard releases the lock
-/// during the unwind, and the value keeps whatever the panicking holder
-/// last wrote.
-pub struct Mutex<T: ?Sized> {
-    locked: AtomicBool,
-    value: UnsafeCell<T>,
+/// A panicking holder releases the state as its guard drops during the
+/// unwind, and the value keeps whatever the holder last wrote.
+pub struct Local<T> {
+    /// Call site of the last `lock()` that succeeded: the holder, while a
+    /// guard is live (read only then).
+    taken_at: Cell<&'static Location<'static>>,
+    value: RefCell<T>,
 }
 
-// SAFETY: the lock hands out access to `value` to one thread at a time
-// (`locked`'s Acquire/Release pairing orders the accesses), so sharing or
-// sending the mutex only ever moves a `T` between threads: `T: Send`
-// suffices, as for `std::sync::Mutex`. `locked` is an atomic.
-unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
-// SAFETY: as above; `&Mutex<T>` grants `&mut T` only through a guard.
-unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
-
-impl<T> Mutex<T> {
-    /// A new mutex holding `value`.
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex {
-            locked: AtomicBool::new(false),
-            value: UnsafeCell::new(value),
+impl<T> Local<T> {
+    /// New run state holding `value`.
+    pub fn new(value: T) -> Local<T> {
+        Local {
+            taken_at: Cell::new(Location::caller()),
+            value: RefCell::new(value),
         }
     }
 
-    /// Consume the mutex, returning the inner value.
+    /// Consume the cell, returning the inner value.
     pub fn into_inner(self) -> T {
         self.value.into_inner()
     }
-}
 
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, spinning (then yielding the OS thread) while
-    /// another thread holds it.
+    /// Exclusive access until the guard drops.
+    ///
+    /// # Panics
+    ///
+    /// If a guard from an earlier `lock()` is still live; the message names
+    /// this call site and that one.
     #[inline]
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        if !self.try_acquire() {
-            self.lock_contended();
+    #[track_caller]
+    pub fn lock(&self) -> RefMut<'_, T> {
+        match self.value.try_borrow_mut() {
+            Ok(guard) => {
+                self.taken_at.set(Location::caller());
+                guard
+            }
+            Err(_) => self.held(Location::caller()),
         }
-        MutexGuard {
-            mutex: self,
-            _not_send: PhantomData,
-        }
-    }
-
-    /// One attempt to take the lock; its `Acquire` pairs with the `Release`
-    /// store of the guard that last released it.
-    #[inline]
-    fn try_acquire(&self) -> bool {
-        self.locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
     }
 
     #[cold]
-    fn lock_contended(&self) {
-        let mut spins = 0u32;
-        loop {
-            // Wait on a plain load, so a waiter does not keep stealing the
-            // cache line from the holder.
-            while self.locked.load(Ordering::Relaxed) {
-                if spins < SPINS_BEFORE_YIELD {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            if self.try_acquire() {
-                return;
-            }
-        }
+    #[inline(never)]
+    fn held(&self, at: &Location<'_>) -> ! {
+        panic!(
+            "run state locked at {at} is still held by the guard taken at {}",
+            self.taken_at.get()
+        )
     }
 }
 
-impl<T: Default> Default for Mutex<T> {
+impl<T: Default> Default for Local<T> {
     fn default() -> Self {
-        Mutex::new(T::default())
+        Local::new(T::default())
     }
 }
 
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
+impl<T: std::fmt::Debug> std::fmt::Debug for Local<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !self.try_acquire() {
-            return f.write_str("Mutex(<locked>)");
+        match self.value.try_borrow() {
+            Ok(v) => f.debug_tuple("Local").field(&&*v).finish(),
+            Err(_) => f.write_str("Local(<held>)"),
         }
-        let guard = MutexGuard {
-            mutex: self,
-            _not_send: PhantomData,
-        };
-        f.debug_tuple("Mutex").field(&&*guard).finish()
-    }
-}
-
-/// Guard returned by [`Mutex::lock`]; releases the lock when dropped.
-pub struct MutexGuard<'a, T: ?Sized> {
-    mutex: &'a Mutex<T>,
-    /// Keeps the guard on the thread that took the lock, as std's guard.
-    _not_send: PhantomData<*const ()>,
-}
-
-// SAFETY: a shared guard hands out only `&T`, so it may be shared between
-// threads exactly when `T` may.
-unsafe impl<T: ?Sized + Sync> Sync for MutexGuard<'_, T> {}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the guard holds the lock, so no `&mut T` exists elsewhere.
-        unsafe { &*self.mutex.value.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the guard holds the lock, and `&mut self` makes this the
-        // only reference derived from it.
-        unsafe { &mut *self.mutex.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        // Pairs with the `Acquire` of the next `try_acquire`: everything
-        // this holder wrote is visible to the next one.
-        self.mutex.locked.store(false, Ordering::Release);
     }
 }
 
 struct MailboxInner<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: RefCell<VecDeque<T>>,
     signal: Signal,
 }
 
 /// Receiving side of a virtual-time mailbox; owned by one process.
 pub struct Mailbox<T> {
-    inner: Arc<MailboxInner<T>>,
+    inner: Rc<MailboxInner<T>>,
 }
 
 /// Sending side; freely cloneable across processes and device callbacks.
 pub struct MailboxTx<T> {
-    inner: Arc<MailboxInner<T>>,
+    inner: Rc<MailboxInner<T>>,
 }
 
 impl<T> Clone for MailboxTx<T> {
@@ -185,11 +115,11 @@ impl<T> Clone for MailboxTx<T> {
     }
 }
 
-impl<T: Send + 'static> Mailbox<T> {
+impl<T: 'static> Mailbox<T> {
     /// Create a mailbox owned by `proc`.
     pub fn new(proc: &Proc) -> (MailboxTx<T>, Mailbox<T>) {
-        let inner = Arc::new(MailboxInner {
-            queue: Mutex::new(VecDeque::new()),
+        let inner = Rc::new(MailboxInner {
+            queue: RefCell::new(VecDeque::new()),
             signal: proc.signal(),
         });
         (
@@ -202,7 +132,7 @@ impl<T: Send + 'static> Mailbox<T> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.queue.lock().pop_front()
+        self.inner.queue.borrow_mut().pop_front()
     }
 
     /// Block (in virtual time) until a message is available.
@@ -220,19 +150,19 @@ impl<T: Send + 'static> Mailbox<T> {
 
     /// Messages currently queued.
     pub fn len(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.queue.borrow().len()
     }
 
     /// True when no message is queued.
     pub fn is_empty(&self) -> bool {
-        self.inner.queue.lock().is_empty()
+        self.inner.queue.borrow().is_empty()
     }
 }
 
-impl<T: Send + 'static> MailboxTx<T> {
+impl<T: 'static> MailboxTx<T> {
     /// Deliver immediately (at the current virtual instant).
     pub fn send(&self, sim: &SimHandle, value: T) {
-        self.inner.queue.lock().push_back(value);
+        self.inner.queue.borrow_mut().push_back(value);
         self.inner.signal.notify(sim);
     }
 
@@ -240,7 +170,7 @@ impl<T: Send + 'static> MailboxTx<T> {
     pub fn send_after(&self, sim: &SimHandle, delay: Dur, value: T) {
         let inner = self.inner.clone();
         sim.call_after(delay, move |sim| {
-            inner.queue.lock().push_back(value);
+            inner.queue.borrow_mut().push_back(value);
             inner.signal.notify(sim);
         });
     }
@@ -249,21 +179,21 @@ impl<T: Send + 'static> MailboxTx<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Simulation;
+    use crate::kernel::{SimError, Simulation};
     use crate::time::Time;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn mailbox_delivers_in_order_and_in_time() {
         let sim = Simulation::new();
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(Local::new(Vec::new()));
         let got2 = got.clone();
         #[allow(clippy::type_complexity)]
         let (tx_slot, rx_slot): (
-            Arc<Mutex<Option<MailboxTx<u32>>>>,
-            Arc<Mutex<Option<MailboxTx<u32>>>>,
+            Rc<Local<Option<MailboxTx<u32>>>>,
+            Rc<Local<Option<MailboxTx<u32>>>>,
         ) = {
-            let s = Arc::new(Mutex::new(None));
+            let s = Rc::new(Local::new(None));
             (s.clone(), s)
         };
 
@@ -294,25 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn two_threads_add_under_one_lock() {
-        let total = Mutex::new(0u64);
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    start.wait();
-                    for _ in 0..100_000 {
-                        *total.lock() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(total.into_inner(), 200_000);
-    }
-
-    #[test]
     fn a_panic_while_held_leaves_the_lock_usable() {
-        let m = Mutex::new(vec![1]);
+        let m = Local::new(vec![1]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut g = m.lock();
             g.push(2);
@@ -324,25 +237,71 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_held_across_a_park_fails_the_next_lock_at_its_call_site() {
+        let sim = Simulation::new();
+        let state = Rc::new(Local::new(0u32));
+        let held = state.clone();
+        let holder_line = line!() + 2;
+        sim.spawn("holder", move |p| {
+            let mut g = held.lock();
+            *g += 1;
+            // Parks with the guard live: "second" runs meanwhile.
+            p.advance(Dur::from_us(2));
+            *g += 1;
+        });
+        let second_line = line!() + 3;
+        sim.spawn("second", move |p| {
+            p.advance(Dur::from_us(1));
+            *state.lock() += 10;
+        });
+        match sim.run() {
+            Err(SimError::ProcPanic { proc, message }) => {
+                assert_eq!(proc, "second");
+                let at = |line: u32| format!("{}:{line}:", file!());
+                assert!(message.contains(&at(second_line)), "{message}");
+                assert!(message.contains(&at(holder_line)), "{message}");
+            }
+            other => panic!("expected the second lock to panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reentrant_lock_panics_instead_of_deadlocking() {
+        let m = Local::new(0u32);
+        let outer = m.lock();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| *m.lock() += 1));
+        drop(outer);
+        let message = *r
+            .expect_err("the inner lock panicked")
+            .downcast::<String>()
+            .unwrap();
+        assert!(
+            message.contains("is still held by the guard taken at"),
+            "{message}"
+        );
+        assert_eq!(*m.lock(), 0);
+    }
+
+    #[test]
     fn debug_shows_the_value_unless_held() {
-        let m = Mutex::new(7u32);
-        assert_eq!(format!("{m:?}"), "Mutex(7)");
+        let m = Local::new(7u32);
+        assert_eq!(format!("{m:?}"), "Local(7)");
         let g = m.lock();
-        assert_eq!(format!("{m:?}"), "Mutex(<locked>)");
+        assert_eq!(format!("{m:?}"), "Local(<held>)");
         drop(g);
-        assert_eq!(format!("{m:?}"), "Mutex(7)");
+        assert_eq!(format!("{m:?}"), "Local(7)");
     }
 
     #[test]
     fn daemon_mailbox_sees_shutdown() {
         let sim = Simulation::new();
-        let woke = Arc::new(AtomicU64::new(0));
+        let woke = Rc::new(Cell::new(0u64));
         let woke2 = woke.clone();
         sim.spawn_daemon("progress", move |p| {
             let (_tx, rx) = Mailbox::<u32>::new(&p);
             match rx.recv(&p) {
                 Err(Wait::Shutdown) => {
-                    woke2.store(1, Ordering::SeqCst);
+                    woke2.set(1);
                 }
                 other => panic!("unexpected: {other:?}"),
             }
@@ -351,6 +310,6 @@ mod tests {
             p.advance(Dur::from_us(1));
         });
         sim.run().unwrap();
-        assert_eq!(woke.load(Ordering::SeqCst), 1);
+        assert_eq!(woke.get(), 1);
     }
 }

@@ -5,8 +5,8 @@
 //! hash, which folds every dispatched `(time, kind, proc)` triple.
 
 use qsim::{Dur, Pcg32, QueueKind, Report, SimError, Simulation, TimedWait, Wait};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// A workload exercising every scheduling primitive: timed advances with
 /// PRNG-jittered delays, signal ping-pong, watchdog-style `wait_timeout`
@@ -14,8 +14,8 @@ use std::sync::Arc;
 fn mixed_workload(sim: &Simulation) {
     // Signal ping-pong pairs with jittered compute.
     for pair in 0..3u64 {
-        let a_sig: Arc<qsim::Mutex<Option<qsim::Signal>>> = Arc::new(qsim::Mutex::new(None));
-        let b_sig: Arc<qsim::Mutex<Option<qsim::Signal>>> = Arc::new(qsim::Mutex::new(None));
+        let a_sig: Rc<qsim::Local<Option<qsim::Signal>>> = Rc::new(qsim::Local::new(None));
+        let b_sig: Rc<qsim::Local<Option<qsim::Signal>>> = Rc::new(qsim::Local::new(None));
         let (a2, b2) = (a_sig.clone(), b_sig.clone());
         sim.spawn(&format!("a{pair}"), move |p| {
             let mut rng = Pcg32::new(0x5EED + pair);
@@ -46,7 +46,7 @@ fn mixed_workload(sim: &Simulation) {
         });
     }
     // A watchdog-style timeout loop ended by a late notification.
-    let w_sig: Arc<qsim::Mutex<Option<qsim::Signal>>> = Arc::new(qsim::Mutex::new(None));
+    let w_sig: Rc<qsim::Local<Option<qsim::Signal>>> = Rc::new(qsim::Local::new(None));
     let w2 = w_sig.clone();
     sim.spawn("watchdog", move |p| {
         let s = p.signal();
@@ -68,13 +68,13 @@ fn mixed_workload(sim: &Simulation) {
         for i in 0..5u64 {
             p.advance(Dur::from_us(2 * (i + 1)));
             p.spawn(&format!("child{i}"), move |c| {
-                let done = Arc::new(AtomicU64::new(0));
+                let done = Rc::new(Cell::new(0));
                 let d2 = done.clone();
                 c.call_after(Dur::from_ns(300 + 17 * i), move |_| {
-                    d2.store(1, Ordering::SeqCst);
+                    d2.set(1);
                 });
                 c.advance(Dur::from_us(1));
-                assert_eq!(done.load(Ordering::SeqCst), 1);
+                assert_eq!(done.get(), 1);
             });
         }
     });
@@ -259,7 +259,7 @@ fn daemon_shutdown_is_deterministic() {
     // Shutdown order (spawn order) must not depend on wall-clock timing.
     fn order() -> Vec<u32> {
         let sim = Simulation::new();
-        let order = Arc::new(qsim::Mutex::new(Vec::new()));
+        let order = Rc::new(qsim::Local::new(Vec::new()));
         for i in 0..4u32 {
             let o = order.clone();
             sim.spawn_daemon(&format!("d{i}"), move |p| {
@@ -288,7 +288,7 @@ fn daemon_shutdown_is_deterministic() {
 fn a_callback_due_at_the_target_runs_before_the_wake() {
     fn run(kind: QueueKind, call_at_ns: u64) -> (Vec<&'static str>, Report) {
         let sim = Simulation::with_queue(kind);
-        let order = Arc::new(qsim::Mutex::new(Vec::new()));
+        let order = Rc::new(qsim::Local::new(Vec::new()));
         let o = order.clone();
         sim.spawn("p", move |p| {
             let o2 = o.clone();

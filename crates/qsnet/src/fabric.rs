@@ -8,10 +8,9 @@
 //! (and bump a retry counter) rather than losing them.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use qsim::Mutex;
-use qsim::{Dur, SimHandle, Time};
+use qsim::{Dur, Local, SimHandle, Time};
 
 use crate::topology::{FatTree, NodeId};
 
@@ -446,12 +445,12 @@ struct FabricState {
 pub struct Fabric {
     config: FabricConfig,
     topo: FatTree,
-    state: Mutex<FabricState>,
+    state: Local<FabricState>,
 }
 
 impl Fabric {
     /// Build the fabric for `config` (topology + per-rail link state).
-    pub fn new(config: FabricConfig) -> Arc<Fabric> {
+    pub fn new(config: FabricConfig) -> Rc<Fabric> {
         assert!(config.rails >= 1, "at least one rail");
         assert!(config.mtu > 0, "mtu must be positive");
         let topo = FatTree::new(config.radix, config.nodes);
@@ -462,10 +461,10 @@ impl Fabric {
             })
             .collect();
         let acct = (0..config.rails).map(|_| RailAcct::new(&topo)).collect();
-        Arc::new(Fabric {
+        Rc::new(Fabric {
             config,
             topo,
-            state: Mutex::new(FabricState {
+            state: Local::new(FabricState {
                 rails,
                 acct,
                 stats: FabricStats::default(),
@@ -503,13 +502,13 @@ impl Fabric {
     /// # Panics
     /// If `rail`, `src` or `dst` are out of range.
     pub fn send(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &SimHandle,
         rail: usize,
         src: NodeId,
         dst: NodeId,
         len: usize,
-        done: impl FnOnce(&SimHandle) + Send + 'static,
+        done: impl FnOnce(&SimHandle) + 'static,
     ) -> Time {
         let delivered = self.schedule_packets(sim, rail, src, dst, len);
         sim.call_at(delivered, done);
@@ -519,7 +518,7 @@ impl Fabric {
     /// Like [`Fabric::send`] but without a completion callback (used when the
     /// caller chains its own events off the returned time).
     pub fn schedule_packets(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         sim: &SimHandle,
         rail: usize,
         src: NodeId,
@@ -861,15 +860,15 @@ impl Fabric {
 mod tests {
     use super::*;
     use qsim::Simulation;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    fn fabric() -> Arc<Fabric> {
+    fn fabric() -> Rc<Fabric> {
         Fabric::new(FabricConfig::default())
     }
 
-    fn one_send(f: &Arc<Fabric>, src: usize, dst: usize, len: usize) -> u64 {
+    fn one_send(f: &Rc<Fabric>, src: usize, dst: usize, len: usize) -> u64 {
         let sim = Simulation::new();
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         let f = f.clone();
         sim.spawn("tx", move |p| {
@@ -877,10 +876,10 @@ mod tests {
             let sig2 = sig.clone();
             f.send(&p.sim(), 0, src, dst, len, move |s| sig2.notify(s));
             p.wait(&sig).expect_signaled();
-            t2.store(p.now().as_ns(), Ordering::SeqCst);
+            t2.set(p.now().as_ns());
         });
         sim.run().unwrap();
-        t.load(Ordering::SeqCst)
+        t.get()
     }
 
     #[test]
@@ -938,7 +937,7 @@ mod tests {
     fn concurrent_senders_to_one_destination_serialize() {
         let f = fabric();
         let sim = Simulation::new();
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         for src in [0usize, 1, 2] {
             let f = f.clone();
             let done = done.clone();
@@ -947,13 +946,13 @@ mod tests {
                 let sig2 = sig.clone();
                 f.send(&p.sim(), 0, src, 3, 2048, move |s| sig2.notify(s));
                 p.wait(&sig).expect_signaled();
-                done.fetch_max(p.now().as_ns(), Ordering::SeqCst);
+                done.set(done.get().max(p.now().as_ns()));
             });
         }
         sim.run().unwrap();
         let ser = Dur::for_bytes(2048 + 16, 1300).as_ns();
         // Three packets into one rx link: last delivery >= 3 serializations.
-        assert!(done.load(Ordering::SeqCst) >= 3 * ser);
+        assert!(done.get() >= 3 * ser);
     }
 
     #[test]
@@ -964,7 +963,7 @@ mod tests {
         };
         let f = Fabric::new(cfg);
         let sim = Simulation::new();
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         for rail in [0usize, 1] {
             let f = f.clone();
             let done = done.clone();
@@ -973,14 +972,14 @@ mod tests {
                 let sig2 = sig.clone();
                 f.send(&p.sim(), rail, 0, 1, 1 << 20, move |s| sig2.notify(s));
                 p.wait(&sig).expect_signaled();
-                done.fetch_max(p.now().as_ns(), Ordering::SeqCst);
+                done.set(done.get().max(p.now().as_ns()));
             });
         }
         sim.run().unwrap();
         // Both 1MB transfers overlap fully on separate rails: finish in the
         // time of one (plus epsilon), not two.
         let one_rail_ns = Dur::for_bytes((1 << 20) + 16 * 512, 1300).as_ns();
-        assert!(done.load(Ordering::SeqCst) < one_rail_ns * 3 / 2);
+        assert!(done.get() < one_rail_ns * 3 / 2);
     }
 }
 
@@ -988,13 +987,13 @@ mod tests {
 mod bcast_tests {
     use super::*;
     use qsim::Simulation;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn bcast_occupies_source_link_once() {
         let f = Fabric::new(FabricConfig::default());
         let sim = Simulation::new();
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         {
             let f = f.clone();
             let done = done.clone();
@@ -1012,11 +1011,11 @@ mod bcast_tests {
                     last < uni_last,
                     "bcast last delivery {last} should beat serialized unicast {uni_last}"
                 );
-                done.store(last, Ordering::SeqCst);
+                done.set(last);
             });
         }
         sim.run().unwrap();
-        assert!(done.load(Ordering::SeqCst) > 0);
+        assert!(done.get() > 0);
         // One source serialization, seven receptions accounted.
         assert_eq!(f.stats().packets, 7);
     }

@@ -19,11 +19,9 @@ pub mod pvar;
 
 pub use pvar::{ClusterReport, PvarAgg};
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use qsim::Mutex;
-use qsim::{Dur, Proc, Signal};
+use qsim::{Dur, FastMap, Local, Proc, Signal};
 
 /// Identifies a launched job (an `MPI_COMM_WORLD` or a spawned child world).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -63,33 +61,33 @@ struct BarrierState {
 struct JobState {
     size: usize,
     parent: Option<ProcName>,
-    modex: HashMap<(usize, String), Vec<u8>>,
+    modex: FastMap<(usize, String), Vec<u8>>,
     /// Whole-job tables handed out by [`Rte::modex_table`], by key. A new
     /// `modex_put` of the key drops its table.
-    tables: HashMap<String, Arc<[Vec<u8>]>>,
+    tables: FastMap<String, Rc<[Vec<u8>]>>,
     modex_waiters: Vec<Signal>,
     barrier: BarrierState,
     finalized: usize,
 }
 
 struct RteInner {
-    jobs: HashMap<JobId, JobState>,
+    jobs: FastMap<JobId, JobState>,
     next_job: u32,
 }
 
 /// The shared runtime-environment service.
 pub struct Rte {
     cfg: RteConfig,
-    inner: Mutex<RteInner>,
+    inner: Local<RteInner>,
 }
 
 impl Rte {
     /// A fresh runtime-environment service with no jobs.
-    pub fn new(cfg: RteConfig) -> Arc<Rte> {
-        Arc::new(Rte {
+    pub fn new(cfg: RteConfig) -> Rc<Rte> {
+        Rc::new(Rte {
             cfg,
-            inner: Mutex::new(RteInner {
-                jobs: HashMap::new(),
+            inner: Local::new(RteInner {
+                jobs: FastMap::default(),
                 next_job: 0,
             }),
         })
@@ -111,8 +109,8 @@ impl Rte {
             JobState {
                 size,
                 parent,
-                modex: HashMap::new(),
-                tables: HashMap::new(),
+                modex: FastMap::default(),
+                tables: FastMap::default(),
                 modex_waiters: Vec::new(),
                 barrier: BarrierState {
                     generation: 0,
@@ -181,10 +179,10 @@ impl Rte {
 
     /// Every rank's value for `key` in one OOB request, indexed by rank:
     /// waits (in virtual time) until the whole job has published it. The
-    /// table is built once and every caller shares the same `Arc`, so a
+    /// table is built once and every caller shares the same `Rc`, so a
     /// job fetches its modex in O(1) requests per rank and O(n) memory in
     /// total.
-    pub fn modex_table(&self, proc: &Proc, job: JobId, key: &str) -> Arc<[Vec<u8>]> {
+    pub fn modex_table(&self, proc: &Proc, job: JobId, key: &str) -> Rc<[Vec<u8>]> {
         proc.advance(self.cfg.oob_latency);
         loop {
             let mut inner = self.inner.lock();
@@ -196,7 +194,7 @@ impl Rte {
                 .map(|rank| st.modex.get(&(rank, key.to_string())).cloned())
                 .collect();
             if let Some(rows) = rows {
-                let table: Arc<[Vec<u8>]> = rows.into();
+                let table: Rc<[Vec<u8>]> = rows.into();
                 st.tables.insert(key.to_string(), table.clone());
                 return table;
             }
@@ -251,14 +249,14 @@ impl Rte {
 mod tests {
     use super::*;
     use qsim::Simulation;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::cell::Cell;
 
     #[test]
     fn modex_put_get_across_processes() {
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(2, None);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(Local::new(Vec::new()));
 
         {
             let rte = rte.clone();
@@ -285,7 +283,7 @@ mod tests {
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(3, None);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(Local::new(Vec::new()));
         for r in 0..3usize {
             let (rte, got) = (rte.clone(), got.clone());
             sim.spawn(&format!("r{r}"), move |p| {
@@ -306,7 +304,7 @@ mod tests {
             }
             // One OOB hop, or the wait for the last rank's publish.
             assert_eq!(*t, (t0 + 30_000).max(last_put), "rank {r}");
-            assert!(Arc::ptr_eq(table, &got[0].3), "one table for the job");
+            assert!(Rc::ptr_eq(table, &got[0].3), "one table for the job");
         }
     }
 
@@ -320,9 +318,9 @@ mod tests {
         sim.spawn("r0", move |p| {
             rte2.modex_put(&p, who, "k", vec![1]);
             let first = rte2.modex_table(&p, job, "k");
-            assert!(Arc::ptr_eq(&first, &rte2.modex_table(&p, job, "k")));
+            assert!(Rc::ptr_eq(&first, &rte2.modex_table(&p, job, "k")));
             rte2.modex_put(&p, who, "other", vec![9]);
-            assert!(Arc::ptr_eq(&first, &rte2.modex_table(&p, job, "k")));
+            assert!(Rc::ptr_eq(&first, &rte2.modex_table(&p, job, "k")));
             rte2.modex_put(&p, who, "k", vec![2]);
             let second = rte2.modex_table(&p, job, "k");
             assert_eq!((&*first[0], &*second[0]), (&[1u8][..], &[2u8][..]));
@@ -335,8 +333,8 @@ mod tests {
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(3, None);
-        let max_t = Arc::new(AtomicU64::new(0));
-        let min_t = Arc::new(AtomicU64::new(u64::MAX));
+        let max_t = Rc::new(Cell::new(0));
+        let min_t = Rc::new(Cell::new(u64::MAX));
         for r in 0..3usize {
             let rte = rte.clone();
             let max_t = max_t.clone();
@@ -345,15 +343,15 @@ mod tests {
                 p.advance(Dur::from_us(10 * r as u64));
                 rte.barrier(&p, job);
                 let t = p.now().as_ns();
-                max_t.fetch_max(t, Ordering::SeqCst);
-                min_t.fetch_min(t, Ordering::SeqCst);
+                max_t.set(max_t.get().max(t));
+                min_t.set(min_t.get().min(t));
             });
         }
         sim.run().unwrap();
         // Everyone leaves at the same virtual instant.
-        assert_eq!(max_t.load(Ordering::SeqCst), min_t.load(Ordering::SeqCst));
+        assert_eq!(max_t.get(), min_t.get());
         // Which is no earlier than the last arrival (20us + oob).
-        assert!(max_t.load(Ordering::SeqCst) >= 20_000 + 30_000);
+        assert!(max_t.get() >= 20_000 + 30_000);
     }
 
     #[test]
@@ -361,7 +359,7 @@ mod tests {
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(2, None);
-        let count = Arc::new(AtomicUsize::new(0));
+        let count = Rc::new(Cell::new(0));
         for r in 0..2usize {
             let rte = rte.clone();
             let count = count.clone();
@@ -369,12 +367,12 @@ mod tests {
                 for _ in 0..5 {
                     p.advance(Dur::from_us(1 + r as u64));
                     rte.barrier(&p, job);
-                    count.fetch_add(1, Ordering::SeqCst);
+                    count.set(count.get() + 1);
                 }
             });
         }
         sim.run().unwrap();
-        assert_eq!(count.load(Ordering::SeqCst), 10);
+        assert_eq!(count.get(), 10);
     }
 
     #[test]
@@ -397,19 +395,19 @@ mod tests {
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(3, None);
-        let last = Arc::new(AtomicUsize::new(usize::MAX));
+        let last = Rc::new(Cell::new(usize::MAX));
         for r in 0..3usize {
             let rte = rte.clone();
             let last = last.clone();
             sim.spawn(&format!("r{r}"), move |p| {
                 p.advance(Dur::from_us(r as u64));
                 if rte.finalize_rank(&p, job) {
-                    last.store(r, Ordering::SeqCst);
+                    last.set(r);
                 }
             });
         }
         sim.run().unwrap();
-        assert_eq!(last.load(Ordering::SeqCst), 2);
+        assert_eq!(last.get(), 2);
     }
 }
 
@@ -474,20 +472,20 @@ mod more_tests {
 
     #[test]
     fn oob_operations_cost_virtual_time() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
+        use std::cell::Cell;
+        use std::rc::Rc;
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(1, None);
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         {
             let (rte, t) = (rte.clone(), t.clone());
             sim.spawn("p", move |p| {
                 rte.modex_put(&p, ProcName { job, rank: 0 }, "k", vec![]);
-                t.store(p.now().as_ns(), Ordering::SeqCst);
+                t.set(p.now().as_ns());
             });
         }
         sim.run().unwrap();
-        assert_eq!(t.load(Ordering::SeqCst), 30_000, "one OOB hop = 30us");
+        assert_eq!(t.get(), 30_000, "one OOB hop = 30us");
     }
 }

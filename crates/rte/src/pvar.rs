@@ -91,7 +91,7 @@ impl ClusterReport {
                 .unwrap_or(0)
         };
         let mut vars = Vec::with_capacity(order.len());
-        let mut max_hits: std::collections::HashMap<usize, usize> = Default::default();
+        let mut max_hits: qsim::FastMap<usize, usize> = Default::default();
         for name in &order {
             let mut agg: Option<PvarAgg> = None;
             for (rank, rows) in per_rank {
@@ -190,8 +190,8 @@ impl Rte {
 mod tests {
     use super::*;
     use crate::RteConfig;
-    use qsim::{Mutex, Simulation};
-    use std::sync::Arc;
+    use qsim::{Local, Simulation};
+    use std::rc::Rc;
 
     #[test]
     fn rows_roundtrip() {
@@ -267,7 +267,7 @@ mod tests {
         let sim = Simulation::new();
         let rte = Rte::new(RteConfig::default());
         let job = rte.create_job(2, None);
-        let out = Arc::new(Mutex::new(None));
+        let out = Rc::new(Local::new(None));
         for rank in 0..2usize {
             let rte = rte.clone();
             let out = out.clone();

@@ -13,12 +13,12 @@
 //! cargo run --release --example checkpoint_restart
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ompi_apps::stencil::{self, StencilConfig};
 use ompi_io::{File, Pfs, PfsConfig};
 use openmpi_core::{Placement, StackConfig, Universe};
-use qsim::Mutex;
+use qsim::Local;
 
 const RANKS: usize = 4;
 
@@ -73,7 +73,7 @@ fn main() {
         ..cfg.clone()
     };
     #[allow(clippy::type_complexity)]
-    let blocks: Arc<Mutex<Vec<(usize, Vec<f64>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let blocks: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
     let b2 = blocks.clone();
     let p2 = pfs.clone();
     universe.run_world(RANKS, Placement::RoundRobin, move |mpi| {
@@ -107,7 +107,7 @@ fn main() {
     });
 
     // Verify against the uninterrupted reference.
-    let mut blocks = Arc::try_unwrap(blocks).unwrap().into_inner();
+    let mut blocks = Rc::try_unwrap(blocks).unwrap().into_inner();
     blocks.sort_by_key(|(r, _)| *r);
     let assembled: Vec<f64> = blocks.into_iter().flat_map(|(_, b)| b).collect();
     assert_eq!(assembled.len(), reference.len());

@@ -11,8 +11,8 @@
 //! cargo run --release --example multirail_multinet
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use elan4::NicConfig;
 use openmpi_core::{Placement, RdmaScheme, StackConfig, Transports, Universe};
@@ -35,7 +35,7 @@ fn bandwidth(rails: usize, tcp: bool, len: usize) -> f64 {
             tcp,
         },
     );
-    let out = Arc::new(AtomicU64::new(0));
+    let out = Rc::new(Cell::new(0));
     let o2 = out.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -55,13 +55,10 @@ fn bandwidth(rails: usize, tcp: bool, len: usize) -> f64 {
         }
         if mpi.rank() == 0 {
             let ns = (mpi.now() - t0).as_ns();
-            o2.store(
-                ((len * reps) as f64 / (ns as f64 / 1e9) / 1e6) as u64,
-                Ordering::SeqCst,
-            );
+            o2.set(((len * reps) as f64 / (ns as f64 / 1e9) / 1e6) as u64);
         }
     });
-    out.load(Ordering::SeqCst) as f64
+    out.get() as f64
 }
 
 fn main() {

@@ -8,16 +8,16 @@
 //! cargo run --release --example trace_protocol
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmpi_core::{Placement, StackConfig, Universe};
-use qsim::Mutex;
+use qsim::Local;
 
 fn main() {
     let mut cfg = StackConfig::best();
     cfg.trace = true;
     #[allow(clippy::type_complexity)]
-    let traces: Arc<Mutex<Vec<(usize, Vec<String>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let traces: Rc<Local<Vec<(usize, Vec<String>)>>> = Rc::new(Local::new(Vec::new()));
     let t2 = traces.clone();
 
     let universe = Universe::paper_testbed(cfg);

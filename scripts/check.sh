@@ -7,6 +7,9 @@ echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "== cargo clippy (workspace, warnings are errors)"
+# clippy.toml also rejects std::sync::{Arc, Mutex} and randomly keyed
+# HashMap/HashSet constructors: a simulation stays on one thread, and its
+# maps use qsim's fixed hasher.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: build + root test suite"
@@ -20,9 +23,9 @@ echo "== workspace tests: every crate's unit and integration tests"
 cargo test --workspace -q
 
 echo "== qsim tests, optimised"
-# The kernel's spin lock, in-place wake dispatch and coroutine switch are
-# the code whose behaviour can differ under optimisation; the workspace
-# suite above builds in debug.
+# The kernel's in-place wake dispatch, its state borrows across coroutine
+# switches and the switch itself are the code whose behaviour can differ
+# under optimisation; the workspace suite above builds in debug.
 cargo test -p qsim --release -q
 
 echo "== paper figures: results/experiments.md matches the harness"

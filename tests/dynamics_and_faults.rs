@@ -2,8 +2,8 @@
 //! behaviour: spawn cascades, disjoin/rejoin of contexts, capability
 //! exhaustion, link-fault transparency.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use openmpi_core::{Placement, StackConfig, Universe};
 
@@ -12,7 +12,7 @@ use openmpi_core::{Placement, StackConfig, Universe};
 #[test]
 fn nested_dynamic_spawn() {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let grandchildren = Arc::new(AtomicUsize::new(0));
+    let grandchildren = Rc::new(Cell::new(0));
     let g2 = grandchildren.clone();
     uni.run_world(1, Placement::RoundRobin, move |mpi| {
         let g3 = g2.clone();
@@ -28,7 +28,7 @@ fn nested_dynamic_spawn() {
                 grand.write(&buf, 0, &(v + 1).to_le_bytes());
                 grand.send(&gpc, 0, 1, &buf, 8);
                 grand.free(buf);
-                g4.fetch_add(1, Ordering::SeqCst);
+                g4.set(g4.get() + 1);
             });
             let buf = child.alloc(8);
             // Relay: parent -> child -> grandchild -> child -> parent.
@@ -46,7 +46,7 @@ fn nested_dynamic_spawn() {
         assert_eq!(v, 42);
         mpi.free(buf);
     });
-    assert_eq!(grandchildren.load(Ordering::SeqCst), 1);
+    assert_eq!(grandchildren.get(), 1);
 }
 
 /// Contexts released by finished jobs are reusable: run several generations
@@ -63,7 +63,7 @@ fn context_recycling_across_generations() {
         StackConfig::best(),
         openmpi_core::Transports::default(),
     );
-    let done = Arc::new(AtomicUsize::new(0));
+    let done = Rc::new(Cell::new(0));
     let d2 = done.clone();
     uni.run_world(1, Placement::Nodes(vec![0]), move |mpi| {
         for gen in 0..4 {
@@ -76,7 +76,7 @@ fn context_recycling_across_generations() {
                 worker.recv(&pc, 0, 3, &buf, 8);
                 worker.send(&pc, 0, 4, &buf, 8);
                 worker.free(buf);
-                d3.fetch_add(1, Ordering::SeqCst);
+                d3.set(d3.get() + 1);
             });
             let buf = mpi.alloc(8);
             for w in 1..=2 {
@@ -92,7 +92,7 @@ fn context_recycling_across_generations() {
             mpi.compute(qsim::Dur::from_us(200));
         }
     });
-    assert_eq!(done.load(Ordering::SeqCst), 8);
+    assert_eq!(done.get(), 8);
 }
 
 /// Capability exhaustion is a clean, diagnosable failure.
@@ -176,8 +176,8 @@ fn retransmission_heals_dropped_fin_ack() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
 
-    type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
-    let eps: Arc<qsim::Mutex<Captured>> = Arc::new(qsim::Mutex::new(Vec::new()));
+    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
+    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
     let e2 = eps.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
@@ -244,8 +244,8 @@ fn watchdog_diagnoses_dropped_fin_ack() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
 
-    type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
-    let eps: Arc<qsim::Mutex<Captured>> = Arc::new(qsim::Mutex::new(Vec::new()));
+    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
+    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
     let e2 = eps.clone();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         uni.run_world(2, Placement::RoundRobin, move |mpi| {

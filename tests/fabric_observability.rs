@@ -3,7 +3,7 @@
 //! and the post-mortem flight recorder dumping on watchdog stalls and
 //! failed requests.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ompi_bench::measure::{incast_congestion, stall_flight_demo, Setup};
 use openmpi_core::{MpiErrClass, Placement, StackConfig, Universe};
@@ -146,7 +146,7 @@ fn failed_request_dumps_the_flight_recorder() {
             tcp: false,
         },
     );
-    let dumps: Arc<qsim::Mutex<Vec<String>>> = Arc::new(qsim::Mutex::new(Vec::new()));
+    let dumps: Rc<qsim::Local<Vec<String>>> = Rc::new(qsim::Local::new(Vec::new()));
     let d2 = dumps.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         if mpi.rank() == 0 {

@@ -3,7 +3,7 @@
 //! watchdog-armed run producing zero stalls with pvar totals that agree
 //! with the metrics plane.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmpi_core::{CvarValue, Placement, StackConfig, Universe};
 
@@ -77,8 +77,8 @@ fn eager_limit_write_flips_protocol_at_runtime() {
         ..StackConfig::best()
     };
     let uni = Universe::paper_testbed(stack);
-    let metrics: Arc<qsim::Mutex<Vec<openmpi_core::Metrics>>> =
-        Arc::new(qsim::Mutex::new(Vec::new()));
+    let metrics: Rc<qsim::Local<Vec<openmpi_core::Metrics>>> =
+        Rc::new(qsim::Local::new(Vec::new()));
     let m2 = metrics.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();

@@ -4,10 +4,10 @@
 //! send order per peer), both when receives are pre-posted and when every
 //! message lands in the unexpected queue first.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmpi_core::{Placement, StackConfig, Universe, ANY_TAG};
-use qsim::{Mutex, Pcg32};
+use qsim::{Local, Pcg32};
 
 /// `None` = MPI_ANY_TAG selector.
 type Selector = Option<u8>;
@@ -43,7 +43,7 @@ fn oracle(msgs: &[u8], recvs: &[Selector]) -> Option<Vec<usize>> {
 /// msg index` recovered from unique payloads.
 fn simulate(msgs: Vec<u8>, recvs: Vec<Selector>, preposted: bool) -> Vec<usize> {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let out: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+    let out: Rc<Local<Vec<usize>>> = Rc::new(Local::new(Vec::new()));
     let o2 = out.clone();
     let msgs2 = msgs.clone();
     let recvs2 = recvs.clone();

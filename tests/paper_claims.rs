@@ -229,8 +229,8 @@ fn experiments_are_deterministic() {
 #[test]
 fn async_progress_enables_overlap() {
     use openmpi_core::{Placement, Universe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn total_us(progress: ProgressMode, compute_us: u64) -> f64 {
         let mut cfg = StackConfig::best();
@@ -240,7 +240,7 @@ fn async_progress_enables_overlap() {
             cfg.completion = CompletionMode::SharedQueueCombined;
         }
         let uni = Universe::paper_testbed(cfg);
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Rc::new(Cell::new(0));
         let t2 = t.clone();
         uni.run_world(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
@@ -252,12 +252,12 @@ fn async_progress_enables_overlap() {
                 let req = mpi.isend(&w, 1, 0, &buf, len);
                 mpi.compute(qsim::Dur::from_us(compute_us));
                 mpi.wait(req);
-                t2.store((mpi.now() - t0).as_ns(), Ordering::SeqCst);
+                t2.set((mpi.now() - t0).as_ns());
             } else {
                 mpi.recv(&w, 0, 0, &buf, len);
             }
         });
-        t.load(Ordering::SeqCst) as f64 / 1_000.0
+        t.get() as f64 / 1_000.0
     }
 
     // Latency-only (no compute): the thread overhead makes OneThread lose.

@@ -6,15 +6,15 @@
 //! rails, and a request failed mid-pipeline releases every chunk mapping.
 //! Every scenario also proves MMU hygiene after finalize.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmpi_core::{
     cvar_write, pvar_snapshot, CvarValue, MpiErrClass, Placement, StackConfig, Transports, Universe,
 };
 
-type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
+type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
 
-fn elan_universe(stack: StackConfig) -> Arc<Universe> {
+fn elan_universe(stack: StackConfig) -> Rc<Universe> {
     Universe::new(
         elan4::NicConfig::default(),
         qsnet::FabricConfig::default(),
@@ -23,12 +23,12 @@ fn elan_universe(stack: StackConfig) -> Arc<Universe> {
     )
 }
 
-fn captured() -> (Arc<qsim::Mutex<Captured>>, Arc<qsim::Mutex<Captured>>) {
-    let eps: Arc<qsim::Mutex<Captured>> = Arc::new(qsim::Mutex::new(Vec::new()));
+fn captured() -> (Rc<qsim::Local<Captured>>, Rc<qsim::Local<Captured>>) {
+    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
     (eps.clone(), eps)
 }
 
-fn assert_hygiene(eps: &qsim::Mutex<Captured>) {
+fn assert_hygiene(eps: &qsim::Local<Captured>) {
     for (rank, ep) in eps.lock().iter() {
         assert_eq!(ep.mapping_count(), 0, "rank {rank} leaked MMU mappings");
         let s = ep.reg_stats();

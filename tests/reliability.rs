@@ -4,11 +4,11 @@
 //! are counted and dropped, and unroutable peers fail the request rather
 //! than the rank.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmpi_core::{MpiErrClass, Placement, StackConfig, Universe};
 
-fn tcp_only_universe(stack: StackConfig) -> Arc<Universe> {
+fn tcp_only_universe(stack: StackConfig) -> Rc<Universe> {
     Universe::new(
         elan4::NicConfig::default(),
         qsnet::FabricConfig::default(),
@@ -39,11 +39,10 @@ fn exhausted_retries_fail_the_request_instead_of_panicking() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 99);
 
-    type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
-    let eps: Arc<qsim::Mutex<Captured>> = Arc::new(qsim::Mutex::new(Vec::new()));
+    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
+    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
     let e2 = eps.clone();
-    let errs: Arc<qsim::Mutex<Vec<Result<(), MpiErrClass>>>> =
-        Arc::new(qsim::Mutex::new(Vec::new()));
+    let errs: Rc<qsim::Local<Vec<Result<(), MpiErrClass>>>> = Rc::new(qsim::Local::new(Vec::new()));
     let errs2 = errs.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
@@ -92,8 +91,8 @@ fn duplicate_control_frames_are_suppressed() {
     uni.tcp_net
         .inject_dup(openmpi_core::hdr::HdrType::FinAck, 1);
 
-    type Captured = Vec<(u32, Arc<openmpi_core::Endpoint>)>;
-    let eps: Arc<qsim::Mutex<Captured>> = Arc::new(qsim::Mutex::new(Vec::new()));
+    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
+    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
     let e2 = eps.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
@@ -176,8 +175,7 @@ fn unroutable_peer_fails_the_request_instead_of_panicking() {
             tcp: false,
         },
     );
-    let errs: Arc<qsim::Mutex<Vec<Result<(), MpiErrClass>>>> =
-        Arc::new(qsim::Mutex::new(Vec::new()));
+    let errs: Rc<qsim::Local<Vec<Result<(), MpiErrClass>>>> = Rc::new(qsim::Local::new(Vec::new()));
     let errs2 = errs.clone();
     uni.run_world(2, Placement::RoundRobin, move |mpi| {
         if mpi.rank() == 0 {

@@ -2,10 +2,10 @@
 //! histograms fill during real traffic, the trace ring stays bounded, and
 //! the Chrome trace export is well-formed with per-rank monotone time.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use openmpi_core::{chrome_trace_json, Metrics, Placement, StackConfig, TraceLog, Universe};
-use qsim::Mutex;
+use qsim::Local;
 
 /// Two-rank ping-pong of `iters` round trips of `len`-byte messages under
 /// `cfg`; returns each rank's metrics and trace ring plus the sim report.
@@ -14,7 +14,7 @@ fn pingpong(
     len: usize,
     iters: usize,
 ) -> (Vec<Metrics>, Vec<TraceLog>, qsim::Report) {
-    let rows: Arc<Mutex<Vec<(u32, Metrics, TraceLog)>>> = Arc::new(Mutex::new(Vec::new()));
+    let rows: Rc<Local<Vec<(u32, Metrics, TraceLog)>>> = Rc::new(Local::new(Vec::new()));
     let r2 = rows.clone();
     let report = Universe::paper_testbed(cfg).run_world(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
@@ -275,7 +275,7 @@ fn chrome_export_is_valid_json_with_monotone_per_rank_time() {
     // begins must end at or after its begin.
     for (rank, t) in traces.iter().enumerate() {
         let mut last = 0u64;
-        let mut open = std::collections::HashMap::new();
+        let mut open = qsim::FastMap::default();
         for (time, ev) in t.events() {
             let ns = time.as_ns();
             assert!(ns >= last, "rank {rank} time went backwards");
