@@ -663,3 +663,28 @@ pub fn sweep_irq_cost() -> Table {
     }
     t
 }
+
+/// Every experiment by its command-line name, in `results/experiments.md`
+/// order.
+#[allow(clippy::type_complexity)]
+pub const EXPERIMENTS: &[(&str, fn() -> Table)] = &[
+    ("fig7a", fig7a as fn() -> Table),
+    ("fig7b", fig7b),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("table1", table1),
+    ("fig10a", fig10a),
+    ("fig10b", fig10b),
+    ("fig10c", fig10c),
+    ("fig10d", fig10d),
+    ("multirail", multirail),
+    ("multinet", multinet),
+    ("coll-bcast", coll_bcast),
+    ("onesided", onesided),
+    ("apps", apps_scaling),
+    ("overlap", overlap),
+    ("scale", scale),
+    ("io", io_scaling),
+    ("sweep-rndv", sweep_rndv_threshold),
+    ("sweep-irq", sweep_irq_cost),
+];

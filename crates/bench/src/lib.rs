@@ -8,6 +8,7 @@
 
 pub mod compare;
 pub mod experiments;
+pub mod gate;
 pub mod measure;
 pub mod report;
 

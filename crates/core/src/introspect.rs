@@ -13,7 +13,7 @@
 //!   [`crate::metrics::Metrics`] counters and histograms plus queue depths
 //!   and in-flight DMA state, snapshottable as JSON mid-run. Counter pvars
 //!   read straight from `Metrics`, so a pvar can never disagree with the
-//!   `--emit-metrics` JSON.
+//!   metrics JSON (`metrics.json` from `harness gate telemetry`).
 //! - **watchdog** ([`watchdog_tick`]): driven from the progress loop on the
 //!   sim clock (deterministic), it fingerprints every live request and, when
 //!   one makes no state transition for a configured number of scans, records
@@ -758,8 +758,8 @@ fn cvar_type_name(v: &CvarValue) -> &'static str {
 
 /// The full introspection registry of one endpoint as JSON: every cvar
 /// (name, type, default, writability, live value, description) and every
-/// pvar (name, live value). This is the `--list-introspect` document — the
-/// MPI_T equivalent of `ompi_info --all`.
+/// pvar (name, live value). This is the `registry.json` document of
+/// `harness gate registry` — the MPI_T equivalent of `ompi_info --all`.
 pub fn registry_json(ep: &Endpoint) -> String {
     let cvars: Vec<String> = CVARS
         .iter()

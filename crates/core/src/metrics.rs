@@ -4,8 +4,8 @@
 //! Everything here is plain data guarded by the endpoint's metrics lock and
 //! is only touched when [`crate::StackConfig::metrics`] is set, so the
 //! default fast path stays free of the bookkeeping. Snapshots serialize to
-//! JSON by hand (the repository carries no serde), shaped for the bench
-//! harness's `--emit-metrics` output.
+//! JSON by hand (the repository carries no serde), shaped for the
+//! `metrics.json` document of `harness gate telemetry`.
 
 use qsim::Dur;
 

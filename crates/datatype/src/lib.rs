@@ -141,8 +141,7 @@ impl Convertor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
     fn pattern(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 31 % 251) as u8).collect()
@@ -227,30 +226,28 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn roundtrip_arbitrary_fragmentation(
-            blocks in proptest::collection::vec((0usize..40, 1usize..9), 1..6),
-            count in 1usize..5,
-            cut in 1usize..64,
-        ) {
+    #[test]
+    fn roundtrip_arbitrary_fragmentation() {
+        for case in 0..256 {
+            let mut rng = Pcg32::new(case);
             // Build an indexed type; normalize overlapping blocks by sorting
             // and spacing them out.
             let mut disp = 0usize;
-            let blocks: Vec<(usize, usize)> = blocks
-                .into_iter()
-                .map(|(gap, len)| {
+            let blocks: Vec<(usize, usize)> = (0..rng.range(1, 6))
+                .map(|_| {
+                    let (gap, len) = (rng.range(0, 40), rng.range(1, 9));
                     let d = disp + gap;
                     disp = d + len;
                     (d, len)
                 })
                 .collect();
+            let count = rng.range(1, 5);
+            let cut = rng.range(1, 64);
             let t = Datatype::indexed(blocks, Datatype::u8());
             let c = Convertor::new(t, count);
             let src = pattern(c.span().max(1));
             let full = c.pack(&src);
-            prop_assert_eq!(full.len(), c.packed_len());
+            assert_eq!(full.len(), c.packed_len(), "case {case}");
 
             let mut dst = vec![0u8; c.span().max(1)];
             let mut pos = 0;
@@ -260,7 +257,7 @@ mod tests {
                 pos += take;
             }
             for (off, len) in c.segments() {
-                prop_assert_eq!(&dst[off..off + len], &src[off..off + len]);
+                assert_eq!(&dst[off..off + len], &src[off..off + len], "case {case}");
             }
         }
     }

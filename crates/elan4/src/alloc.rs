@@ -100,8 +100,7 @@ impl Allocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
     #[test]
     fn alloc_free_roundtrip() {
@@ -144,10 +143,11 @@ mod tests {
         a.free(x, 64);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn allocations_never_overlap(ops in proptest::collection::vec(1usize..5000, 1..60)) {
+    #[test]
+    fn allocations_never_overlap() {
+        for case in 0..256 {
+            let mut rng = Pcg32::new(case);
+            let ops: Vec<usize> = (0..rng.range(1, 60)).map(|_| rng.range(1, 5000)).collect();
             let mut a = Allocator::new(1 << 20);
             let mut live: Vec<(usize, usize)> = Vec::new();
             for (i, len) in ops.iter().enumerate() {
@@ -158,8 +158,12 @@ mod tests {
                     let end = off + len;
                     for &(o, l) in &live {
                         let aligned = super::align_up(*len);
-                        prop_assert!(end <= o || off >= o + l,
-                            "overlap: [{off},{}) vs [{o},{}) aligned={aligned}", end, o + l);
+                        assert!(
+                            end <= o || off >= o + l,
+                            "case {case}: overlap: [{off},{}) vs [{o},{}) aligned={aligned}",
+                            end,
+                            o + l
+                        );
                     }
                     live.push((off, *len));
                 }
@@ -168,7 +172,7 @@ mod tests {
             for (off, l) in live {
                 a.free(off, l);
             }
-            prop_assert_eq!(a.in_use(), 0);
+            assert_eq!(a.in_use(), 0, "case {case}");
         }
     }
 }

@@ -255,21 +255,27 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
-    proptest! {
-        /// Arbitrary interleavings of writes and reads behave like a plain
-        /// in-memory file.
-        #[test]
-        fn pfs_matches_reference_file(
-            ops in proptest::collection::vec(
-                (0usize..300_000, 1usize..80_000, any::<u8>(), any::<bool>()),
-                1..25
-            ),
-        ) {
+    /// Arbitrary interleavings of writes and reads behave like a plain
+    /// in-memory file.
+    #[test]
+    fn pfs_matches_reference_file() {
+        for case in 0..256 {
+            let mut rng = Pcg32::new(case);
+            let ops: Vec<(usize, usize, u8, bool)> = (0..rng.range(1, 25))
+                .map(|_| {
+                    (
+                        rng.range(0, 300_000),
+                        rng.range(1, 80_000),
+                        rng.next_u8(),
+                        rng.chance(0.5),
+                    )
+                })
+                .collect();
             let pfs = Pfs::new(PfsConfig::default());
             pfs.create("f");
             let mut reference: Vec<u8> = Vec::new();
@@ -289,10 +295,10 @@ mod prop_tests {
                     } else {
                         &[][..]
                     };
-                    prop_assert_eq!(&got[..], expect);
+                    assert_eq!(&got[..], expect, "case {case}");
                 }
             }
-            prop_assert_eq!(pfs.len("f"), Some(reference.len()));
+            assert_eq!(pfs.len("f"), Some(reference.len()), "case {case}");
         }
     }
 }

@@ -1231,22 +1231,24 @@ mod link_tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
-    proptest! {
-        /// Delivery never precedes injection + route latency, and the same
-        /// link never carries two packets at once (tx occupancy is
-        /// monotone).
-        #[test]
-        fn packet_timing_invariants(
-            sizes in proptest::collection::vec(0usize..2048, 1..20),
-            src in 0usize..8,
-            dst in 0usize..8,
-        ) {
-            prop_assume!(src != dst);
+    /// Delivery never precedes injection + route latency, and the same
+    /// link never carries two packets at once (tx occupancy is
+    /// monotone).
+    #[test]
+    fn packet_timing_invariants() {
+        for case in 0..256 {
+            let mut rng = Pcg32::new(case);
+            let sizes: Vec<usize> = (0..rng.range(1, 20)).map(|_| rng.range(0, 2048)).collect();
+            let src = rng.range(0, 8);
+            let dst = rng.range(0, 8);
+            if src == dst {
+                continue;
+            }
             let f = Fabric::new(FabricConfig::default());
             let cfg = f.config().clone();
             let hops = f.topology().switch_hops(src, dst) as u64;
@@ -1260,23 +1262,25 @@ mod prop_tests {
                 let d = f.packet_delivery(0, src, dst, *len, clock);
                 let ser = Dur::for_bytes(len + cfg.packet_overhead, cfg.link_bytes_per_us);
                 // Lower bound: not-before + route + serialization.
-                prop_assert!(
+                assert!(
                     d >= clock + cfg.hop_latency * hops + ser,
-                    "packet {i} delivered too early"
+                    "case {case}: packet {i} delivered too early"
                 );
                 // Receiver-side FIFO: in-order delivery per (src, dst).
-                prop_assert!(d >= last_delivery, "packet {i} reordered");
+                assert!(d >= last_delivery, "case {case}: packet {i} reordered");
                 last_delivery = d;
             }
         }
+    }
 
-        /// Total wire time of a message stream is conserved: the sum of
-        /// payloads matches the payload stats, and wire bytes include the
-        /// per-packet overhead exactly once per packet.
-        #[test]
-        fn stats_account_every_byte(
-            sizes in proptest::collection::vec(0usize..6000, 1..12),
-        ) {
+    /// Total wire time of a message stream is conserved: the sum of
+    /// payloads matches the payload stats, and wire bytes include the
+    /// per-packet overhead exactly once per packet.
+    #[test]
+    fn stats_account_every_byte() {
+        for case in 0..256 {
+            let mut rng = Pcg32::new(case);
+            let sizes: Vec<usize> = (0..rng.range(1, 12)).map(|_| rng.range(0, 6000)).collect();
             let f = Fabric::new(FabricConfig::default());
             let cfg = f.config().clone();
             let mut expect_payload = 0u64;
@@ -1296,11 +1300,12 @@ mod prop_tests {
                 }
             }
             let stats = f.stats();
-            prop_assert_eq!(stats.payload_bytes, expect_payload);
-            prop_assert_eq!(stats.packets, expect_packets);
-            prop_assert_eq!(
+            assert_eq!(stats.payload_bytes, expect_payload, "case {case}");
+            assert_eq!(stats.packets, expect_packets, "case {case}");
+            assert_eq!(
                 stats.wire_bytes,
-                expect_payload + expect_packets * cfg.packet_overhead as u64
+                expect_payload + expect_packets * cfg.packet_overhead as u64,
+                "case {case}"
             );
         }
     }

@@ -116,8 +116,7 @@ impl FatTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use qsim::Pcg32;
 
     #[test]
     fn qs8a_shape() {
@@ -175,24 +174,23 @@ mod tests {
         FatTree::qs8a().switch_hops(0, 8);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn hops_symmetric_and_bounded(
-            radix in 2usize..6,
-            nodes in 1usize..100,
-            seed in any::<u64>(),
-        ) {
+    #[test]
+    fn hops_symmetric_and_bounded() {
+        for case in 0..256 {
+            let mut rng = Pcg32::new(case);
+            let radix = rng.range(2, 6);
+            let nodes = rng.range(1, 100);
+            let seed = rng.next_u64();
             let t = FatTree::new(radix, nodes);
             let a = (seed as usize) % nodes;
             let b = (seed as usize / 7919) % nodes;
             let h = t.switch_hops(a, b);
-            prop_assert_eq!(h, t.switch_hops(b, a));
-            prop_assert!(h <= t.diameter());
-            prop_assert_eq!(h == 0, a == b);
+            assert_eq!(h, t.switch_hops(b, a), "case {case}");
+            assert!(h <= t.diameter(), "case {case}");
+            assert_eq!(h == 0, a == b, "case {case}");
             // hop counts are always odd for distinct nodes (up then down)
             if a != b {
-                prop_assert_eq!(h % 2, 1);
+                assert_eq!(h % 2, 1, "case {case}");
             }
         }
     }

@@ -238,8 +238,8 @@ fn check_json(s: &str) {
     assert_eq!(skip_ws(b, end), b.len(), "trailing garbage after JSON");
 }
 
-/// The file the harness writes with `--trace-out` must parse as JSON when
-/// read back — including every escape the exporter emits.
+/// The `trace.json` document `harness gate telemetry` writes must parse as
+/// JSON when read back — including every escape the exporter emits.
 #[test]
 fn chrome_trace_file_round_trips_as_valid_json() {
     let (_, traces, _) = pingpong(telemetry_cfg(), 16384, 3);
