@@ -969,9 +969,13 @@ impl Mpi {
         let ep = self.endpoint();
         if c.rank() == root {
             let data = self.read(buf, 0, len);
-            for (vpid, ev) in &prog.children {
-                ep.ectx
-                    .qdma_to_event(self.proc(), 0, *vpid, *ev, data.clone());
+            // The last child takes the staged copy itself.
+            if let Some(((vpid, ev), rest)) = prog.children.split_last() {
+                for (vpid, ev) in rest {
+                    ep.ectx
+                        .qdma_to_event(self.proc(), 0, *vpid, *ev, data.clone());
+                }
+                ep.ectx.qdma_to_event(self.proc(), 0, *vpid, *ev, data);
             }
         } else {
             self.wait_nic_event(&prog.down);

@@ -225,7 +225,11 @@ impl Hdr {
         })
     }
 
-    /// Header + payload as one QDMA-able buffer.
+    /// Header + payload as one QDMA-able buffer, for frames with no
+    /// host-memory source: the tokens and control frames a NIC event
+    /// launches by itself, and the per-target frames of a hardware
+    /// broadcast. A host send builds its frame once instead, with the
+    /// payload copied from host memory behind room for the header.
     pub fn frame(&self, payload: &[u8]) -> Vec<u8> {
         debug_assert_eq!(self.payload_len as usize, payload.len());
         let mut v = Vec::with_capacity(HDR_LEN + payload.len());

@@ -16,14 +16,14 @@ use qsim::Proc;
 use crate::comm::Communicator;
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme};
 use crate::endpoint::Endpoint;
-use crate::hdr::{Hdr, HdrType, MAX_INLINE};
+use crate::hdr::{Hdr, HdrType, HDR_LEN, MAX_INLINE};
 use crate::state::{
     DmaRole, EpState, InflightCtl, MatchInfo, MpiErrClass, PendingDma, PipeChunk, PipeState,
     QueuedSend, RecvReq, SendReq, TcpPush, UnexpectedFrag,
 };
 
 /// Payload room in one TCP frame after the 64-byte header.
-const TCP_FRAG_PAYLOAD: usize = (64 << 10) - crate::hdr::HDR_LEN;
+const TCP_FRAG_PAYLOAD: usize = (64 << 10) - HDR_LEN;
 
 /// Request kinds, for the user-facing handle.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -199,15 +199,15 @@ pub fn post_send_mode(
         ep.instr_mark_tx(proc.now());
         // Copy the whole message behind the header (buffered semantics:
         // the request completes locally once the copy is staged).
-        let payload = read_packed(ep, &buf, &conv, None, 0, msg_len);
-        charge_pack(proc, ep, payload.len());
+        let frame = packed_frame(ep, &buf, &conv, None, msg_len);
+        charge_pack(proc, ep, msg_len);
         proc.advance(host.hdr_build);
         // End-to-end flow control: an eager send consumes one credit from
         // the peer's window; with the window exhausted (or older sends
         // already waiting — FIFO per peer) the frame parks locally until
         // credits return, instead of flooding the peer's receive queue.
         // Self-sends loop back without touching the fabric and are exempt.
-        let parked = if ep.tunables.flow_enable() && dst != ep.name {
+        let unparked = if ep.tunables.flow_enable() && dst != ep.name {
             let init = ep.tunables.flow_credits();
             let mut st = ep.state.lock();
             let fp = st.flow_entry(dst, init);
@@ -215,20 +215,26 @@ pub fn post_send_mode(
                 fp.queued.push_back(QueuedSend {
                     sid: id,
                     gid,
-                    hdr: hdr.clone(),
-                    payload: payload.clone(),
+                    hdr,
+                    frame,
                     queued_at: proc.now(),
                 });
-                true
+                None
             } else {
                 fp.credits -= 1;
                 fp.consumed += 1;
-                false
+                Some((hdr, frame))
             }
         } else {
-            false
+            Some((hdr, frame))
         };
-        if parked {
+        let parked = unparked.is_none();
+        if let Some((hdr, frame)) = unparked {
+            if ep.tunables.flow_enable() && dst != ep.name {
+                ep.metric(|m| m.counters.flow_credits_consumed += 1);
+            }
+            send_frame(proc, ep, &peer, route, hdr, frame);
+        } else {
             ep.metric(|m| {
                 m.counters.flow_sends_queued += 1;
                 m.counters.eager_sent += 1;
@@ -237,11 +243,6 @@ pub fn post_send_mode(
                 proc.now(),
                 crate::trace::TraceEvent::FlowQueued { req: id, gid },
             );
-        } else {
-            if ep.tunables.flow_enable() && dst != ep.name {
-                ep.metric(|m| m.counters.flow_credits_consumed += 1);
-            }
-            send_frame(proc, ep, &peer, route, hdr, payload);
         }
         let mut st = ep.state.lock();
         st.send_reqs.insert(
@@ -339,19 +340,14 @@ pub fn post_send_mode(
         0
     };
     ep.instr_mark_tx(proc.now());
-    let payload = if inline_len > 0 {
-        let p = read_packed(ep, &buf, &conv, bounce.as_ref(), 0, inline_len);
-        charge_pack(proc, ep, inline_len);
-        p
-    } else {
-        Vec::new()
-    };
+    let frame = packed_frame(ep, &buf, &conv, bounce.as_ref(), inline_len);
+    charge_pack(proc, ep, inline_len);
     if let Some(e4) = src_e4 {
         hdr.e4_va = e4.value();
         hdr.e4_vpid = e4.owner().raw();
     }
     proc.advance(host.hdr_build);
-    send_frame(proc, ep, &peer, route, hdr, payload);
+    send_frame(proc, ep, &peer, route, hdr, frame);
 
     let mut st = ep.state.lock();
     st.send_reqs.insert(
@@ -681,7 +677,9 @@ pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
             return;
         }
     };
-    let payload = frame[crate::hdr::HDR_LEN..].to_vec();
+    // The frame's buffer becomes the payload's: strip the header in place.
+    let mut payload = frame;
+    payload.drain(..HDR_LEN);
     debug_assert_eq!(payload.len(), hdr.payload_len as usize);
     if ep.cfg.integrity_check && !payload.is_empty() {
         proc.advance(checksum_cost(payload.len()));
@@ -1163,13 +1161,12 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
                 // inline bytes) immediately. An unroutable peer just means
                 // the FIN_ACK stays unsent; its side degrades on timeout.
                 proc.advance(ep.cfg.host.hdr_build);
-                send_frame(
+                send_ctl(
                     proc,
                     ep,
                     &peer,
                     route,
                     fin_ack_with_credits(ep, frag.from, hdr.send_req, inline_len),
-                    Vec::new(),
                 );
                 ep.trace(
                     proc.now(),
@@ -1189,7 +1186,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
                 ack.msg_len = tcp_share as u64;
                 stamp_ack_credits(ep, frag.from, &mut ack);
                 proc.advance(ep.cfg.host.hdr_build);
-                send_frame(proc, ep, &peer, Route::Tcp, ack, Vec::new());
+                send_ctl(proc, ep, &peer, Route::Tcp, ack);
             }
         }
         RdmaScheme::Write => {
@@ -1209,7 +1206,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             }
             if let Some(route) = first_route(ep, &peer) {
                 proc.advance(ep.cfg.host.hdr_build);
-                send_frame(proc, ep, &peer, route, ack, Vec::new());
+                send_ctl(proc, ep, &peer, route, ack);
                 ep.trace(
                     proc.now(),
                     crate::trace::TraceEvent::ControlSent { gid, kind: "Ack" },
@@ -1469,7 +1466,7 @@ fn dma_done(proc: &Proc, ep: &Rc<Endpoint>, token: u64, role: DmaRole) {
                 };
                 if let Some(route) = first_route(ep, &peer) {
                     proc.advance(ep.cfg.host.hdr_build);
-                    send_frame(proc, ep, &peer, route, hdr, Vec::new());
+                    send_ctl(proc, ep, &peer, route, hdr);
                 }
             }
             credit_recv(proc, ep, recv_req, bytes);
@@ -1486,7 +1483,7 @@ fn dma_done(proc: &Proc, ep: &Rc<Endpoint>, token: u64, role: DmaRole) {
                 };
                 if let Some(route) = first_route(ep, &peer) {
                     proc.advance(ep.cfg.host.hdr_build);
-                    send_frame(proc, ep, &peer, route, hdr, Vec::new());
+                    send_ctl(proc, ep, &peer, route, hdr);
                 }
             }
             credit_send(proc, ep, send_req, bytes);
@@ -1730,17 +1727,27 @@ fn first_route(ep: &Rc<Endpoint>, peer: &crate::peer::PeerInfo) -> Option<Route>
         .map(|(_, route)| route)
 }
 
+/// Send a payload-free control frame.
+fn send_ctl(proc: &Proc, ep: &Rc<Endpoint>, peer: &crate::peer::PeerInfo, route: Route, hdr: Hdr) {
+    send_frame(proc, ep, peer, route, hdr, frame_with_room(0));
+}
+
+/// Stamp `hdr` into the reserved prefix of `frame` (see
+/// [`frame_with_room`]) and put the frame on the wire. The buffer itself
+/// travels on: into the peer's receive queue or TCP inbox, where
+/// `dispatch` strips the header in place.
 fn send_frame(
     proc: &Proc,
     ep: &Rc<Endpoint>,
     peer: &crate::peer::PeerInfo,
     route: Route,
     mut hdr: Hdr,
-    payload: Vec<u8>,
+    mut frame: Vec<u8>,
 ) {
+    let payload = &frame[HDR_LEN..];
     hdr.payload_len = payload.len() as u32;
     if ep.cfg.integrity_check && !payload.is_empty() {
-        hdr.checksum = crate::hdr::fletcher16(&payload);
+        hdr.checksum = crate::hdr::fletcher16(payload);
         proc.advance(checksum_cost(payload.len()));
     }
     // Sequence-stamp TCP-routed control frames (the reliability layer):
@@ -1761,7 +1768,7 @@ fn send_frame(
         hdr.ctx = ep.name.job.0;
         hdr.src_rank = ep.name.rank as u32;
     }
-    let frame = hdr.frame(&payload);
+    frame[..HDR_LEN].copy_from_slice(&hdr.to_bytes());
     if ep.tunables.metrics() {
         ep.metric(|m| {
             if let Some(i) = control_idx(hdr.kind) {
@@ -2466,7 +2473,7 @@ fn pipe_chunk_landed(
             if let Some(peer) = peer {
                 if let Some(route) = first_route(ep, &peer) {
                     proc.advance(ep.cfg.host.hdr_build);
-                    send_frame(proc, ep, &peer, route, ctl, Vec::new());
+                    send_ctl(proc, ep, &peer, route, ctl);
                 }
             }
         }
@@ -2484,13 +2491,23 @@ fn pipe_chunk_landed(
 /// Pump every live pipeline. A safety net for the thread-progress modes —
 /// chunk completions normally refill their own windows.
 pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
-    let ids: Vec<u64> = ep.state.lock().pipelines.keys().copied().collect();
+    let mut ids = {
+        let mut st = ep.state.lock();
+        if st.pipelines.is_empty() {
+            return false;
+        }
+        let mut ids = std::mem::take(&mut st.pipe_ids);
+        ids.extend(st.pipelines.keys().copied());
+        ids
+    };
     let mut any = false;
-    for id in ids {
+    for &id in &ids {
         if pipe_pump(proc, ep, id) {
             any = true;
         }
     }
+    ids.clear();
+    ep.state.lock().pipe_ids = ids;
     any
 }
 
@@ -2539,11 +2556,12 @@ pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
         let mut off = start;
         while off < end {
             let take = (end - off).min(TCP_FRAG_PAYLOAD);
-            let bytes = ep.read_buf(&region, off, take);
+            let mut frame = frame_with_room(take);
+            ep.ectx.read_into(&region, off, take, &mut frame);
             let mut fh = fh_template.clone();
             fh.offset = off as u64;
             proc.advance(host.hdr_build);
-            send_frame(proc, ep, &peer, Route::Tcp, fh, bytes);
+            send_frame(proc, ep, &peer, Route::Tcp, fh, frame);
             ep.metric(|m| m.counters.frags_sent += 1);
             off += take;
         }
@@ -2768,7 +2786,7 @@ fn flow_drain_peer(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName) -> bool {
             continue;
         };
         proc.advance(ep.cfg.host.hdr_build);
-        send_frame(proc, ep, &pi, route, q.hdr, q.payload);
+        send_frame(proc, ep, &pi, route, q.hdr, q.frame);
         // Buffered eager semantics: on the wire = locally complete.
         {
             let mut st = ep.state.lock();
@@ -2806,7 +2824,7 @@ fn send_credit_return(proc: &Proc, ep: &Rc<Endpoint>, to: ProcName, n: usize) {
     h.src_rank = ep.name.rank as u32;
     h.seq = n as u32;
     proc.advance(ep.cfg.host.hdr_build);
-    send_frame(proc, ep, &peer, route, h, Vec::new());
+    send_ctl(proc, ep, &peer, route, h);
     ep.metric(|m| m.counters.flow_credit_frames += 1);
     ep.trace(
         proc.now(),
@@ -2915,7 +2933,7 @@ fn send_ctl_ack(proc: &Proc, ep: &Rc<Endpoint>, origin: ProcName, rel_seq: u32) 
     h.src_rank = ep.name.rank as u32;
     h.seq = rel_seq;
     proc.advance(ep.cfg.host.hdr_build);
-    send_frame(proc, ep, &peer, Route::Tcp, h, Vec::new());
+    send_ctl(proc, ep, &peer, Route::Tcp, h);
     ep.metric(|m| m.counters.ctl_acks_sent += 1);
 }
 
@@ -2981,7 +2999,7 @@ fn send_nack(
     h.recv_req = recv_req;
     h.seq = err_code(err);
     proc.advance(ep.cfg.host.hdr_build);
-    send_frame(proc, ep, peer, route, h, Vec::new());
+    send_ctl(proc, ep, peer, route, h);
 }
 
 /// Complete a request with an MPI-style error status: the graceful-
@@ -3323,26 +3341,37 @@ fn charge_unpack(proc: &Proc, ep: &Rc<Endpoint>, len: usize) {
     proc.advance(ep.cfg.host.unpack_setup + ep.memcpy_cost(len));
 }
 
-/// Read `[off, off+len)` of the packed stream of a send.
-fn read_packed(
+/// An empty frame: [`HDR_LEN`] zero bytes that `send_frame` overwrites
+/// with the header, and capacity for `payload_len` payload bytes behind
+/// them, so filling it never reallocates.
+fn frame_with_room(payload_len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HDR_LEN + payload_len);
+    frame.resize(HDR_LEN, 0);
+    frame
+}
+
+/// A frame carrying the first `len` bytes of a send's packed stream,
+/// copied straight from host memory: the message's one buffer.
+fn packed_frame(
     ep: &Rc<Endpoint>,
     buf: &HostBuf,
     conv: &Convertor,
     bounce: Option<&HostBuf>,
-    off: usize,
     len: usize,
 ) -> Vec<u8> {
+    let mut frame = frame_with_room(len);
     if len == 0 {
-        return Vec::new();
+        return frame;
     }
     if let Some(b) = bounce {
-        ep.read_buf(b, off, len)
+        ep.ectx.read_into(b, 0, len, &mut frame);
     } else if conv.is_contiguous() {
-        ep.read_buf(buf, off, len)
+        ep.ectx.read_into(buf, 0, len, &mut frame);
     } else {
         let span = ep.read_buf(buf, 0, conv.span());
-        conv.pack_range(&span, off, len)
+        frame.extend_from_slice(&conv.pack_range(&span, 0, len));
     }
+    frame
 }
 
 /// Write packed-stream bytes into a receive's landing region.

@@ -193,8 +193,8 @@ pub struct QueuedSend {
     pub gid: u64,
     /// The wire header, ready to go.
     pub hdr: Hdr,
-    /// Packed payload bytes.
-    pub payload: Vec<u8>,
+    /// The built frame: room for the header, then the packed payload.
+    pub frame: Vec<u8>,
     /// Virtual time the send was parked (feeds `flow.queued_ns`).
     pub queued_at: Time,
 }
@@ -609,6 +609,9 @@ pub struct EpState {
     /// Active pipelined bulk transfers, keyed by the owning request id
     /// (request ids are unique across sends and receives).
     pub pipelines: FastMap<u64, PipeState>,
+    /// Scratch list of `pipelines` keys that one progress pass pumps,
+    /// kept between passes so pumping does not allocate.
+    pub pipe_ids: Vec<u64>,
     /// TCP bulk pushes awaiting their next paced burst.
     pub tcp_pushes: Vec<TcpPush>,
     /// Per-peer credit/backpressure state (lazily created on first
@@ -639,6 +642,7 @@ impl EpState {
             ctl_seen: FastMap::default(),
             failed_peers: FastSet::default(),
             pipelines: FastMap::default(),
+            pipe_ids: Vec::new(),
             tcp_pushes: Vec::new(),
             flow: BTreeMap::new(),
             bounce_pool: BouncePool::new(),

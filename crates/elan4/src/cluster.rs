@@ -327,8 +327,14 @@ impl Cluster {
     // ---- host memory -----------------------------------------------------
 
     pub(crate) fn mem_read(&self, addr: HostAddr, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        self.mem_append(addr, len, &mut out);
+        out
+    }
+
+    pub(crate) fn mem_append(&self, addr: HostAddr, len: usize, out: &mut Vec<u8>) {
         let inner = self.inner.lock();
-        inner.nodes[addr.node].mem[addr.off..addr.off + len].to_vec()
+        out.extend_from_slice(&inner.nodes[addr.node].mem[addr.off..addr.off + len]);
     }
 
     pub(crate) fn mem_write(&self, addr: HostAddr, data: &[u8]) {
@@ -714,7 +720,8 @@ impl Cluster {
         ev: EventId,
         data: Option<Vec<u8>>,
     ) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let irq_latency = self.cfg.irq_latency;
         let chain_latency = self.cfg.chain_latency;
         let Some(ctx) = inner.ctxs.get_mut(&vpid.raw()) else {
@@ -738,34 +745,50 @@ impl Cluster {
         if let Some(rearm) = st.auto_reset {
             st.count += rearm;
         }
-        let payload = std::mem::take(&mut st.accum);
-        st.fired_payloads.push_back(payload.clone());
-        let signal = st.signal.clone();
-        let irq = st.irq_armed;
-        let chained = st.chained.clone();
-        if irq {
+        // The fired payload goes to the host queue and to every forwarding
+        // spec; the last of them takes it by move.
+        let mut payload = std::mem::take(&mut st.accum);
+        let mut forwards = st.chained.iter().filter(|s| s.payload_from_event).count();
+        st.fired_payloads
+            .push_back(take_if_last(&mut payload, forwards == 0));
+        if st.irq_armed {
             inner.stats.interrupts += 1;
         }
-        inner.stats.chained_launches += chained.len() as u64;
-        drop(inner);
-        if let Some(sig) = signal {
-            if irq {
+        inner.stats.chained_launches += st.chained.len() as u64;
+        // Only the kernel's queue is touched from here on, so the chain is
+        // launched straight from the event's standing spec list.
+        if let Some(sig) = &st.signal {
+            if st.irq_armed {
+                let sig = sig.clone();
                 sim.call_after(irq_latency, move |s| sig.notify(s));
             } else {
                 sig.notify(sim);
             }
         }
-        for mut spec in chained {
+        for spec in &st.chained {
             // Chained commands launch on the NIC without crossing the I/O
             // bus: no PIO, just the chain launch latency.
-            if spec.payload_from_event {
-                spec.data = payload.clone();
-            }
+            let data = if spec.payload_from_event {
+                forwards -= 1;
+                take_if_last(&mut payload, forwards == 0)
+            } else {
+                spec.data.clone()
+            };
+            let spec = QdmaSpec { data, ..*spec };
             let me = self.clone();
             let at = sim.now() + chain_latency;
             sim.call_at(at, move |s| {
                 me.qdma_from_nic(s, s.now(), vpid, spec, None);
             });
         }
+    }
+}
+
+/// `buf` itself when its last consumer asks (leaving it empty), else a copy.
+fn take_if_last(buf: &mut Vec<u8>, last: bool) -> Vec<u8> {
+    if last {
+        std::mem::take(buf)
+    } else {
+        buf.clone()
     }
 }

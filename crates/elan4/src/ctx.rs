@@ -99,14 +99,23 @@ impl ElanCtx {
 
     /// Untimed host load.
     pub fn read(&self, buf: &HostBuf, off: usize, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        self.read_into(buf, off, len, &mut out);
+        out
+    }
+
+    /// Untimed host load appended to `out`, so a caller can fill a frame
+    /// it has already allocated straight from host memory.
+    pub fn read_into(&self, buf: &HostBuf, off: usize, len: usize, out: &mut Vec<u8>) {
         assert!(off + len <= buf.len, "read out of bounds");
-        self.cluster.mem_read(
+        self.cluster.mem_append(
             HostAddr {
                 node: buf.addr.node,
                 off: buf.addr.off + off,
             },
             len,
-        )
+            out,
+        );
     }
 
     /// Host memcpy cost for `len` bytes.

@@ -20,6 +20,13 @@ echo "== release build + workspace tests"
 cargo build --release
 cargo test --workspace -q
 
+echo "== perfbench build + tests"
+# perfbench is a package of its own (empty [workspace]), so neither the
+# workspace build nor its tests see it. This catches an API change that
+# breaks the benchmark, and its corrupted-payload test catches a frame
+# layout slip.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== qsim tests, optimised"
 # The kernel's in-place wake dispatch, its state borrows across coroutine
 # switches and the switch itself are the code whose behaviour can differ
