@@ -9,7 +9,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use openmpi_core::{StackConfig, Transports};
+use openmpi_core::{CvarValue, StackConfig, Transports, CVARS};
 
 use crate::measure::{self, Setup};
 use crate::{compare, EXPERIMENTS};
@@ -82,8 +82,27 @@ fn paper() -> Setup {
     Setup::paper(StackConfig::default())
 }
 
-/// The snapshot the `experiments` row must reproduce byte for byte.
-const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/experiments.md");
+/// Where the snapshots the `experiments` and `registry` rows must
+/// reproduce byte for byte live.
+const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
+/// Compare `doc` with the committed `results/{file}`: empty when they are
+/// byte-identical, else one failure naming the first line that differs.
+fn snapshot_failures(file: &str, doc: &str) -> Vec<String> {
+    let path = format!("{RESULTS}/{file}");
+    match std::fs::read_to_string(&path) {
+        Err(e) => vec![format!("reading {path}: {e}")],
+        Ok(want) => first_difference(&want, doc)
+            .map(|(line, want, got)| {
+                format!(
+                    "output differs from results/{file} at line {line}: \
+                     snapshot has {want:?}, harness printed {got:?}"
+                )
+            })
+            .into_iter()
+            .collect(),
+    }
+}
 
 /// Every experiment's markdown table, then the paper-vs-measured anchors in
 /// a fenced block: the contents of `results/experiments.md`.
@@ -97,18 +116,7 @@ fn experiments() -> Outcome {
     doc.push_str("\n### Paper-vs-measured anchors (harness compare)\n```\n");
     doc.push_str(&compare::render(&anchors));
     doc.push_str("```\n");
-    let failures = match std::fs::read_to_string(SNAPSHOT) {
-        Err(e) => vec![format!("reading {SNAPSHOT}: {e}")],
-        Ok(want) => first_difference(&want, &doc)
-            .map(|(line, want, got)| {
-                format!(
-                    "output differs from results/experiments.md at line {line}: \
-                     snapshot has {want:?}, harness printed {got:?}"
-                )
-            })
-            .into_iter()
-            .collect(),
-    };
+    let failures = snapshot_failures("experiments.md", &doc);
     Outcome {
         docs: vec![("experiments.md", doc)],
         summary: format!(
@@ -517,15 +525,52 @@ fn registry() -> Outcome {
     // A 1-rank world is enough: the registry is per-endpoint and the
     // values reported are the live ones after config application.
     let json = measure::introspect_registry(&paper());
-    let mut failures = Vec::new();
+    let table = cvars_markdown();
+    let mut failures = snapshot_failures("cvars.md", &table);
     if !json.contains("\"cvars\":[{") || !json.contains("\"pvars\":[{") {
         failures.push("registry dump came up empty".to_string());
     }
     Outcome {
-        summary: format!("{} bytes of cvar/pvar registry", json.len()),
-        docs: vec![("registry.json", json)],
+        summary: format!(
+            "{} bytes of cvar/pvar registry, {} cvars against results/cvars.md",
+            json.len(),
+            CVARS.len()
+        ),
+        docs: vec![("registry.json", json), ("cvars.md", table)],
         failures,
     }
+}
+
+/// The knob table as markdown, one line per cvar: `results/cvars.md`.
+fn cvars_markdown() -> String {
+    let defaults = StackConfig::default();
+    let mut doc = String::from(
+        "# Control variables\n\n\
+         Every `StackConfig` knob, one line each, rendered from the knob table in\n\
+         `crates/core/src/config.rs` by `harness gate registry`, which fails when\n\
+         this file differs. Refresh it with `cp gate-out/cvars.md results/cvars.md`.\n\
+         Durations are in ns. The range holds for a config at init\n\
+         (`StackConfig::validate`) and for every runtime write (`cvar_write`),\n\
+         except that a config may hold `flow.credits = 0`, which init resolves.\n\n\
+         | cvar | type | default | writable | range | description |\n\
+         |---|---|---|---|---|---|\n",
+    );
+    for d in CVARS {
+        let default = d.get(&defaults);
+        let shown = match &default {
+            CvarValue::Str(s) => s.clone(),
+            v => v.to_json(),
+        };
+        doc.push_str(&format!(
+            "| `{}` | {} | {shown} | {} | {} | {} |\n",
+            d.name,
+            default.type_name(),
+            if d.writable { "yes" } else { "no" },
+            d.range_text().unwrap_or_else(|| "any".to_string()),
+            d.desc
+        ));
+    }
+    doc
 }
 
 fn telemetry() -> Outcome {

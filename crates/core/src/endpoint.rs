@@ -22,6 +22,26 @@ use crate::ptl::{PtlInfo, PtlKind, PtlRegistry};
 use crate::ptl_tcp::{TcpInbox, TcpNet};
 use crate::state::EpState;
 
+/// Receive-queue depth (QSLOTS) of every queue an endpoint creates.
+pub const QSLOTS: usize = 128;
+
+/// Slots in each endpoint's preallocated receive-side bounce pool (each
+/// slot holds one eager payload). Unexpected eager payloads stage here
+/// instead of a per-message allocation; when the pool is dry the fallback
+/// allocation is charged [`crate::HostConfig::bounce_alloc`]. It also caps
+/// the per-peer credit window (`flow.credits`), so one sender cannot
+/// overrun it.
+pub const FLOW_BOUNCE_POOL: usize = 64;
+
+/// Virtual-time bound on blocked waits while the watchdog is armed; each
+/// expiry counts as a progress tick, so a wedged rank keeps ticking (and
+/// eventually diagnosing) instead of deadlocking silently.
+pub const WATCHDOG_TICK: Dur = Dur::from_us(200);
+
+/// Ring capacity of each endpoint's timeline sampler; when full, the
+/// oldest samples are evicted and counted.
+pub const TIMELINE_CAPACITY: usize = 1024;
+
 /// Which transports an endpoint activates.
 #[derive(Clone, Debug)]
 pub struct Transports {
@@ -57,7 +77,8 @@ pub struct Endpoint {
     pub name: ProcName,
     /// The node it runs on.
     pub node: usize,
-    /// Protocol configuration.
+    /// Protocol configuration, with a configured 0 `flow_credits` resolved
+    /// to the job-sized window.
     pub cfg: StackConfig,
     /// Activated transports.
     pub transports: Transports,
@@ -94,9 +115,9 @@ pub struct Endpoint {
     /// Registration (pin-down) cache for rendezvous/RMA MMU mappings. Its
     /// lock is never held across a map/unmap (both advance virtual time).
     pub reg: Local<crate::regcache::RegCache>,
-    /// Runtime-writable knobs behind the cvar registry; the hot path reads
-    /// these instead of the frozen [`StackConfig`] copies.
-    pub tunables: crate::introspect::Tunables,
+    /// Every knob's live value, behind the cvar registry; the hot path
+    /// reads these instead of the frozen [`StackConfig`] copies.
+    pub tunables: crate::config::Tunables,
     /// Watchdog bookkeeping and recorded stall diagnostics. May be locked
     /// while holding the state lock, never the reverse.
     pub introspect: Local<crate::introspect::IntrospectState>,
@@ -129,7 +150,7 @@ impl Endpoint {
         proc: &Proc,
         name: ProcName,
         node: usize,
-        cfg: StackConfig,
+        mut cfg: StackConfig,
         transports: Transports,
         cluster: Rc<Cluster>,
         rte: Rc<Rte>,
@@ -145,10 +166,10 @@ impl Endpoint {
             Rc::new(ElanCtx::attach(&cluster, node).expect("Elan4 capability exhausted on node"));
 
         let (main_q, comp_q) = if transports.elan_rails > 0 {
-            let main = Rc::new(ectx.create_queue(cfg.qslots, crate::hdr::SLOT_LEN));
+            let main = Rc::new(ectx.create_queue(QSLOTS, crate::hdr::SLOT_LEN));
             let comp = match cfg.completion {
                 CompletionMode::SharedQueueSeparate => {
-                    Some(Rc::new(ectx.create_queue(cfg.qslots, crate::hdr::SLOT_LEN)))
+                    Some(Rc::new(ectx.create_queue(QSLOTS, crate::hdr::SLOT_LEN)))
                 }
                 _ => None,
             };
@@ -214,33 +235,23 @@ impl Endpoint {
         // charges `host.bounce_alloc` (GASNet's elan-conduit bounce-buffer
         // strategy). Always active, so the flow-off path of the incast bench
         // measures exactly this exhaustion cost.
-        if cfg.flow_bounce_pool > 0 {
-            let slot_len = cfg.eager_limit.max(1);
-            let slots: Vec<HostBuf> = (0..cfg.flow_bounce_pool)
-                .map(|_| ectx.alloc(slot_len))
-                .collect();
-            state.bounce_pool.seed(slots, slot_len);
-        }
+        let slot_len = cfg.eager_limit.max(1);
+        let slots: Vec<HostBuf> = (0..FLOW_BOUNCE_POOL)
+            .map(|_| ectx.alloc(slot_len))
+            .collect();
+        state.bounce_pool.seed(slots, slot_len);
 
-        let trace_capacity = cfg.trace_capacity;
-        let flight_capacity = cfg.flight_capacity;
-        let timeline_capacity = cfg.timeline_capacity;
-        let tunables = crate::introspect::Tunables::from_config(&cfg);
         // A configured credit window of 0 means auto-scale: split the bounce
         // pool across the peers that can send to us, so even an all-to-all
         // burst of unexpected eager messages fits in preallocated staging.
-        if cfg.flow_enable && cfg.flow_credits == 0 {
+        // Resolved whether or not flow control is on yet: a runtime
+        // `flow.enable` write must find a real window.
+        if cfg.flow_credits == 0 {
             let peers = job_size.saturating_sub(1).max(1);
-            let auto = (cfg.flow_bounce_pool / peers)
-                .clamp(2, 16)
-                .min(cfg.flow_bounce_pool.max(1));
-            tunables.set_flow_credits(auto);
+            cfg.flow_credits = (FLOW_BOUNCE_POOL / peers).clamp(2, 16);
         }
-        let reg = crate::regcache::RegCache::new(
-            cfg.reg_cache,
-            cfg.reg_cache_bytes,
-            cfg.reg_cache_entries,
-        );
+        let trace_capacity = cfg.trace_capacity;
+        let tunables = crate::config::Tunables::new(&cfg);
         Rc::new(Endpoint {
             name,
             node,
@@ -258,15 +269,13 @@ impl Endpoint {
             doorbell: Local::new(None),
             instr: Local::new(Instr::default()),
             trace: Local::new(crate::trace::TraceLog::with_capacity(trace_capacity)),
-            flight: Local::new(crate::flight::FlightRecorder::with_capacity(
-                flight_capacity,
-            )),
+            flight: Local::new(crate::flight::FlightRecorder::default()),
             metrics: Local::new(crate::metrics::Metrics::default()),
-            reg: Local::new(reg),
+            reg: Local::new(crate::regcache::RegCache::default()),
             tunables,
             introspect: Local::new(crate::introspect::IntrospectState::default()),
             timeline: Local::new(crate::introspect::Timeline::with_capacity(
-                timeline_capacity,
+                TIMELINE_CAPACITY,
             )),
             coll_seq: Cell::new(0),
             coll_depth: Cell::new(0),
@@ -365,7 +374,7 @@ impl Endpoint {
     /// and no sequence-stamped control frame awaiting its receipt.
     fn wait_bound(&self, now: Time) -> Option<Dur> {
         let mut bound = if self.tunables.watchdog_interval() > 0 {
-            Some(self.cfg.watchdog_tick)
+            Some(WATCHDOG_TICK)
         } else {
             None
         };
@@ -482,7 +491,7 @@ impl Endpoint {
     /// flight recorder (`flight.enable`) with the compact event subset, so
     /// protocol code has a single instrumentation call site.
     pub fn trace(&self, now: Time, ev: crate::trace::TraceEvent) {
-        if self.tunables.flight_enable() {
+        if self.tunables.flight_recorder() {
             if let Some(fe) = crate::flight::FlightEvent::from_trace(&ev) {
                 self.flight.lock().record(now, fe);
             }
@@ -570,13 +579,6 @@ impl Endpoint {
     /// in tests; after [`Endpoint::finalize`] this is zero).
     pub fn bounce_in_use(&self) -> usize {
         self.state.lock().bounce_pool.in_use()
-    }
-
-    /// Packets holding or waiting for this node's ejection links at `now`.
-    /// The flow-control pump reads this (never under the state lock) to
-    /// defer credit grants while our receive side is backed up.
-    pub fn ejection_depth(&self, now: Time) -> u64 {
-        self.cluster.fabric().node_ej_queue_now(self.node, now)
     }
 
     /// Record the PML-handoff timestamp (paper §6.3 instrumentation).

@@ -18,9 +18,9 @@ use qsim::Time;
 
 use crate::trace::{escape_json, TraceEvent};
 
-/// Default ring capacity of a [`FlightRecorder`]; see
-/// [`crate::StackConfig::flight_capacity`].
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
+/// Ring capacity of every endpoint's [`FlightRecorder`]
+/// ([`FlightRecorder::default`]).
+pub const FLIGHT_CAPACITY: usize = 256;
 
 /// One compact flight-recorder event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -280,7 +280,7 @@ pub struct FlightRecorder {
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        FlightRecorder::with_capacity(DEFAULT_FLIGHT_CAPACITY)
+        FlightRecorder::with_capacity(FLIGHT_CAPACITY)
     }
 }
 

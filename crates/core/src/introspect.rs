@@ -7,8 +7,9 @@
 //!
 //! - **cvars** ([`cvar_read`] / [`cvar_write`] / [`CVARS`]): every
 //!   [`crate::StackConfig`] knob is a named, typed, runtime-readable
-//!   variable; the safe subset (eager threshold, telemetry gates, watchdog
-//!   tuning) is runtime-writable through the endpoint's [`Tunables`].
+//!   variable, declared once in the knob table of [`crate::config`]; the
+//!   safe subset (eager threshold, telemetry gates, watchdog tuning) is
+//!   runtime-writable through the endpoint's [`crate::config::Tunables`].
 //! - **pvars** ([`pvar_snapshot`]): live readouts of the
 //!   [`crate::metrics::Metrics`] counters and histograms plus queue depths
 //!   and in-flight DMA state, snapshottable as JSON mid-run. Counter pvars
@@ -20,740 +21,36 @@
 //!   and raises a structured [`StallDiagnostic`] naming the protocol phase
 //!   each stuck request is wedged in.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use qsim::{FastMap, Proc, Time};
 
-use crate::config::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
+use crate::config::{CvarDef, CvarValue, RdmaScheme, StackConfig, CVARS};
 use crate::endpoint::Endpoint;
 use crate::state::DmaRole;
 
 // ---------------------------------------------------------------------------
-// tunables: the writable backing store behind the cvar registry
+// cvar registry: thin lookups over the knob table in `crate::config`
 // ---------------------------------------------------------------------------
 
-/// Runtime-writable stack knobs, initialized from [`StackConfig`] and read
-/// by the hot path instead of the frozen config copy. Plain cells: a
-/// simulation runs its processes one at a time on one thread.
-pub struct Tunables {
-    eager_limit: Cell<usize>,
-    metrics: Cell<bool>,
-    trace: Cell<bool>,
-    flight_enable: Cell<bool>,
-    watchdog_interval: Cell<u64>,
-    watchdog_grace: Cell<u64>,
-    retransmit_timeout_ns: Cell<u64>,
-    retransmit_backoff: Cell<u64>,
-    retransmit_max_retries: Cell<u64>,
-    pipeline_enable: Cell<bool>,
-    pipeline_chunk: Cell<usize>,
-    pipeline_depth: Cell<usize>,
-    pipeline_min_len: Cell<usize>,
-    flow_enable: Cell<bool>,
-    /// Per-peer eager credit window. Seeded from config; a configured 0
-    /// (auto-scale) is resolved against the job size at endpoint init.
-    flow_credits: Cell<usize>,
-    flow_dma_cap: Cell<usize>,
-    coll_nic_offload: Cell<bool>,
-    coll_tree_radix: Cell<usize>,
-    coll_hw_bcast: Cell<bool>,
-    timeline_interval_ns: Cell<u64>,
-    /// Virtual time of the last timeline sample; `u64::MAX` = never sampled,
-    /// so the first due check fires immediately once sampling is enabled.
-    timeline_last_ns: Cell<u64>,
-    /// Progress ticks seen (progress passes + watchdog-timeout expiries).
-    /// Lives here rather than in `Metrics` so the watchdog works with
-    /// telemetry off.
-    ticks: Cell<u64>,
-}
-
-impl Tunables {
-    /// Seed the writable knobs from a validated config.
-    pub fn from_config(cfg: &StackConfig) -> Self {
-        Tunables {
-            eager_limit: Cell::new(cfg.eager_limit),
-            metrics: Cell::new(cfg.metrics),
-            trace: Cell::new(cfg.trace),
-            flight_enable: Cell::new(cfg.flight_recorder),
-            watchdog_interval: Cell::new(cfg.watchdog_interval),
-            watchdog_grace: Cell::new(cfg.watchdog_grace as u64),
-            retransmit_timeout_ns: Cell::new(cfg.tcp_retransmit_timeout.as_ns()),
-            retransmit_backoff: Cell::new(cfg.tcp_retransmit_backoff as u64),
-            retransmit_max_retries: Cell::new(cfg.tcp_max_retries as u64),
-            pipeline_enable: Cell::new(cfg.pipeline_enable),
-            pipeline_chunk: Cell::new(cfg.pipeline_chunk),
-            pipeline_depth: Cell::new(cfg.pipeline_depth),
-            pipeline_min_len: Cell::new(cfg.pipeline_min_len),
-            flow_enable: Cell::new(cfg.flow_enable),
-            flow_credits: Cell::new(cfg.flow_credits),
-            flow_dma_cap: Cell::new(cfg.flow_dma_cap),
-            coll_nic_offload: Cell::new(cfg.coll_nic_offload),
-            coll_tree_radix: Cell::new(cfg.coll_tree_radix),
-            coll_hw_bcast: Cell::new(cfg.coll_hw_bcast),
-            timeline_interval_ns: Cell::new(cfg.timeline_interval.as_ns()),
-            timeline_last_ns: Cell::new(u64::MAX),
-            ticks: Cell::new(0),
-        }
-    }
-
-    /// Is the pipelined chunked-RDMA rendezvous enabled right now?
-    pub fn pipeline_enable(&self) -> bool {
-        self.pipeline_enable.get()
-    }
-
-    /// Pipeline chunk size in bytes (clamped to >= 1).
-    pub fn pipeline_chunk(&self) -> usize {
-        self.pipeline_chunk.get().max(1)
-    }
-
-    /// Chunks allowed in flight per rail (clamped to >= 1).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth.get().max(1)
-    }
-
-    /// Elan shares below this stay on the monolithic single-RDMA path.
-    pub fn pipeline_min_len(&self) -> usize {
-        self.pipeline_min_len.get()
-    }
-
-    /// Is end-to-end injection flow control enabled right now?
-    pub fn flow_enable(&self) -> bool {
-        self.flow_enable.get()
-    }
-
-    /// Per-peer eager credit window (resolved; never 0 once the endpoint
-    /// has initialized with flow control on).
-    pub fn flow_credits(&self) -> usize {
-        self.flow_credits.get()
-    }
-
-    /// Resolve the auto-scaled credit window at endpoint init.
-    pub(crate) fn set_flow_credits(&self, v: usize) {
-        self.flow_credits.set(v);
-    }
-
-    /// Endpoint-wide outstanding-DMA descriptor cap; 0 = uncapped.
-    pub fn flow_dma_cap(&self) -> usize {
-        self.flow_dma_cap.get()
-    }
-
-    /// Are NIC-offloaded chained-event collectives enabled right now?
-    pub fn coll_nic_offload(&self) -> bool {
-        self.coll_nic_offload.get()
-    }
-
-    /// Fan-out of the NIC-offloaded collective tree (clamped to >= 2).
-    pub fn coll_tree_radix(&self) -> usize {
-        self.coll_tree_radix.get().max(2)
-    }
-
-    /// May eligible broadcasts use the hardware broadcast rail?
-    pub fn coll_hw_bcast(&self) -> bool {
-        self.coll_hw_bcast.get()
-    }
-
-    /// Virtual-time gap between timeline samples; 0 = sampler off.
-    pub fn timeline_interval_ns(&self) -> u64 {
-        self.timeline_interval_ns.get()
-    }
-
-    /// Is a timeline sample due at `now_ns`? Updates the last-sample stamp
-    /// when it is, so each interval yields exactly one sample.
-    pub fn timeline_due(&self, now_ns: u64) -> bool {
-        let interval = self.timeline_interval_ns();
-        if interval == 0 {
-            return false;
-        }
-        let last = self.timeline_last_ns.get();
-        if last != u64::MAX && now_ns.saturating_sub(last) < interval {
-            return false;
-        }
-        self.timeline_last_ns.set(now_ns);
-        true
-    }
-
-    /// Current eager/rendezvous threshold in bytes.
-    pub fn eager_limit(&self) -> usize {
-        self.eager_limit.get()
-    }
-
-    /// Is telemetry (counters + histograms) enabled right now?
-    pub fn metrics(&self) -> bool {
-        self.metrics.get()
-    }
-
-    /// Is protocol tracing enabled right now?
-    pub fn trace(&self) -> bool {
-        self.trace.get()
-    }
-
-    /// Is the post-mortem flight recorder enabled right now?
-    pub fn flight_enable(&self) -> bool {
-        self.flight_enable.get()
-    }
-
-    /// Progress ticks between watchdog scans; 0 = watchdog off.
-    pub fn watchdog_interval(&self) -> u64 {
-        self.watchdog_interval.get()
-    }
-
-    /// Consecutive stale scans before a request is declared stalled.
-    pub fn watchdog_grace(&self) -> u64 {
-        self.watchdog_grace.get().max(1)
-    }
-
-    /// Initial retransmit timeout for an unacknowledged control frame.
-    pub fn retransmit_timeout(&self) -> qsim::Dur {
-        qsim::Dur::from_ns(self.retransmit_timeout_ns.get())
-    }
-
-    /// Multiplier applied to the timeout after each retry (exponential
-    /// backoff); clamped to >= 1.
-    pub fn retransmit_backoff(&self) -> u32 {
-        self.retransmit_backoff.get().max(1) as u32
-    }
-
-    /// Retransmissions attempted before the frame is abandoned and the peer
-    /// declared failed.
-    pub fn retransmit_max_retries(&self) -> u32 {
-        self.retransmit_max_retries.get() as u32
-    }
-
-    /// Count one progress tick; returns the new total.
-    pub fn next_tick(&self) -> u64 {
-        let tick = self.ticks.get() + 1;
-        self.ticks.set(tick);
-        tick
-    }
-
-    /// Progress ticks counted so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks.get()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// cvar registry
-// ---------------------------------------------------------------------------
-
-/// A typed control-variable value.
-#[derive(Clone, PartialEq, Debug)]
-pub enum CvarValue {
-    /// Boolean knob.
-    Bool(bool),
-    /// Numeric knob (byte counts, depths, intervals, durations in ns).
-    U64(u64),
-    /// Enumerated knob, rendered by name.
-    Str(String),
-}
-
-impl CvarValue {
-    /// JSON rendering of the value.
-    pub fn to_json(&self) -> String {
-        match self {
-            CvarValue::Bool(b) => b.to_string(),
-            CvarValue::U64(v) => v.to_string(),
-            CvarValue::Str(s) => format!("\"{s}\""),
-        }
-    }
-}
-
-/// Static description of one control variable.
-pub struct CvarDef {
-    /// Dotted MPI_T-style name, e.g. `pml.eager_limit`.
-    pub name: &'static str,
-    /// One-line description.
-    pub desc: &'static str,
-    /// Writable at runtime via [`cvar_write`]?
-    pub writable: bool,
-}
-
-/// The cvar registry: every stack knob, with its mutability.
-pub const CVARS: &[CvarDef] = &[
-    CvarDef {
-        name: "pml.eager_limit",
-        desc: "messages at most this long (bytes) go eagerly in one QDMA",
-        writable: true,
-    },
-    CvarDef {
-        name: "pml.rdma_scheme",
-        desc: "long-message scheme: write (RDMA-write+FIN) or read (RDMA-read+FIN_ACK)",
-        writable: false,
-    },
-    CvarDef {
-        name: "pml.inline_first_frag",
-        desc: "carry payload inside the rendezvous packet",
-        writable: false,
-    },
-    CvarDef {
-        name: "pml.chained_fin",
-        desc: "NIC fires FIN/FIN_ACK chained to the final RDMA",
-        writable: false,
-    },
-    CvarDef {
-        name: "pml.force_rendezvous",
-        desc: "route every message through the rendezvous path",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.completion_mode",
-        desc: "RDMA completion strategy: poll_event, shared_combined, shared_separate",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.progress_mode",
-        desc: "progress engine: polling, interrupt, one_thread, two_threads",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.qslots",
-        desc: "receive-queue depth (QSLOTS)",
-        writable: false,
-    },
-    CvarDef {
-        name: "ptl.integrity_check",
-        desc: "end-to-end Fletcher-16 payload checking",
-        writable: false,
-    },
-    CvarDef {
-        name: "telemetry.metrics",
-        desc: "per-endpoint counters and histograms",
-        writable: true,
-    },
-    CvarDef {
-        name: "telemetry.trace",
-        desc: "protocol event trace ring",
-        writable: true,
-    },
-    CvarDef {
-        name: "telemetry.trace_capacity",
-        desc: "trace ring capacity (events)",
-        writable: false,
-    },
-    CvarDef {
-        name: "flight.enable",
-        desc: "always-on post-mortem flight recorder (dumped on stall or request failure)",
-        writable: true,
-    },
-    CvarDef {
-        name: "flight.capacity",
-        desc: "flight-recorder ring capacity (events)",
-        writable: false,
-    },
-    CvarDef {
-        name: "watchdog.interval",
-        desc: "progress ticks between watchdog scans; 0 disables",
-        writable: true,
-    },
-    CvarDef {
-        name: "watchdog.grace",
-        desc: "consecutive stale scans before a request is declared stalled",
-        writable: true,
-    },
-    CvarDef {
-        name: "watchdog.tick_ns",
-        desc: "virtual-time bound on blocked waits while the watchdog is armed",
-        writable: false,
-    },
-    CvarDef {
-        name: "tcp.reliability",
-        desc: "sequence-stamp TCP control frames and retransmit until acknowledged",
-        writable: false,
-    },
-    CvarDef {
-        name: "tcp.retransmit_timeout_ns",
-        desc: "initial timeout before an unacknowledged control frame is resent",
-        writable: true,
-    },
-    CvarDef {
-        name: "tcp.retransmit_backoff",
-        desc: "timeout multiplier applied after each retry (exponential backoff)",
-        writable: true,
-    },
-    CvarDef {
-        name: "tcp.max_retries",
-        desc: "retransmissions before the frame is abandoned and the peer declared failed",
-        writable: true,
-    },
-    CvarDef {
-        name: "reg.cache",
-        desc: "registration (pin-down) cache: reuse rendezvous/RMA mappings across requests",
-        writable: true,
-    },
-    CvarDef {
-        name: "reg.cache_bytes",
-        desc: "byte capacity of the registration cache (evicts idle LRU mappings beyond it)",
-        writable: true,
-    },
-    CvarDef {
-        name: "reg.cache_entries",
-        desc: "entry capacity of the registration cache",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.enable",
-        desc: "pipelined chunked-RDMA rendezvous (overlap registration with transfer)",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.chunk",
-        desc: "pipeline chunk size in bytes",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.depth",
-        desc: "pipeline chunks allowed in flight per rail",
-        writable: true,
-    },
-    CvarDef {
-        name: "pipe.min_len",
-        desc: "Elan shares below this many bytes keep the monolithic RDMA path",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.enable",
-        desc: "end-to-end injection flow control: per-peer eager credits + DMA cap",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.credits",
-        desc: "per-peer eager credit window (config 0 auto-scales to the job size at init)",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.dma_cap",
-        desc: "endpoint-wide outstanding RDMA descriptor cap; 0 = uncapped",
-        writable: true,
-    },
-    CvarDef {
-        name: "flow.bounce_pool",
-        desc: "preallocated bounce-buffer pool slots for unexpected-message staging",
-        writable: false,
-    },
-    CvarDef {
-        name: "coll.nic_offload",
-        desc: "compile barrier/bcast/allreduce into NIC-resident chained event programs",
-        writable: true,
-    },
-    CvarDef {
-        name: "coll.tree_radix",
-        desc: "fan-out of the NIC-offloaded collective tree (>= 2)",
-        writable: true,
-    },
-    CvarDef {
-        name: "coll.hw_bcast",
-        desc: "let eligible broadcasts use the hardware broadcast rail",
-        writable: true,
-    },
-    CvarDef {
-        name: "timeline.interval_ns",
-        desc: "virtual-time gap between time-series telemetry samples; 0 disables",
-        writable: true,
-    },
-    CvarDef {
-        name: "timeline.capacity",
-        desc: "timeline sample-ring capacity",
-        writable: false,
-    },
-];
-
-fn scheme_name(s: RdmaScheme) -> &'static str {
-    match s {
-        RdmaScheme::Write => "write",
-        RdmaScheme::Read => "read",
-    }
-}
-
-fn completion_name(c: CompletionMode) -> &'static str {
-    match c {
-        CompletionMode::PollEvent => "poll_event",
-        CompletionMode::SharedQueueCombined => "shared_combined",
-        CompletionMode::SharedQueueSeparate => "shared_separate",
-    }
-}
-
-fn progress_name(p: ProgressMode) -> &'static str {
-    match p {
-        ProgressMode::Polling => "polling",
-        ProgressMode::Interrupt => "interrupt",
-        ProgressMode::OneThread => "one_thread",
-        ProgressMode::TwoThreads => "two_threads",
-    }
-}
-
-/// Read a control variable by name; `None` for unknown names.
+/// Read a control variable's live value by name; `None` for unknown names.
 pub fn cvar_read(ep: &Endpoint, name: &str) -> Option<CvarValue> {
-    let v = match name {
-        "pml.eager_limit" => CvarValue::U64(ep.tunables.eager_limit() as u64),
-        "pml.rdma_scheme" => CvarValue::Str(scheme_name(ep.cfg.scheme).to_string()),
-        "pml.inline_first_frag" => CvarValue::Bool(ep.cfg.inline_first_frag),
-        "pml.chained_fin" => CvarValue::Bool(ep.cfg.chained_fin),
-        "pml.force_rendezvous" => CvarValue::Bool(ep.cfg.force_rendezvous),
-        "ptl.completion_mode" => CvarValue::Str(completion_name(ep.cfg.completion).to_string()),
-        "ptl.progress_mode" => CvarValue::Str(progress_name(ep.cfg.progress).to_string()),
-        "ptl.qslots" => CvarValue::U64(ep.cfg.qslots as u64),
-        "ptl.integrity_check" => CvarValue::Bool(ep.cfg.integrity_check),
-        "telemetry.metrics" => CvarValue::Bool(ep.tunables.metrics()),
-        "telemetry.trace" => CvarValue::Bool(ep.tunables.trace()),
-        "telemetry.trace_capacity" => CvarValue::U64(ep.cfg.trace_capacity as u64),
-        "flight.enable" => CvarValue::Bool(ep.tunables.flight_enable()),
-        "flight.capacity" => CvarValue::U64(ep.cfg.flight_capacity as u64),
-        "watchdog.interval" => CvarValue::U64(ep.tunables.watchdog_interval()),
-        "watchdog.grace" => CvarValue::U64(ep.tunables.watchdog_grace()),
-        "watchdog.tick_ns" => CvarValue::U64(ep.cfg.watchdog_tick.as_ns()),
-        "tcp.reliability" => CvarValue::Bool(ep.cfg.tcp_reliability),
-        "tcp.retransmit_timeout_ns" => CvarValue::U64(ep.tunables.retransmit_timeout().as_ns()),
-        "tcp.retransmit_backoff" => CvarValue::U64(ep.tunables.retransmit_backoff() as u64),
-        "tcp.max_retries" => CvarValue::U64(ep.tunables.retransmit_max_retries() as u64),
-        "reg.cache" => CvarValue::Bool(ep.reg.lock().enabled()),
-        "reg.cache_bytes" => CvarValue::U64(ep.reg.lock().cap_bytes() as u64),
-        "reg.cache_entries" => CvarValue::U64(ep.reg.lock().cap_entries() as u64),
-        "pipe.enable" => CvarValue::Bool(ep.tunables.pipeline_enable()),
-        "pipe.chunk" => CvarValue::U64(ep.tunables.pipeline_chunk() as u64),
-        "pipe.depth" => CvarValue::U64(ep.tunables.pipeline_depth() as u64),
-        "pipe.min_len" => CvarValue::U64(ep.tunables.pipeline_min_len() as u64),
-        "flow.enable" => CvarValue::Bool(ep.tunables.flow_enable()),
-        "flow.credits" => CvarValue::U64(ep.tunables.flow_credits() as u64),
-        "flow.dma_cap" => CvarValue::U64(ep.tunables.flow_dma_cap() as u64),
-        "flow.bounce_pool" => CvarValue::U64(ep.cfg.flow_bounce_pool as u64),
-        "coll.nic_offload" => CvarValue::Bool(ep.tunables.coll_nic_offload()),
-        "coll.tree_radix" => CvarValue::U64(ep.tunables.coll_tree_radix() as u64),
-        "coll.hw_bcast" => CvarValue::Bool(ep.tunables.coll_hw_bcast()),
-        "timeline.interval_ns" => CvarValue::U64(ep.tunables.timeline_interval_ns()),
-        "timeline.capacity" => CvarValue::U64(ep.cfg.timeline_capacity as u64),
-        _ => return None,
-    };
-    Some(v)
+    CvarDef::find(name).map(|d| d.read(&ep.tunables))
 }
 
 /// Write a runtime-writable control variable. Rejects unknown names,
-/// read-only cvars, type mismatches, and out-of-range values.
+/// read-only cvars, out-of-range values, and type mismatches.
 pub fn cvar_write(ep: &Endpoint, name: &str, value: CvarValue) -> Result<(), String> {
-    match (name, value) {
-        ("pml.eager_limit", CvarValue::U64(v)) => {
-            if v as usize > crate::hdr::MAX_INLINE {
-                return Err(format!(
-                    "pml.eager_limit {v} exceeds the QDMA inline maximum {}",
-                    crate::hdr::MAX_INLINE
-                ));
-            }
-            ep.tunables.eager_limit.set(v as usize);
-            Ok(())
-        }
-        ("telemetry.metrics", CvarValue::Bool(b)) => {
-            ep.tunables.metrics.set(b);
-            Ok(())
-        }
-        ("telemetry.trace", CvarValue::Bool(b)) => {
-            ep.tunables.trace.set(b);
-            Ok(())
-        }
-        ("flight.enable", CvarValue::Bool(b)) => {
-            ep.tunables.flight_enable.set(b);
-            Ok(())
-        }
-        ("watchdog.interval", CvarValue::U64(v)) => {
-            ep.tunables.watchdog_interval.set(v);
-            Ok(())
-        }
-        ("watchdog.grace", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("watchdog.grace must be >= 1".to_string());
-            }
-            ep.tunables.watchdog_grace.set(v);
-            Ok(())
-        }
-        ("tcp.retransmit_timeout_ns", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("tcp.retransmit_timeout_ns must be > 0".to_string());
-            }
-            ep.tunables.retransmit_timeout_ns.set(v);
-            Ok(())
-        }
-        ("tcp.retransmit_backoff", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("tcp.retransmit_backoff must be >= 1".to_string());
-            }
-            ep.tunables.retransmit_backoff.set(v);
-            Ok(())
-        }
-        ("tcp.max_retries", CvarValue::U64(v)) => {
-            ep.tunables.retransmit_max_retries.set(v);
-            Ok(())
-        }
-        ("reg.cache", CvarValue::Bool(b)) => {
-            // Disabling stops new insertions; existing entries drain through
-            // the normal release/eviction path.
-            ep.reg.lock().set_enabled(b);
-            Ok(())
-        }
-        ("reg.cache_bytes", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("reg.cache_bytes must be > 0".to_string());
-            }
-            ep.reg.lock().set_cap_bytes(v as usize);
-            Ok(())
-        }
-        ("reg.cache_entries", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("reg.cache_entries must be > 0".to_string());
-            }
-            ep.reg.lock().set_cap_entries(v as usize);
-            Ok(())
-        }
-        ("pipe.enable", CvarValue::Bool(b)) => {
-            ep.tunables.pipeline_enable.set(b);
-            Ok(())
-        }
-        ("pipe.chunk", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("pipe.chunk must be > 0".to_string());
-            }
-            ep.tunables.pipeline_chunk.set(v as usize);
-            Ok(())
-        }
-        ("pipe.depth", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("pipe.depth must be >= 1".to_string());
-            }
-            ep.tunables.pipeline_depth.set(v as usize);
-            Ok(())
-        }
-        ("pipe.min_len", CvarValue::U64(v)) => {
-            ep.tunables.pipeline_min_len.set(v as usize);
-            Ok(())
-        }
-        ("flow.enable", CvarValue::Bool(b)) => {
-            ep.tunables.flow_enable.set(b);
-            Ok(())
-        }
-        ("flow.credits", CvarValue::U64(v)) => {
-            if v == 0 {
-                return Err("flow.credits must be >= 1 (0 auto-scales at init only)".to_string());
-            }
-            if v as usize > ep.cfg.flow_bounce_pool {
-                return Err(format!(
-                    "flow.credits {v} exceeds the bounce pool ({} slots)",
-                    ep.cfg.flow_bounce_pool
-                ));
-            }
-            ep.tunables.flow_credits.set(v as usize);
-            Ok(())
-        }
-        ("flow.dma_cap", CvarValue::U64(v)) => {
-            ep.tunables.flow_dma_cap.set(v as usize);
-            Ok(())
-        }
-        ("coll.nic_offload", CvarValue::Bool(b)) => {
-            // Armed programs are keyed by communicator/shape, so flipping
-            // this mid-run only steers *future* collectives; it must still
-            // be set uniformly across the job before the next collective.
-            ep.tunables.coll_nic_offload.set(b);
-            Ok(())
-        }
-        ("coll.tree_radix", CvarValue::U64(v)) => {
-            if v < 2 {
-                return Err("coll.tree_radix must be >= 2".to_string());
-            }
-            ep.tunables.coll_tree_radix.set(v as usize);
-            Ok(())
-        }
-        ("coll.hw_bcast", CvarValue::Bool(b)) => {
-            ep.tunables.coll_hw_bcast.set(b);
-            Ok(())
-        }
-        ("timeline.interval_ns", CvarValue::U64(v)) => {
-            ep.tunables.timeline_interval_ns.set(v);
-            Ok(())
-        }
-        (n, v) => {
-            if let Some(def) = CVARS.iter().find(|d| d.name == n) {
-                if def.writable {
-                    Err(format!("cvar {n}: type mismatch (got {v:?})"))
-                } else {
-                    Err(format!("cvar {n} is read-only"))
-                }
-            } else {
-                Err(format!("unknown cvar {n}"))
-            }
-        }
-    }
-}
-
-/// All cvars of an endpoint as one JSON object
-/// (`name -> {value, writable, desc}`).
-pub fn cvars_json(ep: &Endpoint) -> String {
-    let rows: Vec<String> = CVARS
-        .iter()
-        .map(|d| {
-            let v = cvar_read(ep, d.name).expect("registry entry must be readable");
-            format!(
-                "\"{}\":{{\"value\":{},\"writable\":{},\"desc\":\"{}\"}}",
-                d.name,
-                v.to_json(),
-                d.writable,
-                d.desc
-            )
-        })
-        .collect();
-    format!("{{{}}}", rows.join(","))
+    CvarDef::find(name)
+        .ok_or_else(|| format!("unknown cvar {name}"))?
+        .write(&ep.tunables, &value)
 }
 
 /// The value a cvar takes under [`StackConfig::default`]; `None` for
 /// unknown names. Lets tooling show how far a running stack has been tuned
 /// away from stock without carrying a second table.
 pub fn cvar_default(name: &str) -> Option<CvarValue> {
-    let d = StackConfig::default();
-    let v = match name {
-        "pml.eager_limit" => CvarValue::U64(d.eager_limit as u64),
-        "pml.rdma_scheme" => CvarValue::Str(scheme_name(d.scheme).to_string()),
-        "pml.inline_first_frag" => CvarValue::Bool(d.inline_first_frag),
-        "pml.chained_fin" => CvarValue::Bool(d.chained_fin),
-        "pml.force_rendezvous" => CvarValue::Bool(d.force_rendezvous),
-        "ptl.completion_mode" => CvarValue::Str(completion_name(d.completion).to_string()),
-        "ptl.progress_mode" => CvarValue::Str(progress_name(d.progress).to_string()),
-        "ptl.qslots" => CvarValue::U64(d.qslots as u64),
-        "ptl.integrity_check" => CvarValue::Bool(d.integrity_check),
-        "telemetry.metrics" => CvarValue::Bool(d.metrics),
-        "telemetry.trace" => CvarValue::Bool(d.trace),
-        "telemetry.trace_capacity" => CvarValue::U64(d.trace_capacity as u64),
-        "flight.enable" => CvarValue::Bool(d.flight_recorder),
-        "flight.capacity" => CvarValue::U64(d.flight_capacity as u64),
-        "watchdog.interval" => CvarValue::U64(d.watchdog_interval),
-        "watchdog.grace" => CvarValue::U64(d.watchdog_grace as u64),
-        "watchdog.tick_ns" => CvarValue::U64(d.watchdog_tick.as_ns()),
-        "tcp.reliability" => CvarValue::Bool(d.tcp_reliability),
-        "tcp.retransmit_timeout_ns" => CvarValue::U64(d.tcp_retransmit_timeout.as_ns()),
-        "tcp.retransmit_backoff" => CvarValue::U64(d.tcp_retransmit_backoff as u64),
-        "tcp.max_retries" => CvarValue::U64(d.tcp_max_retries as u64),
-        "reg.cache" => CvarValue::Bool(d.reg_cache),
-        "reg.cache_bytes" => CvarValue::U64(d.reg_cache_bytes as u64),
-        "reg.cache_entries" => CvarValue::U64(d.reg_cache_entries as u64),
-        "pipe.enable" => CvarValue::Bool(d.pipeline_enable),
-        "pipe.chunk" => CvarValue::U64(d.pipeline_chunk as u64),
-        "pipe.depth" => CvarValue::U64(d.pipeline_depth as u64),
-        "pipe.min_len" => CvarValue::U64(d.pipeline_min_len as u64),
-        "flow.enable" => CvarValue::Bool(d.flow_enable),
-        "flow.credits" => CvarValue::U64(d.flow_credits as u64),
-        "flow.dma_cap" => CvarValue::U64(d.flow_dma_cap as u64),
-        "flow.bounce_pool" => CvarValue::U64(d.flow_bounce_pool as u64),
-        "coll.nic_offload" => CvarValue::Bool(d.coll_nic_offload),
-        "coll.tree_radix" => CvarValue::U64(d.coll_tree_radix as u64),
-        "coll.hw_bcast" => CvarValue::Bool(d.coll_hw_bcast),
-        "timeline.interval_ns" => CvarValue::U64(d.timeline_interval.as_ns()),
-        "timeline.capacity" => CvarValue::U64(d.timeline_capacity as u64),
-        _ => return None,
-    };
-    Some(v)
-}
-
-fn cvar_type_name(v: &CvarValue) -> &'static str {
-    match v {
-        CvarValue::Bool(_) => "bool",
-        CvarValue::U64(_) => "u64",
-        CvarValue::Str(_) => "enum",
-    }
+    CvarDef::find(name).map(|d| d.get(&StackConfig::default()))
 }
 
 /// The full introspection registry of one endpoint as JSON: every cvar
@@ -761,17 +58,17 @@ fn cvar_type_name(v: &CvarValue) -> &'static str {
 /// pvar (name, live value). This is the `registry.json` document of
 /// `harness gate registry` — the MPI_T equivalent of `ompi_info --all`.
 pub fn registry_json(ep: &Endpoint) -> String {
+    let defaults = StackConfig::default();
     let cvars: Vec<String> = CVARS
         .iter()
         .map(|d| {
-            let v = cvar_read(ep, d.name).expect("registry entry must be readable");
-            let default = cvar_default(d.name).expect("registry entry must have a default");
+            let v = d.read(&ep.tunables);
             format!(
                 "{{\"name\":\"{}\",\"type\":\"{}\",\"default\":{},\"writable\":{},\
                  \"value\":{},\"desc\":\"{}\"}}",
                 d.name,
-                cvar_type_name(&v),
-                default.to_json(),
+                v.type_name(),
+                d.get(&defaults).to_json(),
                 d.writable,
                 v.to_json(),
                 d.desc
@@ -957,7 +254,7 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
     // Watchdog state.
     {
         let ins = ep.introspect.lock();
-        vars.push(("watchdog.ticks".into(), ep.tunables.ticks()));
+        vars.push(("watchdog.ticks".into(), ins.ticks));
         vars.push(("watchdog.scans".into(), ins.scans));
         vars.push(("watchdog.stalls_detected".into(), ins.stalls_detected));
         vars.push(("flight.dumps".into(), ins.flight_dumps.len() as u64));
@@ -1064,6 +361,9 @@ pub struct Timeline {
     samples: std::collections::VecDeque<TimelineSample>,
     capacity: usize,
     dropped: u64,
+    /// Virtual time of the last sample; `None` until the first, so the
+    /// first due check fires as soon as sampling is enabled.
+    last_ns: Option<u64>,
 }
 
 impl Timeline {
@@ -1073,7 +373,22 @@ impl Timeline {
             samples: std::collections::VecDeque::new(),
             capacity: capacity.max(1),
             dropped: 0,
+            last_ns: None,
         }
+    }
+
+    /// Is a sample due at `now_ns`, `interval_ns` after the last one?
+    /// Stamps the sample time when it is, so each interval yields exactly
+    /// one sample.
+    fn due(&mut self, now_ns: u64, interval_ns: u64) -> bool {
+        if self
+            .last_ns
+            .is_some_and(|last| now_ns.saturating_sub(last) < interval_ns)
+        {
+            return false;
+        }
+        self.last_ns = Some(now_ns);
+        true
     }
 
     /// Append one sample, evicting the oldest when full.
@@ -1123,8 +438,12 @@ impl Timeline {
 /// tick; a cheap cell read when sampling is off. Locks: state, then
 /// fabric, then timeline — each taken and released in turn, none nested.
 pub fn timeline_tick(proc: &Proc, ep: &Rc<Endpoint>) {
+    let interval = ep.tunables.timeline_interval();
+    if interval == qsim::Dur::ZERO {
+        return;
+    }
     let now = proc.now();
-    if !ep.tunables.timeline_due(now.as_ns()) {
+    if !ep.timeline.lock().due(now.as_ns(), interval.as_ns()) {
         return;
     }
     let (posted, unexpected, dmas, pipes, ctl) = {
@@ -1163,6 +482,10 @@ pub fn timeline_tick(proc: &Proc, ep: &Rc<Endpoint>) {
 /// never the reverse — same rule as the metrics lock).
 #[derive(Default)]
 pub struct IntrospectState {
+    /// Progress ticks seen (progress passes + watchdog-timeout expiries),
+    /// counted while the watchdog is armed. Kept here rather than in
+    /// `Metrics` so the watchdog works with telemetry off.
+    pub ticks: u64,
     /// Per-request `(fingerprint, consecutive stale scans)`.
     marks: FastMap<u64, (u64, u64)>,
     /// Watchdog scans performed.
@@ -1428,7 +751,7 @@ fn pack_fingerprint(done: bool, flag: bool, bytes: usize) -> u64 {
 /// request exceeded the grace period, after recording it in the endpoint's
 /// introspect state. Locks: state, then introspect (never the reverse).
 fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
-    let grace = ep.tunables.watchdog_grace();
+    let grace = u64::from(ep.tunables.watchdog_grace());
     let st = ep.state.lock();
     let mut ins = ep.introspect.lock();
     ins.scans += 1;
@@ -1544,7 +867,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     // The flight lock is a leaf lock, safe under state + introspect.
     let flight = {
         let mut f = ep.flight.lock();
-        if ep.tunables.flight_enable() {
+        if ep.tunables.flight_recorder() {
             f.record(
                 now,
                 crate::flight::FlightEvent::Stall {
@@ -1618,7 +941,11 @@ pub fn watchdog_tick(proc: &Proc, ep: &Rc<Endpoint>) {
     if interval == 0 {
         return;
     }
-    let t = ep.tunables.next_tick();
+    let t = {
+        let mut ins = ep.introspect.lock();
+        ins.ticks += 1;
+        ins.ticks
+    };
     if !t.is_multiple_of(interval) {
         return;
     }
@@ -1751,24 +1078,5 @@ mod tests {
         assert!(j.contains("\"t_ns\":2000"));
         assert!(!j.contains("\"t_ns\":0,"));
         assert!(j.contains("\"ej_queue\":2"));
-    }
-
-    #[test]
-    fn cvar_defaults_cover_the_whole_registry() {
-        for d in CVARS {
-            let v = cvar_default(d.name);
-            assert!(v.is_some(), "no default for cvar {}", d.name);
-        }
-        assert_eq!(cvar_default("no.such.cvar"), None);
-        // The default table reflects StackConfig::default(), not a copy.
-        let cfg = StackConfig::default();
-        assert_eq!(
-            cvar_default("pml.eager_limit"),
-            Some(CvarValue::U64(cfg.eager_limit as u64))
-        );
-        assert_eq!(
-            cvar_default("timeline.interval_ns"),
-            Some(CvarValue::U64(cfg.timeline_interval.as_ns()))
-        );
     }
 }

@@ -45,13 +45,13 @@ pub mod universe;
 
 pub use coll::ReduceOp;
 pub use comm::Communicator;
-pub use config::{CompletionMode, HostConfig, ProgressMode, RdmaScheme, StackConfig};
+pub use config::{
+    CompletionMode, CvarDef, CvarValue, HostConfig, ProgressMode, RdmaScheme, StackConfig, CVARS,
+};
 pub use critpath::{BucketStats, CritPathReport, MsgPath};
 pub use endpoint::{Endpoint, Transports};
 pub use flight::{FlightEvent, FlightRecorder};
-pub use introspect::{
-    cvar_read, cvar_write, cvars_json, pvar_snapshot, CvarValue, PvarSnapshot, StallDiagnostic,
-};
+pub use introspect::{cvar_read, cvar_write, pvar_snapshot, PvarSnapshot, StallDiagnostic};
 pub use metrics::{CollOp, Counters, Histogram, Metrics};
 pub use mpi::{Mpi, PersistentRequest, Status, ANY_SOURCE, ANY_TAG};
 pub use proto::{ReqKind, Request};

@@ -158,8 +158,9 @@ pub struct Counters {
     pub flow_credit_frames: u64,
     /// Credits that rode along on ACK/FIN_ACK frames at zero wire cost.
     pub flow_piggybacked: u64,
-    /// Credit grants deferred because the local ejection-link queue was
-    /// above `flow.ej_backoff` (fabric feedback into the credit loop).
+    /// Never incremented. Kept only because the benchmark's layer table
+    /// still reads it; drop it and its `flow.grant_deferrals` pvar with
+    /// the next benchmark change.
     pub flow_grant_deferrals: u64,
     /// Sends that blocked on the endpoint-wide outstanding-DMA cap.
     pub flow_dma_waits: u64,

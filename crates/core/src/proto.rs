@@ -158,7 +158,7 @@ pub fn post_send_mode(
         );
         // Same post-mortem as the degraded completion path in
         // `fail_request`: freeze the flight recorder at the failure.
-        if ep.tunables.flight_enable() {
+        if ep.tunables.flight_recorder() {
             let dump = ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
             ep.introspect.lock().flight_dumps.push(dump);
         }
@@ -1789,7 +1789,7 @@ fn send_frame(
         Route::Tcp => {
             if reliable {
                 let rel_seq = hdr.tag as u32;
-                let timeout = ep.tunables.retransmit_timeout();
+                let timeout = ep.tunables.tcp_retransmit_timeout();
                 let deadline = proc.now() + timeout;
                 ep.state.lock().ctl_inflight.push(InflightCtl {
                     peer: peer.name,
@@ -2838,10 +2838,7 @@ fn send_credit_return(proc: &Proc, ep: &Rc<Endpoint>, to: ProcName, n: usize) {
 /// One flow-control progress step, run from every progress pass: drain
 /// send queues whose windows re-opened, and flush hoarded credit returns
 /// (at least half a window's worth) for peers with no reverse traffic to
-/// piggyback on. Credit grants defer while the local ejection queue is
-/// backed up past `flow.ej_backoff` — the fabric's congestion signal
-/// feeding the end-to-end window — and retry on a later pass, so deferral
-/// can stall but never deadlock.
+/// piggyback on.
 pub(crate) fn flow_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     if !ep.tunables.flow_enable() {
         return false;
@@ -2861,31 +2858,13 @@ pub(crate) fn flow_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
         }
     }
     let threshold = (ep.tunables.flow_credits() / 2).max(1);
-    let backoff = ep.cfg.flow_ej_backoff;
-    let congested = backoff > 0 && ep.ejection_depth(proc.now()) >= backoff as u64;
     let returns: Vec<(ProcName, usize)> = {
         let mut st = ep.state.lock();
-        let due: Vec<ProcName> = st
-            .flow
-            .iter()
+        st.flow
+            .iter_mut()
             .filter(|(_, fp)| fp.pending_return >= threshold)
-            .map(|(p, _)| *p)
-            .collect();
-        if !due.is_empty() && congested {
-            // Congested ejection link: granting more credits now would
-            // invite more injection straight into the hot spot.
-            ep.metric(|m| m.counters.flow_grant_deferrals += 1);
-            Vec::new()
-        } else {
-            due.into_iter()
-                .map(|p| {
-                    let fp = st.flow.get_mut(&p).expect("peer listed above");
-                    let n = fp.pending_return;
-                    fp.pending_return = 0;
-                    (p, n)
-                })
-                .collect()
-        }
+            .map(|(p, fp)| (*p, std::mem::take(&mut fp.pending_return)))
+            .collect()
     };
     for (p, n) in returns {
         send_credit_return(proc, ep, p, n);
@@ -3124,7 +3103,7 @@ pub(crate) fn fail_request(
     );
     // Post-mortem: freeze the flight recorder at the moment of failure so
     // the harness can explain *what led up to* the error, not just name it.
-    if ep.tunables.flight_enable() {
+    if ep.tunables.flight_recorder() {
         let dump = ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
         ep.introspect.lock().flight_dumps.push(dump);
     }
@@ -3140,8 +3119,8 @@ pub(crate) fn reliability_tick(proc: &Proc, ep: &Rc<Endpoint>) {
         return;
     }
     let now = proc.now();
-    let max_retries = ep.tunables.retransmit_max_retries();
-    let backoff = ep.tunables.retransmit_backoff().max(1) as u64;
+    let max_retries = ep.tunables.tcp_max_retries();
+    let backoff = u64::from(ep.tunables.tcp_retransmit_backoff());
     let mut resends: Vec<(ProcName, Vec<u8>, HdrType, u32, u32)> = Vec::new();
     let mut abandoned: Vec<InflightCtl> = Vec::new();
     {

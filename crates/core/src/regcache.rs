@@ -8,8 +8,10 @@
 //! alive after the request completes and reuse them when the same buffer
 //! comes around again, unmapping only when capacity pressure evicts them.
 //!
-//! The cache is an LRU keyed by `(buffer base, len)` with both a byte and
-//! an entry capacity (`reg.*` cvars). Entries are reference-counted:
+//! The cache is an LRU keyed by `(buffer base, len)` with a byte capacity
+//! ([`REG_CACHE_BYTES`]) and an entry capacity (the `reg.cache_entries`
+//! cvar); the `reg.cache` cvar turns it on and off. The cache reads both
+//! cvars live from the endpoint's tunables. Entries are reference-counted:
 //! in-flight requests hold a reference, so eviction only considers idle
 //! entries and an active mapping can never be torn down under a DMA.
 //! Releases of mappings the cache does not own (bounce buffers, cache
@@ -27,6 +29,10 @@ use qsim::{FastMap, Proc};
 use std::rc::Rc;
 
 use crate::endpoint::Endpoint;
+
+/// Byte capacity of every endpoint's registration cache: past it, idle LRU
+/// mappings are evicted.
+pub const REG_CACHE_BYTES: usize = 32 << 20;
 
 /// Live counters of one endpoint's registration cache. Always maintained
 /// (independent of the `telemetry.metrics` gate) so `reg.*` pvars and the
@@ -56,11 +62,8 @@ struct Entry {
 }
 
 /// The pin-down cache proper: plain data behind the endpoint's `reg` lock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RegCache {
-    enabled: bool,
-    cap_bytes: usize,
-    cap_entries: usize,
     /// Keyed by `(host base offset, len)`; the owning node is fixed per
     /// endpoint, so it is not part of the key.
     entries: FastMap<(usize, usize), Entry>,
@@ -72,21 +75,6 @@ pub struct RegCache {
 }
 
 impl RegCache {
-    /// An empty cache with the given capacities.
-    pub fn new(enabled: bool, cap_bytes: usize, cap_entries: usize) -> RegCache {
-        RegCache {
-            enabled,
-            cap_bytes,
-            cap_entries,
-            entries: FastMap::default(),
-            cur_bytes: 0,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
     /// Current counters.
     pub fn stats(&self) -> RegStats {
         RegStats {
@@ -98,47 +86,11 @@ impl RegCache {
         }
     }
 
-    /// Is the cache accepting new entries?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Byte capacity.
-    pub fn cap_bytes(&self) -> usize {
-        self.cap_bytes
-    }
-
-    /// Entry capacity.
-    pub fn cap_entries(&self) -> usize {
-        self.cap_entries
-    }
-
-    /// Turn the cache on or off. Existing entries stay owned by the cache
-    /// (their releases still resolve here) but no new entries are admitted
-    /// while off.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Resize the byte capacity; the next acquire/release evicts down to it.
-    pub fn set_cap_bytes(&mut self, bytes: usize) {
-        self.cap_bytes = bytes;
-    }
-
-    /// Resize the entry capacity; the next acquire/release evicts down to it.
-    pub fn set_cap_entries(&mut self, n: usize) {
-        self.cap_entries = n;
-    }
-
-    fn over_capacity(&self) -> bool {
-        self.cur_bytes > self.cap_bytes || self.entries.len() > self.cap_entries
-    }
-
-    /// Pop LRU idle entries until within capacity; returns the mappings the
-    /// caller must unmap (outside the cache lock).
-    fn collect_victims(&mut self) -> Vec<E4Addr> {
+    /// Pop LRU idle entries until within `cap_bytes` and `cap_entries`;
+    /// returns the mappings the caller must unmap (outside the cache lock).
+    fn collect_victims(&mut self, cap_bytes: usize, cap_entries: usize) -> Vec<E4Addr> {
         let mut victims = Vec::new();
-        while self.over_capacity() {
+        while self.cur_bytes > cap_bytes || self.entries.len() > cap_entries {
             let Some((&key, _)) = self
                 .entries
                 .iter()
@@ -166,7 +118,7 @@ pub fn acquire(proc: &Proc, ep: &Rc<Endpoint>, region: &HostBuf) -> E4Addr {
     let key = (region.addr.off, region.len);
     {
         let mut c = ep.reg.lock();
-        if c.enabled {
+        if ep.tunables.reg_cache() {
             c.tick += 1;
             let tick = c.tick;
             if let Some(e) = c.entries.get_mut(&key) {
@@ -185,7 +137,7 @@ pub fn acquire(proc: &Proc, ep: &Rc<Endpoint>, region: &HostBuf) -> E4Addr {
     let mut stale = Vec::new();
     let out = {
         let mut c = ep.reg.lock();
-        if !c.enabled {
+        if !ep.tunables.reg_cache() {
             e4
         } else if let Some(e) = c.entries.get_mut(&key) {
             // The progress thread inserted the same buffer while we were
@@ -206,7 +158,7 @@ pub fn acquire(proc: &Proc, ep: &Rc<Endpoint>, region: &HostBuf) -> E4Addr {
                 },
             );
             c.cur_bytes += region.len;
-            stale = c.collect_victims();
+            stale = c.collect_victims(REG_CACHE_BYTES, ep.tunables.reg_cache_entries());
             e4
         }
     };
@@ -230,7 +182,7 @@ pub fn release(proc: &Proc, ep: &Rc<Endpoint>, region: &HostBuf, e4: E4Addr) {
             Some(e) if e.e4 == e4 => {
                 debug_assert!(e.refs > 0, "registration cache refcount underflow");
                 e.refs = e.refs.saturating_sub(1);
-                victims = c.collect_victims();
+                victims = c.collect_victims(REG_CACHE_BYTES, ep.tunables.reg_cache_entries());
                 true
             }
             _ => false,
@@ -286,12 +238,12 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_idle_entry_first() {
-        let mut c = RegCache::new(true, 100, 16);
+        let mut c = RegCache::default();
         c.entries.insert((0, 40), entry(0x1000, 40, 0, 1));
         c.entries.insert((40, 40), entry(0x2000, 40, 0, 2));
         c.entries.insert((80, 40), entry(0x3000, 40, 0, 3));
         c.cur_bytes = 120;
-        let victims = c.collect_victims();
+        let victims = c.collect_victims(100, 16);
         assert_eq!(victims, vec![E4Addr::from_raw(Vpid(0), 0x1000)]);
         assert_eq!(c.cur_bytes, 80);
         assert_eq!(c.evictions, 1);
@@ -299,20 +251,20 @@ mod tests {
 
     #[test]
     fn referenced_entries_are_never_evicted() {
-        let mut c = RegCache::new(true, 10, 16);
+        let mut c = RegCache::default();
         c.entries.insert((0, 40), entry(0x1000, 40, 1, 1));
         c.cur_bytes = 40;
-        assert!(c.collect_victims().is_empty());
+        assert!(c.collect_victims(10, 16).is_empty());
         assert_eq!(c.entries.len(), 1);
     }
 
     #[test]
     fn entry_capacity_also_triggers_eviction() {
-        let mut c = RegCache::new(true, usize::MAX, 1);
+        let mut c = RegCache::default();
         c.entries.insert((0, 8), entry(0x1000, 8, 0, 1));
         c.entries.insert((8, 8), entry(0x2000, 8, 0, 2));
         c.cur_bytes = 16;
-        let victims = c.collect_victims();
+        let victims = c.collect_victims(usize::MAX, 1);
         assert_eq!(victims.len(), 1);
         assert_eq!(c.entries.len(), 1);
         assert!(c.entries.contains_key(&(8, 8)), "LRU entry must go first");
@@ -327,7 +279,7 @@ mod tests {
 
     #[test]
     fn stats_track_current_footprint() {
-        let mut c = RegCache::new(true, 100, 4);
+        let mut c = RegCache::default();
         c.entries.insert((0, 60), entry(0x1000, 60, 0, 1));
         c.cur_bytes = 60;
         c.hits = 5;

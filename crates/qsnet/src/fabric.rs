@@ -774,20 +774,6 @@ impl Fabric {
         (inj, ej)
     }
 
-    /// Packets currently holding or waiting for one node's *ejection* links
-    /// at `now`, summed across rails. Cheaper than [`Fabric::node_queue_now`]
-    /// when the caller only needs the receive side — the flow-control pump
-    /// polls this every progress pass to defer credit grants while the
-    /// victim's ejection queue is backed up.
-    pub fn node_ej_queue_now(&self, node: NodeId, now: Time) -> u64 {
-        assert!(node < self.config.nodes, "node out of range");
-        let mut st = self.state.lock();
-        st.acct
-            .iter_mut()
-            .map(|acct| acct.ej[node].queue_now(now))
-            .sum()
-    }
-
     /// Start recording per-node endpoint-link busy intervals (merged across
     /// rails), keeping at most `capacity` windows per link. Idempotent;
     /// re-enabling with a new capacity clears the recorded windows.

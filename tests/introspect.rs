@@ -5,7 +5,8 @@
 
 use std::rc::Rc;
 
-use openmpi_core::{CvarValue, Placement, StackConfig, Universe};
+use openmpi_core::introspect::{cvar_default, registry_json};
+use openmpi_core::{cvar_read, cvar_write, CvarValue, Placement, StackConfig, Universe, CVARS};
 
 /// Every registry entry is readable, defaults mirror the config, and bad
 /// writes (unknown name, read-only target, type mismatch, invalid value)
@@ -18,7 +19,7 @@ fn cvar_registry_reads_defaults_and_validates_writes() {
     uni.run_world(1, Placement::RoundRobin, move |mpi| {
         let ep = mpi.endpoint();
 
-        let json = openmpi_core::cvars_json(ep);
+        let json = registry_json(ep);
         for name in [
             "pml.eager_limit",
             "pml.rdma_scheme",
@@ -65,6 +66,122 @@ fn cvar_registry_reads_defaults_and_validates_writes() {
             Some(CvarValue::Bool(true))
         );
     });
+}
+
+/// Every row of the knob table on a 1-rank default endpoint: it reads its
+/// default, a writable row takes its own value back and refuses a value of
+/// the wrong type, a read-only row refuses every write, and the first value
+/// past either end of a row's range is refused both by a runtime write and
+/// by `StackConfig::check` — one range check for init and for writes.
+#[test]
+fn every_cvar_row_round_trips() {
+    let uni = Universe::paper_testbed(StackConfig::default());
+    uni.run_world(1, Placement::RoundRobin, |mpi| {
+        let ep = mpi.endpoint();
+        let defaults = StackConfig::default();
+        assert_eq!(cvar_default("no.such.cvar"), None);
+        for d in CVARS {
+            let default = d.get(&defaults);
+            assert_eq!(cvar_default(d.name), Some(default.clone()), "{}", d.name);
+            // The one live value that differs from its default: a 0 credit
+            // window resolves at init (1 rank: clamp(64 / 1, 2, 16)).
+            let live = if d.name == "flow.credits" {
+                CvarValue::U64(16)
+            } else {
+                default
+            };
+            assert_eq!(cvar_read(ep, d.name), Some(live.clone()), "{}", d.name);
+
+            let wrong = match live {
+                CvarValue::Bool(_) => CvarValue::U64(1),
+                _ => CvarValue::Bool(true),
+            };
+            if d.writable {
+                cvar_write(ep, d.name, live.clone()).unwrap();
+                assert_eq!(cvar_read(ep, d.name), Some(live.clone()), "{}", d.name);
+                let err = cvar_write(ep, d.name, wrong).unwrap_err();
+                assert!(err.contains("type mismatch"), "{}: {err}", d.name);
+            } else {
+                for v in [live.clone(), wrong] {
+                    let err = cvar_write(ep, d.name, v).unwrap_err();
+                    assert!(err.contains("read-only"), "{}: {err}", d.name);
+                }
+            }
+
+            let Some((lo, hi)) = d.range else { continue };
+            for (inside, outside) in [(lo, lo.checked_sub(1)), (hi, hi.checked_add(1))] {
+                if inside == u64::MAX {
+                    continue; // no upper bound
+                }
+                let mut cfg = StackConfig::default();
+                d.set(&mut cfg, &CvarValue::U64(inside)).unwrap();
+                assert_eq!(cfg.check(), Ok(()), "{} = {inside}", d.name);
+                let Some(x) = outside else { continue };
+                if d.writable {
+                    let err = cvar_write(ep, d.name, CvarValue::U64(x)).unwrap_err();
+                    assert!(err.contains("out of range"), "{}: {err}", d.name);
+                }
+                d.set(&mut cfg, &CvarValue::U64(x)).unwrap();
+                if d.name == "flow.credits" && x == 0 {
+                    // A config may ask for the auto-scaled window; a write
+                    // may not.
+                    assert_eq!(cfg.check(), Ok(()));
+                } else {
+                    let err = cfg.check().unwrap_err();
+                    assert!(err.contains("out of range"), "{}: {err}", d.name);
+                }
+            }
+            assert_eq!(cvar_read(ep, d.name), Some(live), "{}", d.name);
+        }
+    });
+}
+
+/// Turning flow control on at runtime works on a config that left the
+/// credit window at its auto-scaled default: the window resolves at init
+/// whether or not flow control starts on, so eager sends find credits
+/// instead of parking forever.
+#[test]
+fn flow_enable_write_finds_a_resolved_credit_window() {
+    let stack = StackConfig {
+        metrics: true,
+        ..StackConfig::best()
+    };
+    let uni = Universe::paper_testbed(stack);
+    let consumed: Rc<qsim::Local<Vec<u64>>> = Rc::new(qsim::Local::new(Vec::new()));
+    let c2 = consumed.clone();
+    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let ep = mpi.endpoint();
+        // 2 ranks: clamp(64 / 1, 2, 16).
+        assert_eq!(cvar_read(ep, "flow.credits"), Some(CvarValue::U64(16)));
+        cvar_write(ep, "flow.enable", CvarValue::Bool(true)).unwrap();
+        assert_eq!(cvar_read(ep, "flow.credits"), Some(CvarValue::U64(16)));
+        let w = mpi.world();
+        mpi.barrier(&w);
+        let len = 64;
+        let buf = mpi.alloc(len);
+        for i in 0..40 {
+            if mpi.rank() == 0 {
+                mpi.send(&w, 1, i, &buf, len);
+            } else {
+                mpi.recv(&w, 0, i, &buf, len);
+            }
+        }
+        mpi.free(buf);
+        if mpi.rank() == 0 {
+            c2.lock().push(
+                mpi.endpoint()
+                    .metrics_snapshot()
+                    .counters
+                    .flow_credits_consumed,
+            );
+        }
+    });
+    // The 40 sends and rank 0's one barrier message each took a credit.
+    assert_eq!(
+        *consumed.lock(),
+        vec![41],
+        "every send went through the window"
+    );
 }
 
 /// Writing `pml.eager_limit` mid-run changes protocol selection for the
