@@ -3,6 +3,7 @@
 
 use std::rc::Rc;
 
+use crate::callback::Callback;
 use crate::kernel::{Event, Shared};
 use crate::time::{Dur, Time};
 
@@ -37,18 +38,44 @@ impl SimHandle {
     }
 
     /// Run `f` after `delay` of virtual time.
+    ///
+    /// `f` is stored in a 128-byte block the simulation recycles, not on
+    /// the heap, so scheduling allocates nothing once the pool has grown to
+    /// the most callbacks queued at once. A closure that captures more than
+    /// 128 bytes, or needs an alignment over 16, does not build:
+    ///
+    /// ```compile_fail
+    /// let sim = qsim::Simulation::new();
+    /// let big = [0u8; 129];
+    /// sim.handle().call_after(qsim::Dur::ZERO, move |_| assert_eq!(big.len(), 129));
+    /// ```
+    ///
+    /// Capture a `Box` or an `Rc` of large state instead:
+    ///
+    /// ```
+    /// let sim = qsim::Simulation::new();
+    /// let big = Box::new([0u8; 4096]);
+    /// sim.handle().call_after(qsim::Dur::ZERO, move |_| assert_eq!(big.len(), 4096));
+    /// sim.run().unwrap();
+    /// ```
+    ///
+    /// A callback still queued when its run ends, or when its simulation
+    /// is dropped unrun, is dropped without running.
     pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + 'static) {
+        let call = Callback::new(&self.shared.pool, f);
         let mut st = self.shared.state.borrow_mut();
         let at = st.now + delay;
-        st.push_event(at, Event::Call(Box::new(f)));
+        st.push_event(at, Event::Call(call));
     }
 
     /// Run `f` at the absolute virtual time `at`. A past `at` is clamped to
     /// the current time (and counted in the report's `sched_past`): the
-    /// virtual clock never moves backwards.
+    /// virtual clock never moves backwards. `f` is stored as in
+    /// [`SimHandle::call_after`]: at most 128 bytes of captures.
     pub fn call_at(&self, at: Time, f: impl FnOnce(&SimHandle) + 'static) {
+        let call = Callback::new(&self.shared.pool, f);
         let mut st = self.shared.state.borrow_mut();
-        st.push_event(at, Event::Call(Box::new(f)));
+        st.push_event(at, Event::Call(call));
     }
 }
 

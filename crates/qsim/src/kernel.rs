@@ -65,6 +65,7 @@ use std::cell::{Cell, RefCell, RefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
+use crate::callback::{CallPool, Callback};
 use crate::context::{Context, Stack};
 use crate::handle::SimHandle;
 use crate::proc::{Proc, ShutdownUnwind};
@@ -122,15 +123,16 @@ pub(crate) enum ParkKind {
     Signal(u64),
 }
 
-pub(crate) type CallFn = Box<dyn FnOnce(&SimHandle)>;
-
 /// What a simulated process runs.
 pub(crate) type Body = Box<dyn FnOnce(Proc)>;
 
 pub(crate) enum Event {
     Wake(ProcId),
-    Call(CallFn),
+    Call(Callback),
 }
+
+// A mid-bucket insert shifts queue entries, so an event stays two words.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 pub(crate) struct ProcSlot {
     pub name: String,
@@ -248,7 +250,7 @@ pub(crate) struct KernelState {
     pub schedule_hash: u64,
     /// [`drive`]'s buffer for a batch of same-timestamp callbacks, kept
     /// here so a dispatch does not allocate one.
-    call_buf: Vec<CallFn>,
+    call_buf: Vec<Callback>,
 }
 
 impl KernelState {
@@ -318,6 +320,10 @@ impl KernelState {
 
 pub(crate) struct Shared {
     pub state: RefCell<KernelState>,
+    /// The blocks queued callbacks live in. Declared after `state`, so a
+    /// callback still queued when the simulation is freed drops before
+    /// its block does.
+    pub pool: CallPool,
     /// Mirror of `state.now`, read without borrowing the state
     /// (`SimHandle::now`).
     pub now_ns: Cell<u64>,
@@ -594,7 +600,10 @@ pub(crate) fn drive<'a>(
                 }
                 drop(st);
                 for f in calls.drain(..) {
-                    f(sim);
+                    // SAFETY: only `SimHandle::call_at`/`call_after` make
+                    // callbacks, from the pool of the simulation whose
+                    // queue they push them on, and `sim` drives that one.
+                    unsafe { f.run(sim) };
                 }
                 st = shared.state.borrow_mut();
                 st.call_buf = calls;
@@ -779,6 +788,7 @@ impl Simulation {
                 schedule_hash: FNV_OFFSET,
                 call_buf: Vec::new(),
             }),
+            pool: CallPool::new(),
             now_ns: Cell::new(0),
             controller: Context::new(),
             dead_stack: Cell::new(std::ptr::null_mut()),
@@ -843,9 +853,10 @@ impl Shared {
     /// Finish every process that has not finished, in spawn order, on the
     /// controller's context: drop the body of one that never started
     /// without entering it, and enter a suspended one with
-    /// [`Go::Shutdown`] until it finishes and switches back. A body may
-    /// hold a handle onto this simulation, a cycle through the process
-    /// table that would keep it alive for good if the body stayed there.
+    /// [`Go::Shutdown`] until it finishes and switches back. Then drop the
+    /// events still queued. A body or a queued callback may hold a handle
+    /// onto this simulation, a cycle that would keep it alive for good if
+    /// either stayed where it was.
     fn teardown(&self) {
         let mut idx = 0;
         loop {
@@ -874,6 +885,13 @@ impl Shared {
                 // started, unfinished process is suspended.
                 unsafe { self.switch(&self.controller, to, Go::Shutdown) };
             }
+        }
+        // One at a time, unborrowed: a closure's captures may schedule
+        // more as they drop.
+        loop {
+            let ev = self.state.borrow_mut().queue.pop();
+            let Some(ev) = ev else { break };
+            drop(ev);
         }
     }
 }

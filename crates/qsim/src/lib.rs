@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 
+mod callback;
 mod context;
 mod handle;
 mod hash;

@@ -183,7 +183,9 @@ impl Proc {
         spawn_proc(&self.sim.shared, name, true, f)
     }
 
-    /// Schedule a device callback after `delay`.
+    /// Schedule a device callback after `delay`. As with
+    /// [`SimHandle::call_after`], `f` captures at most 128 bytes: capture a
+    /// `Box` or an `Rc` of larger state.
     pub fn call_after(&self, delay: Dur, f: impl FnOnce(&SimHandle) + 'static) {
         self.sim.call_after(delay, f);
     }

@@ -167,6 +167,10 @@ impl<T: 'static> MailboxTx<T> {
     }
 
     /// Deliver after `delay` of virtual time (models a control-network hop).
+    ///
+    /// `value` travels in a device callback beside this sender's `Rc`, so
+    /// it may be at most 120 bytes: send a `Box` or an `Rc` of a larger
+    /// value (see [`SimHandle::call_after`]).
     pub fn send_after(&self, sim: &SimHandle, delay: Dur, value: T) {
         let inner = self.inner.clone();
         sim.call_after(delay, move |sim| {

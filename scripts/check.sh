@@ -29,8 +29,11 @@ cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== qsim tests, optimised"
 # The kernel's in-place wake dispatch, its state borrows across coroutine
-# switches and the switch itself are the code whose behaviour can differ
-# under optimisation; the workspace suite above builds in debug.
+# switches, the switch itself and the callback pool's unsafe block code
+# (closures moved in and out of recycled blocks, the free list threaded
+# through them) are the code whose behaviour can differ under
+# optimisation; the workspace suite above builds in debug. This step also
+# runs tests/callback_allocs.rs optimised.
 cargo test -p qsim --release -q
 
 echo "== harness gates"
