@@ -428,7 +428,7 @@ fn stall_demo() -> Outcome {
     // printing it and a backtrace.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let demo = measure::stall_flight_demo();
+    let demo = measure::stall_flight_demo(true);
     std::panic::set_hook(hook);
     let mut failures = Vec::new();
     if demo.flight_dumps.is_empty() {

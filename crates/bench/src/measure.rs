@@ -1133,11 +1133,11 @@ pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) ->
             }
             mpi.barrier(&w);
             let ep = mpi.endpoint();
-            let tl = ep.timeline.lock();
+            let tl = &ep.timeline.lock().samples;
             c2.lock().push((
                 mpi.rank() as u32,
                 tl.dropped(),
-                tl.samples().cloned().collect(),
+                tl.iter().cloned().collect(),
             ));
         });
     let mut rows = std::mem::take(&mut *collected.lock());
@@ -1192,8 +1192,10 @@ impl StallFlightDemo {
 /// layer disabled, TCP-only) and recover the post-mortem: the watchdog
 /// aborts the run, and the flight recorder's ring — dumped automatically at
 /// detection — shows the protocol events leading up to the wedge.
-pub fn stall_flight_demo() -> StallFlightDemo {
+/// `flight_recorder` sets the `flight.enable` knob; off, no dump is taken.
+pub fn stall_flight_demo(flight_recorder: bool) -> StallFlightDemo {
     let stack = StackConfig {
+        flight_recorder,
         inline_first_frag: true,
         tcp_reliability: false,
         watchdog_interval: 8,

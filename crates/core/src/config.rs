@@ -420,15 +420,15 @@ knobs! {
     "protocol event trace ring";
 
     /// Ring capacity of the trace log; when full, the oldest events are
-    /// evicted and counted in [`crate::trace::TraceLog::dropped`].
+    /// evicted and counted in [`qsim::Ring::dropped`].
     trace_capacity: usize = crate::trace::DEFAULT_TRACE_CAPACITY;
     "telemetry.trace_capacity" ro [1..]
     "trace ring capacity (events)";
 
-    /// Post-mortem flight recorder ([`crate::flight::FlightRecorder`]): a
-    /// small always-on ring of recent protocol events, dumped as JSON when
-    /// the watchdog declares a stall or a request fails with an MPI error
-    /// class. On by default — it is far cheaper than full tracing.
+    /// Post-mortem flight recorder ([`crate::flight`]): a small always-on
+    /// ring of recent protocol events, dumped as JSON when the watchdog
+    /// declares a stall or a request fails with an MPI error class. On by
+    /// default — it is far cheaper than full tracing.
     flight_recorder: bool = true;
     "flight.enable" rw []
     "always-on post-mortem flight recorder (dumped on stall or request failure)";

@@ -346,28 +346,13 @@ pub fn analyze(logs: &[(u32, &TraceLog)], ej_busy: &[(u32, Vec<(u64, u64)>)]) ->
     // Bin every gid-carrying event; registration windows attach by gid too.
     let mut by_gid: FastMap<u64, MsgEvents> = FastMap::default();
     for (rank, log) in logs {
-        for (t, ev) in log.events() {
-            let gid = match ev {
-                TraceEvent::SendPosted { gid, .. }
-                | TraceEvent::Matched { gid, .. }
-                | TraceEvent::Registered { gid, .. }
-                | TraceEvent::RdmaIssued { gid, .. }
-                | TraceEvent::PipeChunk { gid, .. }
-                | TraceEvent::DmaDone { gid, .. }
-                | TraceEvent::ControlSent { gid, .. }
-                | TraceEvent::FlowQueued { gid, .. }
-                | TraceEvent::FlowSent { gid, .. }
-                | TraceEvent::Completed { gid, .. } => *gid,
-                _ => 0,
-            };
-            if gid == 0 {
-                continue;
-            }
+        for (t, ev) in log.iter() {
+            let Some(gid) = ev.gid() else { continue };
             by_gid
                 .entry(gid)
                 .or_insert_with(|| MsgEvents { evs: Vec::new() })
                 .evs
-                .push((t.as_ns(), *rank, ev.clone()));
+                .push((t.as_ns(), *rank, *ev));
         }
     }
     let mut msgs: Vec<MsgPath> = Vec::new();
@@ -417,7 +402,7 @@ pub fn analyze_events(events: &[(u32, Time, TraceEvent)]) -> CritPathReport {
         per_rank
             .entry(*rank)
             .or_insert_with(|| TraceLog::with_capacity(events.len().max(1)))
-            .record(*t, ev.clone());
+            .push((*t, *ev));
     }
     let logs: Vec<(u32, &TraceLog)> = per_rank.iter().map(|(r, l)| (*r, l)).collect();
     analyze(&logs, &[])
@@ -699,7 +684,7 @@ mod tests {
             per_rank
                 .entry(*rank)
                 .or_insert_with(|| TraceLog::with_capacity(64))
-                .record(*t, ev.clone());
+                .push((*t, *ev));
         }
         let logs: Vec<(u32, &TraceLog)> = per_rank.iter().map(|(r, l)| (*r, l)).collect();
         // Receiver's ejection link busy for the first wire interval only.

@@ -106,10 +106,11 @@ pub struct Endpoint {
     pub instr: Local<Instr>,
     /// Protocol event trace (populated when `cfg.trace` is set).
     pub trace: Local<crate::trace::TraceLog>,
-    /// Always-on post-mortem flight recorder (gated on the runtime-writable
-    /// `flight.enable` cvar, on by default). Leaf lock: may be taken while
-    /// holding any other endpoint lock.
-    pub flight: Local<crate::flight::FlightRecorder>,
+    /// Always-on post-mortem flight recorder: the tail of the trace events
+    /// [`crate::trace::TraceEvent::in_flight`] admits (gated on the
+    /// runtime-writable `flight.enable` cvar, on by default). Leaf lock: may
+    /// be taken while holding any other endpoint lock.
+    pub flight: Local<crate::trace::TraceLog>,
     /// Telemetry counters + histograms (populated when `cfg.metrics` is set).
     pub metrics: Local<crate::metrics::Metrics>,
     /// Registration (pin-down) cache for rendezvous/RMA MMU mappings. Its
@@ -269,7 +270,9 @@ impl Endpoint {
             doorbell: Local::new(None),
             instr: Local::new(Instr::default()),
             trace: Local::new(crate::trace::TraceLog::with_capacity(trace_capacity)),
-            flight: Local::new(crate::flight::FlightRecorder::default()),
+            flight: Local::new(crate::trace::TraceLog::with_capacity(
+                crate::flight::FLIGHT_CAPACITY,
+            )),
             metrics: Local::new(crate::metrics::Metrics::default()),
             reg: Local::new(crate::regcache::RegCache::default()),
             tunables,
@@ -488,22 +491,25 @@ impl Endpoint {
 
     /// Record a trace event. The full ring is gated on the runtime-writable
     /// `telemetry.trace` cvar; the same funnel also feeds the always-on
-    /// flight recorder (`flight.enable`) with the compact event subset, so
+    /// flight recorder (`flight.enable`) with the events it keeps, so
     /// protocol code has a single instrumentation call site.
     pub fn trace(&self, now: Time, ev: crate::trace::TraceEvent) {
-        if self.tunables.flight_recorder() {
-            if let Some(fe) = crate::flight::FlightEvent::from_trace(&ev) {
-                self.flight.lock().record(now, fe);
-            }
+        if self.tunables.flight_recorder() && ev.in_flight() {
+            self.flight.lock().push((now, ev));
         }
         if self.tunables.trace() {
-            self.trace.lock().record(now, ev);
+            self.trace.lock().push((now, ev));
         }
     }
 
-    /// Dump the flight recorder's retained tail as a JSON document.
-    pub fn flight_dump(&self, reason: &str, now: Time) -> String {
-        self.flight.lock().dump_json(self.name.rank, reason, now)
+    /// Freeze the flight recorder's retained tail into a dump document in
+    /// [`crate::introspect::IntrospectState::flight_dumps`], unless
+    /// `flight.enable` is off. The caller must not hold the introspect lock.
+    pub fn flight_dump(&self, reason: &str, now: Time) {
+        if self.tunables.flight_recorder() {
+            let dump = crate::flight::dump_json(&self.flight.lock(), self.name.rank, reason, now);
+            self.introspect.lock().flight_dumps.push(dump);
+        }
     }
 
     /// This rank's timeline samples as a JSON document.

@@ -23,11 +23,12 @@
 
 use std::rc::Rc;
 
-use qsim::{FastMap, Proc, Time};
+use qsim::{FastMap, Proc, Ring, Time};
 
 use crate::config::{CvarDef, CvarValue, RdmaScheme, StackConfig, CVARS};
 use crate::endpoint::Endpoint;
 use crate::state::DmaRole;
+use crate::trace::TraceEvent;
 
 // ---------------------------------------------------------------------------
 // cvar registry: thin lookups over the knob table in `crate::config`
@@ -273,7 +274,7 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
         vars.push(("flight.dropped".into(), f.dropped()));
     }
     {
-        let tl = ep.timeline.lock();
+        let tl = &ep.timeline.lock().samples;
         vars.push(("timeline.retained".into(), tl.len() as u64));
         vars.push(("timeline.dropped".into(), tl.dropped()));
     }
@@ -354,25 +355,22 @@ impl TimelineSample {
     }
 }
 
-/// Bounded ring of [`TimelineSample`]s, guarded by the endpoint's timeline
-/// lock (a leaf lock, like the flight recorder's). When full, the oldest
-/// sample is evicted and counted, keeping the most recent history.
+/// The sampler's state, guarded by the endpoint's timeline lock (a leaf
+/// lock, like the flight recorder's).
 pub struct Timeline {
-    samples: std::collections::VecDeque<TimelineSample>,
-    capacity: usize,
-    dropped: u64,
+    /// The retained samples; when full, the oldest is evicted and counted,
+    /// keeping the most recent history.
+    pub samples: Ring<TimelineSample>,
     /// Virtual time of the last sample; `None` until the first, so the
     /// first due check fires as soon as sampling is enabled.
     last_ns: Option<u64>,
 }
 
 impl Timeline {
-    /// An empty ring holding at most `capacity` samples (min 1).
+    /// An empty sampler keeping at most `capacity` samples (min 1).
     pub fn with_capacity(capacity: usize) -> Timeline {
         Timeline {
-            samples: std::collections::VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
+            samples: Ring::with_capacity(capacity),
             last_ns: None,
         }
     }
@@ -391,35 +389,6 @@ impl Timeline {
         true
     }
 
-    /// Append one sample, evicting the oldest when full.
-    pub fn push(&mut self, s: TimelineSample) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(s);
-    }
-
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing has been sampled (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Samples evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &TimelineSample> {
-        self.samples.iter()
-    }
-
     /// The retained timeline as one JSON document:
     /// `{"rank":r,"dropped":n,"samples":[...]}`.
     pub fn to_json(&self, rank: usize) -> String {
@@ -427,7 +396,7 @@ impl Timeline {
         format!(
             "{{\"rank\":{},\"dropped\":{},\"samples\":[{}]}}",
             rank,
-            self.dropped,
+            self.samples.dropped(),
             rows.join(",")
         )
     }
@@ -459,7 +428,7 @@ pub fn timeline_tick(proc: &Proc, ep: &Rc<Endpoint>) {
     let fabric = ep.cluster.fabric();
     let (inj, ej) = fabric.node_link_totals(ep.node);
     let (inj_queue, ej_queue) = fabric.node_queue_now(ep.node, now);
-    ep.timeline.lock().push(TimelineSample {
+    ep.timeline.lock().samples.push(TimelineSample {
         t_ns: now.as_ns(),
         posted_depth: posted as u64,
         unexpected_depth: unexpected as u64,
@@ -532,20 +501,19 @@ pub struct StuckReq {
 /// retained flight events (this rank's view of the causal chain). Byte
 /// accounting beats last-event order: DMA completions may interleave with
 /// later issues, so the question is whether issued bytes all landed.
-fn stalled_stage(evs: &[&crate::flight::FlightEvent]) -> String {
-    use crate::flight::FlightEvent as F;
+fn stalled_stage<'a>(evs: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let (mut issued, mut landed) = (0usize, 0usize);
     let (mut sent, mut matched, mut rdma, mut complete) = (false, false, false, false);
     for e in evs {
-        match e {
-            F::Send { .. } => sent = true,
-            F::Match { .. } => matched = true,
-            F::Rdma { bytes, .. } => {
+        match *e {
+            TraceEvent::SendPosted { .. } => sent = true,
+            TraceEvent::Matched { .. } => matched = true,
+            TraceEvent::RdmaIssued { bytes, .. } => {
                 rdma = true;
                 issued += bytes;
             }
-            F::DmaDone { bytes, .. } => landed += bytes,
-            F::Complete { .. } => complete = true,
+            TraceEvent::DmaDone { bytes, .. } => landed += bytes,
+            TraceEvent::Completed { .. } => complete = true,
             _ => {}
         }
     }
@@ -791,24 +759,19 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     }
 
     // Build the structured dump. Reconstruct each stuck message's causal
-    // chain from the flight ring (leaf lock: snapshot and release) so the
-    // diagnostic names the exact stage that never completed, not just the
-    // request's current protocol phase.
-    let flight_events: Vec<(Time, crate::flight::FlightEvent)> =
-        ep.flight.lock().events().cloned().collect();
+    // chain from the flight ring (a leaf lock, safe under state +
+    // introspect) so the diagnostic names the exact stage that never
+    // completed, not just the request's current protocol phase.
+    let flight = ep.flight.lock();
     let lifecycle_of = |gid: u64| -> (String, String) {
-        let evs: Vec<&crate::flight::FlightEvent> = flight_events
+        let evs: Vec<&(Time, TraceEvent)> = flight
             .iter()
-            .filter(|(_, e)| gid != 0 && e.gid() == Some(gid))
-            .map(|(_, e)| e)
+            .filter(|(_, e)| e.gid() == Some(gid))
             .collect();
-        let stage = stalled_stage(&evs);
-        let rows: Vec<String> = flight_events
-            .iter()
-            .filter(|(_, e)| gid != 0 && e.gid() == Some(gid))
-            .map(|(t, e)| e.to_json(*t))
-            .collect();
-        (stage, format!("[{}]", rows.join(",")))
+        (
+            stalled_stage(evs.iter().map(|(_, e)| e)),
+            crate::flight::events_json(evs),
+        )
     };
     let mut stuck = Vec::new();
     for (id, stale) in &stalled {
@@ -862,21 +825,16 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
             });
         }
     }
+    drop(flight);
     // Snapshot the flight recorder for the post-mortem: first record the
     // stall itself, then freeze the ring's contents into the diagnostic.
-    // The flight lock is a leaf lock, safe under state + introspect.
-    let flight = {
-        let mut f = ep.flight.lock();
-        if ep.tunables.flight_recorder() {
-            f.record(
-                now,
-                crate::flight::FlightEvent::Stall {
-                    stuck: stalled.len(),
-                },
-            );
-        }
-        f.events_json()
-    };
+    ep.trace(
+        now,
+        TraceEvent::Stall {
+            stuck: stalled.len(),
+        },
+    );
+    let flight = crate::flight::events_json(ep.flight.lock().iter());
     let diag = StallDiagnostic {
         rank: ep.name.rank,
         at_ns: now.as_ns(),
@@ -921,12 +879,9 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
         flight,
     };
     ins.stalls_detected += stalled.len() as u64;
-    ins.flight_dumps.push(
-        ep.flight
-            .lock()
-            .dump_json(ep.name.rank, "watchdog stall", now),
-    );
     ins.diagnostics.push(diag.clone());
+    drop(ins);
+    ep.flight_dump("watchdog stall", now);
     Some(diag)
 }
 
@@ -1027,51 +982,51 @@ mod tests {
 
     #[test]
     fn stalled_stage_orders_lifecycle_inferences() {
-        use crate::flight::FlightEvent as F;
-        let send = F::Send {
+        let send = TraceEvent::SendPosted {
             req: 1,
             gid: 9,
+            coll: 0,
             dst: 1,
+            tag: 0,
             len: 100,
             eager: false,
         };
-        let mtch = F::Match {
+        let mtch = TraceEvent::Matched {
             req: 2,
             gid: 9,
             src: 0,
+            tag: 0,
             len: 100,
         };
-        let rdma = F::Rdma {
+        let rdma = TraceEvent::RdmaIssued {
             gid: 9,
             read: true,
             bytes: 100,
         };
-        let done = F::DmaDone { gid: 9, bytes: 100 };
-        let comp = F::Complete {
+        let done = TraceEvent::DmaDone { gid: 9, bytes: 100 };
+        let comp = TraceEvent::Completed {
             req: 2,
             gid: 9,
             send: false,
         };
-        assert!(stalled_stage(&[]).contains("unattributed"));
-        assert!(stalled_stage(&[&send]).contains("match-wait"));
-        assert!(stalled_stage(&[&send, &mtch]).contains("handshake"));
-        assert!(stalled_stage(&[&send, &mtch, &rdma]).contains("wire"));
-        assert!(stalled_stage(&[&send, &mtch, &rdma, &done]).contains("fin-wait"));
-        assert!(stalled_stage(&[&send, &mtch, &rdma, &done, &comp]).contains("complete"));
+        assert!(stalled_stage([]).contains("unattributed"));
+        assert!(stalled_stage([&send]).contains("match-wait"));
+        assert!(stalled_stage([&send, &mtch]).contains("handshake"));
+        assert!(stalled_stage([&send, &mtch, &rdma]).contains("wire"));
+        assert!(stalled_stage([&send, &mtch, &rdma, &done]).contains("fin-wait"));
+        assert!(stalled_stage([&send, &mtch, &rdma, &done, &comp]).contains("complete"));
     }
 
     #[test]
-    fn timeline_ring_bounds_and_serializes() {
+    fn timeline_serializes_the_retained_tail() {
         let mut tl = Timeline::with_capacity(2);
         for i in 0..3u64 {
-            tl.push(TimelineSample {
+            tl.samples.push(TimelineSample {
                 t_ns: i * 1000,
                 ej_queue: i,
                 ..Default::default()
             });
         }
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl.dropped(), 1);
         let j = tl.to_json(4);
         assert!(j.starts_with("{\"rank\":4,\"dropped\":1,\"samples\":["));
         assert!(j.contains("\"t_ns\":1000"));

@@ -50,7 +50,6 @@ pub use config::{
 };
 pub use critpath::{BucketStats, CritPathReport, MsgPath};
 pub use endpoint::{Endpoint, Transports};
-pub use flight::{FlightEvent, FlightRecorder};
 pub use introspect::{cvar_read, cvar_write, pvar_snapshot, PvarSnapshot, StallDiagnostic};
 pub use metrics::{CollOp, Counters, Histogram, Metrics};
 pub use mpi::{Mpi, PersistentRequest, Status, ANY_SOURCE, ANY_TAG};

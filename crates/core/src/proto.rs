@@ -147,21 +147,7 @@ pub fn post_send_mode(
                 error: Some(err),
             },
         );
-        ep.metric(|m| m.counters.reqs_failed += 1);
-        ep.trace(
-            proc.now(),
-            crate::trace::TraceEvent::ReqFailed {
-                req: id,
-                send: true,
-                err: err.mpi_name(),
-            },
-        );
-        // Same post-mortem as the degraded completion path in
-        // `fail_request`: freeze the flight recorder at the failure.
-        if ep.tunables.flight_recorder() {
-            let dump = ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
-            ep.introspect.lock().flight_dumps.push(dump);
-        }
+        record_failure(proc, ep, id, true, err);
         return Request {
             id,
             kind: ReqKind::Send,
@@ -3092,22 +3078,24 @@ pub(crate) fn fail_request(
     if let Some(b) = bounce {
         flow_bounce_free(ep, b);
     }
+    record_failure(proc, ep, id, kind == ReqKind::Send, err);
+    notify_waiters(proc, ep);
+}
+
+/// Count and trace request `id`'s failure with `err`, then freeze the
+/// flight recorder at that moment, so a post-mortem can explain *what led
+/// up to* the error, not just name it.
+fn record_failure(proc: &Proc, ep: &Endpoint, id: u64, send: bool, err: MpiErrClass) {
     ep.metric(|m| m.counters.reqs_failed += 1);
     ep.trace(
         proc.now(),
         crate::trace::TraceEvent::ReqFailed {
             req: id,
-            send: kind == ReqKind::Send,
+            send,
             err: err.mpi_name(),
         },
     );
-    // Post-mortem: freeze the flight recorder at the moment of failure so
-    // the harness can explain *what led up to* the error, not just name it.
-    if ep.tunables.flight_recorder() {
-        let dump = ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
-        ep.introspect.lock().flight_dumps.push(dump);
-    }
-    notify_waiters(proc, ep);
+    ep.flight_dump(&format!("request failed: {}", err.mpi_name()), proc.now());
 }
 
 /// Scan the retransmit buffer: re-send entries whose timeout expired (with

@@ -1104,7 +1104,7 @@ fn trace_records_protocol_flow() {
         // Receiver (read scheme) must show match -> rdma read -> dma done
         // -> completion, in that order.
         if rank == 1 {
-            let evs: Vec<&TraceEvent> = log.events().map(|(_, e)| e).collect();
+            let evs: Vec<&TraceEvent> = log.iter().map(|(_, e)| e).collect();
             let matched = evs
                 .iter()
                 .position(|e| matches!(e, TraceEvent::Matched { .. }));
@@ -1122,7 +1122,7 @@ fn trace_records_protocol_flow() {
                 "read-scheme order violated: {evs:?}"
             );
         }
-        t2.lock().push((rank, log.dump()));
+        t2.lock().push((rank, crate::trace::dump(&log)));
     });
     let traces = traces.lock();
     assert_eq!(traces.len(), 2);
@@ -2093,7 +2093,7 @@ fn long_tail_collectives_match_scalar_reference_and_attribute_spans() {
         assert_eq!(t.dropped(), 0, "rank {rank}: ring must hold the whole run");
         let mut depth = 0usize;
         let mut names = Vec::new();
-        for (_, ev) in t.events() {
+        for (_, ev) in t.iter() {
             match ev {
                 crate::trace::TraceEvent::SpanBegin { cat, name, .. } if *cat == "coll" => {
                     assert_eq!(depth, 0, "rank {rank}: nested coll span {name}");

@@ -30,7 +30,8 @@
 //! Maps are [`FastMap`]s and sets [`FastSet`]s: every key the stack hashes
 //! is one it made itself, so a fixed multiply-rotate hash replaces std's
 //! randomly keyed SipHash, and a map iterates in the same order on every
-//! run.
+//! run. Bounded logs are [`Ring`]s, which keep the newest entries and count
+//! the ones they evict.
 //!
 //! Only x86_64 Linux is supported: the switch is System V assembly and
 //! the stacks are Linux mappings (see the `context` module).
@@ -61,6 +62,7 @@ mod hash;
 mod kernel;
 mod proc;
 mod queue;
+mod ring;
 pub mod rng;
 mod signal;
 mod sync;
@@ -71,6 +73,7 @@ pub use hash::{FastHasher, FastMap, FastSet};
 pub use kernel::{ProcId, Report, SimError, Simulation};
 pub use proc::Proc;
 pub use queue::{default_queue_kind, set_default_queue_kind, QueueKind};
+pub use ring::Ring;
 pub use rng::Pcg32;
 pub use signal::{Signal, TimedWait, Wait};
 pub use sync::{Local, Mailbox, MailboxTx};

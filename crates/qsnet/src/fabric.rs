@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use qsim::{Dur, Local, SimHandle, Time};
+use qsim::{Dur, Local, Ring, SimHandle, Time};
 
 use crate::topology::{FatTree, NodeId};
 
@@ -375,43 +375,18 @@ pub type BusyWindows = Vec<(u64, u64)>;
 /// critical-path analyzer turns it on to cross-check per-message queueing
 /// time against actual link occupancy windows.
 struct IntervalLog {
-    capacity: usize,
     /// Per-node injection-link busy windows `(start_ns, end_ns)`.
-    inj: Vec<VecDeque<(u64, u64)>>,
+    inj: Vec<Ring<(u64, u64)>>,
     /// Per-node ejection-link busy windows `(start_ns, end_ns)`.
-    ej: Vec<VecDeque<(u64, u64)>>,
+    ej: Vec<Ring<(u64, u64)>>,
 }
 
 impl IntervalLog {
     fn new(nodes: usize, capacity: usize) -> IntervalLog {
         IntervalLog {
-            capacity: capacity.max(1),
-            inj: vec![VecDeque::new(); nodes],
-            ej: vec![VecDeque::new(); nodes],
+            inj: vec![Ring::with_capacity(capacity); nodes],
+            ej: vec![Ring::with_capacity(capacity); nodes],
         }
-    }
-
-    fn push(ring: &mut VecDeque<(u64, u64)>, capacity: usize, iv: (u64, u64)) {
-        if ring.len() == capacity {
-            ring.pop_front();
-        }
-        ring.push_back(iv);
-    }
-
-    fn record_inj(&mut self, node: NodeId, start: Time, end: Time) {
-        Self::push(
-            &mut self.inj[node],
-            self.capacity,
-            (start.as_ns(), end.as_ns()),
-        );
-    }
-
-    fn record_ej(&mut self, node: NodeId, start: Time, end: Time) {
-        Self::push(
-            &mut self.ej[node],
-            self.capacity,
-            (start.as_ns(), end.as_ns()),
-        );
     }
 }
 
@@ -609,8 +584,8 @@ impl Fabric {
         ej.enqueue(head_arrival, pkt_delivered);
 
         if let Some(log) = st.intervals.as_mut() {
-            log.record_inj(src, tx_start, tx_free);
-            log.record_ej(dst, rx_start, pkt_delivered);
+            log.inj[src].push((tx_start.as_ns(), tx_free.as_ns()));
+            log.ej[dst].push((rx_start.as_ns(), pkt_delivered.as_ns()));
         }
 
         pkt_delivered
@@ -684,9 +659,9 @@ impl Fabric {
             acct.up[(k - 1) as usize][self.topo.subtree(src, k)].charge(ser_ns, payload_u, wire);
         }
         if let Some(log) = st.intervals.as_mut() {
-            log.record_inj(src, start, tx_free);
+            log.inj[src].push((start.as_ns(), tx_free.as_ns()));
             for (&dst, &delivered) in dsts.iter().zip(out.iter()) {
-                log.record_ej(dst, Time::from_ns(delivered.as_ns() - ser_ns), delivered);
+                log.ej[dst].push((delivered.as_ns() - ser_ns, delivered.as_ns()));
             }
         }
         out

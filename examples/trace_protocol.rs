@@ -31,8 +31,8 @@ fn main() {
             mpi.recv(&world, 0, 7, &buf, 8192);
             assert_eq!(mpi.read(&buf, 0, 8), vec![0x42u8; 8]);
         }
-        t2.lock()
-            .push((mpi.rank(), mpi.endpoint().trace.lock().dump()));
+        let lines = openmpi_core::trace::dump(&mpi.endpoint().trace.lock());
+        t2.lock().push((mpi.rank(), lines));
     });
 
     let mut traces = traces.lock().clone();

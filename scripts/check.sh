@@ -13,6 +13,10 @@ echo "== cargo clippy (workspace, warnings are errors)"
 # maps use qsim's fixed hasher.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (workspace, warnings are errors)"
+# A doc link to an item that was deleted, renamed or is private fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== release build + workspace tests"
 # The workspace suite includes the root package's tier-1 tests, the
 # reliability and dynamics/fault-injection groups, the qsim coroutine

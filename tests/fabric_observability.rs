@@ -106,7 +106,7 @@ fn incast_concentrates_occupancy_on_the_victims_ejection_link() {
 /// dump.
 #[test]
 fn watchdog_stall_dumps_the_flight_recorder() {
-    let demo = stall_flight_demo();
+    let demo = stall_flight_demo(true);
     assert!(
         demo.panic_msg.contains("progress watchdog"),
         "watchdog fired: {}",
@@ -116,7 +116,7 @@ fn watchdog_stall_dumps_the_flight_recorder() {
     let dump = &demo.flight_dumps[0];
     assert!(dump.contains("\"reason\":\"watchdog stall\""), "{dump}");
     assert!(
-        dump.contains("\"ev\":\"send\""),
+        dump.contains("\"ev\":\"send_posted\""),
         "the rendezvous send that wedged is in the ring: {dump}"
     );
     assert!(
@@ -132,15 +132,16 @@ fn watchdog_stall_dumps_the_flight_recorder() {
     );
 }
 
-/// A request failing with an MPI error class (unroutable peer) freezes the
-/// flight recorder too: the dump names the failure and ends with the
-/// `req_failed` event.
-#[test]
-fn failed_request_dumps_the_flight_recorder() {
+/// Rank 0 sends to rank 1 with no transport activated, so the send fails
+/// with an MPI error class; returns rank 0's flight dumps.
+fn unroutable_send_dumps(flight_recorder: bool) -> Vec<String> {
     let uni = Universe::new(
         elan4::NicConfig::default(),
         qsnet::FabricConfig::default(),
-        StackConfig::best(),
+        StackConfig {
+            flight_recorder,
+            ..StackConfig::best()
+        },
         openmpi_core::Transports {
             elan_rails: 0,
             tcp: false,
@@ -156,13 +157,22 @@ fn failed_request_dumps_the_flight_recorder() {
             assert_eq!(mpi.wait_result(r), Err(MpiErrClass::NoTransport));
             let ep = mpi.endpoint();
             let pv = openmpi_core::pvar_snapshot(ep);
-            assert_eq!(pv.get("flight.dumps"), Some(1));
-            d2.lock()
-                .extend(ep.introspect.lock().flight_dumps.iter().cloned());
+            let own = ep.introspect.lock().flight_dumps.clone();
+            assert_eq!(pv.get("flight.dumps"), Some(own.len() as u64));
+            *d2.lock() = own;
             mpi.free(buf);
         }
     });
-    let dumps = dumps.lock();
+    let out = std::mem::take(&mut *dumps.lock());
+    out
+}
+
+/// A request failing with an MPI error class (unroutable peer) freezes the
+/// flight recorder too: the dump names the failure and ends with the
+/// `req_failed` event.
+#[test]
+fn failed_request_dumps_the_flight_recorder() {
+    let dumps = unroutable_send_dumps(true);
     assert_eq!(dumps.len(), 1);
     assert!(
         dumps[0].contains("\"reason\":\"request failed: MPI_ERR_UNREACHABLE\""),
@@ -176,9 +186,29 @@ fn failed_request_dumps_the_flight_recorder() {
     );
 }
 
-/// Turning `flight.enable` off at runtime stops recording; the ring keeps
-/// what it already holds and failure dumps still render (with the stale
-/// tail), but no new events are added.
+/// With `flight.enable` off neither post-mortem path takes a dump: the
+/// watchdog still aborts the stalled run and the unroutable send still
+/// fails, but no dump is pushed or counted.
+#[test]
+fn flight_enable_off_means_no_dump_on_either_path() {
+    let demo = stall_flight_demo(false);
+    assert!(
+        demo.panic_msg.contains("progress watchdog"),
+        "watchdog fired: {}",
+        demo.panic_msg
+    );
+    assert_eq!(demo.diagnostics.len(), 1);
+    assert_eq!(demo.flight_dumps, Vec::<String>::new(), "stall path");
+    assert_eq!(
+        unroutable_send_dumps(false),
+        Vec::<String>::new(),
+        "failed send"
+    );
+}
+
+/// Turning `flight.enable` off at runtime stops recording: the ring keeps
+/// what it already holds, but no new events are added (and no dump is
+/// taken; see `flight_enable_off_means_no_dump_on_either_path`).
 #[test]
 fn flight_recorder_cvar_gates_recording() {
     let uni = Universe::paper_testbed(StackConfig::best());

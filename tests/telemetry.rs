@@ -276,7 +276,7 @@ fn chrome_export_is_valid_json_with_monotone_per_rank_time() {
     for (rank, t) in traces.iter().enumerate() {
         let mut last = 0u64;
         let mut open = qsim::FastMap::default();
-        for (time, ev) in t.events() {
+        for (time, ev) in t.iter() {
             let ns = time.as_ns();
             assert!(ns >= last, "rank {rank} time went backwards");
             last = ns;
