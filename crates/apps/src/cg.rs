@@ -195,12 +195,9 @@ pub fn serial_reference(cfg: &CgConfig) -> (Vec<f64>, usize) {
 }
 
 #[cfg(test)]
-#[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Local;
-    use std::rc::Rc;
 
     #[test]
     fn serial_cg_solves_to_ones() {
@@ -215,11 +212,9 @@ mod tests {
     #[test]
     fn distributed_cg_converges_to_ones_on_4_ranks() {
         let cfg = CgConfig::default();
-        let sol: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
-        let s2 = sol.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
-        uni.run_world(4, Placement::RoundRobin, move |mpi| {
+        let (_, parts) = uni.run_ranks(4, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let result = run(&mpi, &w, &cfg2);
             assert!(
@@ -228,11 +223,9 @@ mod tests {
                 mpi.rank(),
                 result.rr
             );
-            s2.lock().push((mpi.rank(), result.x));
+            result.x
         });
-        let mut parts = Rc::try_unwrap(sol).unwrap().into_inner();
-        parts.sort_by_key(|(r, _)| *r);
-        let x: Vec<f64> = parts.into_iter().flat_map(|(_, b)| b).collect();
+        let x: Vec<f64> = parts.into_iter().flatten().collect();
         assert_eq!(x.len(), cfg.n);
         for v in x {
             assert!((v - 1.0).abs() < 1e-4, "component {v} != 1");
@@ -249,18 +242,13 @@ mod tests {
             ..Default::default()
         };
         let (_x, serial_iters) = serial_reference(&cfg);
-        let iters: Rc<Local<usize>> = Rc::new(Local::new(0));
-        let i2 = iters.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (_, iters) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
-            let result = run(&mpi, &w, &cfg2);
-            if mpi.rank() == 0 {
-                *i2.lock() = result.iters;
-            }
+            run(&mpi, &w, &cfg2).iters
         });
-        let dist_iters = *iters.lock();
+        let dist_iters = iters[0];
         assert!(
             dist_iters.abs_diff(serial_iters) <= 2,
             "distributed {dist_iters} vs serial {serial_iters}"

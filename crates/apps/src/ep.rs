@@ -110,28 +110,22 @@ pub fn serial_reference(cfg: &EpConfig) -> EpResult {
 }
 
 #[cfg(test)]
-#[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Local;
-    use std::rc::Rc;
 
     #[test]
     fn distributed_tallies_match_serial() {
         let cfg = EpConfig::default();
         let reference = serial_reference(&cfg);
         for ranks in [2usize, 5, 8] {
-            let got: Rc<Local<Vec<([u64; 10], u64)>>> = Rc::new(Local::new(Vec::new()));
-            let g2 = got.clone();
             let cfg2 = cfg.clone();
             let uni = Universe::paper_testbed(StackConfig::best());
-            uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+            let (_, got) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
                 let w = mpi.world();
                 let r = run(&mpi, &w, &cfg2);
-                g2.lock().push((r.annuli, r.accepted));
+                (r.annuli, r.accepted)
             });
-            let got = got.lock();
             assert_eq!(got.len(), ranks);
             for (annuli, accepted) in got.iter() {
                 assert_eq!(*accepted, reference.accepted, "{ranks} ranks");

@@ -153,36 +153,29 @@ pub fn serial_reference(cfg: &SortConfig, nranks: usize) -> Vec<u32> {
 }
 
 #[cfg(test)]
-#[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Local;
-    use std::rc::Rc;
 
-    fn run_sort(nranks: usize, cfg: SortConfig) -> Vec<(usize, Vec<u32>)> {
-        let shards: Rc<Local<Vec<(usize, Vec<u32>)>>> = Rc::new(Local::new(Vec::new()));
-        let s2 = shards.clone();
+    /// Each rank's sorted shard, in rank order.
+    fn run_sort(nranks: usize, cfg: SortConfig) -> Vec<Vec<u32>> {
         let uni = Universe::paper_testbed(StackConfig::best());
-        uni.run_world(nranks, Placement::RoundRobin, move |mpi| {
+        uni.run_ranks(nranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
-            let shard = run(&mpi, &w, &cfg);
-            s2.lock().push((mpi.rank(), shard));
-        });
-        let mut shards = Rc::try_unwrap(shards).unwrap().into_inner();
-        shards.sort_by_key(|(r, _)| *r);
-        shards
+            run(&mpi, &w, &cfg)
+        })
+        .1
     }
 
     #[test]
     fn sorts_globally_on_4_ranks() {
         let cfg = SortConfig::default();
         let shards = run_sort(4, cfg.clone());
-        let assembled: Vec<u32> = shards.iter().flat_map(|(_, s)| s.clone()).collect();
+        let assembled: Vec<u32> = shards.iter().flatten().copied().collect();
         assert_eq!(assembled, serial_reference(&cfg, 4));
         // Shard boundaries are ordered.
         for w in shards.windows(2) {
-            if let (Some(hi), Some(lo)) = (w[0].1.last(), w[1].1.first()) {
+            if let (Some(hi), Some(lo)) = (w[0].last(), w[1].first()) {
                 assert!(hi <= lo, "shard boundary out of order");
             }
         }
@@ -195,7 +188,7 @@ mod tests {
             seed: 7,
         };
         let shards = run_sort(8, cfg.clone());
-        let assembled: Vec<u32> = shards.into_iter().flat_map(|(_, s)| s).collect();
+        let assembled: Vec<u32> = shards.into_iter().flatten().collect();
         assert_eq!(assembled, serial_reference(&cfg, 8));
     }
 
@@ -206,6 +199,6 @@ mod tests {
             seed: 3,
         };
         let shards = run_sort(1, cfg.clone());
-        assert_eq!(shards[0].1, serial_reference(&cfg, 1));
+        assert_eq!(shards[0], serial_reference(&cfg, 1));
     }
 }

@@ -216,12 +216,9 @@ pub fn serial_reference(cfg: &StencilConfig) -> Vec<f64> {
 }
 
 #[cfg(test)]
-#[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Local;
-    use std::rc::Rc;
 
     #[test]
     fn rows_partition_covers_grid() {
@@ -244,18 +241,13 @@ mod tests {
     fn distributed_matches_serial_on_4_ranks() {
         let cfg = StencilConfig::default();
         let reference = serial_reference(&cfg);
-        let blocks: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
-        let b2 = blocks.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
-        uni.run_world(4, Placement::RoundRobin, move |mpi| {
+        let (_, blocks) = uni.run_ranks(4, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
-            let result = run(&mpi, &w, &cfg2);
-            b2.lock().push((mpi.rank(), result.block));
+            run(&mpi, &w, &cfg2).block
         });
-        let mut blocks = Rc::try_unwrap(blocks).unwrap().into_inner();
-        blocks.sort_by_key(|(r, _)| *r);
-        let assembled: Vec<f64> = blocks.into_iter().flat_map(|(_, b)| b).collect();
+        let assembled: Vec<f64> = blocks.into_iter().flatten().collect();
         assert_eq!(assembled.len(), reference.len());
         for (i, (a, b)) in assembled.iter().zip(&reference).enumerate() {
             assert!(
@@ -268,17 +260,12 @@ mod tests {
     #[test]
     fn residual_decreases() {
         let cfg = StencilConfig::default();
-        let res: Rc<Local<f64>> = Rc::new(Local::new(f64::MAX));
-        let r2 = res.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (_, res) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
-            let result = run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                *r2.lock() = result.residual;
-            }
+            run(&mpi, &w, &cfg).residual
         });
-        let final_res = *res.lock();
+        let final_res = res[0];
         assert!(final_res.is_finite());
         assert!(final_res < 100.0, "diffusion should spread the spike");
     }

@@ -178,30 +178,22 @@ pub fn serial_reference(cfg: &Stencil2dConfig) -> Vec<f64> {
 }
 
 #[cfg(test)]
-#[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use qsim::Local;
-    use std::rc::Rc;
 
     fn run_grid(cfg: Stencil2dConfig) -> Vec<f64> {
-        let blocks: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
-        let b2 = blocks.clone();
         let cfg2 = cfg.clone();
         let uni = Universe::paper_testbed(StackConfig::best());
-        uni.run_world(cfg.pr * cfg.pc, Placement::RoundRobin, move |mpi| {
+        let (_, blocks) = uni.run_ranks(cfg.pr * cfg.pc, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
-            let block = run(&mpi, &w, &cfg2);
-            b2.lock().push((mpi.rank(), block));
+            run(&mpi, &w, &cfg2)
         });
-        let mut blocks = Rc::try_unwrap(blocks).unwrap().into_inner();
-        blocks.sort_by_key(|(r, _)| *r);
         // Reassemble the global grid from the 2-D blocks.
         let lr = cfg.rows / cfg.pr;
         let lc = cfg.cols / cfg.pc;
         let mut grid = vec![0.0f64; cfg.rows * cfg.cols];
-        for (rank, block) in blocks {
+        for (rank, block) in blocks.into_iter().enumerate() {
             let (gr, gc) = super::grid_pos(rank, cfg.pc);
             for r in 0..lr {
                 for c in 0..lc {

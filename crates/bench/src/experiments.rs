@@ -304,14 +304,10 @@ pub fn sweep_rndv_threshold() -> Table {
 /// the binomial tree, across message sizes on the full 8-node testbed.
 pub fn coll_bcast() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn bcast_us(hw: bool, len: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(8, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
             let mut w = mpi.world();
             if !hw {
                 w.hw_coll = false;
@@ -324,11 +320,9 @@ pub fn coll_bcast() -> Table {
                 mpi.bcast(&w, 0, &buf, len);
             }
             mpi.barrier(&w);
-            if mpi.rank() == 0 {
-                t2.set((mpi.now() - t0).as_ns() / iters);
-            }
+            (mpi.now() - t0).as_ns() / iters
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -346,14 +340,10 @@ pub fn coll_bcast() -> Table {
 /// headers, and receiver involvement entirely.
 pub fn onesided() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn rma_us(len: usize, get: bool) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let wbuf = mpi.alloc(len.max(8));
             let mut win = mpi.win_create(&w, wbuf);
@@ -371,14 +361,11 @@ pub fn onesided() -> Table {
                 }
                 mpi.win_fence(&mut win);
             }
-            if mpi.rank() == 0 {
-                // Subtract the fence (pure barrier) baseline.
-                let total = (mpi.now() - t0).as_ns() / iters;
-                t2.set(total);
-            }
+            let total = (mpi.now() - t0).as_ns() / iters;
             mpi.win_free(win);
+            total
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -398,14 +385,10 @@ pub fn onesided() -> Table {
 /// workloads on the stack).
 pub fn apps_scaling() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn stencil_us(ranks: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let cfg = ompi_apps::stencil::StencilConfig {
                 rows: 128,
@@ -416,18 +399,14 @@ pub fn apps_scaling() -> Table {
             mpi.barrier(&w);
             let t0 = mpi.now();
             let _ = ompi_apps::stencil::run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                t2.set((mpi.now() - t0).as_ns() / 10);
-            }
+            (mpi.now() - t0).as_ns() / 10
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     fn cg_us(ranks: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let cfg = ompi_apps::cg::CgConfig {
                 n: 512,
@@ -437,28 +416,22 @@ pub fn apps_scaling() -> Table {
             mpi.barrier(&w);
             let t0 = mpi.now();
             let r = ompi_apps::cg::run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                t2.set((mpi.now() - t0).as_ns() / r.iters as u64);
-            }
+            (mpi.now() - t0).as_ns() / r.iters as u64
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     fn ep_us(ranks: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let cfg = ompi_apps::ep::EpConfig::default();
             mpi.barrier(&w);
             let t0 = mpi.now();
             let _ = ompi_apps::ep::run(&mpi, &w, &cfg);
-            if mpi.rank() == 0 {
-                t2.set((mpi.now() - t0).as_ns());
-            }
+            (mpi.now() - t0).as_ns()
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -484,8 +457,6 @@ pub fn apps_scaling() -> Table {
 /// the progress thread services the ACK during the computation.
 pub fn overlap() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn total_us(progress: ProgressMode, compute_us: usize) -> f64 {
         let mut cfg = StackConfig::best();
@@ -495,9 +466,7 @@ pub fn overlap() -> Table {
             cfg.completion = CompletionMode::SharedQueueCombined;
         }
         let uni = Universe::paper_testbed(cfg);
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let len = 256 << 10;
             let buf = mpi.alloc(len);
@@ -507,12 +476,13 @@ pub fn overlap() -> Table {
                 let req = mpi.isend(&w, 1, 0, &buf, len);
                 mpi.compute(qsim::Dur::from_us(compute_us as u64));
                 mpi.wait(req);
-                t2.set((mpi.now() - t0).as_ns());
+                (mpi.now() - t0).as_ns()
             } else {
                 mpi.recv(&w, 0, 0, &buf, len);
+                0
             }
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -536,8 +506,6 @@ pub fn overlap() -> Table {
 /// from one level (8 nodes) to three (64 nodes).
 pub fn scale() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn coll_us(ranks: usize, which: u8) -> f64 {
         let fabric = FabricConfig {
@@ -550,9 +518,7 @@ pub fn scale() -> Table {
             StackConfig::best(),
             Transports::default(),
         );
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let buf = mpi.alloc(1024);
             mpi.barrier(&w);
@@ -566,11 +532,9 @@ pub fn scale() -> Table {
                 }
             }
             mpi.barrier(&w);
-            if mpi.rank() == 0 {
-                t2.set((mpi.now() - t0).as_ns() / iters);
-            }
+            (mpi.now() - t0).as_ns() / iters
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     let mut t = Table::new(
@@ -592,8 +556,6 @@ pub fn scale() -> Table {
 /// ranks' request rate saturates.
 pub fn io_scaling() -> Table {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn bw(io_nodes: usize, block: usize) -> f64 {
         let uni = Universe::paper_testbed(StackConfig::best());
@@ -601,20 +563,16 @@ pub fn io_scaling() -> Table {
             io_nodes,
             ..Default::default()
         });
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(8, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let f = ompi_io::File::open(&mpi, &pfs, &w, "ckpt");
             let buf = mpi.alloc(block);
             mpi.barrier(&w);
             let t0 = mpi.now();
             f.write_all(&mpi, 0, &buf, block);
-            if mpi.rank() == 0 {
-                t2.set((mpi.now() - t0).as_ns());
-            }
+            (mpi.now() - t0).as_ns()
         });
-        let ns = t.get() as f64;
+        let ns = t[0] as f64;
         (8 * block) as f64 / (ns / 1e9) / 1e6
     }
 

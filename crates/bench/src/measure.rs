@@ -5,10 +5,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use elan4::{Cluster, ElanCtx, NicConfig};
+use elan4::{Cluster, ElanCtx, HostBuf, NicConfig};
 use mpich_qsnet::{run_mpich, MpichConfig};
 use openmpi_core::{
-    Metrics, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog, Transports, Universe,
+    Communicator, Metrics, Mpi, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog, Transports,
+    Universe,
 };
 use qsim::{Dur, Local, Simulation};
 use qsnet::FabricConfig;
@@ -55,50 +56,49 @@ impl Setup {
     }
 }
 
+/// One ping-pong round on `w`: rank 0 sends `len` bytes to each peer in
+/// turn and receives its reply; every other rank receives from rank 0, then
+/// sends back.
+fn pingpong_round(mpi: &Mpi, w: &Communicator, sbuf: &HostBuf, rbuf: &HostBuf, len: usize) {
+    if mpi.rank() == 0 {
+        for peer in 1..w.size() {
+            mpi.send(w, peer, 0, sbuf, len);
+            mpi.recv(w, peer as i32, 0, rbuf, len);
+        }
+    } else {
+        mpi.recv(w, 0, 0, rbuf, len);
+        mpi.send(w, 0, 0, sbuf, len);
+    }
+}
+
 /// Half round-trip latency of `len`-byte messages, in µs.
 pub fn ompi_latency(setup: &Setup, len: usize) -> f64 {
-    let lat = Rc::new(Cell::new(0));
-    let l2 = lat.clone();
-    setup
+    let (_, lat) = setup
         .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
+        .run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let sbuf = mpi.alloc(len.max(1));
             let rbuf = mpi.alloc(len.max(1));
             mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-            let round = |i: usize| {
-                let _ = i;
-                if mpi.rank() == 0 {
-                    mpi.send(&w, 1, 0, &sbuf, len);
-                    mpi.recv(&w, 1, 0, &rbuf, len);
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            };
-            for i in 0..WARMUP {
-                round(i);
+            for _ in 0..WARMUP {
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
             mpi.barrier(&w);
             let t0 = mpi.now();
-            for i in 0..ITERS {
-                round(i);
+            for _ in 0..ITERS {
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
-            if mpi.rank() == 0 {
-                l2.set((mpi.now() - t0).as_ns() / (2 * ITERS as u64));
-            }
+            (mpi.now() - t0).as_ns() / (2 * ITERS as u64)
         });
-    lat.get() as f64 / 1_000.0
+    lat[0] as f64 / 1_000.0
 }
 
 /// Streaming bandwidth in MB/s: `window` messages of `len` bytes in flight,
 /// `reps` windows, closed by a zero-byte ack.
 pub fn ompi_bandwidth(setup: &Setup, len: usize, window: usize, reps: usize) -> f64 {
-    let bw = Rc::new(Local::new(0.0f64));
-    let b2 = bw.clone();
-    setup
+    let (_, bw) = setup
         .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
+        .run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let bufs: Vec<_> = (0..window).map(|_| mpi.alloc(len.max(1))).collect();
             let ack = mpi.alloc(1);
@@ -115,14 +115,11 @@ pub fn ompi_bandwidth(setup: &Setup, len: usize, window: usize, reps: usize) -> 
                     mpi.send(&w, 0, 1, &ack, 0);
                 }
             }
-            if mpi.rank() == 0 {
-                let ns = (mpi.now() - t0).as_ns();
-                let bytes = (len * window * reps) as f64;
-                *b2.lock() = bytes / (ns as f64 / 1e9) / 1e6;
-            }
+            let ns = (mpi.now() - t0).as_ns();
+            let bytes = (len * window * reps) as f64;
+            bytes / (ns as f64 / 1e9) / 1e6
         });
-    let v = *bw.lock();
-    v
+    bw[0]
 }
 
 /// Everything captured from one instrumented run: per-rank counter and
@@ -146,7 +143,35 @@ fn ptl_kind_name(kind: PtlKind) -> String {
     }
 }
 
+/// One rank's end-of-run telemetry: its metrics snapshot, per-PTL traffic
+/// and trace ring.
+type TelemetryRow = (Metrics, Vec<PtlTraffic>, TraceLog);
+
+fn telemetry_row(mpi: &Mpi) -> TelemetryRow {
+    let ep = mpi.endpoint();
+    let metrics = ep.metrics_snapshot();
+    let traffic = ep.ptls.lock().traffic();
+    let trace = ep.trace.lock().clone();
+    (metrics, traffic, trace)
+}
+
 impl Telemetry {
+    /// Assemble the telemetry of a run from its rows, indexed by rank.
+    fn new(report: qsim::Report, rows: Vec<TelemetryRow>) -> Telemetry {
+        let mut t = Telemetry {
+            per_rank: Vec::new(),
+            traffic: Vec::new(),
+            traces: Vec::new(),
+            report,
+        };
+        for (rank, (metrics, traffic, trace)) in rows.into_iter().enumerate() {
+            t.per_rank.push(metrics);
+            t.traffic.push(traffic);
+            t.traces.push((rank as u32, trace));
+        }
+        t
+    }
+
     /// All ranks' timelines as one Chrome trace-event JSON document.
     pub fn chrome_trace(&self) -> String {
         let refs: Vec<(u32, &TraceLog)> = self.traces.iter().map(|(r, l)| (*r, l)).collect();
@@ -206,47 +231,23 @@ impl Telemetry {
 /// Run a `ranks`-process ping-pong (rank 0 against each peer in turn) with
 /// metrics and tracing forced on, and collect every rank's telemetry.
 pub fn telemetry_pingpong(setup: &Setup, ranks: usize, len: usize, iters: usize) -> Telemetry {
-    type Row = (u32, Metrics, Vec<PtlTraffic>, TraceLog);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
-    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-    let c2 = collected.clone();
-    let report = setup
+    let (report, rows) = setup
         .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
+        .run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let sbuf = mpi.alloc(len.max(1));
             let rbuf = mpi.alloc(len.max(1));
             mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
             for _ in 0..iters {
-                if mpi.rank() == 0 {
-                    for peer in 1..ranks {
-                        mpi.send(&w, peer, 0, &sbuf, len);
-                        mpi.recv(&w, peer as i32, 0, &rbuf, len);
-                    }
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
             mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            c2.lock().push((
-                mpi.rank() as u32,
-                ep.metrics_snapshot(),
-                ep.ptls.lock().traffic(),
-                ep.trace.lock().clone(),
-            ));
+            telemetry_row(&mpi)
         });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    Telemetry {
-        per_rank: rows.iter().map(|(_, m, ..)| m.clone()).collect(),
-        traffic: rows.iter().map(|(_, _, t, _)| t.clone()).collect(),
-        traces: rows.into_iter().map(|(r, _, _, log)| (r, log)).collect(),
-        report,
-    }
+    Telemetry::new(report, rows)
 }
 
 /// A rendezvous ping-pong over the TCP PTL with `drops` FIN_ACK control
@@ -255,7 +256,6 @@ pub fn telemetry_pingpong(setup: &Setup, ranks: usize, len: usize, iters: usize)
 /// shows the loss being absorbed — `retransmits` equals the injected drop
 /// count, `gave_up` stays zero — instead of a watchdog abort.
 pub fn reliability_pingpong(setup: &Setup, len: usize, drops: u64) -> Telemetry {
-    type Row = (u32, Metrics, Vec<PtlTraffic>, TraceLog);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
@@ -271,39 +271,18 @@ pub fn reliability_pingpong(setup: &Setup, len: usize, drops: u64) -> Telemetry 
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, drops);
     // One rendezvous round trip per injected drop, plus one clean round.
     let iters = drops as usize + 1;
-    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-    let c2 = collected.clone();
-    let report = uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (report, rows) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let sbuf = mpi.alloc(len.max(1));
         let rbuf = mpi.alloc(len.max(1));
         mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
         for _ in 0..iters {
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &sbuf, len);
-                mpi.recv(&w, 1, 0, &rbuf, len);
-            } else {
-                mpi.recv(&w, 0, 0, &rbuf, len);
-                mpi.send(&w, 0, 0, &sbuf, len);
-            }
+            pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
         }
         mpi.barrier(&w);
-        let ep = mpi.endpoint();
-        c2.lock().push((
-            mpi.rank() as u32,
-            ep.metrics_snapshot(),
-            ep.ptls.lock().traffic(),
-            ep.trace.lock().clone(),
-        ));
+        telemetry_row(&mpi)
     });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    Telemetry {
-        per_rank: rows.iter().map(|(_, m, ..)| m.clone()).collect(),
-        traffic: rows.iter().map(|(_, _, t, _)| t.clone()).collect(),
-        traces: rows.into_iter().map(|(r, _, _, log)| (r, log)).collect(),
-        report,
-    }
+    Telemetry::new(report, rows)
 }
 
 /// One side (cache off or on) of the registration-cache comparison.
@@ -365,12 +344,9 @@ impl RegBenchReport {
 fn reg_bench_side(setup: &Setup, len: usize, iters: usize, cache: bool) -> RegBenchSide {
     let mut setup = setup.clone();
     setup.stack.reg_cache = cache;
-    let lat = Rc::new(Cell::new(0));
-    let stats: Rc<Local<Option<openmpi_core::RegStats>>> = Rc::new(Local::new(None));
-    let (l2, s2) = (lat.clone(), stats.clone());
-    setup
+    let (_, mut sides) = setup
         .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
+        .run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let sbuf = mpi.alloc(len);
             let rbuf = mpi.alloc(len);
@@ -380,24 +356,14 @@ fn reg_bench_side(setup: &Setup, len: usize, iters: usize, cache: bool) -> RegBe
             mpi.barrier(&w);
             let t0 = mpi.now();
             for _ in 0..iters {
-                if mpi.rank() == 0 {
-                    mpi.send(&w, 1, 0, &sbuf, len);
-                    mpi.recv(&w, 1, 0, &rbuf, len);
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
-            if mpi.rank() == 0 {
-                l2.set((mpi.now() - t0).as_ns() / (2 * iters as u64));
-                *s2.lock() = Some(mpi.endpoint().reg_stats());
+            RegBenchSide {
+                latency_us: ((mpi.now() - t0).as_ns() / (2 * iters as u64)) as f64 / 1_000.0,
+                stats: mpi.endpoint().reg_stats(),
             }
         });
-    let stats = stats.lock().take().expect("rank 0 recorded its stats");
-    RegBenchSide {
-        latency_us: lat.get() as f64 / 1_000.0,
-        stats,
-    }
+    sides.swap_remove(0)
 }
 
 /// The registration-cache benchmark: a rendezvous-sized ping-pong reusing
@@ -550,84 +516,56 @@ pub fn introspect_pingpong(
     iters: usize,
     watchdog_interval: u64,
 ) -> (Telemetry, IntrospectReport) {
-    type Row = (
-        u32,
-        Metrics,
-        Vec<PtlTraffic>,
-        TraceLog,
-        openmpi_core::PvarSnapshot,
-        u64,
-        Vec<String>,
-    );
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
     setup.stack.watchdog_interval = watchdog_interval;
-    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-    let cluster: Rc<Local<Option<ompi_rte::ClusterReport>>> = Rc::new(Local::new(None));
-    let c2 = collected.clone();
-    let cl2 = cluster.clone();
-    let report = setup
+    let (report, rows) = setup
         .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
+        .run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let sbuf = mpi.alloc(len.max(1));
             let rbuf = mpi.alloc(len.max(1));
             mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
             for _ in 0..iters {
-                if mpi.rank() == 0 {
-                    for peer in 1..ranks {
-                        mpi.send(&w, peer, 0, &sbuf, len);
-                        mpi.recv(&w, peer as i32, 0, &rbuf, len);
-                    }
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
             mpi.barrier(&w);
             let ep = mpi.endpoint();
             let snap = openmpi_core::pvar_snapshot(ep);
             ep.rte.pvar_publish(mpi.proc(), ep.name, &snap.vars);
-            if mpi.rank() == 0 {
+            let cluster = (mpi.rank() == 0).then(|| {
                 let per_rank = ep.rte.pvar_collect(mpi.proc(), ep.name.job);
-                *cl2.lock() = Some(ompi_rte::ClusterReport::build(&per_rank));
-            }
+                ompi_rte::ClusterReport::build(&per_rank)
+            });
             let (stalls, diags) = {
                 let ins = ep.introspect.lock();
                 (
                     ins.stalls_detected,
-                    ins.diagnostics.iter().map(|d| d.to_json()).collect(),
+                    ins.diagnostics
+                        .iter()
+                        .map(|d| d.to_json())
+                        .collect::<Vec<_>>(),
                 )
             };
-            c2.lock().push((
-                mpi.rank() as u32,
-                ep.metrics_snapshot(),
-                ep.ptls.lock().traffic(),
-                ep.trace.lock().clone(),
-                snap,
-                stalls,
-                diags,
-            ));
+            (telemetry_row(&mpi), snap, stalls, diags, cluster)
         });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    let telemetry = Telemetry {
-        per_rank: rows.iter().map(|(_, m, ..)| m.clone()).collect(),
-        traffic: rows.iter().map(|(_, _, t, ..)| t.clone()).collect(),
-        traces: rows
-            .iter()
-            .map(|(r, _, _, log, ..)| (*r, log.clone()))
-            .collect(),
-        report,
-    };
+    let (mut telemetry_rows, mut snapshots, mut diagnostics) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut stalls, mut cluster) = (0, None);
+    for (row, snap, st, diags, c) in rows {
+        telemetry_rows.push(row);
+        snapshots.push(snap);
+        stalls += st;
+        diagnostics.extend(diags);
+        cluster = cluster.or(c);
+    }
     let introspect = IntrospectReport {
-        cluster: cluster.lock().take().expect("rank 0 built the report"),
-        snapshots: rows.iter().map(|(.., s, _, _)| s.clone()).collect(),
-        stalls: rows.iter().map(|(.., st, _)| *st).sum(),
-        diagnostics: rows.into_iter().flat_map(|(.., d)| d).collect(),
+        cluster: cluster.expect("rank 0 builds the cluster report"),
+        snapshots,
+        stalls,
+        diagnostics,
     };
-    (telemetry, introspect)
+    (Telemetry::new(report, telemetry_rows), introspect)
 }
 
 /// Everything captured from an instrumented N-to-1 incast: the fabric's
@@ -681,57 +619,61 @@ pub fn incast_congestion(
     iters: usize,
     top_n: usize,
 ) -> CongestionCapture {
-    type Row = (u32, openmpi_core::PvarSnapshot);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
-    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-    let cluster: Rc<Local<Option<ompi_rte::ClusterReport>>> = Rc::new(Local::new(None));
-    let fabric: Rc<Local<Option<Rc<qsnet::Fabric>>>> = Rc::new(Local::new(None));
-    let (c2, cl2, f2) = (collected.clone(), cluster.clone(), fabric.clone());
-    let report = setup
-        .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let rbuf = mpi.alloc(len.max(1));
-                for _ in 0..iters {
-                    for _ in 1..ranks {
-                        mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                    }
-                }
-            } else {
-                let sbuf = mpi.alloc(len.max(1));
-                mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                for _ in 0..iters {
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            let snap = openmpi_core::pvar_snapshot(ep);
-            ep.rte.pvar_publish(mpi.proc(), ep.name, &snap.vars);
-            if mpi.rank() == 0 {
-                let per_rank = ep.rte.pvar_collect(mpi.proc(), ep.name.job);
-                *cl2.lock() = Some(ompi_rte::ClusterReport::build(&per_rank));
-                *f2.lock() = Some(ep.cluster.fabric().clone());
-            }
-            c2.lock().push((mpi.rank() as u32, snap));
+    let uni = setup.universe();
+    let (report, rows) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
+        incast(&mpi, len, iters);
+        let ep = mpi.endpoint();
+        let snap = openmpi_core::pvar_snapshot(ep);
+        ep.rte.pvar_publish(mpi.proc(), ep.name, &snap.vars);
+        let cluster = (mpi.rank() == 0).then(|| {
+            let per_rank = ep.rte.pvar_collect(mpi.proc(), ep.name.job);
+            ompi_rte::ClusterReport::build(&per_rank)
         });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, _)| *r);
-    let hot_rank = rows
+        (snap, cluster)
+    });
+    let (mut snapshots, mut cluster) = (Vec::new(), None);
+    for (snap, c) in rows {
+        snapshots.push(snap);
+        cluster = cluster.or(c);
+    }
+    let hot_rank = snapshots
         .iter()
+        .enumerate()
         .max_by_key(|(_, s)| s.get("fab.ej.busy_ns").unwrap_or(0))
-        .map(|(r, _)| *r as usize)
-        .unwrap_or(0);
-    let fabric = fabric.lock().take().expect("rank 0 captured the fabric");
-    let cluster = cluster.lock().take().expect("rank 0 built the report");
+        .map_or(0, |(r, _)| r);
     CongestionCapture {
-        congestion: fabric.congestion_report(report.end_time, top_n),
-        cluster,
-        snapshots: rows.into_iter().map(|(_, s)| s).collect(),
+        congestion: uni
+            .cluster
+            .fabric()
+            .congestion_report(report.end_time, top_n),
+        cluster: cluster.expect("rank 0 builds the cluster report"),
+        snapshots,
         hot_rank,
     }
+}
+
+/// The N-to-1 incast body: every rank but 0 sends `iters` messages of
+/// `len` bytes to rank 0, which receives them from any source; then all
+/// ranks meet at a barrier.
+fn incast(mpi: &Mpi, len: usize, iters: usize) {
+    let w = mpi.world();
+    if mpi.rank() == 0 {
+        let rbuf = mpi.alloc(len.max(1));
+        for _ in 0..iters {
+            for _ in 1..w.size() {
+                mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
+            }
+        }
+    } else {
+        let sbuf = mpi.alloc(len.max(1));
+        mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
+        for _ in 0..iters {
+            mpi.send(&w, 0, 0, &sbuf, len);
+        }
+    }
+    mpi.barrier(&w);
 }
 
 /// One flow-control scenario's observables: completion time, message rate,
@@ -812,20 +754,11 @@ pub fn flow_scenario(
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.flow_enable = flow_on;
-    let metrics: Rc<Local<Vec<Metrics>>> = Rc::new(Local::new(Vec::new()));
-    let victim_peak = Rc::new(Cell::new(0));
-    let delivered = Rc::new(Cell::new(0));
-    let overflows = Rc::new(Cell::new(0));
-    let (m2, v2, d2, o2) = (
-        metrics.clone(),
-        victim_peak.clone(),
-        delivered.clone(),
-        overflows.clone(),
-    );
-    let report = setup
+    let (report, rows) = setup
         .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
+        .run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
+            let mut delivered = 0u64;
             match workload {
                 FlowWorkload::Incast { msgs, delay_ns }
                 | FlowWorkload::Flood { msgs, delay_ns } => {
@@ -838,7 +771,7 @@ pub fn flow_scenario(
                         let rbuf = mpi.alloc(len.max(1));
                         for _ in 0..senders * msgs {
                             mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                            d2.set(d2.get() + 1);
+                            delivered += 1;
                         }
                         mpi.free(rbuf);
                     } else if mpi.rank() <= senders {
@@ -861,7 +794,7 @@ pub fn flow_scenario(
                         .collect();
                     for _ in 0..(ranks - 1) * msgs {
                         mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                        d2.set(d2.get() + 1);
+                        delivered += 1;
                     }
                     mpi.waitall(reqs);
                     mpi.free(sbuf);
@@ -870,19 +803,17 @@ pub fn flow_scenario(
             }
             mpi.barrier(&w);
             let ep = mpi.endpoint();
-            if mpi.rank() == 0 {
-                let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
-                v2.set(ej.queue_peak);
-                o2.set(ep.cluster.stats().queue_overflows);
-            }
-            m2.lock().push(ep.metrics_snapshot());
+            let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
+            let overflows = ep.cluster.stats().queue_overflows;
+            (delivered, ej.queue_peak, overflows, ep.metrics_snapshot())
         });
-    let rows = std::mem::take(&mut *metrics.lock());
     let sum = |f: fn(&openmpi_core::metrics::Counters) -> u64| -> u64 {
-        rows.iter().map(|m| f(&m.counters)).sum()
+        rows.iter().map(|(.., m)| f(&m.counters)).sum()
     };
     let completion_ns = report.end_time.as_ns();
-    let msgs = delivered.get();
+    let msgs = rows.iter().map(|(d, ..)| d).sum();
+    // Rank 0 is the victim: its node's ejection link takes the flood.
+    let (_, victim_ej_queue_peak, qdma_overflows, _) = rows[0];
     let name = format!(
         "{}.{}",
         match workload {
@@ -901,13 +832,13 @@ pub fn flow_scenario(
         } else {
             msgs as f64 * 1e9 / completion_ns as f64
         },
-        victim_ej_queue_peak: victim_peak.get(),
+        victim_ej_queue_peak,
         pool_fallbacks: sum(|c| c.flow_pool_fallbacks),
         pool_hits: sum(|c| c.flow_pool_hits),
         sends_queued: sum(|c| c.flow_sends_queued),
         credit_frames: sum(|c| c.flow_credit_frames),
         grant_deferrals: sum(|c| c.flow_grant_deferrals),
-        qdma_overflows: overflows.get(),
+        qdma_overflows,
     }
 }
 
@@ -1011,7 +942,6 @@ impl CritPathCapture {
 /// handshake, wire occupancy, registration the pipeline failed to hide,
 /// and the FIN exchange.
 pub fn critpath_pingpong(setup: &Setup, len: usize, iters: usize) -> CritPathCapture {
-    type Row = (u32, TraceLog, Vec<(u64, u64)>);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     setup.stack.trace = true;
@@ -1019,33 +949,24 @@ pub fn critpath_pingpong(setup: &Setup, len: usize, iters: usize) -> CritPathCap
     // Record link busy windows from t=0 so the wire stages can be
     // cross-checked against what the ejection link actually serialized.
     uni.cluster.fabric().record_intervals(1 << 16);
-    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-    let c2 = collected.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let sbuf = mpi.alloc(len.max(1));
         let rbuf = mpi.alloc(len.max(1));
         mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
         for _ in 0..iters {
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &sbuf, len);
-                mpi.recv(&w, 1, 0, &rbuf, len);
-            } else {
-                mpi.recv(&w, 0, 0, &rbuf, len);
-                mpi.send(&w, 0, 0, &sbuf, len);
-            }
+            pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
         }
         mpi.barrier(&w);
         let ep = mpi.endpoint();
         let (_inj, ej) = ep.cluster.fabric().node_busy_intervals(ep.node);
-        c2.lock()
-            .push((mpi.rank() as u32, ep.trace.lock().clone(), ej));
+        let trace = ep.trace.lock().clone();
+        (trace, ej)
     });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    let ej_busy: Vec<(u32, Vec<(u64, u64)>)> =
-        rows.iter().map(|(r, _, ej)| (*r, ej.clone())).collect();
-    let traces: Vec<(u32, TraceLog)> = rows.into_iter().map(|(r, l, _)| (r, l)).collect();
+    let (traces, ej_busy): (Vec<_>, Vec<_>) = (0u32..)
+        .zip(rows)
+        .map(|(r, (trace, ej))| ((r, trace), (r, ej)))
+        .unzip();
     let refs: Vec<(u32, &TraceLog)> = traces.iter().map(|(r, l)| (*r, l)).collect();
     let report = openmpi_core::critpath::analyze(&refs, &ej_busy);
     CritPathCapture { report, traces }
@@ -1105,62 +1026,33 @@ impl TimelineCapture {
 /// sender's traffic converges on one ejection link — the time-series view
 /// of what `incast_congestion` reports as end-of-run totals.
 pub fn timeline_incast(setup: &Setup, ranks: usize, len: usize, iters: usize) -> TimelineCapture {
-    type Row = (u32, u64, Vec<openmpi_core::introspect::TimelineSample>);
     let mut setup = setup.clone();
     setup.stack.metrics = true;
     // Sample roughly every wire-time of one message so the ramp is visible.
     let sample_ns = (len as u64).max(1_000) / 3;
     setup.stack.timeline_interval = Dur::from_ns(sample_ns);
-    let collected: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-    let c2 = collected.clone();
-    setup
+    let (_, ranks) = setup
         .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
-            let w = mpi.world();
-            if mpi.rank() == 0 {
-                let rbuf = mpi.alloc(len.max(1));
-                for _ in 0..iters {
-                    for _ in 1..ranks {
-                        mpi.recv(&w, openmpi_core::ANY_SOURCE, 0, &rbuf, len);
-                    }
-                }
-            } else {
-                let sbuf = mpi.alloc(len.max(1));
-                mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
-                for _ in 0..iters {
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            }
-            mpi.barrier(&w);
-            let ep = mpi.endpoint();
-            let tl = &ep.timeline.lock().samples;
-            c2.lock().push((
+        .run_ranks(ranks, Placement::RoundRobin, move |mpi| {
+            incast(&mpi, len, iters);
+            let tl = &mpi.endpoint().timeline.lock().samples;
+            (
                 mpi.rank() as u32,
                 tl.dropped(),
                 tl.iter().cloned().collect(),
-            ));
+            )
         });
-    let mut rows = std::mem::take(&mut *collected.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    TimelineCapture {
-        ranks: rows,
-        victim: 0,
-    }
+    TimelineCapture { ranks, victim: 0 }
 }
 
 /// Boot a 1-rank world and dump its full control/performance-variable
 /// registry (name, type, default, writability, live value, description)
 /// as one JSON document — the MPI_T-style discovery surface.
 pub fn introspect_registry(setup: &Setup) -> String {
-    let out: Rc<Local<String>> = Rc::new(Local::new(String::new()));
-    let o2 = out.clone();
-    setup
-        .universe()
-        .run_world(1, Placement::RoundRobin, move |mpi| {
-            *o2.lock() = openmpi_core::introspect::registry_json(mpi.endpoint());
-        });
-    let v = std::mem::take(&mut *out.lock());
-    v
+    let (_, mut json) = setup.universe().run_ranks(1, Placement::RoundRobin, |mpi| {
+        openmpi_core::introspect::registry_json(mpi.endpoint())
+    });
+    json.remove(0)
 }
 
 /// What the forced-stall demonstration recovers after the watchdog abort:
@@ -1340,15 +1232,7 @@ pub fn sim_bench(setup: &Setup, ranks: usize, len: usize, iters: usize) -> SimBe
                 let rbuf = mpi.alloc(len.max(1));
                 mpi.write(&sbuf, 0, &pattern(len, mpi.rank() as u8));
                 for _ in 0..iters {
-                    if mpi.rank() == 0 {
-                        for peer in 1..ranks {
-                            mpi.send(&w, peer, 0, &sbuf, len);
-                            mpi.recv(&w, peer as i32, 0, &rbuf, len);
-                        }
-                    } else {
-                        mpi.recv(&w, 0, 0, &rbuf, len);
-                        mpi.send(&w, 0, 0, &sbuf, len);
-                    }
+                    pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
                 }
                 mpi.barrier(&w);
             });
@@ -1464,26 +1348,24 @@ pub fn rank_sweep(
         let mut setup = setup.clone();
         setup.fabric.nodes = ranks;
         let uni = setup.universe();
-        // The last rank to enter its body, i.e. to return from MPI_Init,
-        // on each clock.
-        let init_ns = Rc::new(Cell::new(0));
-        let init_wall_ns = Rc::new(Cell::new(0));
-        let (v2, w2) = (init_ns.clone(), init_wall_ns.clone());
         let start = std::time::Instant::now();
-        let report = uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
-            v2.set(v2.get().max(mpi.now().as_ns()));
-            w2.set(w2.get().max(start.elapsed().as_nanos() as u64));
+        // Each rank enters its body as it returns from MPI_Init.
+        let (report, entered) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
+            let entered = (mpi.now().as_ns(), start.elapsed().as_nanos() as u64);
             let w = mpi.world();
             for _ in 0..iters {
                 mpi.barrier(&w);
             }
+            entered
         });
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
-        let init_ms = init_wall_ns.get() as f64 / 1e6;
+        // The last rank to return from MPI_Init, on each clock.
+        let init_ns = entered.iter().map(|e| e.0).max().unwrap_or(0);
+        let init_ms = entered.iter().map(|e| e.1).max().unwrap_or(0) as f64 / 1e6;
         total_wall_ns += report.wall_ns;
         points.push(RankSweepPoint {
             ranks,
-            init_ns: init_ns.get(),
+            init_ns,
             init_ms,
             work_ms: total_ms - init_ms,
             report,
@@ -1594,11 +1476,9 @@ fn coll_curve_cell(
         // Host baseline: binomial trees only, hardware rail off too.
         setup.stack.coll_hw_bcast = false;
     }
-    let max_ns: Rc<Vec<Cell<u64>>> = Rc::new((0..3).map(|_| Cell::new(0)).collect());
-    let m2 = max_ns.clone();
-    setup
+    let (_, per_rank) = setup
         .universe()
-        .run_world(ranks, Placement::RoundRobin, move |mpi| {
+        .run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let buf = mpi.alloc(payload.max(1));
             mpi.write(&buf, 0, &pattern(payload, mpi.rank() as u8));
@@ -1611,7 +1491,7 @@ fn coll_curve_cell(
             for _ in 0..iters {
                 mpi.barrier(&w);
             }
-            m2[0].set(m2[0].get().max((mpi.now() - t0).as_ns()));
+            let barrier_ns = (mpi.now() - t0).as_ns();
             mpi.barrier(&w);
 
             // Broadcast from rank 0.
@@ -1623,7 +1503,7 @@ fn coll_curve_cell(
             for _ in 0..iters {
                 mpi.bcast(&w, 0, &buf, payload);
             }
-            m2[1].set(m2[1].get().max((mpi.now() - t0).as_ns()));
+            let bcast_ns = (mpi.now() - t0).as_ns();
             mpi.barrier(&w);
 
             // Allreduce (commutative sum, NIC-combinable).
@@ -1635,9 +1515,12 @@ fn coll_curve_cell(
             for _ in 0..iters {
                 mpi.allreduce(&w, openmpi_core::ReduceOp::SumU64, &buf, payload);
             }
-            m2[2].set(m2[2].get().max((mpi.now() - t0).as_ns()));
+            [barrier_ns, bcast_ns, (mpi.now() - t0).as_ns()]
         });
-    let cell = |i: usize| max_ns[i].get() as f64 / iters as f64 / 1_000.0;
+    let cell = |i: usize| {
+        let max_ns = per_rank.iter().map(|ns| ns[i]).max().unwrap_or(0);
+        max_ns as f64 / iters as f64 / 1_000.0
+    };
     [cell(0), cell(1), cell(2)]
 }
 
@@ -1674,9 +1557,7 @@ pub fn coll_curve(
 /// MPICH-QsNet ping-pong latency in µs.
 pub fn mpich_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -> f64 {
     let cluster = Cluster::new(nic.clone(), fabric.clone());
-    let lat = Rc::new(Cell::new(0));
-    let l2 = lat.clone();
-    run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
+    let lat = run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
         let sbuf = r.alloc(len.max(1));
         let rbuf = r.alloc(len.max(1));
         r.write(&sbuf, 0, &pattern(len, r.rank() as u8));
@@ -1697,11 +1578,9 @@ pub fn mpich_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -> f64 
         for _ in 0..ITERS {
             round();
         }
-        if r.rank() == 0 {
-            l2.set((r.now() - t0).as_ns() / (2 * ITERS as u64));
-        }
+        (r.now() - t0).as_ns() / (2 * ITERS as u64)
     });
-    lat.get() as f64 / 1_000.0
+    lat[0] as f64 / 1_000.0
 }
 
 /// MPICH-QsNet streaming bandwidth in MB/s.
@@ -1713,9 +1592,7 @@ pub fn mpich_bandwidth(
     reps: usize,
 ) -> f64 {
     let cluster = Cluster::new(nic.clone(), fabric.clone());
-    let bw = Rc::new(Local::new(0.0f64));
-    let b2 = bw.clone();
-    run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
+    let bw = run_mpich(&cluster, 2, MpichConfig::default(), move |r| {
         let bufs: Vec<_> = (0..window).map(|_| r.alloc(len.max(1))).collect();
         let ack = r.alloc(1);
         r.barrier();
@@ -1735,13 +1612,10 @@ pub fn mpich_bandwidth(
                 r.send(0, 1, &ack, 0);
             }
         }
-        if r.rank() == 0 {
-            let ns = (r.now() - t0).as_ns();
-            *b2.lock() = (len * window * reps) as f64 / (ns as f64 / 1e9) / 1e6;
-        }
+        let ns = (r.now() - t0).as_ns();
+        (len * window * reps) as f64 / (ns as f64 / 1e9) / 1e6
     });
-    let v = *bw.lock();
-    v
+    bw[0]
 }
 
 /// Native Quadrics QDMA ping-pong latency (µs) for `len`-byte messages —
@@ -1789,42 +1663,29 @@ pub fn qdma_native_latency(nic: &NicConfig, fabric: &FabricConfig, len: usize) -
 
 /// Latency decomposition for §6.3: `(total, pml_cost, ptl_latency)` in µs.
 pub fn layer_decomposition(setup: &Setup, len: usize) -> (f64, f64, f64) {
-    let out = Rc::new(Local::new((0.0f64, 0.0f64)));
-    let o2 = out.clone();
-    setup
+    let (_, out) = setup
         .universe()
-        .run_world(2, Placement::RoundRobin, move |mpi| {
+        .run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let sbuf = mpi.alloc(len.max(1));
             let rbuf = mpi.alloc(len.max(1));
-            let round = || {
-                if mpi.rank() == 0 {
-                    mpi.send(&w, 1, 0, &sbuf, len);
-                    mpi.recv(&w, 1, 0, &rbuf, len);
-                } else {
-                    mpi.recv(&w, 0, 0, &rbuf, len);
-                    mpi.send(&w, 0, 0, &sbuf, len);
-                }
-            };
             for _ in 0..WARMUP {
-                round();
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
             mpi.barrier(&w);
             let t0 = mpi.now();
             let n = 50;
             for _ in 0..n {
-                round();
+                pingpong_round(&mpi, &w, &sbuf, &rbuf, len);
             }
-            if mpi.rank() == 0 {
-                let total = (mpi.now() - t0).as_ns() as f64 / (2 * n) as f64 / 1_000.0;
-                let pml = mpi
-                    .endpoint()
-                    .pml_layer_cost()
-                    .map(|d| d.as_us())
-                    .unwrap_or(0.0);
-                *o2.lock() = (total, pml);
-            }
+            let total = (mpi.now() - t0).as_ns() as f64 / (2 * n) as f64 / 1_000.0;
+            let pml = mpi
+                .endpoint()
+                .pml_layer_cost()
+                .map(|d| d.as_us())
+                .unwrap_or(0.0);
+            (total, pml)
         });
-    let (total, pml) = *out.lock();
+    let (total, pml) = out[0];
     (total, pml, total - pml)
 }

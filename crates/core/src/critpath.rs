@@ -362,8 +362,7 @@ pub fn analyze(logs: &[(u32, &TraceLog)], ej_busy: &[(u32, Vec<(u64, u64)>)]) ->
             msgs.push(p);
         }
     }
-    msgs.sort_by_key(|p| (p.total_ns, p.gid));
-    msgs.sort_by_key(|p| p.gid); // stable order: by gid (post order per rank)
+    msgs.sort_by_key(|p| p.gid); // gids are unique: post order per rank
 
     let mut buckets: Vec<BucketStats> = Vec::new();
     for p in &msgs {

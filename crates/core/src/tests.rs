@@ -4,7 +4,6 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use ompi_datatype::{Convertor, Datatype};
-use qsim::Local;
 
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
 use crate::endpoint::Transports;
@@ -18,23 +17,39 @@ fn pattern(n: usize, seed: u8) -> Vec<u8> {
 }
 
 /// Run a 2-rank world; rank 0 and rank 1 run the respective closures.
-fn run_pair(cfg: StackConfig, f0: impl Fn(&Mpi) + 'static, f1: impl Fn(&Mpi) + 'static) {
+/// Returns both ranks' values, rank 0's first.
+fn run_pair<T: 'static>(
+    cfg: StackConfig,
+    f0: impl Fn(&Mpi) -> T + 'static,
+    f1: impl Fn(&Mpi) -> T + 'static,
+) -> Vec<T> {
     let uni = Universe::paper_testbed(cfg);
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         if mpi.rank() == 0 {
             f0(&mpi)
         } else {
             f1(&mpi)
         }
+    })
+    .1
+}
+
+#[test]
+fn run_ranks_returns_values_in_rank_order() {
+    // Rank r finishes (8 - r) µs after MPI_Init, so the ranks return in
+    // reverse.
+    let uni = Universe::paper_testbed(StackConfig::best());
+    let (_, ranks) = uni.run_ranks(8, Placement::RoundRobin, |mpi| {
+        mpi.compute(qsim::Dur::from_us(8 - mpi.rank() as u64));
+        mpi.rank()
     });
+    assert_eq!(ranks, (0..8).collect::<Vec<_>>());
 }
 
 /// Ping-pong `iters` round trips of `len` bytes; returns half-RTT in ns.
 fn pingpong(cfg: StackConfig, len: usize, iters: usize) -> u64 {
-    let lat = Rc::new(Cell::new(0));
-    let lat2 = lat.clone();
     let uni = Universe::paper_testbed(cfg);
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let world = mpi.world();
         let sbuf = mpi.alloc(len.max(1));
         let rbuf = mpi.alloc(len.max(1));
@@ -50,13 +65,13 @@ fn pingpong(cfg: StackConfig, len: usize, iters: usize) -> u64 {
                 mpi.send(&world, 0, 0, &sbuf, len);
             }
         }
+        let total = (mpi.now() - t0).as_ns();
         if mpi.rank() == 0 {
-            let total = (mpi.now() - t0).as_ns();
-            lat2.set(total / (2 * iters as u64));
             assert_eq!(mpi.read(&rbuf, 0, len), pattern(len, 1), "data corrupt");
         }
-    });
-    lat.get()
+        total / (2 * iters as u64)
+    })
+    .1[0]
 }
 
 #[test]
@@ -494,9 +509,7 @@ fn multirail_striping_is_faster_and_correct() {
                 tcp: false,
             },
         );
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let len = 1 << 20;
             let buf = mpi.alloc(len);
@@ -508,16 +521,17 @@ fn multirail_striping_is_faster_and_correct() {
                 // Round-trip one byte to bound delivery.
                 let ack = mpi.alloc(1);
                 mpi.recv(&w, 1, 1, &ack, 1);
-                t2.set((mpi.now() - t0).as_ns());
+                (mpi.now() - t0).as_ns()
             } else {
                 mpi.barrier(&w);
                 mpi.recv(&w, 0, 0, &buf, len);
                 assert_eq!(mpi.read(&buf, 0, len), pattern(len, 1));
                 let ack = mpi.alloc(1);
                 mpi.send(&w, 0, 1, &ack, 1);
+                0
             }
         });
-        t.get()
+        t[0]
     }
     let one = bw_run(1);
     let two = bw_run(2);
@@ -567,9 +581,7 @@ fn tcp_only_transport_works_and_is_slow() {
             tcp: true,
         },
     );
-    let t = Rc::new(Cell::new(0));
-    let t2 = t.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, t) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(64);
         if mpi.rank() == 0 {
@@ -577,13 +589,14 @@ fn tcp_only_transport_works_and_is_slow() {
             let t0 = mpi.now();
             mpi.send(&w, 1, 0, &buf, 64);
             mpi.recv(&w, 1, 0, &buf, 64);
-            t2.set((mpi.now() - t0).as_ns() / 2);
+            (mpi.now() - t0).as_ns() / 2
         } else {
             mpi.recv(&w, 0, 0, &buf, 64);
             mpi.send(&w, 0, 0, &buf, 64);
+            0
         }
     });
-    let lat = t.get();
+    let lat = t[0];
     // TCP latency is tens of microseconds — the paper's motivation.
     assert!(lat > 20_000, "tcp latency {lat}ns suspiciously low");
 }
@@ -591,10 +604,8 @@ fn tcp_only_transport_works_and_is_slow() {
 #[test]
 fn pml_layer_cost_instrumentation() {
     // Paper §6.3: the PML layer and above costs ≈ 0.5 µs per message.
-    let cost = Rc::new(Local::new(None));
-    let c2 = cost.clone();
     let uni = Universe::paper_testbed(StackConfig::best());
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, cost) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(64);
         for _ in 0..50 {
@@ -606,11 +617,9 @@ fn pml_layer_cost_instrumentation() {
                 mpi.send(&w, 0, 0, &buf, 64);
             }
         }
-        if mpi.rank() == 0 {
-            *c2.lock() = mpi.endpoint().pml_layer_cost();
-        }
+        mpi.endpoint().pml_layer_cost()
     });
-    let c = cost.lock().expect("no samples");
+    let c = cost[0].expect("no samples");
     assert!(
         c.as_ns() > 200 && c.as_ns() < 1_500,
         "PML layer cost {c} out of band"
@@ -738,9 +747,7 @@ fn rma_accumulate_sum() {
 fn hardware_bcast_used_and_faster_than_tree() {
     fn bcast_time(hw: bool, len: usize) -> (u64, u64) {
         let uni = Universe::paper_testbed(StackConfig::best());
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(8, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
             let mut w = mpi.world();
             if !hw {
                 w.hw_coll = false; // force the binomial tree
@@ -756,11 +763,9 @@ fn hardware_bcast_used_and_faster_than_tree() {
             }
             assert_eq!(mpi.read(&buf, 0, len), pattern(len, 9));
             mpi.barrier(&w);
-            if mpi.rank() == 0 {
-                t2.set(t2.get().max((mpi.now() - t0).as_ns()));
-            }
+            (mpi.now() - t0).as_ns()
         });
-        (t.get(), uni.cluster.stats().hw_bcasts)
+        (t[0], uni.cluster.stats().hw_bcasts)
     }
     let (hw_t, hw_count) = bcast_time(true, 1024);
     let (tree_t, tree_count) = bcast_time(false, 1024);
@@ -892,24 +897,19 @@ fn without_integrity_check_corruption_is_silent() {
     // Documents why the check exists: the same fault passes undetected.
     let uni = Universe::paper_testbed(StackConfig::best());
     uni.cluster.inject_payload_corruption(1);
-    let delivered = Rc::new(Local::new(Vec::new()));
-    let d2 = delivered.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, delivered) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(1024);
         if mpi.rank() == 0 {
             mpi.write(&buf, 0, &pattern(1024, 1));
             mpi.send(&w, 1, 0, &buf, 1024);
+            Vec::new()
         } else {
             mpi.recv(&w, 0, 0, &buf, 1024);
-            *d2.lock() = mpi.read(&buf, 0, 1024);
+            mpi.read(&buf, 0, 1024)
         }
     });
-    assert_ne!(
-        *delivered.lock(),
-        pattern(1024, 1),
-        "corruption went unnoticed"
-    );
+    assert_ne!(delivered[1], pattern(1024, 1), "corruption went unnoticed");
 }
 
 #[test]
@@ -1086,11 +1086,8 @@ fn trace_records_protocol_flow() {
     use crate::trace::TraceEvent;
     let mut cfg = StackConfig::best();
     cfg.trace = true;
-    #[allow(clippy::type_complexity)]
-    let traces: Rc<Local<Vec<(usize, Vec<String>)>>> = Rc::new(Local::new(Vec::new()));
-    let t2 = traces.clone();
     let uni = Universe::paper_testbed(cfg);
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, traces) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(8192);
         if mpi.rank() == 0 {
@@ -1122,11 +1119,10 @@ fn trace_records_protocol_flow() {
                 "read-scheme order violated: {evs:?}"
             );
         }
-        t2.lock().push((rank, crate::trace::dump(&log)));
+        crate::trace::dump(&log)
     });
-    let traces = traces.lock();
     assert_eq!(traces.len(), 2);
-    for (_, lines) in traces.iter() {
+    for lines in &traces {
         assert!(!lines.is_empty());
     }
 }
@@ -1134,9 +1130,7 @@ fn trace_records_protocol_flow() {
 #[test]
 fn trace_off_records_nothing() {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let empty = Rc::new(Cell::new(1));
-    let e2 = empty.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, empty) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(64);
         if mpi.rank() == 0 {
@@ -1144,38 +1138,33 @@ fn trace_off_records_nothing() {
         } else {
             mpi.recv(&w, 0, 0, &buf, 64);
         }
-        if !mpi.endpoint().trace.lock().is_empty() {
-            e2.set(0);
-        }
+        mpi.endpoint().trace.lock().is_empty()
     });
-    assert_eq!(empty.get(), 1, "tracing leaked when off");
+    assert!(empty.iter().all(|&e| e), "tracing leaked when off");
 }
 
 #[test]
 fn ssend_completes_only_after_match() {
-    let recv_posted_at = Rc::new(Cell::new(0));
-    let send_done_at = Rc::new(Cell::new(0));
-    let (rp, sd) = (recv_posted_at.clone(), send_done_at.clone());
-    run_pair(
+    let at = run_pair(
         StackConfig::best(),
-        move |mpi| {
+        |mpi| {
             let w = mpi.world();
             let buf = mpi.alloc(16);
             // Small message: a plain send would complete locally at once;
             // the synchronous send must wait for the late receiver.
             mpi.ssend(&w, 1, 0, &buf, 16);
-            sd.set(mpi.now().as_ns());
+            mpi.now().as_ns()
         },
-        move |mpi| {
+        |mpi| {
             let w = mpi.world();
             mpi.compute(qsim::Dur::from_us(300));
-            rp.set(mpi.now().as_ns());
+            let posted = mpi.now().as_ns();
             let buf = mpi.alloc(16);
             mpi.recv(&w, 0, 0, &buf, 16);
+            posted
         },
     );
-    let posted = recv_posted_at.get();
-    let done = send_done_at.get();
+    let (done, posted) = (at[0], at[1]);
     assert!(
         done > posted,
         "ssend completed at {done}ns before the recv was posted at {posted}ns"
@@ -1185,25 +1174,24 @@ fn ssend_completes_only_after_match() {
 #[test]
 fn plain_small_send_completes_before_match() {
     // Contrast with the ssend test: buffered eager semantics.
-    let send_done_at = Rc::new(Cell::new(0));
-    let sd = send_done_at.clone();
-    run_pair(
+    let at = run_pair(
         StackConfig::best(),
-        move |mpi| {
+        |mpi| {
             let w = mpi.world();
             let buf = mpi.alloc(16);
             mpi.send(&w, 1, 0, &buf, 16);
-            sd.set(mpi.now().as_ns());
+            mpi.now().as_ns()
         },
         |mpi| {
             let w = mpi.world();
             mpi.compute(qsim::Dur::from_us(300));
             let buf = mpi.alloc(16);
             mpi.recv(&w, 0, 0, &buf, 16);
+            0
         },
     );
     assert!(
-        send_done_at.get() < 300_000,
+        at[0] < 300_000,
         "eager send should complete before the receiver wakes"
     );
 }
@@ -1404,12 +1392,8 @@ fn incast_run(flow_on: bool) -> (u64, u64, u64, u64) {
     cfg.metrics = true;
     cfg.flow_enable = flow_on;
     let (ranks, msgs, len) = (8usize, 32usize, 1024usize);
-    let peak = Rc::new(Cell::new(0));
-    let fallbacks = Rc::new(Cell::new(0));
-    let credits = Rc::new(Cell::new(0));
-    let (p2, f2, c2) = (peak.clone(), fallbacks.clone(), credits.clone());
     let uni = Universe::paper_testbed(cfg);
-    let report = uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+    let (report, rows) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         if mpi.rank() == 0 {
             // Sleep through the opening burst so every message arrives
@@ -1427,19 +1411,15 @@ fn incast_run(flow_on: bool) -> (u64, u64, u64, u64) {
         }
         mpi.barrier(&w);
         let ep = mpi.endpoint();
-        if mpi.rank() == 0 {
-            let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
-            p2.set(ej.queue_peak);
-            c2.set(ep.tunables.flow_credits() as u64);
-        }
-        f2.set(f2.get() + ep.metrics_snapshot().counters.flow_pool_fallbacks);
+        let (_, ej) = ep.cluster.fabric().node_link_totals(ep.node);
+        let credits = ep.tunables.flow_credits() as u64;
+        let fallbacks = ep.metrics_snapshot().counters.flow_pool_fallbacks;
+        (ej.queue_peak, credits, fallbacks)
     });
-    (
-        report.end_time.as_ns(),
-        peak.get(),
-        fallbacks.get(),
-        credits.get(),
-    )
+    // Rank 0 is the victim.
+    let (peak, credits, _) = rows[0];
+    let fallbacks = rows.iter().map(|r| r.2).sum();
+    (report.end_time.as_ns(), peak, fallbacks, credits)
 }
 
 #[test]
@@ -1483,10 +1463,8 @@ fn flow_credit_invariant_over_random_interleavings() {
         cfg.flow_enable = true;
         cfg.flow_credits = 3; // tiny window: parking on every burst
         let (ranks, msgs) = (4usize, 10usize);
-        let rows: Rc<Local<Vec<Row>>> = Rc::new(Local::new(Vec::new()));
-        let r2 = rows.clone();
         let uni = Universe::paper_testbed(cfg);
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
+        let (_, per_rank) = uni.run_ranks(ranks, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let me = mpi.rank();
             let mut x = seed
@@ -1532,24 +1510,29 @@ fn flow_credit_invariant_over_random_interleavings() {
             mpi.barrier(&w);
             let ep = mpi.endpoint();
             let st = ep.state.lock();
-            for (peer, fp) in st.flow.iter() {
-                assert!(
-                    fp.queued.is_empty(),
-                    "rank {me}: sends still parked for rank {} at quiescence",
-                    peer.rank
-                );
-                r2.lock().push((
-                    me,
-                    peer.rank,
-                    fp.credits,
-                    fp.consumed,
-                    fp.returned,
-                    fp.delivered,
-                    fp.pending_return,
-                ));
-            }
+            let rows: Vec<Row> = st
+                .flow
+                .iter()
+                .map(|(peer, fp)| {
+                    assert!(
+                        fp.queued.is_empty(),
+                        "rank {me}: sends still parked for rank {} at quiescence",
+                        peer.rank
+                    );
+                    (
+                        me,
+                        peer.rank,
+                        fp.credits,
+                        fp.consumed,
+                        fp.returned,
+                        fp.delivered,
+                        fp.pending_return,
+                    )
+                })
+                .collect();
+            rows
         });
-        let rows = rows.lock();
+        let rows: Vec<Row> = per_rank.into_iter().flatten().collect();
         let initial = 3u64;
         let find = |a: usize, b: usize| rows.iter().find(|r| r.0 == a && r.1 == b);
         for &(rank, peer, credits, consumed, returned, delivered, pending) in rows.iter() {
@@ -1591,15 +1574,13 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
     cfg.flow_enable = true;
     cfg.flow_credits = 4;
     let sleep_ns = 2_000_000u64;
-    let queued = Rc::new(Cell::new(0));
-    let pp_done = Rc::new(Cell::new(0));
-    let (q2, p2) = (queued.clone(), pp_done.clone());
     let uni = Universe::paper_testbed(cfg);
-    uni.run_world(3, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(3, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(512);
         mpi.write(&buf, 0, &pattern(512, mpi.rank() as u8));
-        match mpi.rank() {
+        // Rank 1's (ping-pong done at, sends queued).
+        let out = match mpi.rank() {
             0 => {
                 // Slow receiver: rank 1's flood must park, starved of
                 // credits, until this compute ends.
@@ -1608,6 +1589,7 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
                 for _ in 0..40 {
                     mpi.recv(&w, 1, 0, &rbuf, 512);
                 }
+                (0, 0)
             }
             1 => {
                 let reqs: Vec<_> = (0..40).map(|_| mpi.isend(&w, 0, 0, &buf, 512)).collect();
@@ -1618,9 +1600,10 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
                     mpi.send(&w, 2, 1, &buf, 512);
                     mpi.recv(&w, 2, 1, &rbuf, 512);
                 }
-                p2.set(mpi.now().as_ns());
+                let done = mpi.now().as_ns();
                 mpi.waitall(reqs);
-                q2.set(mpi.endpoint().metrics_snapshot().counters.flow_sends_queued);
+                let queued = mpi.endpoint().metrics_snapshot().counters.flow_sends_queued;
+                (done, queued)
             }
             _ => {
                 let rbuf = mpi.alloc(512);
@@ -1628,15 +1611,17 @@ fn credit_starved_peer_does_not_block_traffic_to_others() {
                     mpi.recv(&w, 1, 1, &rbuf, 512);
                     mpi.send(&w, 1, 1, &buf, 512);
                 }
+                (0, 0)
             }
-        }
+        };
         mpi.barrier(&w);
+        out
     });
+    let (done, queued) = rows[1];
     assert!(
-        queued.get() > 0,
+        queued > 0,
         "the flood never exhausted rank 1's credits to rank 0"
     );
-    let done = pp_done.get();
     assert!(
         done < sleep_ns,
         "rank 1 <-> rank 2 ping-pong ({done}ns) stalled behind the parked \
@@ -1689,9 +1674,7 @@ fn nic_coll_cfg() -> StackConfig {
 #[test]
 fn nic_offloaded_collectives_match_host_results() {
     let uni = Universe::paper_testbed(nic_coll_cfg());
-    let rows: Rc<Local<Vec<(usize, crate::metrics::Metrics)>>> = Rc::new(Local::new(Vec::new()));
-    let r2 = rows.clone();
-    uni.run_world(8, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let me = mpi.rank();
         let n = mpi.size();
@@ -1731,15 +1714,14 @@ fn nic_offloaded_collectives_match_host_results() {
         assert_eq!(su, s + 7 * n as u64, "u64 sum");
         mpi.free(b);
         mpi.barrier(&w);
-        r2.lock().push((me, mpi.endpoint().metrics_snapshot()));
+        mpi.endpoint().metrics_snapshot()
     });
     assert!(
         uni.cluster.stats().event_writes > 0,
         "offloaded collectives must hop NIC-to-NIC via event writes"
     );
-    let rows = rows.lock();
     assert_eq!(rows.len(), 8);
-    for (rank, m) in rows.iter() {
+    for (rank, m) in rows.iter().enumerate() {
         // 2 barriers + 5 bcasts + 3 allreduces, every one offloaded.
         assert_eq!(m.counters.coll_nic_offloaded, 10, "rank {rank} offloaded");
         assert_eq!(m.counters.coll_nic_fallbacks, 0, "rank {rank} fallbacks");
@@ -1773,9 +1755,7 @@ fn nic_bcast_bytes_pipelines_without_payload_mixups() {
 #[test]
 fn nic_offload_falls_back_when_ineligible() {
     let uni = Universe::paper_testbed(nic_coll_cfg());
-    let rows: Rc<Local<Vec<(usize, crate::metrics::Metrics)>>> = Rc::new(Local::new(Vec::new()));
-    let r2 = rows.clone();
-    uni.run_world(4, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(4, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let me = mpi.rank();
         // Oversize broadcast: beyond the single-QDMA payload cap, so it
@@ -1803,9 +1783,9 @@ fn nic_offload_falls_back_when_ineligible() {
             "split allreduce"
         );
         mpi.free(sb);
-        r2.lock().push((me, mpi.endpoint().metrics_snapshot()));
+        mpi.endpoint().metrics_snapshot()
     });
-    for (rank, m) in rows.lock().iter() {
+    for (rank, m) in rows.iter().enumerate() {
         assert!(
             m.counters.coll_nic_fallbacks >= 3,
             "rank {rank}: oversize bcast + split barrier + split allreduce \
@@ -1836,12 +1816,8 @@ fn mpi_init_costs_the_same_few_oob_hops_at_any_size() {
     let init_ns = |ranks: usize| {
         let uni = sized_universe(ranks, StackConfig::best());
         let oob = uni.rte.cfg().oob_latency.as_ns();
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(ranks, Placement::RoundRobin, move |mpi| {
-            t2.set(t2.get().max(mpi.now().as_ns()));
-        });
-        (t.get(), oob)
+        let (_, t) = uni.run_ranks(ranks, Placement::RoundRobin, |mpi| mpi.now().as_ns());
+        (t.into_iter().max().unwrap_or(0), oob)
     };
     let (two, oob) = init_ns(2);
     assert!(two <= 4 * oob, "MPI_Init took {two} ns, over 4 OOB hops");
@@ -1901,9 +1877,7 @@ fn nic_program_setup_survives_skewed_entry() {
         let mut cfg = nic_coll_cfg();
         cfg.coll_tree_radix = radix;
         let uni = sized_universe(N, cfg);
-        let rows: Rc<Local<Vec<crate::metrics::Metrics>>> = Rc::new(Local::new(Vec::new()));
-        let r2 = rows.clone();
-        uni.run_world(N, Placement::RoundRobin, move |mpi| {
+        let (_, rows) = uni.run_ranks(N, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let me = mpi.rank();
             let mut rng = qsim::rng::Pcg32::new(((radix as u64) << 32) | me as u64);
@@ -1927,9 +1901,9 @@ fn nic_program_setup_survives_skewed_entry() {
             mpi.allreduce(&w, crate::coll::ReduceOp::SumU64, &b, 8);
             let sum = u64::from_le_bytes(mpi.read(&b, 0, 8).try_into().unwrap());
             assert_eq!(sum, (N * (N + 1) / 2) as u64, "radix {radix}");
-            r2.lock().push(mpi.endpoint().metrics_snapshot());
+            mpi.endpoint().metrics_snapshot()
         });
-        for m in rows.lock().iter() {
+        for m in &rows {
             assert_eq!(m.counters.coll_nic_programs, 5, "radix {radix}");
             assert_eq!(m.counters.coll_nic_offloaded, 5, "radix {radix}");
         }
@@ -1944,9 +1918,7 @@ fn hw_bcast_cvar_gates_the_rail() {
     cfg.coll_hw_bcast = false;
     cfg.metrics = true;
     let uni = Universe::paper_testbed(cfg);
-    let rows: Rc<Local<Vec<crate::metrics::Metrics>>> = Rc::new(Local::new(Vec::new()));
-    let r2 = rows.clone();
-    uni.run_world(8, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let b = mpi.alloc(1024);
         if mpi.rank() == 0 {
@@ -1954,14 +1926,14 @@ fn hw_bcast_cvar_gates_the_rail() {
         }
         mpi.bcast(&w, 0, &b, 1024);
         assert_eq!(mpi.read(&b, 0, 1024), pattern(1024, 5));
-        r2.lock().push(mpi.endpoint().metrics_snapshot());
+        mpi.endpoint().metrics_snapshot()
     });
     assert_eq!(
         uni.cluster.stats().hw_bcasts,
         0,
         "coll.hw_bcast=false must keep the broadcast off the rail"
     );
-    for m in rows.lock().iter() {
+    for m in &rows {
         assert_eq!(m.counters.coll_hw_bcasts, 0);
     }
 
@@ -1969,9 +1941,7 @@ fn hw_bcast_cvar_gates_the_rail() {
     let mut cfg = StackConfig::best();
     cfg.metrics = true;
     let uni = Universe::paper_testbed(cfg);
-    let rows: Rc<Local<Vec<crate::metrics::Metrics>>> = Rc::new(Local::new(Vec::new()));
-    let r2 = rows.clone();
-    uni.run_world(8, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let b = mpi.alloc(1024);
         if mpi.rank() == 0 {
@@ -1979,13 +1949,13 @@ fn hw_bcast_cvar_gates_the_rail() {
         }
         mpi.bcast(&w, 0, &b, 1024);
         assert_eq!(mpi.read(&b, 0, 1024), pattern(1024, 5));
-        r2.lock().push(mpi.endpoint().metrics_snapshot());
+        mpi.endpoint().metrics_snapshot()
     });
     assert!(
         uni.cluster.stats().hw_bcasts > 0,
         "rail unused with gate open"
     );
-    let hw_counts: u64 = rows.lock().iter().map(|m| m.counters.coll_hw_bcasts).sum();
+    let hw_counts: u64 = rows.iter().map(|m| m.counters.coll_hw_bcasts).sum();
     assert!(hw_counts > 0, "root must count its hw bcast");
 }
 
@@ -2023,9 +1993,7 @@ fn long_tail_collectives_match_scalar_reference_and_attribute_spans() {
     cfg.trace = true;
     cfg.trace_capacity = 65536;
     let uni = Universe::paper_testbed(cfg);
-    let rows: Rc<Local<Vec<(usize, crate::trace::TraceLog)>>> = Rc::new(Local::new(Vec::new()));
-    let r2 = rows.clone();
-    uni.run_world(6, Placement::RoundRobin, move |mpi| {
+    let (_, rows) = uni.run_ranks(6, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let me = mpi.rank();
         let n = mpi.size();
@@ -2081,15 +2049,14 @@ fn long_tail_collectives_match_scalar_reference_and_attribute_spans() {
         } else {
             assert!(res.is_none(), "non-root gets nothing");
         }
-        r2.lock().push((me, mpi.endpoint().trace.lock().clone()));
+        mpi.endpoint().trace.lock().clone()
     });
     // Composed collectives must attribute every `coll` span to the
     // outermost operation: the primitives they delegate to (gather, reduce,
     // scatter, bcast) never open spans of their own.
     let allowed = ["alltoallv", "scan", "reduce_scatter", "gatherv"];
-    let rows = rows.lock();
     assert_eq!(rows.len(), 6);
-    for (rank, t) in rows.iter() {
+    for (rank, t) in rows.iter().enumerate() {
         assert_eq!(t.dropped(), 0, "rank {rank}: ring must hold the whole run");
         let mut depth = 0usize;
         let mut names = Vec::new();

@@ -102,15 +102,16 @@ fn exchange(case: Case) -> (usize, [(u64, u64); 2]) {
         cfg.flow_enable = true;
         cfg.flow_credits = 2;
     }
+    // The second rank to finish the counted round closes the window.
     let finished = Rc::new(Cell::new(0));
-    let shape = Rc::new(Cell::new([(0u64, 0u64); 2]));
     BIG.set(0);
     let uni = Universe::paper_testbed(cfg);
-    {
-        let (finished, shape) = (finished.clone(), shape.clone());
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, shape) = {
+        let finished = finished.clone();
+        uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let (me, peer) = (mpi.rank(), 1 - mpi.rank());
+            let mut shape = (0, 0);
             let sbufs: Vec<_> = (0..MSGS).map(|_| mpi.alloc(LEN)).collect();
             let rbufs: Vec<_> = (0..MSGS).map(|_| mpi.alloc(LEN)).collect();
             for round in 0..2 {
@@ -159,9 +160,7 @@ fn exchange(case: Case) -> (usize, [(u64, u64); 2]) {
                         WINDOW.set(false);
                     }
                     let after = shape_now(&mpi);
-                    let mut s = shape.get();
-                    s[me] = (after.0 - before.0, after.1 - before.1);
-                    shape.set(s);
+                    shape = (after.0 - before.0, after.1 - before.1);
                 }
                 mpi.barrier(&w);
                 for (i, b) in rbufs.iter().enumerate() {
@@ -175,10 +174,11 @@ fn exchange(case: Case) -> (usize, [(u64, u64); 2]) {
             for b in sbufs.into_iter().chain(rbufs) {
                 mpi.free(b);
             }
-        });
-    }
+            shape
+        })
+    };
     assert_eq!(finished.get(), 2, "{case:?}: both ranks finish the round");
-    (BIG.get(), shape.get())
+    (BIG.get(), [shape[0], shape[1]])
 }
 
 fn assert_one_per_message(case: Case) -> [(u64, u64); 2] {

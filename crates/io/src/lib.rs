@@ -112,7 +112,6 @@ fn block_until(mpi: &Mpi, t: qsim::Time) {
 mod tests {
     use super::*;
     use openmpi_core::{Placement, StackConfig, Universe};
-    use std::cell::Cell;
 
     #[test]
     fn collective_write_then_read_back() {
@@ -148,9 +147,7 @@ mod tests {
                 io_nodes,
                 ..Default::default()
             });
-            let t = std::rc::Rc::new(Cell::new(0));
-            let t2 = t.clone();
-            uni.run_world(4, Placement::RoundRobin, move |mpi| {
+            let (_, t) = uni.run_ranks(4, Placement::RoundRobin, move |mpi| {
                 let w = mpi.world();
                 let f = File::open(&mpi, &pfs, &w, "big.dat");
                 let block = 256 << 10;
@@ -158,11 +155,9 @@ mod tests {
                 mpi.barrier(&w);
                 let t0 = mpi.now();
                 f.write_all(&mpi, 0, &buf, block);
-                if mpi.rank() == 0 {
-                    t2.set((mpi.now() - t0).as_ns());
-                }
+                (mpi.now() - t0).as_ns()
             });
-            t.get()
+            t[0]
         }
         let wide = run(8);
         let narrow = run(1);

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use elan4::{Cluster, ElanCtx, HostBuf, Tport, TportRecv, TportSend, Vpid};
@@ -168,30 +169,39 @@ impl MpichRank {
     }
 }
 
-/// Launch an `n`-rank MPICH-QsNet job on `cluster` and run it to
-/// completion. Contexts are claimed up front (static pool) with rank `r`
-/// placed on node `r % nodes`.
-pub fn run_mpich(
+/// Launch an `n`-rank MPICH-QsNet job on `cluster`, run it to completion,
+/// and return each rank's return value at its rank index. Contexts are
+/// claimed up front (static pool) with rank `r` placed on node `r % nodes`.
+pub fn run_mpich<T: 'static>(
     cluster: &Rc<Cluster>,
     n: usize,
     cfg: MpichConfig,
-    entry: impl Fn(MpichRank) + 'static,
-) {
+    entry: impl Fn(MpichRank) -> T + 'static,
+) -> Vec<T> {
     let sim = Simulation::new();
-    launch_mpich(&sim, cluster, n, cfg, entry);
+    let slots = launch_mpich(&sim, cluster, n, cfg, entry);
     if let Err(e) = sim.run() {
         panic!("mpich simulation failed: {e}");
     }
+    slots
+        .iter()
+        .enumerate()
+        .map(|(r, v)| {
+            v.take()
+                .unwrap_or_else(|| panic!("rank {r} returned no value"))
+        })
+        .collect()
 }
 
-/// Like [`run_mpich`] but on an existing simulation.
-pub fn launch_mpich(
+/// Like [`run_mpich`] but on an existing simulation: returns one slot per
+/// rank, which receives the rank's return value when its body returns.
+pub fn launch_mpich<T: 'static>(
     sim: &Simulation,
     cluster: &Rc<Cluster>,
     n: usize,
     cfg: MpichConfig,
-    entry: impl Fn(MpichRank) + 'static,
-) {
+    entry: impl Fn(MpichRank) -> T + 'static,
+) -> Vec<Rc<Cell<Option<T>>>> {
     let nodes = cluster.nodes();
     // Static pool: claim every context before any rank runs.
     let ctxs: Vec<Rc<ElanCtx>> = (0..n)
@@ -199,22 +209,25 @@ pub fn launch_mpich(
         .collect();
     let vpids = Rc::new(ctxs.iter().map(|c| c.vpid()).collect::<Vec<_>>());
     let entry = Rc::new(entry);
-    for (rank, ctx) in ctxs.into_iter().enumerate() {
+    let slots: Vec<Rc<Cell<Option<T>>>> = (0..n).map(|_| Rc::new(Cell::new(None))).collect();
+    for ((rank, ctx), out) in ctxs.into_iter().enumerate().zip(&slots) {
         let vpids = vpids.clone();
         let entry = entry.clone();
         let cfg = cfg.clone();
+        let out = out.clone();
         sim.spawn(&format!("mpich{rank}"), move |p| {
             let tport = Tport::new(ctx.clone(), 0);
-            entry(MpichRank {
+            out.set(Some(entry(MpichRank {
                 proc: p,
                 ctx,
                 tport,
                 rank,
                 vpids,
                 cfg,
-            });
+            })));
         });
     }
+    slots
 }
 
 #[cfg(test)]
@@ -222,7 +235,6 @@ mod tests {
     use super::*;
     use elan4::NicConfig;
     use qsnet::FabricConfig;
-    use std::cell::Cell;
 
     fn pattern(n: usize, seed: u8) -> Vec<u8> {
         (0..n)
@@ -236,8 +248,6 @@ mod tests {
 
     fn pingpong(len: usize, iters: usize) -> u64 {
         let cl = cluster();
-        let lat = Rc::new(Cell::new(0));
-        let l2 = lat.clone();
         run_mpich(&cl, 2, MpichConfig::default(), move |r| {
             let sbuf = r.alloc(len.max(1));
             let rbuf = r.alloc(len.max(1));
@@ -253,12 +263,23 @@ mod tests {
                     r.send(0, 0, &sbuf, len);
                 }
             }
+            let lat = (r.now() - t0).as_ns() / (2 * iters as u64);
             if r.rank() == 0 {
-                l2.set((r.now() - t0).as_ns() / (2 * iters as u64));
                 assert_eq!(r.read(&rbuf, 0, len), pattern(len, 1));
             }
+            lat
+        })[0]
+    }
+
+    #[test]
+    fn run_mpich_returns_values_in_rank_order() {
+        // Rank r finishes (8 - r) µs in, so the ranks return in reverse.
+        let cl = cluster();
+        let ranks = run_mpich(&cl, 8, MpichConfig::default(), |r| {
+            r.proc().advance(Dur::from_us(8 - r.rank() as u64));
+            r.rank()
         });
-        lat.get()
+        assert_eq!(ranks, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -13,12 +13,9 @@
 //! cargo run --release --example checkpoint_restart
 //! ```
 
-use std::rc::Rc;
-
 use ompi_apps::stencil::{self, StencilConfig};
 use ompi_io::{File, Pfs, PfsConfig};
 use openmpi_core::{Placement, StackConfig, Universe};
-use qsim::Local;
 
 const RANKS: usize = 4;
 
@@ -72,11 +69,8 @@ fn main() {
         steps: 15,
         ..cfg.clone()
     };
-    #[allow(clippy::type_complexity)]
-    let blocks: Rc<Local<Vec<(usize, Vec<f64>)>>> = Rc::new(Local::new(Vec::new()));
-    let b2 = blocks.clone();
     let p2 = pfs.clone();
-    universe.run_world(RANKS, Placement::RoundRobin, move |mpi| {
+    let (_, blocks) = universe.run_ranks(RANKS, Placement::RoundRobin, move |mpi| {
         let world = mpi.world();
         let me = mpi.rank();
         let (_start, rows_here) = stencil::rows_of(&phase2, me, RANKS);
@@ -101,15 +95,13 @@ fn main() {
 
         // Continue the remaining 15 steps from the restored state.
         let result = stencil::run_from(&mpi, &world, &phase2, restored);
-        b2.lock().push((me, result.block));
         f.close(&mpi);
         mpi.free(buf);
+        result.block
     });
 
     // Verify against the uninterrupted reference.
-    let mut blocks = Rc::try_unwrap(blocks).unwrap().into_inner();
-    blocks.sort_by_key(|(r, _)| *r);
-    let assembled: Vec<f64> = blocks.into_iter().flat_map(|(_, b)| b).collect();
+    let assembled: Vec<f64> = blocks.into_iter().flatten().collect();
     assert_eq!(assembled.len(), reference.len());
     for (i, (a, b)) in assembled.iter().zip(&reference).enumerate() {
         assert!(

@@ -11,9 +11,6 @@
 //! cargo run --release --example multirail_multinet
 //! ```
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use elan4::NicConfig;
 use openmpi_core::{Placement, RdmaScheme, StackConfig, Transports, Universe};
 use qsnet::FabricConfig;
@@ -35,9 +32,7 @@ fn bandwidth(rails: usize, tcp: bool, len: usize) -> f64 {
             tcp,
         },
     );
-    let out = Rc::new(Cell::new(0));
-    let o2 = out.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, out) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(len);
         let ack = mpi.alloc(1);
@@ -53,12 +48,10 @@ fn bandwidth(rails: usize, tcp: bool, len: usize) -> f64 {
                 mpi.send(&w, 0, 1, &ack, 0);
             }
         }
-        if mpi.rank() == 0 {
-            let ns = (mpi.now() - t0).as_ns();
-            o2.set(((len * reps) as f64 / (ns as f64 / 1e9) / 1e6) as u64);
-        }
+        let ns = (mpi.now() - t0).as_ns();
+        ((len * reps) as f64 / (ns as f64 / 1e9) / 1e6) as u64
     });
-    out.get() as f64
+    out[0] as f64
 }
 
 fn main() {

@@ -24,6 +24,16 @@ echo "== release build + workspace tests"
 cargo build --release
 cargo test --workspace -q
 
+echo "== examples (release build, each run must exit 0)"
+# cargo test and clippy only compile the examples; running them catches an
+# example whose own checks (asserts on its results) no longer hold.
+cargo build --release --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "-- $name"
+    "./target/release/examples/$name" > /dev/null
+done
+
 echo "== perfbench build + tests"
 # perfbench is a package of its own (empty [workspace]), so neither the
 # workspace build nor its tests see it. This catches an API change that

@@ -34,7 +34,8 @@
 //!
 //! // The paper's testbed: 8 nodes, quaternary fat tree, Elan4 NICs.
 //! let universe = Universe::paper_testbed(StackConfig::best());
-//! universe.run_world(2, Placement::RoundRobin, |mpi| {
+//! // Each rank's return value comes back at its rank's index.
+//! let (_report, bufs) = universe.run_ranks(2, Placement::RoundRobin, |mpi| {
 //!     let world = mpi.world();
 //!     let buf = mpi.alloc(1024);
 //!     if mpi.rank() == 0 {
@@ -42,9 +43,10 @@
 //!         mpi.send(&world, 1, 0, &buf, 1024);
 //!     } else {
 //!         mpi.recv(&world, 0, 0, &buf, 1024);
-//!         assert_eq!(mpi.read(&buf, 0, 1024), vec![42u8; 1024]);
 //!     }
+//!     mpi.read(&buf, 0, 1024)
 //! });
+//! assert_eq!(bufs[1], vec![42u8; 1024]);
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and the per-experiment index and

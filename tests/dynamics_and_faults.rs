@@ -176,11 +176,7 @@ fn retransmission_heals_dropped_fin_ack() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
 
-    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
-    let e2 = eps.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let len = 64 << 10;
         let buf = mpi.alloc(len);
@@ -192,15 +188,15 @@ fn retransmission_heals_dropped_fin_ack() {
             assert_eq!(mpi.read(&buf, 0, len), vec![0xC3u8; len]);
         }
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
 
-    let eps = eps.lock();
-    for (rank, ep) in eps.iter() {
+    for (rank, ep) in eps.iter().enumerate() {
         // No rank stalled: the retransmit healed the loss long before the
         // watchdog's grace period elapsed.
         assert_eq!(ep.introspect.lock().stalls_detected, 0, "rank {rank}");
         let pv = openmpi_core::pvar_snapshot(ep);
-        if *rank == 1 {
+        if rank == 1 {
             // The receiver owns the FIN_ACK: exactly one resend healed it.
             assert_eq!(pv.get("rel.retransmits"), Some(1), "rank 1 resends once");
             assert_eq!(pv.get("rel.gave_up"), Some(0));

@@ -3,8 +3,6 @@
 //! and the post-mortem flight recorder dumping on watchdog stalls and
 //! failed requests.
 
-use std::rc::Rc;
-
 use ompi_bench::measure::{incast_congestion, stall_flight_demo, Setup};
 use openmpi_core::{MpiErrClass, Placement, StackConfig, Universe};
 use qsnet::LinkKind;
@@ -147,9 +145,7 @@ fn unroutable_send_dumps(flight_recorder: bool) -> Vec<String> {
             tcp: false,
         },
     );
-    let dumps: Rc<qsim::Local<Vec<String>>> = Rc::new(qsim::Local::new(Vec::new()));
-    let d2 = dumps.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, mut dumps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         if mpi.rank() == 0 {
             let w = mpi.world();
             let buf = mpi.alloc(1024);
@@ -159,12 +155,13 @@ fn unroutable_send_dumps(flight_recorder: bool) -> Vec<String> {
             let pv = openmpi_core::pvar_snapshot(ep);
             let own = ep.introspect.lock().flight_dumps.clone();
             assert_eq!(pv.get("flight.dumps"), Some(own.len() as u64));
-            *d2.lock() = own;
             mpi.free(buf);
+            own
+        } else {
+            Vec::new()
         }
     });
-    let out = std::mem::take(&mut *dumps.lock());
-    out
+    dumps.swap_remove(0)
 }
 
 /// A request failing with an MPI error class (unroutable peer) freezes the

@@ -3,8 +3,6 @@
 //! watchdog-armed run producing zero stalls with pvar totals that agree
 //! with the metrics plane.
 
-use std::rc::Rc;
-
 use openmpi_core::introspect::{cvar_default, registry_json};
 use openmpi_core::{cvar_read, cvar_write, CvarValue, Placement, StackConfig, Universe, CVARS};
 
@@ -147,9 +145,7 @@ fn flow_enable_write_finds_a_resolved_credit_window() {
         ..StackConfig::best()
     };
     let uni = Universe::paper_testbed(stack);
-    let consumed: Rc<qsim::Local<Vec<u64>>> = Rc::new(qsim::Local::new(Vec::new()));
-    let c2 = consumed.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, consumed) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let ep = mpi.endpoint();
         // 2 ranks: clamp(64 / 1, 2, 16).
         assert_eq!(cvar_read(ep, "flow.credits"), Some(CvarValue::U64(16)));
@@ -167,18 +163,16 @@ fn flow_enable_write_finds_a_resolved_credit_window() {
             }
         }
         mpi.free(buf);
-        if mpi.rank() == 0 {
-            c2.lock().push(
-                mpi.endpoint()
-                    .metrics_snapshot()
-                    .counters
-                    .flow_credits_consumed,
-            );
-        }
+        (mpi.rank() == 0).then(|| {
+            mpi.endpoint()
+                .metrics_snapshot()
+                .counters
+                .flow_credits_consumed
+        })
     });
     // The 40 sends and rank 0's one barrier message each took a credit.
     assert_eq!(
-        *consumed.lock(),
+        consumed.into_iter().flatten().collect::<Vec<_>>(),
         vec![41],
         "every send went through the window"
     );
@@ -194,25 +188,24 @@ fn eager_limit_write_flips_protocol_at_runtime() {
         ..StackConfig::best()
     };
     let uni = Universe::paper_testbed(stack);
-    let metrics: Rc<qsim::Local<Vec<openmpi_core::Metrics>>> =
-        Rc::new(qsim::Local::new(Vec::new()));
-    let m2 = metrics.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, metrics) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let len = 1024; // below the default eager limit
         let buf = mpi.alloc(len);
-        if mpi.rank() == 0 {
+        let sender = if mpi.rank() == 0 {
             mpi.send(&w, 1, 0, &buf, len);
             openmpi_core::cvar_write(mpi.endpoint(), "pml.eager_limit", CvarValue::U64(0)).unwrap();
             mpi.send(&w, 1, 1, &buf, len);
-            m2.lock().push(mpi.endpoint().metrics_snapshot());
+            Some(mpi.endpoint().metrics_snapshot())
         } else {
             mpi.recv(&w, 0, 0, &buf, len);
             mpi.recv(&w, 0, 1, &buf, len);
-        }
+            None
+        };
         mpi.free(buf);
+        sender
     });
-    let m = metrics.lock();
+    let m: Vec<_> = metrics.into_iter().flatten().collect();
     assert_eq!(m.len(), 1);
     assert_eq!(m[0].counters.eager_sent, 1, "first send below the limit");
     assert_eq!(m[0].counters.rndv_sent, 1, "second send after limit drop");

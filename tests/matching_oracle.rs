@@ -4,10 +4,8 @@
 //! send order per peer), both when receives are pre-posted and when every
 //! message lands in the unexpected queue first.
 
-use std::rc::Rc;
-
 use openmpi_core::{Placement, StackConfig, Universe, ANY_TAG};
-use qsim::{Local, Pcg32};
+use qsim::Pcg32;
 
 /// `None` = MPI_ANY_TAG selector.
 type Selector = Option<u8>;
@@ -43,11 +41,9 @@ fn oracle(msgs: &[u8], recvs: &[Selector]) -> Option<Vec<usize>> {
 /// msg index` recovered from unique payloads.
 fn simulate(msgs: Vec<u8>, recvs: Vec<Selector>, preposted: bool) -> Vec<usize> {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let out: Rc<Local<Vec<usize>>> = Rc::new(Local::new(Vec::new()));
-    let o2 = out.clone();
     let msgs2 = msgs.clone();
     let recvs2 = recvs.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
+    let (_, mut out) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         if mpi.rank() == 0 {
             if !preposted {
@@ -68,6 +64,7 @@ fn simulate(msgs: Vec<u8>, recvs: Vec<Selector>, preposted: bool) -> Vec<usize> 
                 .map(|(b, tag)| mpi.isend(&w, 1, *tag as i32, b, 8))
                 .collect();
             mpi.waitall(reqs);
+            Vec::new()
         } else {
             if !preposted {
                 mpi.compute(qsim::Dur::from_us(400));
@@ -82,15 +79,12 @@ fn simulate(msgs: Vec<u8>, recvs: Vec<Selector>, preposted: bool) -> Vec<usize> 
                 })
                 .collect();
             mpi.waitall(reqs);
-            let got: Vec<usize> = bufs
-                .iter()
+            bufs.iter()
                 .map(|b| u64::from_le_bytes(mpi.read(b, 0, 8).try_into().unwrap()) as usize)
-                .collect();
-            *o2.lock() = got;
+                .collect()
         }
     });
-    let v = out.lock().clone();
-    v
+    out.swap_remove(1)
 }
 
 /// 24 random scenarios (each runs two full simulations), generated from a

@@ -229,8 +229,6 @@ fn experiments_are_deterministic() {
 #[test]
 fn async_progress_enables_overlap() {
     use openmpi_core::{Placement, Universe};
-    use std::cell::Cell;
-    use std::rc::Rc;
 
     fn total_us(progress: ProgressMode, compute_us: u64) -> f64 {
         let mut cfg = StackConfig::best();
@@ -240,9 +238,7 @@ fn async_progress_enables_overlap() {
             cfg.completion = CompletionMode::SharedQueueCombined;
         }
         let uni = Universe::paper_testbed(cfg);
-        let t = Rc::new(Cell::new(0));
-        let t2 = t.clone();
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let (_, t) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let len = 256 << 10;
             let buf = mpi.alloc(len);
@@ -252,12 +248,13 @@ fn async_progress_enables_overlap() {
                 let req = mpi.isend(&w, 1, 0, &buf, len);
                 mpi.compute(qsim::Dur::from_us(compute_us));
                 mpi.wait(req);
-                t2.set((mpi.now() - t0).as_ns());
+                (mpi.now() - t0).as_ns()
             } else {
                 mpi.recv(&w, 0, 0, &buf, len);
+                0
             }
         });
-        t.get() as f64 / 1_000.0
+        t[0] as f64 / 1_000.0
     }
 
     // Latency-only (no compute): the thread overhead makes OneThread lose.

@@ -12,8 +12,6 @@ use openmpi_core::{
     cvar_write, pvar_snapshot, CvarValue, MpiErrClass, Placement, StackConfig, Transports, Universe,
 };
 
-type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-
 fn elan_universe(stack: StackConfig) -> Rc<Universe> {
     Universe::new(
         elan4::NicConfig::default(),
@@ -23,13 +21,9 @@ fn elan_universe(stack: StackConfig) -> Rc<Universe> {
     )
 }
 
-fn captured() -> (Rc<qsim::Local<Captured>>, Rc<qsim::Local<Captured>>) {
-    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
-    (eps.clone(), eps)
-}
-
-fn assert_hygiene(eps: &qsim::Local<Captured>) {
-    for (rank, ep) in eps.lock().iter() {
+/// Every rank's endpoint, indexed by rank, is clean after finalize.
+fn assert_hygiene(eps: &[Rc<openmpi_core::Endpoint>]) {
+    for (rank, ep) in eps.iter().enumerate() {
         assert_eq!(ep.mapping_count(), 0, "rank {rank} leaked MMU mappings");
         let s = ep.reg_stats();
         assert_eq!(s.entries, 0, "rank {rank} kept cache entries past drain");
@@ -51,10 +45,8 @@ fn odd_sizes_chunk_and_reassemble_intact() {
         metrics: true,
         ..StackConfig::best()
     };
-    let (e2, eps) = captured();
     let sizes = [131_075usize, 200_001, 262_147, 524_289];
-    elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
         // Runtime-tunable engine: an awkward chunk size and a low cutoff
         // so every test length takes the pipelined path.
         cvar_write(mpi.endpoint(), "pipe.chunk", CvarValue::U64(20_000)).unwrap();
@@ -82,6 +74,7 @@ fn odd_sizes_chunk_and_reassemble_intact() {
             assert!((2..=4).contains(&hwm), "window filled, bounded: {hwm}");
             assert!(pv.get("pipe.reg_overlap_ns").unwrap() > 0, "overlap won");
         }
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }
@@ -94,9 +87,7 @@ fn odd_sizes_chunk_and_reassemble_intact() {
 fn depth_one_matches_monolithic_semantics() {
     let len = 512 << 10;
     let run = |stack: StackConfig| -> Vec<(u32, u64, u64)> {
-        let (e2, eps) = captured();
-        elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-            e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+        let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             let buf = mpi.alloc(len);
             if mpi.rank() == 0 {
@@ -107,14 +98,14 @@ fn depth_one_matches_monolithic_semantics() {
                 assert_eq!(mpi.read(&buf, 0, len), pattern(len));
             }
             mpi.free(buf);
+            mpi.endpoint().clone()
         });
-        let out: Vec<(u32, u64, u64)> = eps
-            .lock()
-            .iter()
+        let out: Vec<(u32, u64, u64)> = (0u32..)
+            .zip(&eps)
             .map(|(rank, ep)| {
                 let pv = pvar_snapshot(ep);
                 (
-                    *rank,
+                    rank,
                     pv.get("control.fin").unwrap(),
                     pv.get("control.fin_ack").unwrap(),
                 )
@@ -129,14 +120,12 @@ fn depth_one_matches_monolithic_semantics() {
         pipeline_enable: false,
         ..StackConfig::best()
     });
-    let (e2, eps) = captured();
-    elan_universe(StackConfig {
+    let (_, eps) = elan_universe(StackConfig {
         metrics: true,
         pipeline_depth: 1,
         ..StackConfig::best()
     })
-    .run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    .run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(len);
         if mpi.rank() == 0 {
@@ -153,14 +142,14 @@ fn depth_one_matches_monolithic_semantics() {
             assert_eq!(pv.get("pipe.chunks_landed"), Some(issued));
         }
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
-    let depth1: Vec<(u32, u64, u64)> = eps
-        .lock()
-        .iter()
+    let depth1: Vec<(u32, u64, u64)> = (0u32..)
+        .zip(&eps)
         .map(|(rank, ep)| {
             let pv = pvar_snapshot(ep);
             (
-                *rank,
+                rank,
                 pv.get("control.fin").unwrap(),
                 pv.get("control.fin_ack").unwrap(),
             )
@@ -190,13 +179,11 @@ fn pipeline_chunks_use_the_regcache_when_enabled() {
 
     // Cache on: chunk sub-regions are stable across iterations, so the
     // second and later passes hit for every chunk registration.
-    let (e2, eps) = captured();
     let stack = StackConfig {
         metrics: true,
         ..StackConfig::best()
     };
-    elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let sbuf = mpi.alloc(len);
         let rbuf = mpi.alloc(len);
@@ -225,19 +212,18 @@ fn pipeline_chunks_use_the_regcache_when_enabled() {
         assert_eq!(pv.get("pipe.started"), Some(iters as u64));
         mpi.free(sbuf);
         mpi.free(rbuf);
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 
     // Cache off: the pipeline maps and unmaps per chunk, so nothing stays
     // mapped once the blocking calls return and the cache counts nothing.
-    let (e2, eps) = captured();
     let stack = StackConfig {
         metrics: true,
         reg_cache: false,
         ..StackConfig::best()
     };
-    elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(len);
         for _ in 0..iters {
@@ -254,6 +240,7 @@ fn pipeline_chunks_use_the_regcache_when_enabled() {
             assert_eq!(pv.get("pipe.started"), Some(iters as u64));
         }
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }
@@ -280,9 +267,7 @@ fn pipeline_stripes_across_rails() {
             tcp: false,
         },
     );
-    let (e2, eps) = captured();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(len);
         if mpi.rank() == 0 {
@@ -303,6 +288,7 @@ fn pipeline_stripes_across_rails() {
             );
         }
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }
@@ -319,9 +305,7 @@ fn failed_mid_pipeline_releases_every_chunk_mapping() {
         metrics: true,
         ..StackConfig::best()
     };
-    let (e2, eps) = captured();
-    elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(len);
         if mpi.rank() == 0 {
@@ -356,6 +340,7 @@ fn failed_mid_pipeline_releases_every_chunk_mapping() {
         assert_eq!(pv.get("rel.reqs_failed"), Some(1));
         assert_eq!(pv.get("rel.errs_surfaced"), Some(1));
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }

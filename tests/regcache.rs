@@ -9,8 +9,6 @@ use std::rc::Rc;
 
 use openmpi_core::{MpiErrClass, Placement, StackConfig, Transports, Universe};
 
-type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-
 fn elan_universe(stack: StackConfig) -> Rc<Universe> {
     Universe::new(
         elan4::NicConfig::default(),
@@ -20,13 +18,9 @@ fn elan_universe(stack: StackConfig) -> Rc<Universe> {
     )
 }
 
-fn captured() -> (Rc<qsim::Local<Captured>>, Rc<qsim::Local<Captured>>) {
-    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
-    (eps.clone(), eps)
-}
-
-fn assert_hygiene(eps: &qsim::Local<Captured>) {
-    for (rank, ep) in eps.lock().iter() {
+/// Every rank's endpoint, indexed by rank, is clean after finalize.
+fn assert_hygiene(eps: &[Rc<openmpi_core::Endpoint>]) {
+    for (rank, ep) in eps.iter().enumerate() {
         assert_eq!(ep.mapping_count(), 0, "rank {rank} leaked MMU mappings");
         let s = ep.reg_stats();
         assert_eq!(s.entries, 0, "rank {rank} kept cache entries past drain");
@@ -39,33 +33,33 @@ fn assert_hygiene(eps: &qsim::Local<Captured>) {
 /// hits, with the `reg.*` pvars agreeing with the cache's own stats.
 #[test]
 fn repeated_buffers_hit_the_cache() {
-    let (e2, eps) = captured();
     let iters = 8usize;
     let len = 64 << 10;
-    elan_universe(StackConfig::best()).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
-        let w = mpi.world();
-        let sbuf = mpi.alloc(len);
-        let rbuf = mpi.alloc(len);
-        for _ in 0..iters {
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &sbuf, len);
-                mpi.recv(&w, 1, 0, &rbuf, len);
-            } else {
-                mpi.recv(&w, 0, 0, &rbuf, len);
-                mpi.send(&w, 0, 0, &sbuf, len);
+    let (_, eps) =
+        elan_universe(StackConfig::best()).run_ranks(2, Placement::RoundRobin, move |mpi| {
+            let w = mpi.world();
+            let sbuf = mpi.alloc(len);
+            let rbuf = mpi.alloc(len);
+            for _ in 0..iters {
+                if mpi.rank() == 0 {
+                    mpi.send(&w, 1, 0, &sbuf, len);
+                    mpi.recv(&w, 1, 0, &rbuf, len);
+                } else {
+                    mpi.recv(&w, 0, 0, &rbuf, len);
+                    mpi.send(&w, 0, 0, &sbuf, len);
+                }
             }
-        }
-        let s = mpi.endpoint().reg_stats();
-        assert_eq!(s.misses, 2, "one registration per buffer");
-        assert_eq!(s.hits, 2 * (iters as u64 - 1), "every reuse must hit");
-        assert_eq!(s.evictions, 0, "well under capacity");
-        let pv = openmpi_core::pvar_snapshot(mpi.endpoint());
-        assert_eq!(pv.get("reg.hits"), Some(s.hits));
-        assert_eq!(pv.get("reg.misses"), Some(s.misses));
-        mpi.free(sbuf);
-        mpi.free(rbuf);
-    });
+            let s = mpi.endpoint().reg_stats();
+            assert_eq!(s.misses, 2, "one registration per buffer");
+            assert_eq!(s.hits, 2 * (iters as u64 - 1), "every reuse must hit");
+            assert_eq!(s.evictions, 0, "well under capacity");
+            let pv = openmpi_core::pvar_snapshot(mpi.endpoint());
+            assert_eq!(pv.get("reg.hits"), Some(s.hits));
+            assert_eq!(pv.get("reg.misses"), Some(s.misses));
+            mpi.free(sbuf);
+            mpi.free(rbuf);
+            mpi.endpoint().clone()
+        });
     assert_hygiene(&eps);
 }
 
@@ -77,10 +71,8 @@ fn disabled_cache_unmaps_per_request_and_counts_nothing() {
         reg_cache: false,
         ..StackConfig::best()
     };
-    let (e2, eps) = captured();
     let len = 64 << 10;
-    elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let buf = mpi.alloc(len);
         for _ in 0..4 {
@@ -94,6 +86,7 @@ fn disabled_cache_unmaps_per_request_and_counts_nothing() {
         assert_eq!(mpi.endpoint().mapping_count(), 0);
         assert_eq!(mpi.endpoint().reg_stats(), Default::default());
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }
@@ -106,10 +99,8 @@ fn capacity_pressure_evicts_lru_mappings() {
         reg_cache_entries: 1,
         ..StackConfig::best()
     };
-    let (e2, eps) = captured();
     let len = 16 << 10;
-    elan_universe(stack).run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = elan_universe(stack).run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let bufs: Vec<_> = (0..3).map(|_| mpi.alloc(len)).collect();
         for round in 0..6 {
@@ -126,6 +117,7 @@ fn capacity_pressure_evicts_lru_mappings() {
         for b in bufs {
             mpi.free(b);
         }
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }
@@ -158,9 +150,7 @@ fn failed_requests_release_registrations_and_surface_errors() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 99);
 
-    let (e2, eps) = captured();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let len = 64 << 10;
         let buf = mpi.alloc(len);
@@ -191,6 +181,7 @@ fn failed_requests_release_registrations_and_surface_errors() {
             "the app saw the error it was handed"
         );
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }
@@ -213,9 +204,7 @@ fn waitall_result_surfaces_every_error_in_order() {
             tcp: false,
         },
     );
-    let (e2, eps) = captured();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         if mpi.rank() == 0 {
             let w = mpi.world();
             let buf = mpi.alloc(2048);
@@ -238,6 +227,7 @@ fn waitall_result_surfaces_every_error_in_order() {
             assert_eq!(pv.get("queues.send_reqs_live"), Some(0));
             mpi.free(buf);
         }
+        mpi.endpoint().clone()
     });
     assert_hygiene(&eps);
 }

@@ -39,33 +39,29 @@ fn exhausted_retries_fail_the_request_instead_of_panicking() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 99);
 
-    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
-    let e2 = eps.clone();
-    let errs: Rc<qsim::Local<Vec<Result<(), MpiErrClass>>>> = Rc::new(qsim::Local::new(Vec::new()));
-    let errs2 = errs.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, ranks) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let len = 64 << 10;
         let buf = mpi.alloc(len);
-        if mpi.rank() == 0 {
+        let err = if mpi.rank() == 0 {
             let r = mpi.isend(&w, 1, 7, &buf, len);
-            errs2.lock().push(mpi.wait_result(r));
+            Some(mpi.wait_result(r))
         } else {
             // The receiver pulled the payload before losing its FIN_ACK:
             // its receive completes normally.
             let r = mpi.irecv(&w, 0, 7, &buf, len);
             assert_eq!(mpi.wait_result(r), Ok(()));
-        }
+            None
+        };
         mpi.free(buf);
+        (mpi.endpoint().clone(), err)
     });
 
-    assert_eq!(*errs.lock(), vec![Err(MpiErrClass::ProcFailed)]);
-    let eps = eps.lock();
-    for (rank, ep) in eps.iter() {
+    let errs: Vec<_> = ranks.iter().filter_map(|(_, err)| *err).collect();
+    assert_eq!(errs, vec![Err(MpiErrClass::ProcFailed)]);
+    for (rank, (ep, _)) in ranks.iter().enumerate() {
         let pv = openmpi_core::pvar_snapshot(ep);
-        if *rank == 1 {
+        if rank == 1 {
             assert_eq!(pv.get("rel.retransmits"), Some(2), "both retries spent");
             assert_eq!(pv.get("rel.gave_up"), Some(1));
             assert_eq!(pv.get("queues.failed_peers"), Some(1));
@@ -91,11 +87,7 @@ fn duplicate_control_frames_are_suppressed() {
     uni.tcp_net
         .inject_dup(openmpi_core::hdr::HdrType::FinAck, 1);
 
-    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
-    let e2 = eps.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
+    let (_, eps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let len = 64 << 10;
         let buf = mpi.alloc(len);
@@ -107,13 +99,13 @@ fn duplicate_control_frames_are_suppressed() {
             assert_eq!(mpi.read(&buf, 0, len), vec![0x5Au8; len]);
         }
         mpi.free(buf);
+        mpi.endpoint().clone()
     });
 
     assert_eq!(uni.tcp_net.stats().frames_duplicated, 1);
-    let eps = eps.lock();
-    for (rank, ep) in eps.iter() {
+    for (rank, ep) in eps.iter().enumerate() {
         let pv = openmpi_core::pvar_snapshot(ep);
-        if *rank == 0 {
+        if rank == 0 {
             // The sender saw the FIN_ACK twice and suppressed the replay.
             assert_eq!(pv.get("rel.dup_suppressed"), Some(1));
         }
@@ -175,18 +167,18 @@ fn unroutable_peer_fails_the_request_instead_of_panicking() {
             tcp: false,
         },
     );
-    let errs: Rc<qsim::Local<Vec<Result<(), MpiErrClass>>>> = Rc::new(qsim::Local::new(Vec::new()));
-    let errs2 = errs.clone();
-    uni.run_world(2, Placement::RoundRobin, move |mpi| {
-        if mpi.rank() == 0 {
+    let (_, errs) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
+        (mpi.rank() == 0).then(|| {
             let w = mpi.world();
             let buf = mpi.alloc(1024);
             let r = mpi.isend(&w, 1, 0, &buf, 1024);
-            errs2.lock().push(mpi.wait_result(r));
+            let err = mpi.wait_result(r);
             let pv = openmpi_core::pvar_snapshot(mpi.endpoint());
             assert_eq!(pv.get("rel.reqs_failed"), Some(1));
             mpi.free(buf);
-        }
+            err
+        })
     });
-    assert_eq!(*errs.lock(), vec![Err(MpiErrClass::NoTransport)]);
+    let errs: Vec<_> = errs.into_iter().flatten().collect();
+    assert_eq!(errs, vec![Err(MpiErrClass::NoTransport)]);
 }

@@ -1,9 +1,6 @@
 //! Cross-crate correctness matrix: random payloads through every protocol
 //! configuration, many ranks, mixed traffic patterns.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use openmpi_core::{
     CompletionMode, Placement, ProgressMode, RdmaScheme, StackConfig, Universe, ANY_SOURCE,
 };
@@ -107,9 +104,7 @@ fn thread_progress_random_payloads() {
 #[test]
 fn eight_rank_all_pairs() {
     let uni = Universe::paper_testbed(StackConfig::best());
-    let received = Rc::new(Cell::new(0));
-    let r2 = received.clone();
-    uni.run_world(8, Placement::RoundRobin, move |mpi| {
+    let (_, received) = uni.run_ranks(8, Placement::RoundRobin, move |mpi| {
         let w = mpi.world();
         let n = mpi.size();
         let me = mpi.rank();
@@ -126,6 +121,7 @@ fn eight_rank_all_pairs() {
             })
             .collect();
         let mut got = vec![false; n];
+        let mut received = 0;
         let rbuf = mpi.alloc(len);
         for _ in 0..n - 1 {
             let st = mpi.recv(&w, ANY_SOURCE, 77, &rbuf, len);
@@ -133,12 +129,13 @@ fn eight_rank_all_pairs() {
             assert!(data.iter().all(|&b| b == (st.source * 16 + me) as u8));
             assert!(!got[st.source], "duplicate from {}", st.source);
             got[st.source] = true;
-            r2.set(r2.get() + 1);
+            received += 1;
         }
         mpi.waitall(reqs);
         let _ = sbuf;
+        received
     });
-    assert_eq!(received.get(), 8 * 7);
+    assert_eq!(received.iter().sum::<usize>(), 8 * 7);
 }
 
 /// Typed (non-contiguous) data across the rendezvous path with both

@@ -2,10 +2,7 @@
 //! histograms fill during real traffic, the trace ring stays bounded, and
 //! the Chrome trace export is well-formed with per-rank monotone time.
 
-use std::rc::Rc;
-
 use openmpi_core::{chrome_trace_json, Metrics, Placement, StackConfig, TraceLog, Universe};
-use qsim::Local;
 
 /// Two-rank ping-pong of `iters` round trips of `len`-byte messages under
 /// `cfg`; returns each rank's metrics and trace ring plus the sim report.
@@ -14,32 +11,26 @@ fn pingpong(
     len: usize,
     iters: usize,
 ) -> (Vec<Metrics>, Vec<TraceLog>, qsim::Report) {
-    let rows: Rc<Local<Vec<(u32, Metrics, TraceLog)>>> = Rc::new(Local::new(Vec::new()));
-    let r2 = rows.clone();
-    let report = Universe::paper_testbed(cfg).run_world(2, Placement::RoundRobin, move |mpi| {
-        let w = mpi.world();
-        let sbuf = mpi.alloc(len.max(1));
-        let rbuf = mpi.alloc(len.max(1));
-        for _ in 0..iters {
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 0, &sbuf, len);
-                mpi.recv(&w, 1, 0, &rbuf, len);
-            } else {
-                mpi.recv(&w, 0, 0, &rbuf, len);
-                mpi.send(&w, 0, 0, &sbuf, len);
+    let (report, rows) =
+        Universe::paper_testbed(cfg).run_ranks(2, Placement::RoundRobin, move |mpi| {
+            let w = mpi.world();
+            let sbuf = mpi.alloc(len.max(1));
+            let rbuf = mpi.alloc(len.max(1));
+            for _ in 0..iters {
+                if mpi.rank() == 0 {
+                    mpi.send(&w, 1, 0, &sbuf, len);
+                    mpi.recv(&w, 1, 0, &rbuf, len);
+                } else {
+                    mpi.recv(&w, 0, 0, &rbuf, len);
+                    mpi.send(&w, 0, 0, &sbuf, len);
+                }
             }
-        }
-        let ep = mpi.endpoint();
-        r2.lock().push((
-            mpi.rank() as u32,
-            ep.metrics_snapshot(),
-            ep.trace.lock().clone(),
-        ));
-    });
-    let mut rows = std::mem::take(&mut *rows.lock());
-    rows.sort_by_key(|(r, ..)| *r);
-    let metrics = rows.iter().map(|(_, m, _)| m.clone()).collect();
-    let traces = rows.into_iter().map(|(_, _, t)| t).collect();
+            let ep = mpi.endpoint();
+            let metrics = ep.metrics_snapshot();
+            let trace = ep.trace.lock().clone();
+            (metrics, trace)
+        });
+    let (metrics, traces) = rows.into_iter().unzip();
     (metrics, traces, report)
 }
 
