@@ -9,7 +9,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use openmpi_core::{CvarValue, StackConfig, Transports, CVARS};
+use openmpi_core::{Counters, CvarValue, StackConfig, Transports, CVARS};
 
 use crate::measure::{self, Setup};
 use crate::{compare, EXPERIMENTS};
@@ -525,20 +525,45 @@ fn registry() -> Outcome {
     // A 1-rank world is enough: the registry is per-endpoint and the
     // values reported are the live ones after config application.
     let json = measure::introspect_registry(&paper());
-    let table = cvars_markdown();
-    let mut failures = snapshot_failures("cvars.md", &table);
+    let (cvars, counters) = (cvars_markdown(), counters_markdown());
+    let mut failures = snapshot_failures("cvars.md", &cvars);
+    failures.extend(snapshot_failures("counters.md", &counters));
     if !json.contains("\"cvars\":[{") || !json.contains("\"pvars\":[{") {
         failures.push("registry dump came up empty".to_string());
     }
     Outcome {
         summary: format!(
-            "{} bytes of cvar/pvar registry, {} cvars against results/cvars.md",
+            "{} bytes of cvar/pvar registry, {} cvars and {} counters against results/",
             json.len(),
-            CVARS.len()
+            CVARS.len(),
+            Counters::table().count()
         ),
-        docs: vec![("registry.json", json), ("cvars.md", table)],
+        docs: vec![
+            ("registry.json", json),
+            ("cvars.md", cvars),
+            ("counters.md", counters),
+        ],
         failures,
     }
+}
+
+/// The counter table as markdown, one line per counter:
+/// `results/counters.md`.
+fn counters_markdown() -> String {
+    let rows: String = Counters::table()
+        .map(|d| format!("| `{}` | {} | {} |\n", d.name, d.class, d.desc))
+        .collect();
+    format!(
+        "# Counters\n\n\
+         Every telemetry counter, one line each, rendered from the counter table in\n\
+         `crates/core/src/metrics.rs` by `harness gate registry`, which fails when\n\
+         this file differs. Refresh it with `cp gate-out/counters.md results/counters.md`.\n\
+         A counter's name is both its pvar and its key in `metrics.json`. Its class\n\
+         says which cluster aggregates mean something: `count` and `ns` (a summed\n\
+         duration) sum across ranks; `max` is a high-water mark, whose sum means\n\
+         nothing; `gauge` is a current level.\n\n\
+         | counter | class | description |\n|---|---|---|\n{rows}"
+    )
 }
 
 /// The knob table as markdown, one line per cvar: `results/cvars.md`.

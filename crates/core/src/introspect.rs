@@ -13,8 +13,9 @@
 //! - **pvars** ([`pvar_snapshot`]): live readouts of the
 //!   [`crate::metrics::Metrics`] counters and histograms plus queue depths
 //!   and in-flight DMA state, snapshottable as JSON mid-run. Counter pvars
-//!   read straight from `Metrics`, so a pvar can never disagree with the
-//!   metrics JSON (`metrics.json` from `harness gate telemetry`).
+//!   are the rows of the counter table in [`crate::metrics`], read from the
+//!   same snapshot as the metrics JSON (`metrics.json` from `harness gate
+//!   telemetry`) and under the same names, so the two cannot disagree.
 //! - **watchdog** ([`watchdog_tick`]): driven from the progress loop on the
 //!   sim clock (deterministic), it fingerprints every live request and, when
 //!   one makes no state transition for a configured number of scans, records
@@ -136,8 +137,8 @@ fn hist_vars(out: &mut Vec<(String, u64)>, name: &str, h: &crate::metrics::Histo
 
 /// Snapshot every pvar of `ep` without stopping the stack.
 ///
-/// Counter pvars read directly from the endpoint's [`crate::metrics::Metrics`]
-/// (the single source of truth), queue pvars from live
+/// Counter pvars are the rows of [`crate::metrics::Counters::table`], read
+/// from [`Endpoint::metrics_snapshot`]; queue pvars come from live
 /// [`crate::state::EpState`], and watchdog pvars from the introspection
 /// state.
 pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
@@ -182,75 +183,17 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
         ));
     }
 
-    // Telemetry counters: read from Metrics, never a second tally.
+    // Telemetry counters, one row each from the counter table. The
+    // snapshot merges in the registration cache's own `reg.*` tallies.
     {
-        let m = ep.metrics.lock();
-        let c = &m.counters;
-        for (name, v) in [
-            ("pml.eager_sent", c.eager_sent),
-            ("pml.rndv_sent", c.rndv_sent),
-            ("pml.recvs_posted", c.recvs_posted),
-            ("pml.matches", c.matches),
-            ("pml.unexpected_total", c.unexpected_total),
-            ("pml.unexpected_hwm", c.unexpected_hwm),
-            ("pml.frags_sent", c.frags_sent),
-            ("rdma.descriptors", c.rdma_descriptors),
-            ("rdma.bytes", c.rdma_bytes),
-            ("rdma.read_batches", c.rdma_read_batches),
-            ("rdma.write_batches", c.rdma_write_batches),
-            ("rdma.chained_completions", c.chained_completions),
-            ("progress.iterations", c.progress_iterations),
-            ("rel.retransmits", c.retransmits),
-            ("rel.dup_suppressed", c.dup_suppressed),
-            ("rel.gave_up", c.gave_up),
-            ("rel.corrupt_frames", c.corrupt_frames),
-            ("rel.ctl_acks_sent", c.ctl_acks_sent),
-            ("rel.reqs_failed", c.reqs_failed),
-            ("rel.errs_surfaced", c.errs_surfaced),
-            ("pipe.started", c.pipe_started),
-            ("pipe.fallback", c.pipe_fallback),
-            ("pipe.chunks_issued", c.pipe_chunks_issued),
-            ("pipe.chunks_landed", c.pipe_chunks_landed),
-            ("pipe.depth_hwm", c.pipe_depth_hwm),
-            ("pipe.reg_overlap_ns", c.pipe_reg_overlap_ns),
-            ("flow.sends_queued", c.flow_sends_queued),
-            ("flow.queued_ns", c.flow_queued_ns),
-            ("flow.credits_consumed", c.flow_credits_consumed),
-            ("flow.credits_returned", c.flow_credits_returned),
-            ("flow.credit_frames", c.flow_credit_frames),
-            ("flow.piggybacked", c.flow_piggybacked),
-            ("flow.grant_deferrals", c.flow_grant_deferrals),
-            ("flow.dma_waits", c.flow_dma_waits),
-            ("flow.pool_hits", c.flow_pool_hits),
-            ("flow.pool_fallbacks", c.flow_pool_fallbacks),
-            ("coll.nic_programs", c.coll_nic_programs),
-            ("coll.nic_offloaded", c.coll_nic_offloaded),
-            ("coll.nic_fallbacks", c.coll_nic_fallbacks),
-            ("coll.hw_bcasts", c.coll_hw_bcasts),
-        ] {
-            vars.push((name.to_string(), v));
-        }
-        for (kind, v) in crate::metrics::CONTROL_KINDS.iter().zip(c.control_sent) {
-            vars.push((format!("control.{kind}"), v));
-        }
-        for (op, v) in crate::metrics::COLL_OPS.iter().zip(c.coll) {
-            vars.push((format!("coll.ops.{}", op.name()), v));
-        }
+        let m = ep.metrics_snapshot();
+        vars.extend(m.counters.rows().map(|(name, v)| (name.to_string(), v)));
         hist_vars(&mut vars, "match_time", &m.match_time);
         hist_vars(&mut vars, "rndv_handshake", &m.rndv_handshake);
         hist_vars(&mut vars, "completion_time", &m.completion_time);
     }
-
-    // Registration cache: authoritative stats live in the cache itself
-    // (counted even with telemetry off), not the Metrics tally.
-    {
-        let r = ep.reg_stats();
-        vars.push(("reg.hits".into(), r.hits));
-        vars.push(("reg.misses".into(), r.misses));
-        vars.push(("reg.evictions".into(), r.evictions));
-        vars.push(("reg.mapped_bytes".into(), r.mapped_bytes));
-        vars.push(("reg.entries".into(), r.entries));
-    }
+    // The registration cache's live entry count: a level, not a counter.
+    vars.push(("reg.entries".into(), ep.reg_stats().entries));
 
     // Watchdog state.
     {

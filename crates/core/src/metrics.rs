@@ -3,190 +3,238 @@
 //!
 //! Everything here is plain data guarded by the endpoint's metrics lock and
 //! is only touched when [`crate::StackConfig::metrics`] is set, so the
-//! default fast path stays free of the bookkeeping. Snapshots serialize to
-//! JSON by hand (the repository carries no serde), shaped for the
-//! `metrics.json` document of `harness gate telemetry`.
+//! default fast path stays free of the bookkeeping. Each counter is one row
+//! of the `counters!` table below, or one kind of [`ControlKind`] or
+//! [`CollOp`]: the row yields the [`Counters`] field and the one dotted name
+//! under which `metrics.json`, the pvars and `results/counters.md` show it.
 
 use qsim::Dur;
 
-/// Collective operations tallied per endpoint.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum CollOp {
-    Barrier,
-    Bcast,
-    BcastHw,
-    Scatter,
-    Reduce,
-    Allreduce,
-    Gather,
-    Allgather,
-    Alltoall,
-    Scan,
-    ReduceScatter,
-    Gatherv,
-    Alltoallv,
+/// One row of the counter table.
+pub struct CounterDef {
+    /// Dotted name, e.g. `pml.eager_sent`: the pvar and the JSON key.
+    pub name: &'static str,
+    /// `count`, `ns` (a summed duration), `max` (a high-water mark, whose
+    /// cluster sum means nothing) or `gauge` (a current level).
+    pub class: &'static str,
+    /// The row's doc comment on one line.
+    pub desc: &'static str,
+    get: fn(&Counters) -> u64,
 }
 
-/// All collective kinds, in counter order.
-pub const COLL_OPS: [CollOp; 13] = [
-    CollOp::Barrier,
-    CollOp::Bcast,
-    CollOp::BcastHw,
-    CollOp::Scatter,
-    CollOp::Reduce,
-    CollOp::Allreduce,
-    CollOp::Gather,
-    CollOp::Allgather,
-    CollOp::Alltoall,
-    CollOp::Scan,
-    CollOp::ReduceScatter,
-    CollOp::Gatherv,
-    CollOp::Alltoallv,
-];
-
-impl CollOp {
-    /// Stable name used in JSON output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CollOp::Barrier => "barrier",
-            CollOp::Bcast => "bcast",
-            CollOp::BcastHw => "bcast_hw",
-            CollOp::Scatter => "scatter",
-            CollOp::Reduce => "reduce",
-            CollOp::Allreduce => "allreduce",
-            CollOp::Gather => "gather",
-            CollOp::Allgather => "allgather",
-            CollOp::Alltoall => "alltoall",
-            CollOp::Scan => "scan",
-            CollOp::ReduceScatter => "reduce_scatter",
-            CollOp::Gatherv => "gatherv",
-            CollOp::Alltoallv => "alltoallv",
+/// An enum of kinds, each counted in its own slot of the [`Counters`]
+/// array `field`: the enum, its list in slot order, each kind's name, and
+/// one `count` row per kind, named `prefix` + name and described by the
+/// enum's doc comment.
+macro_rules! counter_kinds {
+    (
+        $(#[doc = $doc:literal])*
+        $ty:ident, $all:ident, $rows:ident: $field:ident as $prefix:literal {
+            $($variant:ident => $name:literal,)*
         }
+    ) => {
+        $(#[doc = $doc])*
+        #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+        #[allow(missing_docs)]
+        pub enum $ty {
+            $($variant,)*
+        }
+
+        #[doc = concat!("Every [`", stringify!($ty), "`], in slot order.")]
+        pub const $all: &[$ty] = &[$($ty::$variant),*];
+
+        impl $ty {
+            const DESC: &'static str = concat!($($doc),*).trim_ascii();
+
+            /// Stable name: the last part of the kind's counter name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+
+        const $rows: &[CounterDef] = &[$(
+            CounterDef {
+                name: concat!($prefix, $name),
+                class: "count",
+                desc: $ty::DESC,
+                get: |c| c.$field[$ty::$variant as usize],
+            },
+        )*];
+    };
+}
+
+counter_kinds! {
+    /// Control frames sent, counted by kind (CREDIT_RETURN is `credit`).
+    /// NIC-fired chained frames count too.
+    ControlKind, CONTROL_KINDS, CONTROL_ROWS: control_sent as "control." {
+        Ack => "ack", Fin => "fin", FinAck => "fin_ack", Completion => "completion",
+        Credit => "credit",
     }
 }
 
-/// Control-message kinds tallied by [`Counters::control_sent`].
-pub const CONTROL_KINDS: [&str; 5] = ["ack", "fin", "fin_ack", "completion", "credit"];
+counter_kinds! {
+    /// Collective calls entered, counted by operation. Composed collectives
+    /// also count the primitives they delegate to.
+    CollOp, COLL_OPS, COLL_ROWS: coll as "coll.ops." {
+        Barrier => "barrier", Bcast => "bcast", BcastHw => "bcast_hw", Scatter => "scatter",
+        Reduce => "reduce", Allreduce => "allreduce", Gather => "gather",
+        Allgather => "allgather", Alltoall => "alltoall", Scan => "scan",
+        ReduceScatter => "reduce_scatter", Gatherv => "gatherv", Alltoallv => "alltoallv",
+    }
+}
 
-/// Behavioural counters for one endpoint.
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
+/// The counter table. A row is the counter's docs, then
+/// `field: class = "pvar.name";`.
+macro_rules! counters {
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident: $class:ident = $name:literal;
+    )*) => {
+        /// Behavioural counters for one endpoint.
+        #[derive(Clone, Debug, Default)]
+        pub struct Counters {
+            $($(#[doc = $doc])* pub $field: u64,)*
+            /// Control messages sent, indexed by [`ControlKind`].
+            pub control_sent: [u64; CONTROL_KINDS.len()],
+            /// Collective operations entered, indexed by [`CollOp`].
+            pub coll: [u64; COLL_OPS.len()],
+        }
+
+        /// The scalar counters, in table order.
+        const SCALAR_ROWS: &[CounterDef] = &[$(
+            CounterDef {
+                name: $name,
+                class: stringify!($class),
+                desc: concat!($($doc),*).trim_ascii(),
+                get: |c| c.$field,
+            },
+        )*];
+    };
+}
+
+counters! {
     /// Sends that took the eager path.
-    pub eager_sent: u64,
+    eager_sent: count = "pml.eager_sent";
     /// Sends that took the rendezvous path.
-    pub rndv_sent: u64,
+    rndv_sent: count = "pml.rndv_sent";
     /// Receives posted.
-    pub recvs_posted: u64,
+    recvs_posted: count = "pml.recvs_posted";
     /// First fragments matched to a posted receive.
-    pub matches: u64,
+    matches: count = "pml.matches";
     /// First fragments that landed in the unexpected queue.
-    pub unexpected_total: u64,
+    unexpected_total: count = "pml.unexpected_total";
     /// High-water mark of any communicator's unexpected-queue depth.
-    pub unexpected_hwm: u64,
-    /// RDMA descriptors handed to the NIC.
-    pub rdma_descriptors: u64,
-    /// Bytes covered by those descriptors.
-    pub rdma_bytes: u64,
-    /// RDMA read batches issued (read scheme: one per matched pull).
-    pub rdma_read_batches: u64,
-    /// RDMA write batches issued (write scheme: one per ACK handled).
-    pub rdma_write_batches: u64,
+    unexpected_hwm: max = "pml.unexpected_hwm";
     /// Push fragments sent over non-RDMA transports (the TCP PTL).
-    pub frags_sent: u64,
+    frags_sent: count = "pml.frags_sent";
+    /// RDMA descriptors handed to the NIC.
+    rdma_descriptors: count = "rdma.descriptors";
+    /// Bytes covered by the RDMA descriptors.
+    rdma_bytes: count = "rdma.bytes";
+    /// RDMA read batches issued (read scheme: one per matched pull).
+    rdma_read_batches: count = "rdma.read_batches";
+    /// RDMA write batches issued (write scheme: one per ACK handled).
+    rdma_write_batches: count = "rdma.write_batches";
     /// Chained-QDMA completion tokens observed on the shared queue.
-    pub chained_completions: u64,
-    /// Control messages by kind: `[ack, fin, fin_ack, completion, credit]`,
-    /// indexed as [`CONTROL_KINDS`]. Includes NIC-fired chained messages.
-    pub control_sent: [u64; 5],
+    chained_completions: count = "rdma.chained_completions";
     /// Progress-engine sweeps (polling passes and progress-thread loops).
-    pub progress_iterations: u64,
+    progress_iterations: count = "progress.iterations";
     /// Control frames retransmitted after a reliability timeout.
-    pub retransmits: u64,
+    retransmits: count = "rel.retransmits";
     /// Redelivered control frames suppressed as duplicates.
-    pub dup_suppressed: u64,
+    dup_suppressed: count = "rel.dup_suppressed";
     /// Control frames abandoned after exhausting retransmission retries
     /// (each marks its peer failed).
-    pub gave_up: u64,
+    gave_up: count = "rel.gave_up";
     /// Incoming frames dropped because their header failed to decode.
-    pub corrupt_frames: u64,
+    corrupt_frames: count = "rel.corrupt_frames";
     /// Reliability receipts (CTL_ACK) sent back for sequence-stamped
     /// control frames.
-    pub ctl_acks_sent: u64,
+    ctl_acks_sent: count = "rel.ctl_acks_sent";
     /// Requests completed with an error status instead of a payload
     /// (failed peer, no transport).
-    pub reqs_failed: u64,
+    reqs_failed: count = "rel.reqs_failed";
     /// Request errors actually surfaced to the application through
     /// `wait_result` / `waitany_result` / `waitall_result` / an
-    /// error-carrying `Status`. Bounded by [`Counters::reqs_failed`]; a
-    /// persistent gap means errors are being dropped on the floor.
-    pub errs_surfaced: u64,
-    /// Registration-cache hits (mapping reused). Maintained by
-    /// [`crate::regcache`] and merged into snapshots; always counted,
-    /// independent of the metrics gate.
-    pub reg_hits: u64,
+    /// error-carrying `Status`. Bounded by `rel.reqs_failed`; a persistent
+    /// gap means errors are being dropped on the floor.
+    errs_surfaced: count = "rel.errs_surfaced";
+    /// Registration-cache hits (mapping reused). The cache counts them,
+    /// independent of the metrics gate, and `Endpoint::metrics_snapshot`
+    /// merges them in.
+    reg_hits: count = "reg.hits";
     /// Registration-cache misses (new mapping charged).
-    pub reg_misses: u64,
+    reg_misses: count = "reg.misses";
     /// Idle cached mappings torn down by capacity pressure.
-    pub reg_evictions: u64,
+    reg_evictions: count = "reg.evictions";
     /// Bytes currently covered by cached mappings.
-    pub reg_mapped_bytes: u64,
+    reg_mapped_bytes: gauge = "reg.mapped_bytes";
     /// Rendezvous bulk transfers that went through the pipelined chunk
     /// engine.
-    pub pipe_started: u64,
+    pipe_started: count = "pipe.started";
     /// Rendezvous bulk transfers eligible by scheme but kept monolithic
     /// (pipelining disabled, or the share below `pipe.min_len`).
-    pub pipe_fallback: u64,
+    pipe_fallback: count = "pipe.fallback";
     /// Pipeline chunks handed to the NIC.
-    pub pipe_chunks_issued: u64,
+    pipe_chunks_issued: count = "pipe.chunks_issued";
     /// Pipeline chunk completions observed.
-    pub pipe_chunks_landed: u64,
+    pipe_chunks_landed: count = "pipe.chunks_landed";
     /// Deepest any one pipeline's in-flight chunk count ever got.
-    pub pipe_depth_hwm: u64,
+    pipe_depth_hwm: max = "pipe.depth_hwm";
     /// Registration time charged while at least one chunk of the same
     /// pipeline was in flight — pin-down latency hidden behind the wire.
-    pub pipe_reg_overlap_ns: u64,
+    pipe_reg_overlap_ns: ns = "pipe.reg_overlap_ns";
     /// Eager sends parked locally because the peer was out of credits.
-    pub flow_sends_queued: u64,
+    flow_sends_queued: count = "flow.sends_queued";
     /// Total virtual time sends spent parked in flow queues.
-    pub flow_queued_ns: u64,
+    flow_queued_ns: ns = "flow.queued_ns";
     /// Credits consumed by local eager sends.
-    pub flow_credits_consumed: u64,
+    flow_credits_consumed: count = "flow.credits_consumed";
     /// Credits received back from peers (piggybacked + explicit).
-    pub flow_credits_returned: u64,
+    flow_credits_returned: count = "flow.credits_returned";
     /// Explicit CREDIT_RETURN frames sent (the starvation escape hatch).
-    pub flow_credit_frames: u64,
+    flow_credit_frames: count = "flow.credit_frames";
     /// Credits that rode along on ACK/FIN_ACK frames at zero wire cost.
-    pub flow_piggybacked: u64,
+    flow_piggybacked: count = "flow.piggybacked";
     /// Never incremented. Kept only because the benchmark's layer table
-    /// still reads it; drop it and its `flow.grant_deferrals` pvar with
-    /// the next benchmark change.
-    pub flow_grant_deferrals: u64,
+    /// still reads it; drop its row with the next benchmark change.
+    flow_grant_deferrals: count = "flow.grant_deferrals";
     /// Sends that blocked on the endpoint-wide outstanding-DMA cap.
-    pub flow_dma_waits: u64,
+    flow_dma_waits: count = "flow.dma_waits";
     /// Unexpected payloads staged in a preallocated bounce-pool slot.
-    pub flow_pool_hits: u64,
+    flow_pool_hits: count = "flow.pool_hits";
     /// Unexpected payloads that fell back to a charged per-message
     /// allocation because the pool was dry (or the region oversize).
-    pub flow_pool_fallbacks: u64,
-    /// Collective operations entered, indexed as [`COLL_OPS`].
-    pub coll: [u64; 13],
+    flow_pool_fallbacks: count = "flow.pool_fallbacks";
     /// NIC-resident collective event programs compiled and armed (one per
     /// distinct communicator/shape, reused across calls).
-    pub coll_nic_programs: u64,
+    coll_nic_programs: count = "coll.nic_programs";
     /// Collectives that ran on a NIC-resident chained-event program.
-    pub coll_nic_offloaded: u64,
+    coll_nic_offloaded: count = "coll.nic_offloaded";
     /// Collectives that wanted NIC offload but fell back to the host-driven
     /// path (TCP-only routes, unsupported op, oversize payload, ...).
-    pub coll_nic_fallbacks: u64,
+    coll_nic_fallbacks: count = "coll.nic_fallbacks";
     /// Broadcasts sent over the hardware broadcast rail.
-    pub coll_hw_bcasts: u64,
+    coll_hw_bcasts: count = "coll.hw_bcasts";
 }
 
 impl Counters {
-    /// Add one control message by header-kind name index.
-    pub fn control(&mut self, idx: usize) {
-        self.control_sent[idx] += 1;
+    /// Every row of the counter table: the scalar counters, then
+    /// `control.<kind>`, then `coll.ops.<op>`.
+    pub fn table() -> impl Iterator<Item = &'static CounterDef> {
+        SCALAR_ROWS.iter().chain(CONTROL_ROWS).chain(COLL_ROWS)
+    }
+
+    /// Every counter as `(name, value)`, in [`Counters::table`] order.
+    pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Self::table().map(move |d| (d.name, (d.get)(self)))
+    }
+
+    /// Add one control message of `kind`.
+    pub fn control(&mut self, kind: ControlKind) {
+        self.control_sent[kind as usize] += 1;
     }
 
     /// Raise the unexpected-queue high-water mark to `depth`.
@@ -361,88 +409,18 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Serialize everything as one JSON object.
+    /// Serialize everything as one JSON object: every counter row under
+    /// its dotted name, then the histograms.
     pub fn to_json(&self) -> String {
-        let c = &self.counters;
-        let control: Vec<String> = CONTROL_KINDS
-            .iter()
-            .zip(c.control_sent.iter())
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        let coll: Vec<String> = COLL_OPS
-            .iter()
-            .zip(c.coll.iter())
-            .filter(|(_, v)| **v > 0)
-            .map(|(k, v)| format!("\"{}\":{v}", k.name()))
+        let counters: Vec<String> = self
+            .counters
+            .rows()
+            .map(|(name, v)| format!("\"{name}\":{v}"))
             .collect();
         format!(
-            "{{\"counters\":{{\"eager_sent\":{},\"rndv_sent\":{},\"recvs_posted\":{},\
-             \"matches\":{},\"unexpected_total\":{},\"unexpected_hwm\":{},\
-             \"rdma_descriptors\":{},\"rdma_bytes\":{},\"rdma_read_batches\":{},\
-             \"rdma_write_batches\":{},\"frags_sent\":{},\"chained_completions\":{},\
-             \"control_sent\":{{{}}},\"progress_iterations\":{},\
-             \"retransmits\":{},\"dup_suppressed\":{},\"gave_up\":{},\
-             \"corrupt_frames\":{},\"ctl_acks_sent\":{},\"reqs_failed\":{},\
-             \"errs_surfaced\":{},\"reg_hits\":{},\"reg_misses\":{},\
-             \"reg_evictions\":{},\"reg_mapped_bytes\":{},\
-             \"pipe_started\":{},\"pipe_fallback\":{},\
-             \"pipe_chunks_issued\":{},\"pipe_chunks_landed\":{},\
-             \"pipe_depth_hwm\":{},\"pipe_reg_overlap_ns\":{},\
-             \"flow_sends_queued\":{},\"flow_queued_ns\":{},\
-             \"flow_credits_consumed\":{},\"flow_credits_returned\":{},\
-             \"flow_credit_frames\":{},\"flow_piggybacked\":{},\
-             \"flow_grant_deferrals\":{},\"flow_dma_waits\":{},\
-             \"flow_pool_hits\":{},\"flow_pool_fallbacks\":{},\
-             \"coll_nic_programs\":{},\"coll_nic_offloaded\":{},\
-             \"coll_nic_fallbacks\":{},\"coll_hw_bcasts\":{},\
-             \"coll\":{{{}}}}},\
-             \"histograms\":{{\"match_time\":{},\"rndv_handshake\":{},\"completion_time\":{}}}}}",
-            c.eager_sent,
-            c.rndv_sent,
-            c.recvs_posted,
-            c.matches,
-            c.unexpected_total,
-            c.unexpected_hwm,
-            c.rdma_descriptors,
-            c.rdma_bytes,
-            c.rdma_read_batches,
-            c.rdma_write_batches,
-            c.frags_sent,
-            c.chained_completions,
-            control.join(","),
-            c.progress_iterations,
-            c.retransmits,
-            c.dup_suppressed,
-            c.gave_up,
-            c.corrupt_frames,
-            c.ctl_acks_sent,
-            c.reqs_failed,
-            c.errs_surfaced,
-            c.reg_hits,
-            c.reg_misses,
-            c.reg_evictions,
-            c.reg_mapped_bytes,
-            c.pipe_started,
-            c.pipe_fallback,
-            c.pipe_chunks_issued,
-            c.pipe_chunks_landed,
-            c.pipe_depth_hwm,
-            c.pipe_reg_overlap_ns,
-            c.flow_sends_queued,
-            c.flow_queued_ns,
-            c.flow_credits_consumed,
-            c.flow_credits_returned,
-            c.flow_credit_frames,
-            c.flow_piggybacked,
-            c.flow_grant_deferrals,
-            c.flow_dma_waits,
-            c.flow_pool_hits,
-            c.flow_pool_fallbacks,
-            c.coll_nic_programs,
-            c.coll_nic_offloaded,
-            c.coll_nic_fallbacks,
-            c.coll_hw_bcasts,
-            coll.join(","),
+            "{{\"counters\":{{{}}},\"histograms\":{{\"match_time\":{},\
+             \"rndv_handshake\":{},\"completion_time\":{}}}}}",
+            counters.join(","),
             self.match_time.to_json(),
             self.rndv_handshake.to_json(),
             self.completion_time.to_json(),
@@ -559,7 +537,7 @@ mod tests {
     fn json_shape_is_stable() {
         let mut m = Metrics::default();
         m.counters.eager_sent = 3;
-        m.counters.control(0);
+        m.counters.control(ControlKind::Ack);
         m.counters.coll[CollOp::Bcast as usize] = 2;
         m.counters.retransmits = 1;
         m.counters.corrupt_frames = 4;
@@ -567,7 +545,7 @@ mod tests {
         m.counters.pipe_started = 2;
         m.counters.pipe_chunks_issued = 9;
         m.counters.pipe_depth(3);
-        m.counters.control(4);
+        m.counters.control(ControlKind::Credit);
         m.counters.flow_sends_queued = 5;
         m.counters.flow_credits_consumed = 12;
         m.counters.flow_piggybacked = 6;
@@ -577,41 +555,26 @@ mod tests {
         m.match_time.record(Dur::from_ns(300));
         let j = m.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"eager_sent\":3"));
-        assert!(j.contains("\"ack\":1"));
-        assert!(j.contains("\"bcast\":2"));
-        assert!(j.contains("\"retransmits\":1"));
-        assert!(j.contains("\"dup_suppressed\":0"));
-        assert!(j.contains("\"gave_up\":0"));
-        assert!(j.contains("\"corrupt_frames\":4"));
-        assert!(j.contains("\"ctl_acks_sent\":0"));
-        assert!(j.contains("\"reqs_failed\":0"));
-        assert!(j.contains("\"errs_surfaced\":0"));
-        assert!(j.contains("\"reg_hits\":7"));
-        assert!(j.contains("\"reg_misses\":0"));
-        assert!(j.contains("\"reg_evictions\":0"));
-        assert!(j.contains("\"reg_mapped_bytes\":0"));
-        assert!(j.contains("\"pipe_started\":2"));
-        assert!(j.contains("\"pipe_fallback\":0"));
-        assert!(j.contains("\"pipe_chunks_issued\":9"));
-        assert!(j.contains("\"pipe_chunks_landed\":0"));
-        assert!(j.contains("\"pipe_depth_hwm\":3"));
-        assert!(j.contains("\"pipe_reg_overlap_ns\":0"));
-        assert!(j.contains("\"credit\":1"));
-        assert!(j.contains("\"flow_sends_queued\":5"));
-        assert!(j.contains("\"flow_queued_ns\":0"));
-        assert!(j.contains("\"flow_credits_consumed\":12"));
-        assert!(j.contains("\"flow_credits_returned\":0"));
-        assert!(j.contains("\"flow_credit_frames\":0"));
-        assert!(j.contains("\"flow_piggybacked\":6"));
-        assert!(j.contains("\"flow_grant_deferrals\":0"));
-        assert!(j.contains("\"flow_dma_waits\":0"));
-        assert!(j.contains("\"flow_pool_hits\":11"));
-        assert!(j.contains("\"flow_pool_fallbacks\":0"));
-        assert!(j.contains("\"coll_nic_programs\":1"));
-        assert!(j.contains("\"coll_nic_offloaded\":8"));
-        assert!(j.contains("\"coll_nic_fallbacks\":0"));
-        assert!(j.contains("\"coll_hw_bcasts\":0"));
+        // 44 scalar counters, 5 control kinds, 13 collective ops.
+        assert_eq!(m.counters.rows().count(), 44 + 5 + 13);
+        for ((name, v), def) in m.counters.rows().zip(Counters::table()) {
+            let key = format!("\"{name}\":");
+            assert_eq!(j.matches(&key).count(), 1, "{name} appears once");
+            let rest = &j[j.find(&key).unwrap() + key.len()..];
+            let end = rest.find([',', '}']).unwrap();
+            assert_eq!(&rest[..end], v.to_string(), "{name} value");
+            assert!(!def.desc.is_empty(), "{name} has docs");
+            assert!(
+                ["count", "ns", "max", "gauge"].contains(&def.class),
+                "{name} class"
+            );
+        }
+        // Every value written above reaches a row.
+        let total: u64 = m.counters.rows().map(|(_, v)| v).sum();
+        assert_eq!(
+            total,
+            3 + 1 + 2 + 1 + 4 + 7 + 2 + 9 + 3 + 1 + 5 + 12 + 6 + 11 + 1 + 8
+        );
         assert!(j.contains("\"match_time\":{\"count\":1"));
     }
 }

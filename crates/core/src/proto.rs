@@ -17,6 +17,7 @@ use crate::comm::Communicator;
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme};
 use crate::endpoint::Endpoint;
 use crate::hdr::{Hdr, HdrType, HDR_LEN, MAX_INLINE};
+use crate::metrics::ControlKind;
 use crate::state::{
     DmaRole, EpState, InflightCtl, MatchInfo, MpiErrClass, PendingDma, PipeChunk, PipeState,
     QueuedSend, RecvReq, SendReq, TcpPush, UnexpectedFrag,
@@ -685,7 +686,7 @@ pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
     // frame is receipted (always — the previous receipt may itself have been
     // lost) and then deduplicated, making redelivery idempotent before any
     // handler can double-credit or double-complete.
-    if ep.cfg.tcp_reliability && control_idx(hdr.kind).is_some() && hdr.tag != 0 {
+    if ep.cfg.tcp_reliability && control_kind(hdr.kind).is_some() && hdr.tag != 0 {
         let origin = ProcName {
             job: ompi_rte::JobId(hdr.ctx),
             rank: hdr.src_rank as usize,
@@ -727,7 +728,7 @@ pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
                     st.send_reqs.get(&hdr.send_req).map(|r| r.dst)
                 };
                 if let Some(peer) = peer {
-                    flow_credits_in(proc, ep, peer, hdr.e4_vpid as usize, true);
+                    flow_credits_in(proc, ep, peer, hdr.e4_vpid as usize);
                 }
             }
             credit_send(proc, ep, hdr.send_req, hdr.offset as usize)
@@ -758,7 +759,7 @@ pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
                 job: ompi_rte::JobId(hdr.ctx),
                 rank: hdr.src_rank as usize,
             };
-            flow_credits_in(proc, ep, origin, hdr.seq as usize, false);
+            flow_credits_in(proc, ep, origin, hdr.seq as usize);
         }
     }
 }
@@ -1245,7 +1246,7 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
     };
     first_receiver_contact(proc, ep, sid);
     if piggyback > 0 {
-        flow_credits_in(proc, ep, peer.name, piggyback as usize, true);
+        flow_credits_in(proc, ep, peer.name, piggyback as usize);
     }
 
     if range_start + range_len > msg_len {
@@ -1742,7 +1743,7 @@ fn send_frame(
     // can receipt and deduplicate. Elan-routed control frames ride reliable
     // hardware and stay unstamped (tag 0).
     let reliable =
-        matches!(route, Route::Tcp) && ep.cfg.tcp_reliability && control_idx(hdr.kind).is_some();
+        matches!(route, Route::Tcp) && ep.cfg.tcp_reliability && control_kind(hdr.kind).is_some();
     if reliable {
         let rel_seq = {
             let mut st = ep.state.lock();
@@ -1756,11 +1757,9 @@ fn send_frame(
     }
     frame[..HDR_LEN].copy_from_slice(&hdr.to_bytes());
     if ep.tunables.metrics() {
-        ep.metric(|m| {
-            if let Some(i) = control_idx(hdr.kind) {
-                m.counters.control(i);
-            }
-        });
+        if let Some(kind) = control_kind(hdr.kind) {
+            ep.metric(|m| m.counters.control(kind));
+        }
         let kind = match route {
             Route::Elan { rail } => crate::ptl::PtlKind::Elan4 { rail },
             Route::Tcp => crate::ptl::PtlKind::Tcp,
@@ -1861,11 +1860,9 @@ fn issue_rdma(
     // the NIC fires it off the final RDMA without host involvement. It
     // bypasses `send_frame`, so the control counter is bumped here.
     if ep.cfg.chained_fin {
-        ep.metric(|m| {
-            if let Some(i) = control_idx(control.kind) {
-                m.counters.control(i);
-            }
-        });
+        if let Some(kind) = control_kind(control.kind) {
+            ep.metric(|m| m.counters.control(kind));
+        }
         event.chain_qdma(QdmaSpec::to_queue(
             e_peer.vpid,
             e_peer.main_q,
@@ -1915,7 +1912,7 @@ fn issue_rdma(
             };
             let mut tok_hdr = Hdr::new(HdrType::Completion);
             tok_hdr.e4_va = token;
-            ep.metric(|m| m.counters.control(3));
+            ep.metric(|m| m.counters.control(ControlKind::Completion));
             event.chain_qdma(QdmaSpec::to_queue(my_elan.vpid, q, tok_hdr.frame(&[]), 0));
         }
     }
@@ -2289,11 +2286,9 @@ fn pipe_issue_chunk(
             // The NIC fires the FIN/FIN_ACK off the final chunk without
             // host involvement. It bypasses `send_frame`, so the control
             // counter is bumped here.
-            ep.metric(|m| {
-                if let Some(i) = control_idx(ctl.kind) {
-                    m.counters.control(i);
-                }
-            });
+            if let Some(kind) = control_kind(ctl.kind) {
+                ep.metric(|m| m.counters.control(kind));
+            }
             event.chain_qdma(QdmaSpec::to_queue(
                 e_peer.vpid,
                 e_peer.main_q,
@@ -2324,7 +2319,7 @@ fn pipe_issue_chunk(
             };
             let mut tok_hdr = Hdr::new(HdrType::Completion);
             tok_hdr.e4_va = token;
-            ep.metric(|m| m.counters.control(3));
+            ep.metric(|m| m.counters.control(ControlKind::Completion));
             event.chain_qdma(QdmaSpec::to_queue(my_elan.vpid, q, tok_hdr.frame(&[]), 0));
         }
     }
@@ -2582,17 +2577,17 @@ fn rail_chunks(len: usize, rails: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Index of a control-message kind in [`crate::metrics::CONTROL_KINDS`].
-fn control_idx(kind: HdrType) -> Option<usize> {
+/// The control kind a frame counts as; `None` for data and CTL_ACK/NACK frames.
+fn control_kind(kind: HdrType) -> Option<ControlKind> {
     match kind {
-        HdrType::Ack => Some(0),
-        HdrType::Fin => Some(1),
-        HdrType::FinAck => Some(2),
-        HdrType::Completion => Some(3),
+        HdrType::Ack => Some(ControlKind::Ack),
+        HdrType::Fin => Some(ControlKind::Fin),
+        HdrType::FinAck => Some(ControlKind::FinAck),
+        HdrType::Completion => Some(ControlKind::Completion),
         // Losing a credit return would wedge the sender's window shut, so
         // explicit returns ride the retransmit buffer like the rest of the
         // control plane.
-        HdrType::CreditReturn => Some(4),
+        HdrType::CreditReturn => Some(ControlKind::Credit),
         _ => None,
     }
 }
@@ -2709,7 +2704,7 @@ fn stamp_ack_credits(ep: &Rc<Endpoint>, peer: ProcName, ack: &mut Hdr) {
 /// Sender side: `n` credits came back from `peer` (piggybacked or via an
 /// explicit CREDIT_RETURN). Restock the window and drain any sends parked
 /// on it.
-fn flow_credits_in(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName, n: usize, _piggyback: bool) {
+fn flow_credits_in(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName, n: usize) {
     if n == 0 || !ep.tunables.flow_enable() {
         return;
     }

@@ -226,26 +226,21 @@ fn clean_run_zero_stalls_and_pvar_totals_match_metrics() {
     assert_eq!(report.cluster.ranks, 4);
     assert_eq!(report.snapshots.len(), 4);
 
-    // The aggregation and the metrics plane come from the same run: sums
-    // must agree counter for counter.
-    type Counter = fn(&openmpi_core::Metrics) -> u64;
-    let checks: [(&str, Counter); 5] = [
-        ("pml.eager_sent", |m| m.counters.eager_sent),
-        ("pml.rndv_sent", |m| m.counters.rndv_sent),
-        ("pml.recvs_posted", |m| m.counters.recvs_posted),
-        ("rdma.bytes", |m| m.counters.rdma_bytes),
-        ("progress.iterations", |m| m.counters.progress_iterations),
-    ];
-    for (pvar, counter) in checks {
+    // The aggregation and the metrics plane come from the same run: sums,
+    // minima and maxima must agree for every row of the counter table.
+    let per_rank: Vec<Vec<(&str, u64)>> = telemetry
+        .per_rank
+        .iter()
+        .map(|m| m.counters.rows().collect())
+        .collect();
+    for (i, &(pvar, _)) in per_rank[0].iter().enumerate() {
         let agg = report.cluster.get(pvar).unwrap_or_else(|| {
             panic!("{pvar} aggregated");
         });
-        let expect: u64 = telemetry.per_rank.iter().map(counter).sum();
-        assert_eq!(agg.sum, expect, "{pvar} cluster sum");
-        let max: u64 = telemetry.per_rank.iter().map(counter).max().unwrap();
-        let min: u64 = telemetry.per_rank.iter().map(counter).min().unwrap();
-        assert_eq!(agg.max, max, "{pvar} cluster max");
-        assert_eq!(agg.min, min, "{pvar} cluster min");
+        let values: Vec<u64> = per_rank.iter().map(|rows| rows[i].1).collect();
+        assert_eq!(agg.sum, values.iter().sum::<u64>(), "{pvar} cluster sum");
+        assert_eq!(agg.max, *values.iter().max().unwrap(), "{pvar} cluster max");
+        assert_eq!(agg.min, *values.iter().min().unwrap(), "{pvar} cluster min");
     }
 
     // Per-rank snapshots match the per-rank metrics too.
