@@ -4,66 +4,146 @@
 use openmpi_core::{
     CompletionMode, Placement, ProgressMode, RdmaScheme, StackConfig, Universe, ANY_SOURCE,
 };
-use qsim::Pcg32;
+use qsim::{Pcg32, Report};
 
 fn random_payload(rng: &mut Pcg32, len: usize) -> Vec<u8> {
     rng.bytes(len)
 }
 
-/// Every (scheme × inline × chained × completion) combination moves random
-/// payloads of awkward sizes correctly under polling progress.
-#[test]
-fn protocol_matrix_random_payloads() {
-    let mut rng = Pcg32::new(0xE1A4);
-    for scheme in [RdmaScheme::Read, RdmaScheme::Write] {
-        for inline in [false, true] {
-            for completion in [
-                CompletionMode::PollEvent,
-                CompletionMode::SharedQueueCombined,
-            ] {
-                let mut cfg = StackConfig::best();
-                cfg.scheme = scheme;
-                cfg.inline_first_frag = inline;
-                cfg.completion = completion;
-                // Sizes straddling every protocol boundary.
-                let sizes = [0usize, 1, 63, 1984, 1985, 2048, 4095, 16384, 1 << 17];
-                let payloads: Vec<Vec<u8>> =
-                    sizes.iter().map(|&l| random_payload(&mut rng, l)).collect();
-                let p0 = payloads.clone();
-                let p1 = payloads;
-                let uni = Universe::paper_testbed(cfg);
-                uni.run_world(2, Placement::RoundRobin, move |mpi| {
-                    let w = mpi.world();
-                    if mpi.rank() == 0 {
-                        for (i, p) in p0.iter().enumerate() {
-                            let b = mpi.alloc(p.len().max(1));
-                            mpi.write(&b, 0, p);
-                            mpi.send(&w, 1, i as i32, &b, p.len());
-                            mpi.free(b);
-                        }
-                    } else {
-                        for (i, p) in p1.iter().enumerate() {
-                            let b = mpi.alloc(p.len().max(1));
-                            mpi.recv(&w, 0, i as i32, &b, p.len());
-                            assert_eq!(
-                                &mpi.read(&b, 0, p.len()),
-                                p,
-                                "{scheme:?}/inline={inline}/{completion:?} size {} corrupt",
-                                p.len()
-                            );
-                            mpi.free(b);
-                        }
-                    }
-                });
-            }
-        }
+/// A run's `(end_time_ns, events_processed, schedule_hash)`.
+type Pin = (u64, u64, u64);
+
+fn pin(r: &Report) -> Pin {
+    (r.end_time.as_ns(), r.events_processed, r.schedule_hash)
+}
+
+/// Compare each configuration's run against its pinned schedule (one row
+/// per configuration, in loop order), naming the configuration that moved.
+fn assert_pins(got: &[(String, Pin)], want: &[Pin]) {
+    assert_eq!(got.len(), want.len(), "configuration count");
+    for ((label, have), pinned) in got.iter().zip(want) {
+        assert_eq!(have, pinned, "{label}: schedule moved");
     }
 }
 
-/// Thread-based progress moves the same random traffic correctly.
+/// Each `protocol_matrix_random_payloads` configuration's pinned run. A
+/// change that keeps every virtual cost and every step's order keeps these;
+/// one that moves a schedule fails on the configuration it moved.
+const MATRIX_PINS: [Pin; 24] = [
+    (1_604_271, 472, 0x308f_a109_c609_7ce1), // Read/inline=0/chained=1/PollEvent
+    (1_677_191, 588, 0xb8e5_ba8e_1fc1_8f01), // Read/inline=0/chained=1/SharedQueueCombined
+    (1_677_191, 588, 0xb8e5_ba8e_1fc1_8f01), // Read/inline=0/chained=1/SharedQueueSeparate
+    (1_607_271, 478, 0xb701_7a8b_b7c8_c5e8), // Read/inline=0/chained=0/PollEvent
+    (1_690_863, 594, 0x3c9f_4139_2657_3caf), // Read/inline=0/chained=0/SharedQueueCombined
+    (1_690_863, 594, 0x3c9f_4139_2657_3caf), // Read/inline=0/chained=0/SharedQueueSeparate
+    (1_625_337, 485, 0x2218_4f36_23aa_cf9e), // Read/inline=1/chained=1/PollEvent
+    (1_698_257, 601, 0x276b_c94f_1f50_b186), // Read/inline=1/chained=1/SharedQueueCombined
+    (1_698_257, 601, 0x276b_c94f_1f50_b186), // Read/inline=1/chained=1/SharedQueueSeparate
+    (1_628_337, 491, 0xc5d8_aef6_2d2c_ab65), // Read/inline=1/chained=0/PollEvent
+    (1_711_929, 607, 0x7695_4b43_2aaa_6c96), // Read/inline=1/chained=0/SharedQueueCombined
+    (1_711_929, 607, 0x7695_4b43_2aaa_6c96), // Read/inline=1/chained=0/SharedQueueSeparate
+    (1_607_781, 515, 0xde42_4f30_ee38_f3d1), // Write/inline=0/chained=1/PollEvent
+    (1_661_591, 636, 0xe819_dcf2_f9b7_f728), // Write/inline=0/chained=1/SharedQueueCombined
+    (1_661_591, 636, 0xe819_dcf2_f9b7_f728), // Write/inline=0/chained=1/SharedQueueSeparate
+    (1_610_781, 521, 0x6210_de7b_2bfb_00c5), // Write/inline=0/chained=0/PollEvent
+    (1_663_053, 637, 0xfc97_466c_08d9_c7c5), // Write/inline=0/chained=0/SharedQueueCombined
+    (1_663_053, 637, 0xfc97_466c_08d9_c7c5), // Write/inline=0/chained=0/SharedQueueSeparate
+    (1_629_470, 533, 0x911d_64c5_c365_3aa7), // Write/inline=1/chained=1/PollEvent
+    (1_681_732, 649, 0x4d25_6c90_d96e_1fb8), // Write/inline=1/chained=1/SharedQueueCombined
+    (1_681_732, 649, 0x4d25_6c90_d96e_1fb8), // Write/inline=1/chained=1/SharedQueueSeparate
+    (1_631_970, 539, 0x02a4_d5ba_e275_e5d1), // Write/inline=1/chained=0/PollEvent
+    (1_683_944, 655, 0xe705_606e_9acf_d16b), // Write/inline=1/chained=0/SharedQueueCombined
+    (1_683_944, 655, 0xe705_606e_9acf_d16b), // Write/inline=1/chained=0/SharedQueueSeparate
+];
+
+/// Every (scheme × inline × chained × completion) combination moves random
+/// payloads of awkward sizes correctly under polling progress, and each
+/// keeps its pinned schedule. The 1 MiB size takes the pipelined path.
+#[test]
+fn protocol_matrix_random_payloads() {
+    let mut rng = Pcg32::new(0xE1A4);
+    let mut got = Vec::new();
+    for scheme in [RdmaScheme::Read, RdmaScheme::Write] {
+        for inline in [false, true] {
+            for chained in [true, false] {
+                for completion in [
+                    CompletionMode::PollEvent,
+                    CompletionMode::SharedQueueCombined,
+                    CompletionMode::SharedQueueSeparate,
+                ] {
+                    let label = format!(
+                        "{scheme:?}/inline={}/chained={}/{completion:?}",
+                        u8::from(inline),
+                        u8::from(chained)
+                    );
+                    let mut cfg = StackConfig::best();
+                    cfg.scheme = scheme;
+                    cfg.inline_first_frag = inline;
+                    cfg.chained_fin = chained;
+                    cfg.completion = completion;
+                    // Sizes straddling every protocol boundary.
+                    let sizes = [
+                        0usize,
+                        1,
+                        63,
+                        1984,
+                        1985,
+                        2048,
+                        4095,
+                        16384,
+                        1 << 17,
+                        1 << 20,
+                    ];
+                    let payloads: Vec<Vec<u8>> =
+                        sizes.iter().map(|&l| random_payload(&mut rng, l)).collect();
+                    let p0 = payloads.clone();
+                    let p1 = payloads;
+                    let what = label.clone();
+                    let uni = Universe::paper_testbed(cfg);
+                    let report = uni.run_world(2, Placement::RoundRobin, move |mpi| {
+                        let w = mpi.world();
+                        if mpi.rank() == 0 {
+                            for (i, p) in p0.iter().enumerate() {
+                                let b = mpi.alloc(p.len().max(1));
+                                mpi.write(&b, 0, p);
+                                mpi.send(&w, 1, i as i32, &b, p.len());
+                                mpi.free(b);
+                            }
+                        } else {
+                            for (i, p) in p1.iter().enumerate() {
+                                let b = mpi.alloc(p.len().max(1));
+                                mpi.recv(&w, 0, i as i32, &b, p.len());
+                                assert_eq!(
+                                    &mpi.read(&b, 0, p.len()),
+                                    p,
+                                    "{what} size {} corrupt",
+                                    p.len()
+                                );
+                                mpi.free(b);
+                            }
+                        }
+                    });
+                    got.push((label, pin(&report)));
+                }
+            }
+        }
+    }
+    assert_pins(&got, &MATRIX_PINS);
+}
+
+/// Each `thread_progress_random_payloads` mode's pinned run.
+const THREAD_PINS: [Pin; 3] = [
+    (289_684, 122, 0xb486_705b_7aaf_12ce), // Interrupt/PollEvent
+    (301_654, 145, 0xf292_15d5_1be4_0361), // OneThread/SharedQueueCombined
+    (308_554, 147, 0xdf0f_0f78_21bd_048a), // TwoThreads/SharedQueueSeparate
+];
+
+/// Thread-based progress moves the same random traffic correctly, and
+/// each mode keeps its pinned schedule.
 #[test]
 fn thread_progress_random_payloads() {
     let mut rng = Pcg32::new(7);
+    let mut got = Vec::new();
     for (progress, completion) in [
         (ProgressMode::Interrupt, CompletionMode::PollEvent),
         (ProgressMode::OneThread, CompletionMode::SharedQueueCombined),
@@ -80,7 +160,7 @@ fn thread_progress_random_payloads() {
         let p0 = payloads.clone();
         let p1 = payloads;
         let uni = Universe::paper_testbed(cfg);
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+        let report = uni.run_world(2, Placement::RoundRobin, move |mpi| {
             let w = mpi.world();
             if mpi.rank() == 0 {
                 for (i, p) in p0.iter().enumerate() {
@@ -96,7 +176,9 @@ fn thread_progress_random_payloads() {
                 }
             }
         });
+        got.push((format!("{progress:?}/{completion:?}"), pin(&report)));
     }
+    assert_pins(&got, &THREAD_PINS);
 }
 
 /// All-pairs traffic on the full 8-node testbed: every rank sends a
