@@ -624,7 +624,7 @@ pub fn sweep_irq_cost() -> Table {
 
 /// Every experiment by its command-line name, in `results/experiments.md`
 /// order.
-#[allow(clippy::type_complexity)]
+#[expect(clippy::type_complexity)]
 pub const EXPERIMENTS: &[(&str, fn() -> Table)] = &[
     ("fig7a", fig7a as fn() -> Table),
     ("fig7b", fig7b),

@@ -202,7 +202,6 @@ impl Mpi {
     /// eager fragments, each delivered to every member with a single NIC
     /// injection; members receive them as ordinary matched messages.
     fn bcast_hw(&self, c: &Communicator, root: usize, buf: &elan4::HostBuf, len: usize) {
-        self.endpoint().metric(|m| m.counters.coll_hw_bcasts += 1);
         self.with_coll(CollOp::BcastHw, || {
             const CHUNK: usize = crate::hdr::MAX_INLINE;
             let chunks = len.div_ceil(CHUNK).max(1);

@@ -146,7 +146,7 @@ pub struct Endpoint {
 impl Endpoint {
     /// Bring a rank's endpoint up: claim a context, create queues, publish
     /// addressing via the modex, and synchronize with the rest of the job.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn init(
         proc: &Proc,
         name: ProcName,
@@ -510,11 +510,6 @@ impl Endpoint {
             let dump = crate::flight::dump_json(&self.flight.lock(), self.name.rank, reason, now);
             self.introspect.lock().flight_dumps.push(dump);
         }
-    }
-
-    /// This rank's timeline samples as a JSON document.
-    pub fn timeline_json(&self) -> String {
-        self.timeline.lock().to_json(self.name.rank)
     }
 
     /// Enter a collective: allocates a fresh collective id at the outermost

@@ -28,7 +28,6 @@ use qsim::{FastMap, Proc, Ring, Time};
 
 use crate::config::{CvarDef, CvarValue, RdmaScheme, StackConfig, CVARS};
 use crate::endpoint::Endpoint;
-use crate::state::DmaRole;
 use crate::trace::TraceEvent;
 
 // ---------------------------------------------------------------------------
@@ -151,15 +150,7 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
         let recv_live = st.recv_reqs.values().filter(|r| !r.done).count();
         let posted: usize = st.comms.values().map(|c| c.posted.len()).sum();
         let unexpected: usize = st.comms.values().map(|c| c.unexpected.len()).sum();
-        let dma_bytes: usize = st
-            .pending_dmas
-            .iter()
-            .map(|p| match &p.role {
-                DmaRole::Read { bytes, .. }
-                | DmaRole::Write { bytes, .. }
-                | DmaRole::Chunk { bytes, .. } => *bytes,
-            })
-            .sum();
+        let dma_bytes: usize = st.pending_dmas.iter().map(|p| p.role.bytes).sum();
         vars.push(("queues.send_reqs_live".into(), send_live as u64));
         vars.push(("queues.recv_reqs_live".into(), recv_live as u64));
         vars.push(("queues.posted_depth".into(), posted as u64));
@@ -797,26 +788,15 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
         pending_dmas: st
             .pending_dmas
             .iter()
-            .map(|p| match &p.role {
-                DmaRole::Read { bytes, .. } => DmaSummary {
-                    token: p.token,
-                    role: "read",
-                    bytes: *bytes,
+            .map(|p| DmaSummary {
+                token: p.token,
+                role: match (p.role.chunk, p.role.is_read) {
+                    (false, true) => "read",
+                    (false, false) => "write",
+                    (true, true) => "chunk_read",
+                    (true, false) => "chunk_write",
                 },
-                DmaRole::Write { bytes, .. } => DmaSummary {
-                    token: p.token,
-                    role: "write",
-                    bytes: *bytes,
-                },
-                DmaRole::Chunk { bytes, is_read, .. } => DmaSummary {
-                    token: p.token,
-                    role: if *is_read {
-                        "chunk_read"
-                    } else {
-                        "chunk_write"
-                    },
-                    bytes: *bytes,
-                },
+                bytes: p.role.bytes,
             })
             .collect(),
         flight,

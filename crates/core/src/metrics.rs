@@ -35,7 +35,7 @@ macro_rules! counter_kinds {
     ) => {
         $(#[doc = $doc])*
         #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-        #[allow(missing_docs)]
+        #[expect(missing_docs)]
         pub enum $ty {
             $($variant,)*
         }
@@ -216,8 +216,6 @@ counters! {
     /// Collectives that wanted NIC offload but fell back to the host-driven
     /// path (TCP-only routes, unsupported op, oversize payload, ...).
     coll_nic_fallbacks: count = "coll.nic_fallbacks";
-    /// Broadcasts sent over the hardware broadcast rail.
-    coll_hw_bcasts: count = "coll.hw_bcasts";
 }
 
 impl Counters {
@@ -555,8 +553,8 @@ mod tests {
         m.match_time.record(Dur::from_ns(300));
         let j = m.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        // 44 scalar counters, 5 control kinds, 13 collective ops.
-        assert_eq!(m.counters.rows().count(), 44 + 5 + 13);
+        // 43 scalar counters, 5 control kinds, 13 collective ops.
+        assert_eq!(m.counters.rows().count(), 43 + 5 + 13);
         for ((name, v), def) in m.counters.rows().zip(Counters::table()) {
             let key = format!("\"{name}\":");
             assert_eq!(j.matches(&key).count(), 1, "{name} appears once");

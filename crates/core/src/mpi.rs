@@ -244,17 +244,7 @@ impl Mpi {
     /// retransmissions exhausted) instead of delivering the data. The
     /// request is reaped either way.
     pub fn wait_result(&self, req: Request) -> Result<(), crate::state::MpiErrClass> {
-        self.ep.wait_until(&self.proc, |st| match req.kind {
-            ReqKind::Send => st.send_reqs.get(&req.id).map(|r| r.done).unwrap_or(true),
-            ReqKind::Recv => st.recv_reqs.get(&req.id).map(|r| r.done).unwrap_or(true),
-        });
-        let mut st = self.ep.state.lock();
-        let err = match req.kind {
-            ReqKind::Send => st.send_reqs.remove(&req.id).and_then(|r| r.error),
-            ReqKind::Recv => st.recv_reqs.remove(&req.id).and_then(|r| r.error),
-        };
-        drop(st);
-        match err {
+        match proto::wait(&self.proc, &self.ep, req) {
             Some(e) => {
                 self.ep.metric(|m| m.counters.errs_surfaced += 1);
                 Err(e)
@@ -388,7 +378,7 @@ impl Mpi {
     }
 
     /// Combined send+receive (deadlock-free exchange).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn sendrecv(
         &self,
         comm: &Communicator,

@@ -38,19 +38,9 @@ pub struct Window {
 }
 
 impl Window {
-    /// Size of the exposed region at `rank`.
-    pub fn len_at(&self, rank: usize) -> usize {
-        self.peers[rank].2
-    }
-
     /// The communicator the window spans.
     pub fn comm(&self) -> &Communicator {
         &self.comm
-    }
-
-    /// Outstanding operations in the current epoch.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
     }
 }
 

@@ -7,6 +7,7 @@ use ompi_datatype::{Convertor, Datatype};
 
 use crate::config::{CompletionMode, ProgressMode, RdmaScheme, StackConfig};
 use crate::endpoint::Transports;
+use crate::metrics::CollOp;
 use crate::mpi::{Mpi, ANY_SOURCE, ANY_TAG};
 use crate::universe::{Placement, Universe};
 
@@ -1934,7 +1935,7 @@ fn hw_bcast_cvar_gates_the_rail() {
         "coll.hw_bcast=false must keep the broadcast off the rail"
     );
     for m in &rows {
-        assert_eq!(m.counters.coll_hw_bcasts, 0);
+        assert_eq!(m.counters.coll[CollOp::BcastHw as usize], 0);
     }
 
     // Gate open (the default): the same broadcast uses the rail.
@@ -1955,7 +1956,10 @@ fn hw_bcast_cvar_gates_the_rail() {
         uni.cluster.stats().hw_bcasts > 0,
         "rail unused with gate open"
     );
-    let hw_counts: u64 = rows.iter().map(|m| m.counters.coll_hw_bcasts).sum();
+    let hw_counts: u64 = rows
+        .iter()
+        .map(|m| m.counters.coll[CollOp::BcastHw as usize])
+        .sum();
     assert!(hw_counts > 0, "root must count its hw bcast");
 }
 

@@ -42,15 +42,6 @@ impl CopyModel {
     pub fn convertor(&self, conv: &Convertor, len: usize) -> Dur {
         self.convertor_setup + self.per_segment * conv.segment_count() as u64 + self.memcpy(len)
     }
-
-    /// Cost for whichever path `use_convertor` selects.
-    pub fn copy_cost(&self, conv: &Convertor, len: usize, use_convertor: bool) -> Dur {
-        if use_convertor {
-            self.convertor(conv, len)
-        } else {
-            self.memcpy(len)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -37,11 +37,6 @@ impl Allocator {
         }
     }
 
-    #[allow(dead_code)]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub fn in_use(&self) -> usize {
         self.in_use
     }

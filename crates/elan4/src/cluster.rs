@@ -126,8 +126,6 @@ pub(crate) struct QueueState {
     pub slots: VecDeque<Vec<u8>>,
     pub signal: Option<Signal>,
     pub irq_armed: bool,
-    /// Deposits that found the queue full and are waiting to retry.
-    pub overflowed: u64,
 }
 
 pub(crate) struct EventState {
@@ -155,8 +153,6 @@ pub(crate) struct EventState {
 }
 
 pub(crate) struct CtxState {
-    #[allow(dead_code)]
-    pub node: NodeId,
     pub mmu: Mmu,
     pub queues: Vec<Option<QueueState>>,
     pub events: Vec<EventState>,
@@ -297,7 +293,6 @@ impl Cluster {
         inner.ctxs.insert(
             vpid.raw(),
             CtxState {
-                node,
                 mmu: Mmu::new(vpid, node),
                 queues: Vec::new(),
                 events: Vec::new(),
@@ -505,7 +500,6 @@ impl Cluster {
             q.slot_size
         );
         if q.slots.len() >= q.nslots {
-            q.overflowed += 1;
             inner.stats.queue_overflows += 1;
             let me = self.clone();
             sim.call_after(cfg_retry, move |s| me.deposit(s, spec));
@@ -536,7 +530,7 @@ impl Cluster {
     /// MTU-sized chunks pipeline across the three stages (source bus, wire,
     /// destination bus), so long transfers run at the slowest stage's rate
     /// while short ones pay each stage's latency in sequence.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub(crate) fn rdma_from_nic(
         self: &Rc<Self>,
         sim: &SimHandle,

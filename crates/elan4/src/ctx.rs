@@ -183,7 +183,6 @@ impl ElanCtx {
             slots: Default::default(),
             signal: None,
             irq_armed: false,
-            overflowed: 0,
         }));
         RxQueue {
             cluster: self.cluster.clone(),
@@ -263,7 +262,7 @@ impl ElanCtx {
 
     /// Post an RDMA descriptor. `local` must be owned by this context;
     /// `remote` names the peer mapping. `done` fires locally on completion.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     pub fn rdma(
         &self,
         proc: &Proc,
@@ -359,13 +358,6 @@ impl RxQueue {
         f(q)
     }
 
-    /// One polling check of the queue's host event word; pops the front
-    /// message if present. Costs `poll_check` on the calling process.
-    pub fn try_pop(&self, proc: &Proc) -> Option<Vec<u8>> {
-        proc.advance(self.cluster.cfg.poll_check);
-        self.with_state(|q| q.slots.pop_front())
-    }
-
     /// Pop without the poll cost (used right after a signalled wakeup,
     /// where the detection cost has been paid already).
     pub fn pop_ready(&self) -> Option<Vec<u8>> {
@@ -375,11 +367,6 @@ impl RxQueue {
     /// True when no message is waiting.
     pub fn is_empty(&self) -> bool {
         self.with_state(|q| q.slots.is_empty())
-    }
-
-    /// How many deposits found the queue full (each retried).
-    pub fn overflow_count(&self) -> u64 {
-        self.with_state(|q| q.overflowed)
     }
 
     /// Register `sig` to be notified on every deposit. With
@@ -499,11 +486,6 @@ impl ElanEvent {
     /// launch in the order they were attached.
     pub fn chain_qdma(&self, spec: QdmaSpec) {
         self.with_state(|e| e.chained.push(spec));
-    }
-
-    /// Drop any chained commands.
-    pub fn clear_chain(&self) {
-        self.with_state(|e| e.chained.clear());
     }
 
     /// Mark the event dead; stale completions are ignored.

@@ -163,16 +163,6 @@ impl Proc {
         }
     }
 
-    /// Wait with a modelled cost added once the signal fires (e.g. the cost
-    /// of detecting a host event word after it is written).
-    pub fn wait_then(&self, s: &Signal, detect_cost: Dur) -> Wait {
-        let w = self.wait(s);
-        if w == Wait::Signaled && detect_cost > Dur::ZERO {
-            self.advance(detect_cost);
-        }
-        w
-    }
-
     /// Spawn a sibling (non-daemon) process that starts at the current time.
     pub fn spawn(&self, name: &str, f: impl FnOnce(Proc) + 'static) -> ProcId {
         spawn_proc(&self.sim.shared, name, false, f)

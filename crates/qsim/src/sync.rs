@@ -192,7 +192,7 @@ mod tests {
         let sim = Simulation::new();
         let got = Rc::new(Local::new(Vec::new()));
         let got2 = got.clone();
-        #[allow(clippy::type_complexity)]
+        #[expect(clippy::type_complexity)]
         let (tx_slot, rx_slot): (
             Rc<Local<Option<MailboxTx<u32>>>>,
             Rc<Local<Option<MailboxTx<u32>>>>,

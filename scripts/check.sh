@@ -10,8 +10,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors)"
 # clippy.toml also rejects std::sync::{Arc, Mutex} and randomly keyed
 # HashMap/HashSet constructors: a simulation stays on one thread, and its
-# maps use qsim's fixed hasher.
-cargo clippy --workspace --all-targets -- -D warnings
+# maps use qsim's fixed hasher. `clippy::allow_attributes` rejects
+# `#[allow]`: an allowance is written `#[expect]`, which fails the gate
+# once the lint it silences stops firing.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes
 
 echo "== rustdoc (workspace, warnings are errors)"
 # A doc link to an item that was deleted, renamed or is private fails here.
