@@ -2,7 +2,8 @@
 //! configuration, many ranks, mixed traffic patterns.
 
 use openmpi_core::{
-    CompletionMode, Placement, ProgressMode, RdmaScheme, StackConfig, Universe, ANY_SOURCE,
+    CompletionMode, Mpi, Placement, ProgressMode, RdmaScheme, ReduceOp, StackConfig, Transports,
+    Universe, ANY_SOURCE,
 };
 use qsim::{Pcg32, Report};
 
@@ -179,6 +180,110 @@ fn thread_progress_random_payloads() {
         got.push((format!("{progress:?}/{completion:?}"), pin(&report)));
     }
     assert_pins(&got, &THREAD_PINS);
+}
+
+/// Ranks (and nodes) of each NIC-offloaded collective run: a radix-4
+/// program tree three levels deep.
+const COLL_RANKS: usize = 64;
+
+/// A collective that `COLL_PINS` runs offloaded to the NIC.
+#[derive(Clone, Copy, Debug)]
+enum NicColl {
+    Barrier,
+    /// A 64-byte bcast from root 37.
+    Bcast,
+    /// `bcast_bytes` from root 0: two back-to-back bcasts.
+    BcastBytes,
+    /// A SumU64 allreduce of this many bytes.
+    Allreduce(usize),
+}
+
+/// Each `nic_collectives_keep_their_schedules` run's pinned schedule.
+const COLL_PINS: [(NicColl, Pin); 5] = [
+    (NicColl::Barrier, (197_551, 4_098, 0x6640_6645_29c4_766e)),
+    (NicColl::Bcast, (185_070, 3_587, 0xfd21_a428_5972_56f0)),
+    (NicColl::BcastBytes, (205_628, 4_344, 0x5f97_a253_e83d_0dde)),
+    (
+        NicColl::Allreduce(8),
+        (197_805, 4_098, 0x9b3b_c397_c6b4_b0be),
+    ),
+    (
+        NicColl::Allreduce(2048),
+        (292_664, 4_161, 0x02fd_cf6f_fbc3_767a),
+    ),
+];
+
+/// Run `coll` twice back to back, so that some fires latch before their
+/// host waits on them, and check what every rank received.
+fn nic_coll_twice(mpi: &Mpi, coll: NicColl) {
+    let w = mpi.world();
+    let me = mpi.rank();
+    let n = COLL_RANKS as u64;
+    for round in 0..2u64 {
+        match coll {
+            NicColl::Barrier => mpi.barrier(&w),
+            NicColl::Bcast => {
+                let b = mpi.alloc(64);
+                let want: Vec<u8> = (0..64).map(|i| (i * 3 + round) as u8).collect();
+                if me == 37 {
+                    mpi.write(&b, 0, &want);
+                }
+                mpi.bcast(&w, 37, &b, 64);
+                assert_eq!(mpi.read(&b, 0, 64), want, "rank {me} round {round}");
+                mpi.free(b);
+            }
+            NicColl::BcastBytes => {
+                let want = random_payload(&mut Pcg32::new(round), 1000);
+                let mine = if me == 0 { want.clone() } else { Vec::new() };
+                let got = mpi.bcast_bytes(&w, 0, mine);
+                assert_eq!(got, want, "rank {me} round {round}");
+            }
+            NicColl::Allreduce(len) => {
+                let b = mpi.alloc(len);
+                let lanes: Vec<u8> = (0..len as u64 / 8)
+                    .flat_map(|l| (me as u64 * (l + 1) + round).to_le_bytes())
+                    .collect();
+                mpi.write(&b, 0, &lanes);
+                mpi.allreduce(&w, ReduceOp::SumU64, &b, len);
+                for (l, lane) in (0..).zip(mpi.read(&b, 0, len).chunks_exact(8)) {
+                    let want = n * (n - 1) / 2 * (l + 1) + n * round;
+                    assert_eq!(u64::from_le_bytes(lane.try_into().unwrap()), want);
+                }
+                mpi.free(b);
+            }
+        }
+    }
+}
+
+/// A barrier, a bcast from a non-zero root, `bcast_bytes` and SumU64
+/// allreduces of 8 B and 2 KiB, each offloaded to the NIC at 64 ranks,
+/// deliver the right bytes and keep their pinned schedules.
+#[test]
+fn nic_collectives_keep_their_schedules() {
+    let mut got = Vec::new();
+    for (coll, _) in COLL_PINS {
+        let mut cfg = StackConfig::best();
+        cfg.coll_nic_offload = true;
+        let uni = Universe::new(
+            elan4::NicConfig::default(),
+            qsnet::FabricConfig {
+                nodes: COLL_RANKS,
+                ..Default::default()
+            },
+            cfg,
+            Transports::default(),
+        );
+        let report = uni.run_world(COLL_RANKS, Placement::RoundRobin, move |mpi| {
+            nic_coll_twice(&mpi, coll)
+        });
+        assert!(
+            uni.cluster.stats().event_writes > 0,
+            "{coll:?} never ran on the NIC"
+        );
+        got.push((format!("{coll:?}"), pin(&report)));
+    }
+    let want: Vec<Pin> = COLL_PINS.iter().map(|&(_, p)| p).collect();
+    assert_pins(&got, &want);
 }
 
 /// All-pairs traffic on the full 8-node testbed: every rank sends a
