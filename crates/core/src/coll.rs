@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use elan4::{EventId, NicReduce, QdmaSpec, Vpid};
+use elan4::{EventId, NicReduce, Payload, QdmaSpec, Vpid};
 
 use crate::comm::Communicator;
 use crate::metrics::CollOp;
@@ -699,6 +699,9 @@ pub struct NicProgram {
     /// Fan-out event: one arrival from the parent releases this rank and
     /// forwards the payload to its children.
     down: elan4::ElanEvent,
+    /// The one signal this rank's host sleeps on, set on the event it
+    /// waits for: `up` at the root, `down` elsewhere.
+    sig: qsim::Signal,
     /// This rank's position in virtual-rank space (root at 0).
     vr: usize,
     /// Direct children as (vpid, down-event id) — the bcast root seeds
@@ -798,6 +801,13 @@ impl Mpi {
         }
         let down = ep.ectx.event_create(1);
         down.set_auto_reset(1);
+        // The host waits on one event, through one signal for the
+        // program's life; only that event queues fire payloads for the
+        // host, and only when the collective returns one.
+        let sig = self.proc().signal();
+        let waited = if parent.is_some() { &down } else { &up };
+        waited.set_signal(sig.clone());
+        waited.set_capture(kind != NicCollKind::Barrier);
 
         // Each tree edge carries one 8-byte (up, down) id pair each way.
         // Raw tagged point-to-point: this runs underneath the collectives,
@@ -890,37 +900,40 @@ impl Mpi {
             prog_id,
             up,
             down,
+            sig,
             vr,
             children,
         })
     }
 
-    /// Block until `ev` fires: the single host wakeup of an offloaded
-    /// collective. Every inter-rank hop of the program is NIC-to-NIC, so
-    /// nothing here needs the host progress engine — sleeping on the event
-    /// signal cannot deadlock.
-    fn wait_nic_event(&self, ev: &elan4::ElanEvent) {
+    /// Block until the event this rank waits on fires (`up` at the root,
+    /// `down` elsewhere) and return it: the single host wakeup of an
+    /// offloaded collective. Every inter-rank hop of the program is
+    /// NIC-to-NIC, so nothing here needs the host progress engine —
+    /// sleeping on the event signal cannot deadlock.
+    fn wait_nic_event<'p>(&self, prog: &'p NicProgram) -> &'p elan4::ElanEvent {
         let proc = self.proc();
-        let sig = proc.signal();
-        ev.set_signal(sig.clone());
+        let ev = if prog.vr == 0 { &prog.up } else { &prog.down };
+        // A fire since the last wait latched the signal; the event word is
+        // what counts, so drop the stale notification rather than pay a
+        // second poll for it.
+        prog.sig.clear();
         loop {
             if ev.take_fired(proc) {
-                return;
+                break;
             }
-            match proc.wait(&sig) {
+            match proc.wait(&prog.sig) {
                 qsim::Wait::Signaled => {}
                 qsim::Wait::Shutdown => panic!("simulation shut down inside a NIC collective"),
             }
         }
-    }
-
-    /// Consume a non-root rank's own fan-in fire. Its `up` event fired on
-    /// the NIC to forward partials upward; by the time `down` released the
-    /// host that fire has long latched, and draining it keeps the payload
-    /// FIFO from growing across calls.
-    fn drain_own_up(&self, prog: &NicProgram) {
-        let _ = prog.up.take_fired_ready();
-        let _ = prog.up.take_payload();
+        if prog.vr != 0 {
+            // A non-root rank's own fan-in fired on the NIC to forward its
+            // partials upward; by the time `down` released the host that
+            // fire has long latched. A bcast leaves `up` dormant.
+            let _ = prog.up.take_fired_ready();
+        }
+        ev
     }
 
     fn nic_coll_complete(&self, prog: &NicProgram, kind: NicCollKind) {
@@ -941,14 +954,7 @@ impl Mpi {
     fn run_nic_barrier(&self, prog: &NicProgram) {
         let ep = self.endpoint();
         ep.ectx.set_event(self.proc(), prog.up.id(), None);
-        if prog.vr == 0 {
-            self.wait_nic_event(&prog.up);
-            let _ = prog.up.take_payload();
-        } else {
-            self.wait_nic_event(&prog.down);
-            let _ = prog.down.take_payload();
-            self.drain_own_up(prog);
-        }
+        self.wait_nic_event(prog);
         self.nic_coll_complete(prog, NicCollKind::Barrier);
     }
 
@@ -967,18 +973,14 @@ impl Mpi {
     ) {
         let ep = self.endpoint();
         if c.rank() == root {
-            let data = self.read(buf, 0, len);
-            // The last child takes the staged copy itself.
-            if let Some(((vpid, ev), rest)) = prog.children.split_last() {
-                for (vpid, ev) in rest {
-                    ep.ectx
-                        .qdma_to_event(self.proc(), 0, *vpid, *ev, data.clone());
-                }
-                ep.ectx.qdma_to_event(self.proc(), 0, *vpid, *ev, data);
+            // One staged buffer, shared by the QDMA to every child.
+            let data = Payload::Shared(Rc::new(self.read(buf, 0, len)));
+            for &(vpid, ev) in &prog.children {
+                ep.ectx
+                    .qdma_to_event(self.proc(), 0, vpid, ev, data.clone());
             }
         } else {
-            self.wait_nic_event(&prog.down);
-            let out = prog.down.take_payload();
+            let out = self.wait_nic_event(prog).take_payload();
             assert_eq!(out.len(), len, "NIC bcast payload length mismatch");
             self.write(buf, 0, &out);
         }
@@ -992,15 +994,7 @@ impl Mpi {
         let ep = self.endpoint();
         let data = self.read(buf, 0, len);
         ep.ectx.set_event(self.proc(), prog.up.id(), Some(data));
-        let result = if prog.vr == 0 {
-            self.wait_nic_event(&prog.up);
-            prog.up.take_payload()
-        } else {
-            self.wait_nic_event(&prog.down);
-            let out = prog.down.take_payload();
-            self.drain_own_up(prog);
-            out
-        };
+        let result = self.wait_nic_event(prog).take_payload();
         assert_eq!(result.len(), len, "NIC allreduce payload length mismatch");
         self.write(buf, 0, &result);
         self.nic_coll_complete(prog, NicCollKind::Allreduce);

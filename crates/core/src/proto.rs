@@ -547,9 +547,11 @@ pub fn progress_pass(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
         }
     }
     // Poll outstanding DMA completion events (the Basic strategy of §6.2).
-    let fired: Vec<PendingDma> = {
+    // Collected under the lock and handled after it: an event that fires
+    // during one `dma_done` waits for the next pass.
+    let fired = {
         let mut st = ep.state.lock();
-        let mut out = Vec::new();
+        let mut out = Collected::default();
         let mut i = 0;
         while i < st.pending_dmas.len() {
             if st.pending_dmas[i].event.take_fired_ready() {
@@ -578,6 +580,43 @@ pub fn progress_pass(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
         any = true;
     }
     any
+}
+
+/// Entries collected under the state lock and handled once it is released.
+/// The first is kept inline and only later ones go to the heap, so the
+/// common pass, which collects none or one, allocates nothing.
+struct Collected<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Default for Collected<T> {
+    fn default() -> Self {
+        Collected {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+}
+
+impl<T> Collected<T> {
+    fn push(&mut self, item: T) {
+        if self.first.is_none() {
+            self.first = Some(item);
+        } else {
+            self.rest.push(item);
+        }
+    }
+}
+
+impl<T> IntoIterator for Collected<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    /// The entries in the order they were pushed.
+    fn into_iter(self) -> Self::IntoIter {
+        self.first.into_iter().chain(self.rest)
+    }
 }
 
 /// Handle one incoming frame (from any queue or the TCP inbox).
@@ -700,7 +739,7 @@ pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
 pub(crate) fn handle_match_frame(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
     proc.advance(ep.cfg.host.pml_match);
     let ctx = hdr.ctx;
-    let mut work: Vec<(u64, UnexpectedFrag)> = Vec::new();
+    let mut work = Collected::default();
     let mut stage_fallbacks = 0usize;
     {
         let mut st = ep.state.lock();
@@ -761,7 +800,7 @@ fn queue_or_match(
     ep: &Rc<Endpoint>,
     now: qsim::Time,
     mut frag: UnexpectedFrag,
-    work: &mut Vec<(u64, UnexpectedFrag)>,
+    work: &mut Collected<(u64, UnexpectedFrag)>,
     stage_fallbacks: &mut usize,
 ) {
     match st.match_posted(frag.hdr.ctx, &frag.hdr) {
@@ -1396,8 +1435,9 @@ fn maybe_complete_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64) {
     }
     let (held, posted_at, gid) = {
         let mut st = ep.state.lock();
-        let Some(r) = st.recv_reqs.get_mut(&rid) else {
-            // Reaped concurrently (e.g. raced with a failure path).
+        // Reaped, or completed with an error by a failure path that ran
+        // during the unpack's advance: the request is already finished.
+        let Some(r) = st.recv_reqs.get_mut(&rid).filter(|r| !r.done) else {
             return;
         };
         r.done = true;

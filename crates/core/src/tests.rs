@@ -337,6 +337,73 @@ fn noncontiguous_datatypes_roundtrip() {
     );
 }
 
+/// A receive failed while its strided payload is being unpacked (another
+/// process of the rank gives up on the peer between the last byte landing
+/// and the request being marked done) completes once, with the error: the
+/// unpack's success tail does not run after the failure.
+#[test]
+fn receive_failed_during_its_unpack_completes_once() {
+    use crate::proto::{fail_request, ReqKind};
+    use crate::state::MpiErrClass;
+
+    let dt = Datatype::vector(256, 16, 48, Datatype::u8());
+    let conv = Convertor::new(dt, 1);
+    let span = conv.span();
+    let conv0 = conv.clone();
+    let conv1 = conv;
+    let mut cfg = StackConfig::best();
+    cfg.metrics = true;
+    let out = run_pair(
+        cfg,
+        move |mpi| {
+            let w = mpi.world();
+            let buf = mpi.alloc(span);
+            let r = mpi.isend_typed(&w, 1, 3, &buf, conv0.clone());
+            mpi.wait(r);
+            None
+        },
+        move |mpi| {
+            let w = mpi.world();
+            let buf = mpi.alloc(span);
+            let r = mpi.irecv_typed(&w, 0, 3, &buf, conv1.clone());
+            let ep = mpi.endpoint().clone();
+            let failed = Rc::new(Cell::new(false));
+            let failed_by = failed.clone();
+            mpi.proc().spawn("give-up", move |p| loop {
+                let landed = {
+                    let st = ep.state.lock();
+                    match st.recv_reqs.get(&r.id) {
+                        Some(q) if !q.done => q
+                            .matched
+                            .as_ref()
+                            .is_some_and(|m| q.bytes_received >= m.msg_len),
+                        _ => return,
+                    }
+                };
+                if landed {
+                    fail_request(&p, &ep, ReqKind::Recv, r.id, MpiErrClass::ProcFailed);
+                    failed_by.set(true);
+                    return;
+                }
+                p.advance(qsim::Dur::from_ns(10));
+            });
+            let res = mpi.wait_result(r);
+            let m = mpi.endpoint().metrics.lock();
+            Some((
+                failed.get(),
+                res,
+                m.counters.reqs_failed,
+                m.completion_time.count(),
+            ))
+        },
+    );
+    let (failed, res, reqs_failed, completions) = out[1].unwrap();
+    assert!(failed, "the receive finished before its bytes were seen");
+    assert_eq!(res, Err(MpiErrClass::ProcFailed));
+    assert_eq!(reqs_failed, 1);
+    assert_eq!(completions, 0, "a failed receive also completed");
+}
+
 #[test]
 fn nonblocking_window_of_outstanding_sends() {
     run_pair(

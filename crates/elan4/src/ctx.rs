@@ -11,7 +11,7 @@ use std::rc::Rc;
 use qsim::{Dur, Proc, Signal, Wait};
 use qsnet::NodeId;
 
-use crate::cluster::{Cluster, EventState, QdmaSpec, QueueState};
+use crate::cluster::{Cluster, EventState, Payload, QdmaSpec, QueueState};
 use crate::types::{DmaKind, E4Addr, EventId, HostAddr, HostBuf, QueueId, Vpid};
 
 /// A claimed Elan4 context: the per-process NIC endpoint.
@@ -220,15 +220,18 @@ impl ElanCtx {
     /// decrements `event` in `dst`'s context, carrying `data` into its
     /// combine buffer. One PIO write on the calling process; no receive
     /// queue is touched. This is how a host injects itself into a standing
-    /// NIC collective program on another rank.
+    /// NIC collective program on another rank. A [`Payload::Shared`] buffer
+    /// lets one host send the same bytes to several events without a copy
+    /// per QDMA.
     pub fn qdma_to_event(
         &self,
         proc: &Proc,
         rail: usize,
         dst: Vpid,
         event: EventId,
-        data: Vec<u8>,
+        data: impl Into<Payload>,
     ) {
+        let data = data.into();
         assert!(data.len() <= 2048, "QDMA messages are at most 2KB");
         proc.advance(self.cluster.cfg.pio_cmd);
         let start = proc.now();
@@ -307,7 +310,8 @@ impl ElanCtx {
             freed: false,
             auto_reset: None,
             combine: None,
-            accum: Vec::new(),
+            accum: Payload::default(),
+            capture: false,
             fired_payloads: std::collections::VecDeque::new(),
         });
         ElanEvent {
@@ -323,8 +327,12 @@ impl ElanCtx {
     /// after this single store, every further hop is NIC→NIC.
     pub fn set_event(&self, proc: &Proc, event: EventId, data: Option<Vec<u8>>) {
         proc.advance(self.cluster.cfg.pio_cmd);
-        self.cluster
-            .event_complete_with_data(&proc.sim(), self.vpid, event, data);
+        self.cluster.event_complete_with_data(
+            &proc.sim(),
+            self.vpid,
+            event,
+            data.map(Payload::Owned),
+        );
     }
 }
 
@@ -463,11 +471,20 @@ impl ElanEvent {
         self.with_state(|e| e.combine = Some(op));
     }
 
+    /// Queue each fire's payload for [`ElanEvent::take_payload`]. Off by
+    /// default: an event whose host reads no payload (an RDMA completion,
+    /// a fan-in that only forwards its partials) queues none.
+    pub fn set_capture(&self, on: bool) {
+        self.with_state(|e| e.capture = on);
+    }
+
     /// Pop the oldest unconsumed fire payload (the combined partials of a
-    /// reduction round, or a forwarded broadcast frame). Payloads queue in
-    /// fire order, so pipelined rounds of a standing program never clobber
-    /// a frame the host has not drained yet.
-    pub fn take_payload(&self) -> Vec<u8> {
+    /// reduction round, or a forwarded broadcast frame) of an event that
+    /// captures them ([`ElanEvent::set_capture`]). Payloads queue in fire
+    /// order, so pipelined rounds of a standing program never clobber a
+    /// frame the host has not drained yet. The buffer is the one the fire
+    /// also forwarded, shared when a chain still holds it.
+    pub fn take_payload(&self) -> Payload {
         self.with_state(|e| e.fired_payloads.pop_front().unwrap_or_default())
     }
 

@@ -32,7 +32,7 @@ pub mod mmu;
 mod tport;
 mod types;
 
-pub use cluster::{Cluster, ClusterStats, NicReduce, QdmaSpec, QdmaTarget};
+pub use cluster::{Cluster, ClusterStats, NicReduce, Payload, QdmaSpec, QdmaTarget};
 pub use config::NicConfig;
 pub use ctx::{ElanCtx, ElanEvent, RxQueue};
 pub use tport::{Tport, TportEnvelope, TportRecv, TportSend, TPORT_ANY_SRC, TPORT_ANY_TAG};

@@ -753,6 +753,7 @@ fn event_combine_accumulates_and_forwards_payload() {
         sim.spawn("root", move |p| {
             let sig = p.signal();
             root_ev.set_signal(sig.clone());
+            root_ev.set_capture(true);
             loop {
                 if root_ev.take_fired_ready() {
                     break;
@@ -760,7 +761,7 @@ fn event_combine_accumulates_and_forwards_payload() {
                 p.wait(&sig).expect_signaled();
             }
             let payload = root_ev.take_payload();
-            assert_eq!(u64::from_le_bytes(payload.try_into().unwrap()), 42);
+            assert_eq!(u64::from_le_bytes((*payload).try_into().unwrap()), 42);
         });
     }
     sim.run().unwrap();

@@ -50,6 +50,13 @@ impl Signal {
         self.inner.pending.get()
     }
 
+    /// Drop a latched notification. A signal reused across waits calls
+    /// this before each one, so a notification meant for an earlier wait
+    /// does not end the next at once.
+    pub fn clear(&self) {
+        self.inner.pending.set(false);
+    }
+
     /// Owner of this signal.
     pub fn owner(&self) -> ProcId {
         self.inner.owner

@@ -52,6 +52,12 @@ echo "== qsim tests, optimised"
 # runs tests/callback_allocs.rs optimised.
 cargo test -p qsim --release -q
 
+echo "== core allocation-count tests, optimised"
+# Under -O, LLVM may remove or merge heap allocations, so the exact counts
+# of the eager path (tests/eager_allocs.rs) and of the NIC-offloaded
+# collectives (tests/nic_coll_allocs.rs) must also hold in a release build.
+cargo test -p openmpi-core --release -q --test eager_allocs --test nic_coll_allocs
+
 echo "== harness gates"
 # Every row of crates/bench/src/gate.rs: the paper-figure snapshot
 # (results/experiments.md), the bench curves and the observability demos.
