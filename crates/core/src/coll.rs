@@ -953,7 +953,7 @@ impl Mpi {
     /// tree has drained back down to this rank.
     fn run_nic_barrier(&self, prog: &NicProgram) {
         let ep = self.endpoint();
-        ep.ectx.set_event(self.proc(), prog.up.id(), None);
+        ep.ectx.set_event(self.proc(), &prog.up, None);
         self.wait_nic_event(prog);
         self.nic_coll_complete(prog, NicCollKind::Barrier);
     }
@@ -993,7 +993,7 @@ impl Mpi {
     fn run_nic_allreduce(&self, prog: &NicProgram, buf: &elan4::HostBuf, len: usize) {
         let ep = self.endpoint();
         let data = self.read(buf, 0, len);
-        ep.ectx.set_event(self.proc(), prog.up.id(), Some(data));
+        ep.ectx.set_event(self.proc(), &prog.up, Some(data));
         let result = self.wait_nic_event(prog).take_payload();
         assert_eq!(result.len(), len, "NIC allreduce payload length mismatch");
         self.write(buf, 0, &result);

@@ -1411,27 +1411,30 @@ fn maybe_complete_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64) {
     if !finish {
         return;
     }
-    // Unpack the bounce buffer for non-contiguous receives.
-    let unpack = {
+    // Unpack the bounce buffer for non-contiguous receives: each typemap
+    // segment is copied straight from the packed stream into the user
+    // buffer, up to the message's end, leaving the gaps between them as
+    // they were.
+    let unpack_cost = {
         let st = ep.state.lock();
         st.recv_reqs.get(&rid).and_then(|r| {
-            r.bounce
-                .map(|b| (b, r.matched.as_ref().map(|m| m.msg_len).unwrap_or(0)))
+            let bounce = r.bounce?;
+            let msg_len = r.matched.as_ref().map_or(0, |m| m.msg_len);
+            let mut packed = 0;
+            for (off, seg_len) in r.conv.segments() {
+                if packed == msg_len {
+                    break;
+                }
+                let take = seg_len.min(msg_len - packed);
+                ep.ectx.copy(&bounce, packed, &r.buf, off, take);
+                packed += take;
+            }
+            assert_eq!(packed, msg_len, "packed bytes did not fit typemap");
+            Some(ep.cfg.copy.convertor(&r.conv, msg_len))
         })
     };
-    if let Some((bounce, msg_len)) = unpack {
-        let pieces = {
-            let st = ep.state.lock();
-            st.recv_reqs
-                .get(&rid)
-                .map(|r| (ep.read_buf(&bounce, 0, msg_len), r.conv.clone(), r.buf))
-        };
-        if let Some((packed, conv, buf)) = pieces {
-            let mut span = ep.read_buf(&buf, 0, conv.span());
-            conv.unpack_range(&packed, 0, &mut span);
-            ep.write_buf(&buf, 0, &span);
-            proc.advance(ep.cfg.copy.convertor(&conv, msg_len));
-        }
+    if let Some(cost) = unpack_cost {
+        proc.advance(cost);
     }
     let (held, posted_at, gid) = {
         let mut st = ep.state.lock();
@@ -1787,15 +1790,15 @@ fn issue_rdma(
     let chunks = rail_chunks(len, ep.transports.elan_rails);
     let nchunks = chunks.len().max(1) as u32;
     let (event, token) = arm_descriptor(ep, peer, nchunks, Some(&control));
+    let done = event.event_ref();
     if !ep.cfg.chained_fin {
         role.ctl = Some((peer.name, control));
     }
 
-    ep.state.lock().pending_dmas.push(PendingDma {
-        token,
-        event: event.clone(),
-        role,
-    });
+    ep.state
+        .lock()
+        .pending_dmas
+        .push(PendingDma { token, event, role });
 
     ep.metric(|m| {
         m.counters.rdma_descriptors += nchunks as u64;
@@ -1818,8 +1821,9 @@ fn issue_rdma(
         },
     );
     // Fire the descriptors, striped across rails (rail_chunks never emits
-    // zero-length chunks).
-    for (rail, (off, chunk_len)) in chunks.into_iter().enumerate() {
+    // zero-length chunks). The pending record owns the event; the
+    // descriptors name it by its `EventRef`.
+    for (rail, (off, chunk_len)) in chunks.enumerate() {
         ep.ectx.rdma(
             proc,
             rail,
@@ -1827,7 +1831,7 @@ fn issue_rdma(
             local.offset(off),
             remote.offset(off),
             chunk_len,
-            Some(event.id()),
+            Some(done),
         );
     }
 }
@@ -1846,8 +1850,8 @@ fn arm_descriptor(
     peer: &crate::peer::PeerInfo,
     nchunks: u32,
     control: Option<&Hdr>,
-) -> (Rc<elan4::ElanEvent>, u64) {
-    let event = Rc::new(ep.ectx.event_create(nchunks));
+) -> (elan4::ElanEvent, u64) {
+    let event = ep.ectx.event_create(nchunks);
     let e_peer = peer.elan.as_ref().expect("rdma to a peer without elan");
     if let Some(ctl) = control.filter(|_| ep.cfg.chained_fin) {
         if let Some(kind) = control_kind(ctl.kind) {
@@ -2219,9 +2223,10 @@ fn pipe_issue_chunk(
         event.free();
         return;
     };
+    let done = event.event_ref();
     ep.state.lock().pending_dmas.push(PendingDma {
         token,
-        event: event.clone(),
+        event,
         role: DmaRole {
             chunk: true,
             ..DmaRole::new(req, len, is_read)
@@ -2256,15 +2261,8 @@ fn pipe_issue_chunk(
     } else {
         DmaKind::Write
     };
-    ep.ectx.rdma(
-        proc,
-        rail,
-        kind,
-        e4,
-        remote.offset(off),
-        len,
-        Some(event.id()),
-    );
+    ep.ectx
+        .rdma(proc, rail, kind, e4, remote.offset(off), len, Some(done));
 }
 
 /// A pipelined chunk's completion fired: release its mapping, credit the
@@ -2418,24 +2416,14 @@ pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     true
 }
 
-/// Split `len` into per-rail `(offset, len)` chunks. Zero-length chunks are
-/// omitted (no zero-byte RDMA descriptors when `len < rails`), and
-/// `rails == 0` is treated as a single rail rather than dividing by zero.
-fn rail_chunks(len: usize, rails: usize) -> Vec<(usize, usize)> {
+/// Split `len` into per-rail `(offset, len)` chunks, the first `len %
+/// rails` of them one byte longer. Zero-length chunks are omitted (no
+/// zero-byte RDMA descriptors when `len < rails`), and `rails == 0` is
+/// treated as a single rail rather than dividing by zero.
+fn rail_chunks(len: usize, rails: usize) -> impl ExactSizeIterator<Item = (usize, usize)> {
     let rails = rails.max(1);
-    let base = len / rails;
-    let extra = len % rails;
-    let mut out = Vec::with_capacity(rails);
-    let mut off = 0;
-    for r in 0..rails {
-        let l = base + usize::from(r < extra);
-        if l == 0 {
-            continue;
-        }
-        out.push((off, l));
-        off += l;
-    }
-    out
+    let (base, extra) = (len / rails, len % rails);
+    (0..rails.min(len)).map(move |r| (r * base + r.min(extra), base + usize::from(r < extra)))
 }
 
 /// The control kind a frame counts as; `None` for data and CTL_ACK/NACK frames.
@@ -3200,7 +3188,7 @@ mod tests {
             (5, 4),
             (64 << 10, 3),
         ] {
-            let chunks = rail_chunks(len, rails);
+            let chunks: Vec<_> = rail_chunks(len, rails).collect();
             assert!(
                 chunks.iter().all(|c| c.1 > 0),
                 "empty chunk for len={len} rails={rails}"
@@ -3218,13 +3206,13 @@ mod tests {
 
     #[test]
     fn rail_chunks_zero_rails_does_not_divide_by_zero() {
-        assert_eq!(rail_chunks(10, 0), vec![(0, 10)]);
-        assert_eq!(rail_chunks(0, 0), Vec::<(usize, usize)>::new());
+        assert!(rail_chunks(10, 0).eq([(0, 10)]));
+        assert_eq!(rail_chunks(0, 0).len(), 0);
     }
 
     #[test]
     fn rail_chunks_fewer_bytes_than_rails_skips_idle_rails() {
-        assert_eq!(rail_chunks(2, 4), vec![(0, 1), (1, 1)]);
+        assert!(rail_chunks(2, 4).eq([(0, 1), (1, 1)]));
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! polling or interrupt progress engine (the thread-progress modes funnel
 //! completions through the shared queue, which fence does not consume).
 
-use std::rc::Rc;
-
 use elan4::{DmaKind, E4Addr, ElanEvent, HostBuf, Vpid};
 use qsim::Wait;
 
@@ -23,7 +21,7 @@ use crate::mpi::Mpi;
 
 /// An outstanding RMA descriptor and the origin mapping (with its region,
 /// for the registration cache) to release once it completes.
-type PendingRma = (Rc<ElanEvent>, Option<(E4Addr, HostBuf)>);
+type PendingRma = (ElanEvent, Option<(E4Addr, HostBuf)>);
 
 /// An exposed memory window (one per rank of the communicator).
 pub struct Window {
@@ -105,7 +103,7 @@ impl Mpi {
         let remote = E4Addr::from_raw(vpid, va + target_off as u64);
         let (local, unmap) = self.origin_mapping(win, src, src_off, len);
         let ep = self.endpoint();
-        let event = Rc::new(ep.ectx.event_create(1));
+        let event = ep.ectx.event_create(1);
         self.arm_rma_event(&event);
         ep.ectx.rdma(
             self.proc(),
@@ -114,7 +112,7 @@ impl Mpi {
             local,
             remote,
             len,
-            Some(event.id()),
+            Some(event.event_ref()),
         );
         win.pending.push((event, unmap));
     }
@@ -139,7 +137,7 @@ impl Mpi {
         let remote = E4Addr::from_raw(vpid, va + target_off as u64);
         let (local, unmap) = self.origin_mapping(win, dst, dst_off, len);
         let ep = self.endpoint();
-        let event = Rc::new(ep.ectx.event_create(1));
+        let event = ep.ectx.event_create(1);
         self.arm_rma_event(&event);
         ep.ectx.rdma(
             self.proc(),
@@ -148,7 +146,7 @@ impl Mpi {
             local,
             remote,
             len,
-            Some(event.id()),
+            Some(event.event_ref()),
         );
         win.pending.push((event, unmap));
     }
@@ -219,7 +217,7 @@ impl Mpi {
         }
     }
 
-    fn arm_rma_event(&self, event: &Rc<ElanEvent>) {
+    fn arm_rma_event(&self, event: &ElanEvent) {
         let ep = self.endpoint();
         if let Some(bell) = ep.doorbell() {
             event.set_signal(bell);

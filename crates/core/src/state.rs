@@ -67,6 +67,44 @@ pub struct InflightCtl {
     pub deadline: Time,
 }
 
+/// Reliability sequence numbers already processed from one peer: every
+/// number up to a floor, plus those above it that arrived out of order. A
+/// sender stamps 1, 2, 3, … per peer, so in-order delivery only raises the
+/// floor and the filter stays one word per peer for the whole run, while
+/// any reordering or replay is still judged exactly.
+#[derive(Debug, Default)]
+pub struct SeenSeqs {
+    /// Every sequence number in `1..=floor` has been seen.
+    floor: u32,
+    /// Seen sequence numbers above `floor + 1`.
+    above: FastSet<u32>,
+}
+
+impl SeenSeqs {
+    /// Record `seq`; false when it had been seen already (a duplicate).
+    pub fn insert(&mut self, seq: u32) -> bool {
+        if seq <= self.floor {
+            return false;
+        }
+        if seq == self.floor + 1 {
+            self.floor = seq;
+        } else if !self.above.insert(seq) {
+            return false;
+        }
+        // At `u32::MAX` (a sequence a corrupt frame may carry) the next
+        // number wraps to 0, which is never held.
+        while self.above.remove(&self.floor.wrapping_add(1)) {
+            self.floor += 1;
+        }
+        true
+    }
+
+    /// Sequence numbers held one by one: those seen above the floor.
+    pub fn held(&self) -> usize {
+        self.above.len()
+    }
+}
+
 /// A send request in flight.
 pub struct SendReq {
     /// Request token (appears in wire headers).
@@ -551,8 +589,8 @@ pub struct TcpPush {
 pub struct PendingDma {
     /// Token linking shared-completion-queue messages to this entry.
     pub token: u64,
-    /// The counted completion event.
-    pub event: std::rc::Rc<elan4::ElanEvent>,
+    /// The counted completion event, freed once the host observes it.
+    pub event: elan4::ElanEvent,
     /// What to do when it fires.
     pub role: DmaRole,
 }
@@ -593,7 +631,7 @@ pub struct EpState {
     pub ctl_inflight: Vec<InflightCtl>,
     /// Reliability sequence numbers already processed, per origin peer:
     /// duplicate-suppression state making redelivered frames idempotent.
-    pub ctl_seen: FastMap<ProcName, FastSet<u32>>,
+    pub ctl_seen: FastMap<ProcName, SeenSeqs>,
     /// Peers declared failed after retransmission retries were exhausted.
     /// New sends to them error out immediately.
     pub failed_peers: FastSet<ProcName>,
@@ -770,6 +808,32 @@ mod tests {
         h.seq = seq;
         h.ctx = 0;
         h
+    }
+
+    #[test]
+    fn seen_seqs_judge_reordered_and_replayed_frames_exactly() {
+        let mut seen = SeenSeqs::default();
+        assert!(seen.insert(3));
+        assert!(seen.insert(2));
+        assert_eq!(seen.held(), 2, "two arrived ahead of 1");
+        assert!(!seen.insert(3), "a replay above the floor");
+        assert!(seen.insert(1));
+        assert_eq!(seen.held(), 0, "1 closed the gap");
+        for seq in 1..=3 {
+            assert!(!seen.insert(seq), "a replay of {seq} below the floor");
+        }
+        assert!(seen.insert(4));
+        assert_eq!(seen.held(), 0);
+        // The largest sequence number neither overflows the floor nor is
+        // forgotten.
+        assert!(seen.insert(u32::MAX));
+        assert!(!seen.insert(u32::MAX));
+        let mut top = SeenSeqs {
+            floor: u32::MAX - 1,
+            ..SeenSeqs::default()
+        };
+        assert!(top.insert(u32::MAX));
+        assert!(!top.insert(u32::MAX));
     }
 
     fn mk_state_with_comm() -> EpState {

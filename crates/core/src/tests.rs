@@ -304,6 +304,38 @@ fn unexpected_messages_match_late_receives() {
     );
 }
 
+/// Each RDMA descriptor's completion event is freed once the host sees it
+/// fire, and the next descriptor reuses its slot: after a run of
+/// monolithic and pipelined round trips a context's event table holds no
+/// more slots than one pipeline window has events in flight, not one per
+/// descriptor.
+#[test]
+fn rdma_completion_events_reuse_their_slots() {
+    let cfg = StackConfig::best();
+    let depth = cfg.pipeline_depth;
+    let uni = Universe::paper_testbed(cfg);
+    let (_, slots) = uni.run_ranks(2, Placement::RoundRobin, |mpi| {
+        let w = mpi.world();
+        let buf = mpi.alloc(1 << 20);
+        for i in 0..50 {
+            let len = if i % 2 == 0 { 64 << 10 } else { 1 << 20 };
+            if mpi.rank() == 0 {
+                mpi.send(&w, 1, 0, &buf, len);
+                mpi.recv(&w, 1, 0, &buf, len);
+            } else {
+                mpi.recv(&w, 0, 0, &buf, len);
+                mpi.send(&w, 0, 0, &buf, len);
+            }
+        }
+        mpi.endpoint().ectx.event_slots()
+    });
+    let rdmas = uni.cluster.stats().rdmas;
+    assert!(rdmas > 1000, "only {rdmas} descriptors");
+    for (rank, n) in slots.iter().enumerate() {
+        assert!(*n <= depth, "rank {rank} holds {n} event slots");
+    }
+}
+
 #[test]
 fn noncontiguous_datatypes_roundtrip() {
     // Columns of a matrix: 256 blocks of 16 bytes, stride 48.
@@ -324,14 +356,24 @@ fn noncontiguous_datatypes_roundtrip() {
             mpi.wait(r);
         },
         move |mpi| {
+            const SENTINEL: u8 = 0xEE;
             let w = mpi.world();
             let buf = mpi.alloc(span);
+            mpi.write(&buf, 0, &vec![SENTINEL; span]);
             let r = mpi.irecv_typed(&w, 0, 3, &buf, conv1.clone());
             mpi.wait(r);
             let got = mpi.read(&buf, 0, span);
             let sent = pattern(span, 9);
+            // Every block lands, and the gap bytes between blocks are
+            // never written.
+            let mut end = 0;
             for (off, len) in conv1.segments() {
+                assert!(
+                    got[end..off].iter().all(|&b| b == SENTINEL),
+                    "gap {end}..{off} overwritten"
+                );
                 assert_eq!(&got[off..off + len], &sent[off..off + len]);
+                end = off + len;
             }
         },
     );
@@ -667,6 +709,57 @@ fn tcp_only_transport_works_and_is_slow() {
     let lat = t[0];
     // TCP latency is tens of microseconds — the paper's motivation.
     assert!(lat > 20_000, "tcp latency {lat}ns suspiciously low");
+}
+
+/// Over a long run of in-order reliable control frames the duplicate
+/// filter holds no sequence number one by one, only each peer's floor,
+/// and a replayed frame (one already below the floor when it lands) is
+/// still suppressed.
+#[test]
+fn duplicate_filter_stays_bounded_over_in_order_control_frames() {
+    let stack = StackConfig {
+        metrics: true,
+        ..StackConfig::best()
+    };
+    let uni = Universe::new(
+        elan4::NicConfig::default(),
+        qsnet::FabricConfig::default(),
+        stack,
+        Transports {
+            elan_rails: 0,
+            tcp: true,
+        },
+    );
+    uni.tcp_net.inject_dup(crate::hdr::HdrType::Ack, 1);
+    let (_, eps) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
+        let w = mpi.world();
+        let len = 16 << 10;
+        let buf = mpi.alloc(len);
+        for i in 0..600 {
+            if mpi.rank() == 0 {
+                mpi.write(&buf, 0, &pattern(len, i as u8));
+                mpi.send(&w, 1, 0, &buf, len);
+            } else {
+                mpi.recv(&w, 0, 0, &buf, len);
+                assert_eq!(mpi.read(&buf, 0, len), pattern(len, i as u8));
+            }
+        }
+        mpi.free(buf);
+        mpi.endpoint().clone()
+    });
+    let mut sent = 0;
+    let mut suppressed = 0;
+    for ep in &eps {
+        let st = ep.state.lock();
+        sent += st.ctl_next_seq.values().sum::<u32>();
+        for seen in st.ctl_seen.values() {
+            assert_eq!(seen.held(), 0, "in-order frames held one by one");
+        }
+        suppressed += ep.metrics.lock().counters.dup_suppressed;
+    }
+    assert!(sent >= 1000, "only {sent} reliable control frames");
+    assert_eq!(uni.tcp_net.stats().frames_duplicated, 1);
+    assert_eq!(suppressed, 1, "the replayed ACK was acted on");
 }
 
 #[test]

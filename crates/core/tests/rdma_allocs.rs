@@ -1,0 +1,154 @@
+//! Heap traffic of the rendezvous RDMA path. Each RDMA descriptor's
+//! completion event reuses a slot its context freed earlier, keeping the
+//! slot's chain-list capacity, and is owned by its pending record without
+//! an `Rc`; a monolithic share is split across rails without a list. This
+//! binary counts every heap allocation one pre-posted message makes on a
+//! 2-rank world, after warm-up rounds have grown the stack's and the
+//! kernel's queues and the event tables, with its own counting global
+//! allocator, and requires the exact count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use openmpi_core::{Placement, StackConfig, Transports, Universe};
+
+/// Rounds run before the counted one.
+const WARMUP: usize = 100;
+
+thread_local! {
+    /// Whether this thread's simulation is inside the counted window.
+    static WINDOW: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made inside the window.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, counting this thread's allocations while its window is open.
+/// Counters are per thread: a simulation runs on the thread that calls
+/// `run`, and the test harness runs tests in parallel.
+struct Counting;
+
+fn note() {
+    if WINDOW.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    }
+}
+
+// SAFETY: every method passes its arguments unchanged to `System`, so
+// `System`'s guarantees hold for the caller. `note` only reads and sets
+// const-initialised thread-local `Cell`s, which neither allocate nor
+// register a destructor, so it never re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The byte pattern of `round`'s message.
+fn pattern(len: usize, round: usize) -> Vec<u8> {
+    (0..len).map(|b| (round * 31 + b * 7) as u8).collect()
+}
+
+/// Send one `len`-byte message from rank 0 to rank 1 for `WARMUP` rounds
+/// and then a counted one, the receive posted before a NIC barrier and the
+/// send after it; returns the counted round's allocations and the RDMA
+/// descriptors it issued. The window opens when the sender leaves the
+/// barrier and closes when the last rank has completed its request, so it
+/// also covers the barrier's tail on the receiver, which allocates
+/// nothing.
+fn counted(len: usize) -> (usize, u64) {
+    let mut cfg = StackConfig::best();
+    cfg.coll_nic_offload = true;
+    cfg.metrics = true;
+    // The flight recorder's ring grows on demand up to its capacity, so
+    // it would still be growing inside the window.
+    cfg.flight_recorder = false;
+    let uni = Universe::new(
+        elan4::NicConfig::default(),
+        qsnet::FabricConfig {
+            nodes: 2,
+            ..Default::default()
+        },
+        cfg,
+        Transports::default(),
+    );
+    let finished = Rc::new(Cell::new(0));
+    let rdmas = Rc::new(Cell::new(0));
+    ALLOCS.set(0);
+    {
+        let (finished, rdmas) = (finished.clone(), rdmas.clone());
+        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+            let w = mpi.world();
+            let me = mpi.rank();
+            let buf = mpi.alloc(len);
+            let cluster = mpi.endpoint().cluster.clone();
+            for round in 0..=WARMUP {
+                let is_counted = round == WARMUP;
+                if me == 0 {
+                    mpi.write(&buf, 0, &pattern(len, round));
+                    mpi.barrier(&w);
+                    if is_counted {
+                        rdmas.set(cluster.stats().rdmas);
+                        WINDOW.set(true);
+                    }
+                    mpi.send(&w, 1, 7, &buf, len);
+                } else {
+                    let r = mpi.irecv(&w, 0, 7, &buf, len);
+                    mpi.barrier(&w);
+                    mpi.wait(r);
+                }
+                if is_counted {
+                    finished.set(finished.get() + 1);
+                    if finished.get() == 2 {
+                        WINDOW.set(false);
+                        rdmas.set(cluster.stats().rdmas - rdmas.get());
+                    }
+                }
+                if me == 1 {
+                    assert_eq!(mpi.read(&buf, 0, len), pattern(len, round), "round {round}");
+                }
+            }
+            mpi.free(buf);
+        });
+    }
+    assert_eq!(finished.get(), 2, "both ranks finish");
+    (ALLOCS.get(), rdmas.get())
+}
+
+/// A 64 KiB message below `pipe.min_len`: one RDMA read of the whole
+/// share. With a fresh event slot (whose chain list the chained FIN grew),
+/// an `Rc` and a chunk list for its one descriptor the count was 8.
+#[test]
+fn monolithic_rdma_message_allocation_count() {
+    let (allocs, rdmas) = counted(64 << 10);
+    assert_eq!(rdmas, 1);
+    assert_eq!(allocs, 5);
+}
+
+/// A 1 MiB message, pipelined in 32 KiB chunks and a held-back tail: 33
+/// descriptors. With a fresh event slot and an `Rc` per descriptor, and
+/// the final one's chain list grown for its FIN, the count was 41.
+#[test]
+fn pipelined_rdma_message_allocation_count() {
+    let (allocs, rdmas) = counted(1 << 20);
+    assert_eq!(rdmas, 33);
+    assert_eq!(allocs, 7);
+}

@@ -15,7 +15,7 @@ use qsnet::{Fabric, FabricConfig, NodeId};
 use crate::alloc::Allocator;
 use crate::config::NicConfig;
 use crate::mmu::Mmu;
-use crate::types::{DmaKind, E4Addr, EventId, HostAddr, QueueId, Vpid};
+use crate::types::{DmaKind, E4Addr, EventId, EventRef, HostAddr, QueueId, Vpid};
 
 /// Where a QDMA lands on the destination NIC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,7 +24,9 @@ pub enum QdmaTarget {
     Queue(QueueId),
     /// Write a remote counted event: the arrival decrements the event and
     /// hands the payload to its combine buffer — no queue slot, no host.
-    /// This is the inter-hop primitive of NIC-resident collectives.
+    /// This is the inter-hop primitive of NIC-resident collectives. The
+    /// write names the slot without a generation, so its event must never
+    /// be freed.
     Event(EventId),
 }
 
@@ -216,7 +218,11 @@ pub(crate) struct EventState {
     pub signal: Option<Signal>,
     pub irq_armed: bool,
     pub chained: Vec<QdmaSpec>,
+    /// The slot is on its context's free list.
     pub freed: bool,
+    /// Goes up each time the slot is freed; a local completion posted for
+    /// another generation is ignored.
+    pub gen: u32,
     /// Re-arm the count by this much on every fire. This is what makes a
     /// standing collective program reusable across iterations: arrivals for
     /// the next round simply pre-decrement the re-armed count.
@@ -235,10 +241,52 @@ pub(crate) struct EventState {
     pub fired_payloads: VecDeque<Payload>,
 }
 
+impl EventState {
+    /// A new slot's first occupant.
+    pub fn new(count: u32) -> EventState {
+        EventState {
+            count: count as i64,
+            fired: 0,
+            signal: None,
+            irq_armed: false,
+            chained: Vec::new(),
+            freed: false,
+            gen: 0,
+            auto_reset: None,
+            combine: None,
+            accum: Payload::default(),
+            capture: false,
+            fired_payloads: VecDeque::new(),
+        }
+    }
+
+    /// Hand the slot back: drop what its occupant held (signal, chained
+    /// specs, payloads), keeping the chain list's and the payload FIFO's
+    /// capacity for the next occupant, and move to the next generation.
+    pub fn vacate(&mut self) {
+        self.count = 0;
+        self.fired = 0;
+        self.signal = None;
+        self.irq_armed = false;
+        self.chained.clear();
+        self.freed = true;
+        self.gen = self.gen.wrapping_add(1);
+        self.auto_reset = None;
+        self.combine = None;
+        self.accum = Payload::default();
+        self.capture = false;
+        self.fired_payloads.clear();
+    }
+}
+
 pub(crate) struct CtxState {
     pub mmu: Mmu,
     pub queues: Vec<Option<QueueState>>,
     pub events: Vec<EventState>,
+    /// Slots of `events` that [`crate::ElanEvent::free`] handed back, the
+    /// most recently freed last; `event_create` takes from here before it
+    /// grows the table.
+    pub free_events: Vec<u32>,
     pub tport: crate::tport::TportState,
 }
 
@@ -379,6 +427,7 @@ impl Cluster {
                 mmu: Mmu::new(vpid, node),
                 queues: Vec::new(),
                 events: Vec::new(),
+                free_events: Vec::new(),
                 tport: crate::tport::TportState::default(),
             },
         );
@@ -498,7 +547,7 @@ impl Cluster {
         start: Time,
         src_vpid: Vpid,
         spec: QdmaSpec,
-        local_event: Option<EventId>,
+        local_event: Option<EventRef>,
     ) {
         let cfg = self.cfg.clone();
         let src_node = src_vpid.node(cfg.ctxs_per_node);
@@ -553,7 +602,7 @@ impl Cluster {
                 } else {
                     Some(spec.data)
                 };
-                self.event_complete_with_data(sim, spec.dst, ev, payload);
+                self.event_complete_with_data(sim, spec.dst, ev, None, payload);
                 return;
             }
             QdmaTarget::Queue(q) => q,
@@ -607,8 +656,8 @@ impl Cluster {
     /// Issue an RDMA. For `Write`, data moves local -> remote; for `Read`, a
     /// request packet travels to the remote NIC which streams data back.
     /// `done_event` fires on the **issuing** NIC when the transfer completes
-    /// (data landed), decrementing its count; chained QDMAs launch from the
-    /// event.
+    /// (data landed), decrementing its count unless the event has been
+    /// freed meanwhile; chained QDMAs launch from the event.
     ///
     /// MTU-sized chunks pipeline across the three stages (source bus, wire,
     /// destination bus), so long transfers run at the slowest stage's rate
@@ -624,7 +673,7 @@ impl Cluster {
         local: E4Addr,
         remote: E4Addr,
         len: usize,
-        done_event: Option<EventId>,
+        done_event: Option<EventRef>,
     ) {
         assert_eq!(
             local.owner(),
@@ -738,7 +787,7 @@ impl Cluster {
         src_vpid: Vpid,
         rail: usize,
         targets: Vec<(Vpid, QueueId, Vec<u8>)>,
-        local_event: Option<EventId>,
+        local_event: Option<EventRef>,
     ) {
         let cfg = self.cfg.clone();
         let src_node = src_vpid.node(cfg.ctxs_per_node);
@@ -779,13 +828,17 @@ impl Cluster {
         }
     }
 
-    /// Decrement an event's count; on reaching zero: latch the fire, notify
-    /// the host (optionally via interrupt), and launch any chained QDMA.
-    pub(crate) fn event_complete(self: &Rc<Self>, sim: &SimHandle, vpid: Vpid, ev: EventId) {
-        self.event_complete_with_data(sim, vpid, ev, None);
+    /// A local completion: decrement the event `ev` was taken from; on
+    /// reaching zero: latch the fire, notify the host (optionally via
+    /// interrupt), and launch any chained QDMA. Ignored once that event has
+    /// been freed, even if its slot has a new occupant.
+    pub(crate) fn event_complete(self: &Rc<Self>, sim: &SimHandle, vpid: Vpid, ev: EventRef) {
+        self.event_complete_with_data(sim, vpid, ev.id, Some(ev.gen), None);
     }
 
     /// [`Cluster::event_complete`] carrying an arriving event-write payload.
+    /// `gen` is the generation a local completion was posted for; a remote
+    /// event write has none and reaches whatever live event holds the slot.
     /// The payload is folded into the event's combine buffer (or adopted
     /// verbatim when no reduction is configured); on fire that one buffer
     /// goes to the host, if it captures payloads, and to every chained
@@ -796,6 +849,7 @@ impl Cluster {
         sim: &SimHandle,
         vpid: Vpid,
         ev: EventId,
+        gen: Option<u32>,
         data: Option<Payload>,
     ) {
         let mut guard = self.inner.lock();
@@ -806,7 +860,7 @@ impl Cluster {
             return;
         };
         let st = &mut ctx.events[ev.0 as usize];
-        if st.freed {
+        if st.freed || gen.is_some_and(|g| g != st.gen) {
             return;
         }
         if let Some(d) = data {

@@ -12,7 +12,7 @@ use qsim::{Dur, Proc, Signal, Wait};
 use qsnet::NodeId;
 
 use crate::cluster::{Cluster, EventState, Payload, QdmaSpec, QueueState};
-use crate::types::{DmaKind, E4Addr, EventId, HostAddr, HostBuf, QueueId, Vpid};
+use crate::types::{DmaKind, E4Addr, EventId, EventRef, HostAddr, HostBuf, QueueId, Vpid};
 
 /// A claimed Elan4 context: the per-process NIC endpoint.
 ///
@@ -118,6 +118,14 @@ impl ElanCtx {
         );
     }
 
+    /// Untimed host copy of `len` bytes from `src` at `src_off` to `dst` at
+    /// `dst_off`, in one pass with no staging buffer; the buffers may live
+    /// on different nodes.
+    pub fn copy(&self, src: &HostBuf, src_off: usize, dst: &HostBuf, dst_off: usize, len: usize) {
+        let (from, to) = (src.slice(src_off, len), dst.slice(dst_off, len));
+        self.cluster.mem_copy(from.addr, to.addr, len);
+    }
+
     /// Host memcpy cost for `len` bytes.
     pub fn memcpy_cost(&self, len: usize) -> Dur {
         self.cluster.cfg.memcpy(len)
@@ -196,7 +204,7 @@ impl ElanCtx {
     /// Post a queued DMA of `data` (≤ destination slot size) to `dst`'s
     /// queue `qid`. Costs one PIO write on the calling process; the rest is
     /// asynchronous. `local_event` fires once the payload has left host
-    /// memory.
+    /// memory, unless that event has been freed by then.
     pub fn qdma(
         &self,
         proc: &Proc,
@@ -204,7 +212,7 @@ impl ElanCtx {
         dst: Vpid,
         qid: QueueId,
         data: Vec<u8>,
-        local_event: Option<EventId>,
+        local_event: Option<EventRef>,
     ) {
         assert!(data.len() <= 2048, "QDMA messages are at most 2KB");
         proc.advance(self.cluster.cfg.pio_cmd);
@@ -244,12 +252,13 @@ impl ElanCtx {
     /// peers with a single NIC injection (the switches replicate it).
     /// Only valid across a synchronously-created set of contexts; the
     /// upper layer enforces the paper's global-address-space gate.
+    /// `local_event` fires as for [`ElanCtx::qdma`].
     pub fn hw_bcast(
         &self,
         proc: &Proc,
         rail: usize,
         targets: Vec<(Vpid, QueueId, Vec<u8>)>,
-        local_event: Option<EventId>,
+        local_event: Option<EventRef>,
     ) {
         assert!(
             targets.iter().all(|t| t.2.len() <= 2048),
@@ -264,7 +273,8 @@ impl ElanCtx {
     // ---- RDMA ------------------------------------------------------------
 
     /// Post an RDMA descriptor. `local` must be owned by this context;
-    /// `remote` names the peer mapping. `done` fires locally on completion.
+    /// `remote` names the peer mapping. `done` fires locally on completion,
+    /// unless that event has been freed by then.
     #[expect(clippy::too_many_arguments)]
     pub fn rdma(
         &self,
@@ -274,7 +284,7 @@ impl ElanCtx {
         local: E4Addr,
         remote: E4Addr,
         len: usize,
-        done: Option<EventId>,
+        done: Option<EventRef>,
     ) {
         proc.advance(self.cluster.cfg.pio_cmd);
         let start = proc.now();
@@ -293,44 +303,61 @@ impl ElanCtx {
 
     // ---- events ----------------------------------------------------------
 
-    /// Create an Elan event with the given completion count (Fig. 5b).
+    /// Create an Elan event with the given completion count (Fig. 5b). The
+    /// event takes the slot most recently handed back by
+    /// [`ElanEvent::free`], at that slot's new generation, and only grows
+    /// the context's event table when no slot is free, so the table never
+    /// holds more slots than the most events live at once. An event that
+    /// remote event writes target must never be freed: they name its slot
+    /// by [`ElanEvent::id`] alone, without a generation.
     pub fn event_create(&self, count: u32) -> ElanEvent {
         let mut inner = self.cluster.inner.lock();
         let ctx = inner
             .ctxs
             .get_mut(&self.vpid.raw())
             .expect("context detached");
-        let id = EventId(ctx.events.len() as u32);
-        ctx.events.push(EventState {
-            count: count as i64,
-            fired: 0,
-            signal: None,
-            irq_armed: false,
-            chained: Vec::new(),
-            freed: false,
-            auto_reset: None,
-            combine: None,
-            accum: Payload::default(),
-            capture: false,
-            fired_payloads: std::collections::VecDeque::new(),
-        });
+        let (slot, gen) = match ctx.free_events.pop() {
+            Some(slot) => {
+                let st = &mut ctx.events[slot as usize];
+                st.count = count as i64;
+                st.freed = false;
+                (slot, st.gen)
+            }
+            None => {
+                ctx.events.push(EventState::new(count));
+                (ctx.events.len() as u32 - 1, 0)
+            }
+        };
         ElanEvent {
             cluster: self.cluster.clone(),
             vpid: self.vpid,
-            id,
+            id: EventId(slot),
+            gen,
         }
+    }
+
+    /// Slots in this context's event table, live and free (leak checks).
+    /// A detached context has none.
+    pub fn event_slots(&self) -> usize {
+        let inner = self.cluster.inner.lock();
+        inner
+            .ctxs
+            .get(&self.vpid.raw())
+            .map_or(0, |c| c.events.len())
     }
 
     /// Host-side event trigger (a PIO store to the event word): decrement a
     /// *local* event, optionally contributing `data` to its combine buffer.
     /// This is how the host "enters" an armed NIC collective program —
     /// after this single store, every further hop is NIC→NIC.
-    pub fn set_event(&self, proc: &Proc, event: EventId, data: Option<Vec<u8>>) {
+    pub fn set_event(&self, proc: &Proc, event: &ElanEvent, data: Option<Vec<u8>>) {
+        assert_eq!(event.vpid, self.vpid, "event of another context");
         proc.advance(self.cluster.cfg.pio_cmd);
         self.cluster.event_complete_with_data(
             &proc.sim(),
             self.vpid,
-            event,
+            event.id,
+            Some(event.gen),
             data.map(Payload::Owned),
         );
     }
@@ -408,17 +435,34 @@ impl RxQueue {
     }
 }
 
-/// Host handle onto an Elan event.
+/// Host handle onto one occupant of an Elan event slot. Once the event is
+/// freed the handle is spent: [`ElanEvent::free`] through it again does
+/// nothing, and any other use panics, since the slot may hold another
+/// event by then.
 pub struct ElanEvent {
     cluster: Rc<Cluster>,
     vpid: Vpid,
     id: EventId,
+    gen: u32,
 }
 
 impl ElanEvent {
-    /// Event id within the owning context.
+    /// Slot id within the owning context: the address remote event writes
+    /// use ([`crate::QdmaTarget::Event`]), valid for as long as the event
+    /// is never freed.
     pub fn id(&self) -> EventId {
         self.id
+    }
+
+    /// This event as a posted command names its local completion: what
+    /// [`ElanCtx::rdma`]'s `done` and [`ElanCtx::qdma`]'s and
+    /// [`ElanCtx::hw_bcast`]'s `local_event` take. A completion through it
+    /// after the event is freed is ignored.
+    pub fn event_ref(&self) -> EventRef {
+        EventRef {
+            id: self.id,
+            gen: self.gen,
+        }
     }
 
     fn with_state<R>(&self, f: impl FnOnce(&mut EventState) -> R) -> R {
@@ -427,7 +471,9 @@ impl ElanEvent {
             .ctxs
             .get_mut(&self.vpid.raw())
             .expect("context detached");
-        f(&mut ctx.events[self.id.0 as usize])
+        let st = &mut ctx.events[self.id.0 as usize];
+        assert_eq!(st.gen, self.gen, "event used after free");
+        f(st)
     }
 
     /// Consume one latched fire if present (a host poll of the event word).
@@ -505,9 +551,26 @@ impl ElanEvent {
         self.with_state(|e| e.chained.push(spec));
     }
 
-    /// Mark the event dead; stale completions are ignored.
+    /// Hand the event's slot back to its context for the next
+    /// [`ElanCtx::event_create`]: its signal, chained specs and payloads
+    /// are dropped, and the slot moves to its next generation, so a
+    /// completion still in flight for this event is ignored and never
+    /// reaches the slot's next occupant. Only an event that is never
+    /// freed may be the target of remote event writes, which name the
+    /// slot without a generation. Freeing through a handle whose event
+    /// has already been freed does nothing.
     pub fn free(&self) {
-        self.with_state(|e| e.freed = true);
+        let mut inner = self.cluster.inner.lock();
+        let ctx = inner
+            .ctxs
+            .get_mut(&self.vpid.raw())
+            .expect("context detached");
+        let st = &mut ctx.events[self.id.0 as usize];
+        if st.gen != self.gen {
+            return;
+        }
+        st.vacate();
+        ctx.free_events.push(self.id.0);
     }
 }
 

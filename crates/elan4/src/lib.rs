@@ -16,7 +16,16 @@
 //! - **Events** — counted completion events; an event may carry a *chained*
 //!   QDMA launched by the NIC when it fires (the chained-event mechanism
 //!   behind the paper's FIN/FIN_ACK optimization and shared completion
-//!   queue).
+//!   queue). Each context keeps its events in a table of slots:
+//!   [`ElanEvent::free`] hands a slot back and [`ElanCtx::event_create`]
+//!   reuses a free slot before it grows the table, so the table holds no
+//!   more slots than the most events ever live at once. A slot's
+//!   generation goes up on every free, and a local completion (an RDMA's
+//!   `done`, a QDMA's or broadcast's `local_event`) carries the generation
+//!   of the [`EventRef`] it was posted with, so a completion armed for an
+//!   earlier occupant is ignored. Remote event writes address a slot by
+//!   its bare [`EventId`], so only events that are never freed (the
+//!   standing events of NIC collective programs) may be their targets.
 //! - **Tport** — the NIC-side tag-matching engine used by the
 //!   MPICH-QsNetII comparator.
 //!
@@ -36,7 +45,7 @@ pub use cluster::{Cluster, ClusterStats, NicReduce, Payload, QdmaSpec, QdmaTarge
 pub use config::NicConfig;
 pub use ctx::{ElanCtx, ElanEvent, RxQueue};
 pub use tport::{Tport, TportEnvelope, TportRecv, TportSend, TPORT_ANY_SRC, TPORT_ANY_TAG};
-pub use types::{DmaKind, E4Addr, EventId, HostAddr, HostBuf, QueueId, Vpid};
+pub use types::{DmaKind, E4Addr, EventId, EventRef, HostAddr, HostBuf, QueueId, Vpid};
 
 #[cfg(test)]
 mod tests;

@@ -105,7 +105,7 @@ fn qdma_local_event_fires_when_buffer_drained() {
             rx_vpid,
             crate::QueueId(0),
             vec![1u8; 1024],
-            Some(ev.id()),
+            Some(ev.event_ref()),
         );
         p.wait(&sig).expect_signaled();
         assert!(ev.take_fired_ready());
@@ -141,7 +141,15 @@ fn rdma_write_moves_bytes() {
             let ev = a.event_create(1);
             let sig = p.signal();
             ev.set_signal(sig.clone());
-            a.rdma(&p, 0, DmaKind::Write, local, remote, 8192, Some(ev.id()));
+            a.rdma(
+                &p,
+                0,
+                DmaKind::Write,
+                local,
+                remote,
+                8192,
+                Some(ev.event_ref()),
+            );
             p.wait(&sig).expect_signaled();
             assert!(ev.take_fired_ready());
             dt.set(p.now().as_ns());
@@ -174,7 +182,15 @@ fn same_node_rdma_with_overlapping_ranges_lands_the_source_as_read() {
             let sig = p.signal();
             ev.set_signal(sig.clone());
             let (local, remote) = (base.offset(from), base.offset(to));
-            a2.rdma(&p, 0, DmaKind::Write, local, remote, len, Some(ev.id()));
+            a2.rdma(
+                &p,
+                0,
+                DmaKind::Write,
+                local,
+                remote,
+                len,
+                Some(ev.event_ref()),
+            );
             p.wait(&sig).expect_signaled();
         });
         sim.run().unwrap();
@@ -201,7 +217,15 @@ fn rdma_read_pulls_bytes() {
         let ev = a.event_create(1);
         let sig = p.signal();
         ev.set_signal(sig.clone());
-        a.rdma(&p, 0, DmaKind::Read, local, remote, 4096, Some(ev.id()));
+        a.rdma(
+            &p,
+            0,
+            DmaKind::Read,
+            local,
+            remote,
+            4096,
+            Some(ev.event_ref()),
+        );
         p.wait(&sig).expect_signaled();
         assert_eq!(a.read(&mine, 0, 4096), vec![0xAB; 4096]);
     });
@@ -228,7 +252,7 @@ fn rdma_read_slower_than_write_by_request_trip() {
             let ev = a.event_create(1);
             let sig = p.signal();
             ev.set_signal(sig.clone());
-            a.rdma(&p, 0, kind, local, remote, 256, Some(ev.id()));
+            a.rdma(&p, 0, kind, local, remote, 256, Some(ev.event_ref()));
             p.wait(&sig).expect_signaled();
             t2.set(p.now().as_ns());
         });
@@ -264,7 +288,7 @@ fn counted_event_fires_after_n_completions() {
                 local.offset(i * 1024),
                 remote.offset(i * 1024),
                 1024,
-                Some(ev.id()),
+                Some(ev.event_ref()),
             );
         }
         p.wait(&sig).expect_signaled();
@@ -312,7 +336,15 @@ fn chained_qdma_launches_on_event_fire() {
                 vec![0xF1, 0x4E],
                 0,
             ));
-            a.rdma(&p, 0, DmaKind::Write, local, remote, 2048, Some(ev.id()));
+            a.rdma(
+                &p,
+                0,
+                DmaKind::Write,
+                local,
+                remote,
+                2048,
+                Some(ev.event_ref()),
+            );
         });
     }
     sim.run().unwrap();
@@ -637,7 +669,15 @@ fn counted_event_reset_and_reuse() {
         let sig = p.signal();
         ev.set_signal(sig.clone());
         for round in 0..3 {
-            a.rdma(&p, 0, DmaKind::Write, local, remote, 512, Some(ev.id()));
+            a.rdma(
+                &p,
+                0,
+                DmaKind::Write,
+                local,
+                remote,
+                512,
+                Some(ev.event_ref()),
+            );
             a.rdma(
                 &p,
                 0,
@@ -645,7 +685,7 @@ fn counted_event_reset_and_reuse() {
                 local.offset(512),
                 remote.offset(512),
                 512,
-                Some(ev.id()),
+                Some(ev.event_ref()),
             );
             p.wait(&sig).expect_signaled();
             assert!(ev.take_fired_ready(), "round {round} did not fire");
@@ -654,6 +694,118 @@ fn counted_event_reset_and_reuse() {
     });
     sim.run().unwrap();
     assert_eq!(cl.stats().rdmas, 6);
+}
+
+#[test]
+fn stale_rdma_completion_skips_the_slots_next_event() {
+    // The old event is freed with its RDMA still in flight, and the new
+    // event takes its slot and arms its own RDMA behind it on the same
+    // rail. The stale completion lands first: had it counted, the new
+    // event would fire before its own bytes landed, and twice in all.
+    let cl = cluster();
+    let sim = Simulation::new();
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let (src, dst) = (a.alloc(2 * 8192), b.alloc(2 * 8192));
+    a.write(&src, 0, &[0x0D; 8192]);
+    a.write(&src, 8192, &[0x1E; 8192]);
+    {
+        let (a, b) = (a.clone(), b.clone());
+        sim.spawn("p", move |p| {
+            let local = a.map(&p, &src);
+            let remote = b.map(&p, &dst);
+            let old = a.event_create(1);
+            a.rdma(
+                &p,
+                0,
+                DmaKind::Write,
+                local,
+                remote,
+                8192,
+                Some(old.event_ref()),
+            );
+            old.free();
+            let new = a.event_create(1);
+            assert_eq!(new.id(), old.id(), "the freed slot is reused");
+            let sig = p.signal();
+            new.set_signal(sig.clone());
+            let (local, remote) = (local.offset(8192), remote.offset(8192));
+            a.rdma(
+                &p,
+                0,
+                DmaKind::Write,
+                local,
+                remote,
+                8192,
+                Some(new.event_ref()),
+            );
+            p.wait(&sig).expect_signaled();
+            assert_eq!(b.read(&dst, 0, 8192), vec![0x0D; 8192], "stale RDMA landed");
+            assert_eq!(
+                b.read(&dst, 8192, 8192),
+                vec![0x1E; 8192],
+                "fired before its own descriptor landed"
+            );
+            p.advance(Dur::from_us(100));
+            assert!(new.take_fired_ready());
+            assert!(!new.take_fired_ready(), "must fire exactly once");
+        });
+    }
+    sim.run().unwrap();
+    assert_eq!(cl.stats().rdmas, 2);
+    assert_eq!(a.event_slots(), 1);
+}
+
+#[test]
+fn freed_slots_bound_the_event_table() {
+    let cl = cluster();
+    let a = ElanCtx::attach(&cl, 0).unwrap();
+    let mut live = std::collections::VecDeque::new();
+    for _ in 0..10_000 {
+        if live.len() == 4 {
+            let ev: crate::ElanEvent = live.pop_front().unwrap();
+            ev.free();
+        }
+        let ev = a.event_create(1);
+        assert!(
+            live.iter().all(|l| l.id() != ev.id()),
+            "slot handed out twice"
+        );
+        live.push_back(ev);
+    }
+    assert_eq!(a.event_slots(), 4);
+}
+
+#[test]
+fn free_through_a_stale_handle_does_nothing() {
+    let cl = cluster();
+    let sim = Simulation::new();
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let old = a.event_create(1);
+    old.free();
+    let new = a.event_create(1);
+    assert_eq!(new.id(), old.id());
+    old.free();
+    // The slot was not handed back again: the next event grows the table,
+    // and the live occupant still fires.
+    let other = a.event_create(1);
+    assert_ne!(other.id(), new.id());
+    assert_eq!(a.event_slots(), 2);
+    sim.spawn("p", move |p| {
+        a.set_event(&p, &new, None);
+        assert!(new.take_fired_ready());
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+#[should_panic(expected = "event used after free")]
+fn a_freed_event_cannot_be_polled() {
+    let cl = cluster();
+    let a = ElanCtx::attach(&cl, 0).unwrap();
+    let ev = a.event_create(1);
+    ev.free();
+    let _ = ev.take_fired_ready();
 }
 
 #[test]
@@ -685,7 +837,7 @@ fn event_write_qdma_decrements_remote_event() {
             up.chain_qdma(QdmaSpec::to_queue(ov, crate::QueueId(0), vec![0xCC; 8], 0));
             // One NIC-side arrival + one host enter.
             child.qdma_to_event(&p, 0, pv, up.id(), Vec::new());
-            parent.set_event(&p, up.id(), None);
+            parent.set_event(&p, &up, None);
             p.advance(Dur::from_us(50));
             assert!(up.take_fired_ready());
         });
@@ -709,7 +861,7 @@ fn auto_reset_event_survives_multiple_rounds() {
         ev.set_signal(sig.clone());
         for round in 0..3 {
             b.qdma_to_event(&p, 0, av, ev.id(), Vec::new());
-            a.set_event(&p, ev.id(), None);
+            a.set_event(&p, &ev, None);
             loop {
                 if ev.take_fired_ready() {
                     break;
@@ -746,7 +898,7 @@ fn event_combine_accumulates_and_forwards_payload() {
             up.set_combine(crate::NicReduce::SumU64);
             up.chain_qdma(QdmaSpec::forward_to_event(root_v, root_id, 0));
             leaf.qdma_to_event(&p, 0, mid_v, up.id(), 5u64.to_le_bytes().to_vec());
-            mid.set_event(&p, up.id(), Some(37u64.to_le_bytes().to_vec()));
+            mid.set_event(&p, &up, Some(37u64.to_le_bytes().to_vec()));
         });
     }
     {

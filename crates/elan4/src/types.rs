@@ -102,9 +102,23 @@ impl E4Addr {
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct QueueId(pub u16);
 
-/// Identifies one Elan event within a context.
+/// Identifies one Elan event slot within a context.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct EventId(pub u32);
+
+/// One occupant of an event slot, as a posted command names its local
+/// completion event: the slot and the generation it had when
+/// [`ElanEvent::event_ref`] was called. Freeing an event moves its slot to
+/// the next generation, so a completion through a reference taken before
+/// the free reaches neither the freed event nor a later occupant of the
+/// slot.
+///
+/// [`ElanEvent::event_ref`]: crate::ElanEvent::event_ref
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct EventRef {
+    pub(crate) id: EventId,
+    pub(crate) gen: u32,
+}
 
 /// RDMA direction.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
