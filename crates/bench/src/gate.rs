@@ -429,10 +429,25 @@ fn stall_demo() -> Outcome {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let demo = measure::stall_flight_demo(true);
+    let unrecorded = measure::stall_flight_demo(false);
     std::panic::set_hook(hook);
     let mut failures = Vec::new();
     if demo.flight_dumps.is_empty() {
         failures.push("no flight-recorder dump produced".to_string());
+    }
+    // The one stuck request is the send whose FIN_ACK was lost, and its
+    // diagnosis reads its own state, so the flight recorder cannot change it.
+    if !matches!(demo.stuck.as_slice(), [("send", stage)] if stage.starts_with("fin_wait")) {
+        failures.push(format!(
+            "expected one send stalled in fin_wait, got {:?}",
+            demo.stuck
+        ));
+    }
+    if unrecorded.stuck != demo.stuck {
+        failures.push(format!(
+            "flight.enable off diagnoses {:?}, on {:?}",
+            unrecorded.stuck, demo.stuck
+        ));
     }
     Outcome {
         summary: format!(

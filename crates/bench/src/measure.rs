@@ -8,8 +8,8 @@ use std::rc::Rc;
 use elan4::{Cluster, ElanCtx, HostBuf, NicConfig};
 use mpich_qsnet::{run_mpich, MpichConfig};
 use openmpi_core::{
-    Communicator, Metrics, Mpi, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog, Transports,
-    Universe,
+    Communicator, Endpoint, Metrics, Mpi, Placement, PtlKind, PtlTraffic, StackConfig, TraceLog,
+    Transports, Universe,
 };
 use qsim::{Dur, Local, Simulation};
 use qsnet::FabricConfig;
@@ -1065,6 +1065,9 @@ pub struct StallFlightDemo {
     pub diagnostics: Vec<String>,
     /// Flight-recorder dumps (JSON objects) recorded on the stall.
     pub flight_dumps: Vec<String>,
+    /// Every stuck request the diagnostics name: its kind (`"send"` or
+    /// `"recv"`) and the stage it stalls in.
+    pub stuck: Vec<(&'static str, String)>,
 }
 
 impl StallFlightDemo {
@@ -1078,6 +1081,34 @@ impl StallFlightDemo {
             self.flight_dumps.join(",")
         )
     }
+}
+
+/// Run `body` on two ranks of `uni`, catching the panic a progress
+/// watchdog aborts a stalled run with: its message, which is the rendered
+/// diagnostic (empty when the run finished), and each rank's endpoint in
+/// rank order.
+pub fn run_until_stall(
+    uni: &Rc<Universe>,
+    body: impl Fn(&Mpi) + 'static,
+) -> (String, Vec<Rc<Endpoint>>) {
+    let eps: Rc<Local<Vec<Rc<Endpoint>>>> = Rc::new(Local::new(Vec::new()));
+    let e2 = eps.clone();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        uni.run_world(2, Placement::RoundRobin, move |mpi| {
+            e2.lock().push(mpi.endpoint().clone());
+            body(&mpi);
+        });
+    }));
+    let panic_msg = match result {
+        Ok(_) => String::new(),
+        Err(p) => p
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic".to_string()),
+    };
+    let mut eps = std::mem::take(&mut *eps.lock());
+    eps.sort_by_key(|ep| ep.name.rank);
+    (panic_msg, eps)
 }
 
 /// Force a rendezvous stall (drop the lone FIN_ACK with the reliability
@@ -1105,43 +1136,32 @@ pub fn stall_flight_demo(flight_recorder: bool) -> StallFlightDemo {
     );
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
-    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-    let eps: Rc<Local<Captured>> = Rc::new(Local::new(Vec::new()));
-    let e2 = eps.clone();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
-            e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
-            let w = mpi.world();
-            let len = 64 << 10;
-            let buf = mpi.alloc(len);
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 7, &buf, len);
-            } else {
-                mpi.recv(&w, 0, 7, &buf, len);
-            }
-            mpi.free(buf);
-        });
-    }));
-    let panic_msg = match result {
-        Ok(_) => String::new(),
-        Err(p) => p
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic".to_string()),
-    };
-    let mut rows = std::mem::take(&mut *eps.lock());
-    rows.sort_by_key(|(r, _)| *r);
+    let (panic_msg, eps) = run_until_stall(&uni, |mpi| {
+        let w = mpi.world();
+        let len = 64 << 10;
+        let buf = mpi.alloc(len);
+        if mpi.rank() == 0 {
+            mpi.send(&w, 1, 7, &buf, len);
+        } else {
+            mpi.recv(&w, 0, 7, &buf, len);
+        }
+        mpi.free(buf);
+    });
     let mut diagnostics = Vec::new();
     let mut flight_dumps = Vec::new();
-    for (_, ep) in &rows {
+    let mut stuck = Vec::new();
+    for ep in &eps {
         let ins = ep.introspect.lock();
         diagnostics.extend(ins.diagnostics.iter().map(|d| d.to_json()));
         flight_dumps.extend(ins.flight_dumps.iter().cloned());
+        let reqs = ins.diagnostics.iter().flat_map(|d| &d.stuck);
+        stuck.extend(reqs.map(|s| (s.kind, s.stalled_stage.clone())));
     }
     StallFlightDemo {
         panic_msg,
         diagnostics,
         flight_dumps,
+        stuck,
     }
 }
 

@@ -295,11 +295,7 @@ impl Endpoint {
             ProgressMode::Polling | ProgressMode::Interrupt => {
                 let bell = proc.signal();
                 let irq = self.cfg.progress == ProgressMode::Interrupt;
-                if let Some(q) = &self.main_q {
-                    q.set_signal(bell.clone());
-                    q.arm_irq(irq);
-                }
-                if let Some(q) = &self.comp_q {
+                for q in [&self.main_q, &self.comp_q].into_iter().flatten() {
                     q.set_signal(bell.clone());
                     q.arm_irq(irq);
                 }
@@ -308,30 +304,22 @@ impl Endpoint {
                 }
                 *self.doorbell.lock() = Some(bell);
             }
-            ProgressMode::OneThread => {
-                let ep = self.clone();
-                proc.spawn_daemon(
-                    &format!("progress-{}-{}", self.name.job.0, self.name.rank),
-                    move |p| {
-                        progress_thread(&p, &ep, QueueSel::Main);
-                    },
-                );
-            }
-            ProgressMode::TwoThreads => {
-                let ep = self.clone();
-                proc.spawn_daemon(
-                    &format!("progress-{}-{}", self.name.job.0, self.name.rank),
-                    move |p| {
-                        progress_thread(&p, &ep, QueueSel::Main);
-                    },
-                );
-                let ep2 = self.clone();
-                proc.spawn_daemon(
-                    &format!("compl-{}-{}", self.name.job.0, self.name.rank),
-                    move |p| {
-                        progress_thread(&p, &ep2, QueueSel::Completion);
-                    },
-                );
+            ProgressMode::OneThread | ProgressMode::TwoThreads => {
+                // The main progress thread first, then the completion
+                // thread: the spawn order fixes the process ids.
+                let spawn = |role: &str, q: &Option<Rc<RxQueue>>, main: bool| {
+                    let (ep, q) = (self.clone(), q.clone());
+                    let name = format!("{role}-{}-{}", self.name.job.0, self.name.rank);
+                    proc.spawn_daemon(&name, move |p| {
+                        if let Some(q) = q {
+                            progress_thread(&p, &ep, &q, main);
+                        }
+                    });
+                };
+                spawn("progress", &self.main_q, true);
+                if self.cfg.progress == ProgressMode::TwoThreads {
+                    spawn("compl", &self.comp_q, false);
+                }
             }
         }
     }
@@ -376,46 +364,71 @@ impl Endpoint {
     /// sooner). `None` means an unbounded wait is safe — no watchdog armed
     /// and no sequence-stamped control frame awaiting its receipt.
     fn wait_bound(&self, now: Time) -> Option<Dur> {
-        let mut bound = if self.tunables.watchdog_interval() > 0 {
-            Some(WATCHDOG_TICK)
+        let tick = (self.tunables.watchdog_interval() > 0).then_some(WATCHDOG_TICK);
+        let earliest = if self.cfg.tcp_reliability {
+            self.state
+                .lock()
+                .ctl_inflight
+                .iter()
+                .map(|e| e.deadline)
+                .min()
         } else {
             None
         };
-        if self.cfg.tcp_reliability {
-            let earliest = {
-                let st = self.state.lock();
-                st.ctl_inflight.iter().map(|e| e.deadline).min()
-            };
-            if let Some(deadline) = earliest {
-                let until = deadline.saturating_sub(now);
-                let until = if until > Dur::ZERO {
-                    until
-                } else {
-                    Dur::from_ns(1)
-                };
-                bound = Some(match bound {
-                    Some(b) if b < until => b,
-                    _ => until,
-                });
-            }
-        }
-        bound
+        // A deadline already due still waits 1 ns, so time moves on.
+        let retransmit = earliest.map(|d| d.saturating_sub(now).max(Dur::from_ns(1)));
+        tick.into_iter().chain(retransmit).min()
     }
 
-    /// A bounded wait expired: service the timers that bounded it.
-    fn timers_tick(self: &Rc<Self>, proc: &Proc) {
+    /// Service the timers: the watchdog tick, the timeline sampler and the
+    /// retransmit scan. Every progress pass runs them, and so does every
+    /// bounded wait that expired.
+    pub(crate) fn timers_tick(self: &Rc<Self>, proc: &Proc) {
         crate::introspect::watchdog_tick(proc, self);
         crate::introspect::timeline_tick(proc, self);
         proto::reliability_tick(proc, self);
     }
 
+    /// Sleep on `sig` until it fires, then charge `wake_cost`. The wait is
+    /// bounded whenever the watchdog is armed or a control frame awaits its
+    /// receipt ([`Endpoint::wait_bound`]): an expiry services those timers
+    /// instead, so a wedged rank keeps diagnosing (and healing) rather than
+    /// deadlocking. `false` when the simulation shut down.
+    fn park(self: &Rc<Self>, proc: &Proc, sig: &Signal, wake_cost: Dur) -> bool {
+        let woke = match self.wait_bound(proc.now()) {
+            Some(bound) => proc.wait_timeout(sig, bound),
+            None => match proc.wait(sig) {
+                Wait::Signaled => TimedWait::Signaled,
+                Wait::Shutdown => TimedWait::Shutdown,
+            },
+        };
+        match woke {
+            TimedWait::Signaled => proc.advance(wake_cost),
+            TimedWait::TimedOut => self.timers_tick(proc),
+            TimedWait::Shutdown => return false,
+        }
+        true
+    }
+
     /// Drive progress until `done()` (checked under the state lock) returns
-    /// true. Used by request waits, barriers, and finalize.
+    /// true. Used by request waits, barriers, and finalize. In the polling
+    /// modes the caller runs progress passes and sleeps on the doorbell;
+    /// under progress threads it sleeps on a per-wait signal they notify,
+    /// paying the thread handoff on each wakeup.
     pub fn wait_until(self: &Rc<Self>, proc: &Proc, mut done: impl FnMut(&mut EpState) -> bool) {
-        match self.cfg.progress {
-            ProgressMode::Polling | ProgressMode::Interrupt => {
-                let bell = self.doorbell().expect("progress not started");
-                loop {
+        let host = &self.cfg.host;
+        let (bell, wake_cost) = match self.cfg.progress {
+            ProgressMode::Polling | ProgressMode::Interrupt => (
+                Some(self.doorbell().expect("progress not started")),
+                self.cluster.cfg().poll_check,
+            ),
+            ProgressMode::OneThread => (None, host.thread_handoff),
+            ProgressMode::TwoThreads => (None, host.thread_handoff + host.thread_contention),
+        };
+        loop {
+            let waiter;
+            let sig = match &bell {
+                Some(bell) => {
                     if done(&mut self.state.lock()) {
                         return;
                     }
@@ -425,66 +438,20 @@ impl Endpoint {
                     if done(&mut self.state.lock()) {
                         return;
                     }
-                    // Bounded wait whenever the watchdog is armed or a
-                    // control frame awaits its receipt: each expiry is a
-                    // watchdog tick and a retransmit scan, so a wedged rank
-                    // keeps diagnosing (and healing) instead of
-                    // deadlocking.
-                    match self.wait_bound(proc.now()) {
-                        Some(bound) => match proc.wait_timeout(&bell, bound) {
-                            TimedWait::Signaled => {
-                                proc.advance(self.cluster.cfg().poll_check);
-                            }
-                            TimedWait::TimedOut => self.timers_tick(proc),
-                            TimedWait::Shutdown => {
-                                panic!("simulation shut down during MPI wait")
-                            }
-                        },
-                        None => match proc.wait(&bell) {
-                            Wait::Signaled => {
-                                proc.advance(self.cluster.cfg().poll_check);
-                            }
-                            Wait::Shutdown => panic!("simulation shut down during MPI wait"),
-                        },
-                    }
+                    bell
                 }
-            }
-            ProgressMode::OneThread | ProgressMode::TwoThreads => {
-                // The progress thread(s) complete requests; we sleep on a
-                // per-wait signal it notifies, paying the thread-handoff
-                // cost on each wakeup.
-                let extra = if self.cfg.progress == ProgressMode::TwoThreads {
-                    self.cfg.host.thread_contention
-                } else {
-                    Dur::ZERO
-                };
-                loop {
-                    let sig = proc.signal();
-                    {
-                        let mut st = self.state.lock();
-                        if done(&mut st) {
-                            return;
-                        }
-                        st.waiters.push(sig.clone());
+                None => {
+                    waiter = proc.signal();
+                    let mut st = self.state.lock();
+                    if done(&mut st) {
+                        return;
                     }
-                    match self.wait_bound(proc.now()) {
-                        Some(bound) => match proc.wait_timeout(&sig, bound) {
-                            TimedWait::Signaled => {
-                                proc.advance(self.cfg.host.thread_handoff + extra);
-                            }
-                            TimedWait::TimedOut => self.timers_tick(proc),
-                            TimedWait::Shutdown => {
-                                panic!("simulation shut down during MPI wait")
-                            }
-                        },
-                        None => match proc.wait(&sig) {
-                            Wait::Signaled => {
-                                proc.advance(self.cfg.host.thread_handoff + extra);
-                            }
-                            Wait::Shutdown => panic!("simulation shut down during MPI wait"),
-                        },
-                    }
+                    st.waiters.push(waiter.clone());
+                    &waiter
                 }
+            };
+            if !self.park(proc, sig, wake_cost) {
+                panic!("simulation shut down during MPI wait");
             }
         }
     }
@@ -664,82 +631,29 @@ impl Endpoint {
     }
 }
 
-/// Which queue a progress thread services.
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum QueueSel {
-    Main,
-    Completion,
-}
-
-/// Body of an asynchronous progress thread: block on the queue's interrupt,
-/// drain it, dispatch frames, wake any waiting application threads.
-fn progress_thread(proc: &Proc, ep: &Rc<Endpoint>, sel: QueueSel) {
-    let q = match sel {
-        QueueSel::Main => ep.main_q.clone(),
-        QueueSel::Completion => ep.comp_q.clone(),
-    };
-    let Some(q) = q else { return };
+/// Body of an asynchronous progress thread: block on queue `q`'s interrupt,
+/// drain it, dispatch frames, wake any waiting application threads. The
+/// `main` thread also drains the TCP inbox and pumps the work parked
+/// between dispatches, since nothing else polls in the thread modes.
+fn progress_thread(proc: &Proc, ep: &Rc<Endpoint>, q: &RxQueue, main: bool) {
     let sig = proc.signal();
     q.set_signal(sig.clone());
     q.arm_irq(true);
-    if sel == QueueSel::Main {
-        if let Some(ib) = &ep.tcp_inbox {
-            ib.set_doorbell(sig.clone());
-        }
+    if let Some(ib) = ep.tcp_inbox.as_ref().filter(|_| main) {
+        ib.set_doorbell(sig.clone());
     }
     loop {
         ep.metric(|m| m.counters.progress_iterations += 1);
-        if sel == QueueSel::Main {
+        if main {
             proto::reliability_tick(proc, ep);
         }
-        let mut worked = false;
-        while let Some(frame) = q.pop_ready() {
-            proto::dispatch(proc, ep, frame);
-            worked = true;
+        let mut worked = proto::drain_queue(proc, ep, q);
+        if main {
+            worked |= proto::drain_tcp_inbox(proc, ep);
+            worked |= proto::pump(proc, ep);
         }
-        if sel == QueueSel::Main {
-            if let Some(ib) = &ep.tcp_inbox {
-                while let Some(frame) = ib.pop() {
-                    // Kernel receive path: syscall + copy out of the socket.
-                    if let Some(net) = &ep.tcp_net {
-                        proc.advance(net.cfg().syscall + ep.cluster.cfg().memcpy(frame.len()));
-                    }
-                    proto::dispatch(proc, ep, frame);
-                    worked = true;
-                }
-            }
-            // Paced bulk work parks between dispatches; the thread must
-            // pump it, since nothing else polls in the thread modes.
-            if proto::tcp_push_pump(proc, ep) {
-                worked = true;
-            }
-            if proto::pipe_pump_all(proc, ep) {
-                worked = true;
-            }
-            // Credit-parked sends wake on credit returns dispatched above;
-            // the pump also issues explicit credit-return frames when
-            // piggyback opportunities ran dry.
-            if proto::flow_pump(proc, ep) {
-                worked = true;
-            }
-        }
-        if worked {
-            continue;
-        }
-        match ep.wait_bound(proc.now()) {
-            Some(bound) => match proc.wait_timeout(&sig, bound) {
-                TimedWait::Signaled => proc.advance(ep.cluster.cfg().poll_check),
-                TimedWait::TimedOut => {
-                    crate::introspect::watchdog_tick(proc, ep);
-                    crate::introspect::timeline_tick(proc, ep);
-                    proto::reliability_tick(proc, ep);
-                }
-                TimedWait::Shutdown => break,
-            },
-            None => match proc.wait(&sig) {
-                Wait::Signaled => proc.advance(ep.cluster.cfg().poll_check),
-                Wait::Shutdown => break,
-            },
+        if !worked && !ep.park(proc, &sig, ep.cluster.cfg().poll_check) {
+            return;
         }
     }
 }

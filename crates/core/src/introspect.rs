@@ -28,6 +28,8 @@ use qsim::{FastMap, Proc, Ring, Time};
 
 use crate::config::{CvarDef, CvarValue, RdmaScheme, StackConfig, CVARS};
 use crate::endpoint::Endpoint;
+use crate::proto::ReqKind;
+use crate::state::Phase;
 use crate::trace::TraceEvent;
 
 // ---------------------------------------------------------------------------
@@ -146,8 +148,8 @@ pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
     // Live protocol state (under the state lock, released before metrics).
     {
         let st = ep.state.lock();
-        let send_live = st.send_reqs.values().filter(|r| !r.done).count();
-        let recv_live = st.recv_reqs.values().filter(|r| !r.done).count();
+        let send_live = st.send_reqs.values().filter(|r| !r.phase.is_done()).count();
+        let recv_live = st.recv_reqs.values().filter(|r| !r.phase.is_done()).count();
         let posted: usize = st.comms.values().map(|c| c.posted.len()).sum();
         let unexpected: usize = st.comms.values().map(|c| c.unexpected.len()).sum();
         let dma_bytes: usize = st.pending_dmas.iter().map(|p| p.role.bytes).sum();
@@ -389,8 +391,8 @@ pub struct IntrospectState {
     /// counted while the watchdog is armed. Kept here rather than in
     /// `Metrics` so the watchdog works with telemetry off.
     pub ticks: u64,
-    /// Per-request `(fingerprint, consecutive stale scans)`.
-    marks: FastMap<u64, (u64, u64)>,
+    /// Per-request `((phase, bytes done), consecutive stale scans)`.
+    marks: FastMap<u64, ((Phase, usize), u64)>,
     /// Watchdog scans performed.
     pub scans: u64,
     /// Requests ever declared stalled.
@@ -421,52 +423,50 @@ pub struct StuckReq {
     pub bytes_total: usize,
     /// Protocol phase the request is wedged in.
     pub phase: String,
-    /// Lifecycle stage that never completed, inferred from the message's
-    /// causal event chain in the flight recorder.
+    /// The stage it stalls in, starting with its `critpath` stage key.
     pub stalled_stage: String,
-    /// The message's reconstructed lifecycle: every flight-recorder event
-    /// carrying this gid, as a JSON array of timestamped events.
+    /// Evidence, not input: every flight-recorder event carrying this gid,
+    /// as a JSON array of timestamped events.
     pub lifecycle: String,
     /// Consecutive scans without a state transition.
     pub stale_scans: u64,
 }
 
-/// Infer which lifecycle stage a stalled message is wedged in from its
-/// retained flight events (this rank's view of the causal chain). Byte
-/// accounting beats last-event order: DMA completions may interleave with
-/// later issues, so the question is whether issued bytes all landed.
-fn stalled_stage<'a>(evs: impl IntoIterator<Item = &'a TraceEvent>) -> String {
-    let (mut issued, mut landed) = (0usize, 0usize);
-    let (mut sent, mut matched, mut rdma, mut complete) = (false, false, false, false);
-    for e in evs {
-        match *e {
-            TraceEvent::SendPosted { .. } => sent = true,
-            TraceEvent::Matched { .. } => matched = true,
-            TraceEvent::RdmaIssued { bytes, .. } => {
-                rdma = true;
-                issued += bytes;
-            }
-            TraceEvent::DmaDone { bytes, .. } => landed += bytes,
-            TraceEvent::Completed { .. } => complete = true,
-            _ => {}
+/// A live request's protocol phase and the stage it stalls in, both read
+/// from its own state: its kind, its [`Phase`], the rendezvous `scheme`,
+/// and `in_flight`, the bytes its own descriptors still have to move (its
+/// pending DMAs plus what its pipeline has not issued yet). The stage
+/// starts with a `critpath` stage key — `queued`, `match_wait`, `wire` or
+/// `fin_wait` — so a stall and a critical-path breakdown use one
+/// vocabulary. A matched receive is always a rendezvous: an eager receive
+/// completes at its match.
+fn diagnose(kind: ReqKind, phase: Phase, scheme: RdmaScheme, in_flight: usize) -> (String, String) {
+    let wire = match scheme {
+        RdmaScheme::Write => "rdma-write+fin",
+        RdmaScheme::Read => "rdma-read+fin_ack",
+    };
+    let name = match (kind, phase) {
+        (_, Phase::Parked) => "eager: parked on the peer's exhausted credit window".to_string(),
+        (ReqKind::Send, Phase::Posted) => {
+            format!("{wire}: rendezvous posted, awaiting first receiver contact")
         }
-    }
-    if complete {
-        "complete: lifecycle finished on this rank (peer side stalled)".to_string()
-    } else if rdma && landed < issued {
-        format!(
-            "wire: RDMA issued, {}/{} bytes never landed",
-            landed, issued
-        )
-    } else if rdma {
-        "fin-wait: payload landed, final control exchange never arrived".to_string()
-    } else if matched {
-        "handshake: matched, bulk transfer never started".to_string()
-    } else if sent {
-        "match-wait: posted, peer never matched or acknowledged".to_string()
-    } else {
-        "unattributed: no lifecycle events retained for this message".to_string()
-    }
+        (ReqKind::Recv, Phase::Posted) => {
+            "unmatched: posted, no first fragment (eager or rendezvous) arrived".to_string()
+        }
+        (ReqKind::Send, Phase::Matched) => {
+            format!("{wire}: handshake done, awaiting delivery confirmation")
+        }
+        (ReqKind::Recv, Phase::Matched) => format!("{wire}: matched, awaiting remaining payload"),
+        (_, Phase::Done(err)) => err.map_or("done".into(), |e| format!("failed: {}", e.mpi_name())),
+    };
+    let stage = match phase {
+        Phase::Parked => "queued: awaiting flow credits".to_string(),
+        Phase::Posted => "match_wait: the peer never answered".to_string(),
+        Phase::Matched if in_flight > 0 => format!("wire: {in_flight} bytes of its own in flight"),
+        Phase::Matched => "fin_wait: nothing of its own in flight, awaiting the peer".to_string(),
+        Phase::Done(_) => "none: finished".to_string(),
+    };
+    (name, stage)
 }
 
 /// A pending DMA descriptor summarized for a diagnostic.
@@ -616,39 +616,6 @@ impl StallDiagnostic {
     }
 }
 
-/// Phase a not-yet-done send is wedged in, by rendezvous scheme and
-/// handshake state.
-fn send_phase(scheme: RdmaScheme, rndv_acked: bool) -> String {
-    let wire = match scheme {
-        RdmaScheme::Write => "rdma-write+fin",
-        RdmaScheme::Read => "rdma-read+fin_ack",
-    };
-    if rndv_acked {
-        format!("{wire}: handshake done, awaiting delivery confirmation")
-    } else {
-        format!("{wire}: rendezvous posted, awaiting first receiver contact")
-    }
-}
-
-/// Phase a not-yet-done receive is wedged in.
-fn recv_phase(scheme: RdmaScheme, matched: bool, eager_limit: usize, msg_len: usize) -> String {
-    if !matched {
-        return "unmatched: posted, no first fragment (eager or rendezvous) arrived".to_string();
-    }
-    if msg_len <= eager_limit {
-        return "eager: matched, inline payload incomplete".to_string();
-    }
-    let wire = match scheme {
-        RdmaScheme::Write => "rdma-write+fin",
-        RdmaScheme::Read => "rdma-read+fin_ack",
-    };
-    format!("{wire}: matched, awaiting remaining payload")
-}
-
-fn pack_fingerprint(done: bool, flag: bool, bytes: usize) -> u64 {
-    (bytes as u64) << 2 | (flag as u64) << 1 | done as u64
-}
-
 /// One watchdog scan over every live request. Returns the diagnostic if any
 /// request exceeded the grace period, after recording it in the endpoint's
 /// introspect state. Locks: state, then introspect (never the reverse).
@@ -658,18 +625,13 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     let mut ins = ep.introspect.lock();
     ins.scans += 1;
 
-    let mut live: Vec<(u64, u64)> = Vec::new(); // (id, fingerprint)
-    for r in st.send_reqs.values().filter(|r| !r.done) {
-        live.push((
-            r.id,
-            pack_fingerprint(r.done, r.rndv_acked, r.bytes_confirmed),
-        ));
+    // A live request's fingerprint is its phase and the bytes it has done.
+    let mut live = Vec::new();
+    for r in st.send_reqs.values().filter(|r| !r.phase.is_done()) {
+        live.push((r.id, (r.phase, r.bytes_confirmed)));
     }
-    for r in st.recv_reqs.values().filter(|r| !r.done) {
-        live.push((
-            r.id,
-            pack_fingerprint(r.done, r.matched.is_some(), r.bytes_received),
-        ));
+    for r in st.recv_reqs.values().filter(|r| !r.phase.is_done()) {
+        live.push((r.id, (r.phase, r.bytes_received)));
     }
 
     // Requests no longer live stop being tracked.
@@ -692,25 +654,22 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
         return None;
     }
 
-    // Build the structured dump. Reconstruct each stuck message's causal
-    // chain from the flight ring (a leaf lock, safe under state +
-    // introspect) so the diagnostic names the exact stage that never
-    // completed, not just the request's current protocol phase.
-    let flight = ep.flight.lock();
-    let lifecycle_of = |gid: u64| -> (String, String) {
-        let evs: Vec<&(Time, TraceEvent)> = flight
-            .iter()
-            .filter(|(_, e)| e.gid() == Some(gid))
-            .collect();
-        (
-            stalled_stage(evs.iter().map(|(_, e)| e)),
-            crate::flight::events_json(evs),
-        )
+    // Build the structured dump. Each stuck request is diagnosed from its
+    // own state; the flight ring (a leaf lock, safe under state +
+    // introspect) only lends each message's retained events as evidence.
+    let in_flight = |id: u64| -> usize {
+        let dmas = st.pending_dmas.iter().filter(|p| p.role.req == id);
+        let unissued = st.pipelines.get(&id).map_or(0, |ps| ps.total - ps.next_off);
+        dmas.map(|p| p.role.bytes).sum::<usize>() + unissued
     };
+    let diag = |kind, phase, id| diagnose(kind, phase, ep.cfg.scheme, in_flight(id));
+    let flight = ep.flight.lock();
+    let lifecycle =
+        |gid: u64| crate::flight::events_json(flight.iter().filter(|(_, e)| e.gid() == Some(gid)));
     let mut stuck = Vec::new();
     for (id, stale) in &stalled {
         if let Some(r) = st.send_reqs.get(id) {
-            let (stage, lifecycle) = lifecycle_of(r.gid);
+            let (phase, stalled_stage) = diag(ReqKind::Send, r.phase, *id);
             stuck.push(StuckReq {
                 id: *id,
                 gid: r.gid,
@@ -719,9 +678,9 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
                 tag: r.tag.to_string(),
                 bytes_done: r.bytes_confirmed,
                 bytes_total: r.msg_len,
-                phase: send_phase(ep.cfg.scheme, r.rndv_acked),
-                stalled_stage: stage,
-                lifecycle,
+                phase,
+                stalled_stage,
+                lifecycle: lifecycle(r.gid),
                 stale_scans: *stale,
             });
         } else if let Some(r) = st.recv_reqs.get(id) {
@@ -738,7 +697,7 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
                 ),
             };
             let gid = r.matched.as_ref().map(|m| m.gid).unwrap_or(0);
-            let (stage, lifecycle) = lifecycle_of(gid);
+            let (phase, stalled_stage) = diag(ReqKind::Recv, r.phase, *id);
             stuck.push(StuckReq {
                 id: *id,
                 gid,
@@ -747,14 +706,9 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
                 tag,
                 bytes_done: r.bytes_received,
                 bytes_total: total,
-                phase: recv_phase(
-                    ep.cfg.scheme,
-                    r.matched.is_some(),
-                    ep.tunables.eager_limit(),
-                    r.matched.as_ref().map(|m| m.msg_len).unwrap_or(0),
-                ),
-                stalled_stage: stage,
-                lifecycle,
+                phase,
+                stalled_stage,
+                lifecycle: lifecycle(gid),
                 stale_scans: *stale,
             });
         }
@@ -840,25 +794,72 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phase_names_cover_schemes_and_states() {
-        assert!(send_phase(RdmaScheme::Read, false).contains("rdma-read+fin_ack"));
-        assert!(send_phase(RdmaScheme::Write, true).contains("rdma-write+fin"));
-        assert!(recv_phase(RdmaScheme::Read, false, 1984, 0).contains("unmatched"));
-        assert!(recv_phase(RdmaScheme::Read, true, 1984, 100).contains("eager"));
-        assert!(recv_phase(RdmaScheme::Write, true, 1984, 10_000).contains("rdma-write+fin"));
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_transitions() {
-        let a = pack_fingerprint(false, false, 100);
-        let b = pack_fingerprint(false, true, 100);
-        let c = pack_fingerprint(false, true, 200);
-        let d = pack_fingerprint(true, true, 200);
-        assert!(a != b && b != c && c != d);
+    fn diagnose_reads_kind_phase_scheme_and_in_flight_bytes() {
+        use crate::state::MpiErrClass::ProcFailed;
+        use Phase::{Done, Matched, Parked, Posted};
+        use RdmaScheme::{Read, Write};
+        use ReqKind::{Recv, Send};
+        let rows = [
+            (Send, Parked, Read, 0, "eager: parked", "queued"),
+            (
+                Send,
+                Posted,
+                Read,
+                0,
+                "rdma-read+fin_ack: rendezvous posted",
+                "match_wait",
+            ),
+            (
+                Send,
+                Matched,
+                Write,
+                0,
+                "rdma-write+fin: handshake done",
+                "fin_wait",
+            ),
+            (Send, Done(None), Read, 0, "done", "none"),
+            (Recv, Parked, Read, 0, "eager: parked", "queued"),
+            (Recv, Posted, Read, 0, "unmatched: posted", "match_wait"),
+            (
+                Recv,
+                Matched,
+                Read,
+                0,
+                "rdma-read+fin_ack: matched",
+                "fin_wait",
+            ),
+            (
+                Recv,
+                Done(Some(ProcFailed)),
+                Write,
+                0,
+                "failed: MPI_ERR_PROC_FAILED",
+                "none",
+            ),
+            // Bytes still in flight on the request's own descriptors.
+            (
+                Recv,
+                Matched,
+                Read,
+                4096,
+                "rdma-read+fin_ack: matched",
+                "wire: 4096 bytes",
+            ),
+        ];
+        for (kind, phase, scheme, in_flight, want_name, want_stage) in rows {
+            let (name, stage) = diagnose(kind, phase, scheme, in_flight);
+            let case = format!("{kind:?} {phase:?} {scheme:?} {in_flight}: {name} / {stage}");
+            assert!(
+                name.starts_with(want_name) && stage.starts_with(want_stage),
+                "{case}"
+            );
+        }
     }
 
     #[test]
     fn stall_diagnostic_json_and_render_shape() {
+        let (phase, stalled_stage) =
+            diagnose(ReqKind::Send, Phase::Matched, RdmaScheme::Read, 98_016);
         let d = StallDiagnostic {
             rank: 3,
             at_ns: 12_345,
@@ -870,8 +871,8 @@ mod tests {
                 tag: "42".to_string(),
                 bytes_done: 1984,
                 bytes_total: 100_000,
-                phase: send_phase(RdmaScheme::Read, true),
-                stalled_stage: "wire: RDMA issued, 1984/100000 bytes never landed".to_string(),
+                phase,
+                stalled_stage,
                 lifecycle: "[{\"t_ns\":1,\"ev\":\"send\"}]".to_string(),
                 stale_scans: 4,
             }],
@@ -894,50 +895,13 @@ mod tests {
         assert!(j.contains("rdma-read+fin_ack"));
         assert!(j.contains("\"pending_dmas\":[{\"token\":5"));
         assert!(j.contains("\"gid\":72057594037927943"));
-        assert!(j.contains("\"stalled_stage\":\"wire: RDMA issued"));
+        assert!(j.contains("\"stalled_stage\":\"wire: 98016 bytes"));
         assert!(j.contains("\"lifecycle\":[{\"t_ns\":1,\"ev\":\"send\"}]"));
         let r = d.render();
         assert!(r.contains("rank 3 stalled"));
         assert!(r.contains("peer rank 1"));
         assert!(r.contains("phase [rdma-read+fin_ack"));
-        assert!(r.contains("stalled at [wire: RDMA issued"));
-    }
-
-    #[test]
-    fn stalled_stage_orders_lifecycle_inferences() {
-        let send = TraceEvent::SendPosted {
-            req: 1,
-            gid: 9,
-            coll: 0,
-            dst: 1,
-            tag: 0,
-            len: 100,
-            eager: false,
-        };
-        let mtch = TraceEvent::Matched {
-            req: 2,
-            gid: 9,
-            src: 0,
-            tag: 0,
-            len: 100,
-        };
-        let rdma = TraceEvent::RdmaIssued {
-            gid: 9,
-            read: true,
-            bytes: 100,
-        };
-        let done = TraceEvent::DmaDone { gid: 9, bytes: 100 };
-        let comp = TraceEvent::Completed {
-            req: 2,
-            gid: 9,
-            send: false,
-        };
-        assert!(stalled_stage([]).contains("unattributed"));
-        assert!(stalled_stage([&send]).contains("match-wait"));
-        assert!(stalled_stage([&send, &mtch]).contains("handshake"));
-        assert!(stalled_stage([&send, &mtch, &rdma]).contains("wire"));
-        assert!(stalled_stage([&send, &mtch, &rdma, &done]).contains("fin-wait"));
-        assert!(stalled_stage([&send, &mtch, &rdma, &done, &comp]).contains("complete"));
+        assert!(r.contains("stalled at [wire: 98016 bytes"));
     }
 
     #[test]

@@ -259,19 +259,19 @@ impl Mpi {
     /// panic; check it before trusting the payload.
     pub fn wait_status(&self, req: Request) -> Status {
         assert_eq!(req.kind, ReqKind::Recv, "wait_status is for receives");
-        self.ep.wait_until(&self.proc, |st| {
-            st.recv_reqs.get(&req.id).map(|r| r.done).unwrap_or(true)
-        });
+        self.ep
+            .wait_until(&self.proc, |st| proto::req_done(st, req));
         let mut st = self.ep.state.lock();
         let r = st
             .recv_reqs
             .remove(&req.id)
             .expect("request already reaped");
         drop(st);
-        if r.error.is_some() {
+        let error = r.phase.error();
+        if error.is_some() {
             self.ep.metric(|m| m.counters.errs_surfaced += 1);
         }
-        match (&r.matched, r.error) {
+        match (&r.matched, error) {
             (Some(m), error) => Status {
                 source: m.src_rank as usize,
                 tag: m.tag,
@@ -401,12 +401,7 @@ impl Mpi {
     /// status without consuming it.
     pub fn iprobe(&self, comm: &Communicator, src: i32, tag: i32) -> Option<Status> {
         let (src_sel, tag_sel) = probe_selectors(comm, src, tag);
-        if matches!(
-            self.ep.cfg.progress,
-            crate::config::ProgressMode::Polling | crate::config::ProgressMode::Interrupt
-        ) {
-            proto::progress_pass(&self.proc, &self.ep);
-        }
+        proto::progress_pass(&self.proc, &self.ep);
         self.ep
             .state
             .lock()

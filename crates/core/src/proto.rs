@@ -19,7 +19,7 @@ use crate::endpoint::Endpoint;
 use crate::hdr::{Hdr, HdrType, HDR_LEN, MAX_INLINE};
 use crate::metrics::ControlKind;
 use crate::state::{
-    DmaRole, EpState, InflightCtl, MatchInfo, MpiErrClass, PendingDma, PipeChunk, PipeState,
+    DmaRole, EpState, InflightCtl, MatchInfo, MpiErrClass, PendingDma, Phase, PipeChunk, PipeState,
     QueuedSend, RecvReq, SendReq, TcpPush, UnexpectedFrag,
 };
 
@@ -132,10 +132,8 @@ pub fn post_send_mode(
         src_region: buf,
         bounce: None,
         bytes_confirmed: 0,
-        done: false,
+        phase: Phase::Posted,
         posted_at,
-        rndv_acked: false,
-        error: None,
     };
     let Some(route) = route else {
         let err = if stale_comm {
@@ -145,8 +143,7 @@ pub fn post_send_mode(
         } else {
             MpiErrClass::NoTransport
         };
-        req.done = true;
-        req.error = Some(err);
+        req.phase = Phase::Done(Some(err));
         ep.state.lock().send_reqs.insert(id, req);
         record_failure(proc, ep, id, true, err);
         return Request {
@@ -231,9 +228,11 @@ pub fn post_send_mode(
                 crate::trace::TraceEvent::FlowQueued { req: id, gid },
             );
         }
-        if !parked {
+        if parked {
+            req.phase = Phase::Parked;
+        } else {
             req.bytes_confirmed = msg_len;
-            req.done = true;
+            req.phase = Phase::Done(None);
         }
         ep.state.lock().send_reqs.insert(id, req);
         if !parked {
@@ -355,9 +354,8 @@ pub fn post_recv(
                 dst_e4: None,
                 bounce,
                 bytes_received: 0,
-                done: false,
+                phase: Phase::Posted,
                 posted_at,
-                error: None,
             },
         );
         // Check the unexpected queue before exposing the request.
@@ -449,19 +447,22 @@ pub fn wait(proc: &Proc, ep: &Rc<Endpoint>, req: Request) -> Option<MpiErrClass>
     reap(&mut ep.state.lock(), req)
 }
 
-fn req_done(st: &EpState, req: Request) -> bool {
-    match req.kind {
-        ReqKind::Send => st.send_reqs.get(&req.id).map(|r| r.done).unwrap_or(true),
-        ReqKind::Recv => st.recv_reqs.get(&req.id).map(|r| r.done).unwrap_or(true),
-    }
+/// Has `req` finished? A request missing from the table was reaped.
+pub(crate) fn req_done(st: &EpState, req: Request) -> bool {
+    let phase = match req.kind {
+        ReqKind::Send => st.send_reqs.get(&req.id).map(|r| r.phase),
+        ReqKind::Recv => st.recv_reqs.get(&req.id).map(|r| r.phase),
+    };
+    phase.is_none_or(Phase::is_done)
 }
 
 /// Forget a completed request; its error class if it failed.
 fn reap(st: &mut EpState, req: Request) -> Option<MpiErrClass> {
-    match req.kind {
-        ReqKind::Send => st.send_reqs.remove(&req.id).and_then(|r| r.error),
-        ReqKind::Recv => st.recv_reqs.remove(&req.id).and_then(|r| r.error),
-    }
+    let phase = match req.kind {
+        ReqKind::Send => st.send_reqs.remove(&req.id).map(|r| r.phase),
+        ReqKind::Recv => st.recv_reqs.remove(&req.id).map(|r| r.phase),
+    };
+    phase.and_then(Phase::error)
 }
 
 /// Block until any of `reqs` completes; returns its index and reaps it.
@@ -499,12 +500,7 @@ fn checksum_cost(len: usize) -> qsim::Dur {
 /// reports completion (MPI semantics: a successful test frees the request;
 /// a later `wait` on it is a no-op because missing requests count as done).
 pub fn test(proc: &Proc, ep: &Rc<Endpoint>, req: Request) -> bool {
-    if matches!(
-        ep.cfg.progress,
-        ProgressMode::Polling | ProgressMode::Interrupt
-    ) {
-        progress_pass(proc, ep);
-    }
+    progress_pass(proc, ep);
     let mut st = ep.state.lock();
     if !req_done(&st, req) {
         return false;
@@ -518,34 +514,22 @@ pub fn test(proc: &Proc, ep: &Rc<Endpoint>, req: Request) -> bool {
 // ---------------------------------------------------------------------------
 
 /// One polling sweep over every incoming channel and pending DMA; returns
-/// true if any work was done.
+/// true if any work was done. Only the application thread polls: under a
+/// progress-thread mode the threads drive progress, and this does nothing.
 pub fn progress_pass(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
-    crate::introspect::watchdog_tick(proc, ep);
-    crate::introspect::timeline_tick(proc, ep);
-    reliability_tick(proc, ep);
+    if !matches!(
+        ep.cfg.progress,
+        ProgressMode::Polling | ProgressMode::Interrupt
+    ) {
+        return false;
+    }
+    ep.timers_tick(proc);
     ep.metric(|m| m.counters.progress_iterations += 1);
     let mut any = false;
-    if let Some(q) = &ep.main_q {
-        while let Some(frame) = q.pop_ready() {
-            dispatch(proc, ep, frame);
-            any = true;
-        }
+    for q in [&ep.main_q, &ep.comp_q].into_iter().flatten() {
+        any |= drain_queue(proc, ep, q);
     }
-    if let Some(q) = &ep.comp_q {
-        while let Some(frame) = q.pop_ready() {
-            dispatch(proc, ep, frame);
-            any = true;
-        }
-    }
-    if let Some(ib) = &ep.tcp_inbox {
-        while let Some(frame) = ib.pop() {
-            if let Some(net) = &ep.tcp_net {
-                proc.advance(net.cfg().syscall + ep.cluster.cfg().memcpy(frame.len()));
-            }
-            dispatch(proc, ep, frame);
-            any = true;
-        }
-    }
+    any |= drain_tcp_inbox(proc, ep);
     // Poll outstanding DMA completion events (the Basic strategy of §6.2).
     // Collected under the lock and handled after it: an event that fires
     // during one `dma_done` waits for the next pass.
@@ -567,19 +551,41 @@ pub fn progress_pass(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
         dma_done(proc, ep, p.token, p.role);
         any = true;
     }
-    // Paced bulk work: parked TCP pushes and pipeline windows with room.
-    if tcp_push_pump(proc, ep) {
-        any = true;
-    }
-    if pipe_pump_all(proc, ep) {
-        any = true;
-    }
-    // Flow control: drain credit-starved send queues and flush hoarded
-    // credit returns.
-    if flow_pump(proc, ep) {
+    pump(proc, ep) || any
+}
+
+/// Dispatch every frame ready in receive queue `q`; true if there was one.
+pub(crate) fn drain_queue(proc: &Proc, ep: &Rc<Endpoint>, q: &elan4::RxQueue) -> bool {
+    let mut any = false;
+    while let Some(frame) = q.pop_ready() {
+        dispatch(proc, ep, frame);
         any = true;
     }
     any
+}
+
+/// Dispatch every frame in the TCP inbox, charging the kernel receive path
+/// (a syscall and the copy out of the socket) for each; true if there was
+/// one.
+pub(crate) fn drain_tcp_inbox(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
+    let mut any = false;
+    while let Some(frame) = ep.tcp_inbox.as_ref().and_then(|ib| ib.pop()) {
+        if let Some(net) = &ep.tcp_net {
+            proc.advance(net.cfg().syscall + ep.cluster.cfg().memcpy(frame.len()));
+        }
+        dispatch(proc, ep, frame);
+        any = true;
+    }
+    any
+}
+
+/// Work parked between dispatches: paced TCP pushes and pipeline windows
+/// with room, then flow control (credit-starved send queues and hoarded
+/// credit returns). True if any of them did work.
+pub(crate) fn pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
+    let pushed = tcp_push_pump(proc, ep);
+    let piped = pipe_pump_all(proc, ep);
+    flow_pump(proc, ep) || pushed || piped
 }
 
 /// Entries collected under the state lock and handled once it is released.
@@ -890,6 +896,10 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             src_e4_va: hdr.e4_va,
             src_e4_vpid: hdr.e4_vpid,
         });
+        // A receive failed while its match was collected stays finished.
+        if r.phase == Phase::Posted {
+            r.phase = Phase::Matched;
+        }
         r.posted_at
     };
     // Match latency covers both directions of waiting: a pre-posted receive
@@ -1016,7 +1026,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
                         let st = ep.state.lock();
                         st.recv_reqs
                             .get(&rid)
-                            .filter(|r| !r.done)
+                            .filter(|r| !r.phase.is_done())
                             .map(|r| (r.bounce.unwrap_or(r.buf), r.bounce.is_none()))
                     };
                     if let Some((region, cacheable)) = dst {
@@ -1362,21 +1372,22 @@ fn credit(proc: &Proc, ep: &Rc<Endpoint>, is_read: bool, req: u64, bytes: usize)
 
 /// The first time a rendezvous sender hears back from the receiver (ACK in
 /// the write scheme, FIN_ACK in the read scheme) closes the handshake: the
-/// histogram sample and the `rndv` trace span both end here.
+/// send is matched, and the histogram sample and the `rndv` trace span
+/// both end here.
 fn first_receiver_contact(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
     let posted_at = {
         let mut st = ep.state.lock();
         match st.send_reqs.get_mut(&sid) {
-            Some(r) if !r.rndv_acked => {
-                r.rndv_acked = true;
+            Some(r) if r.phase == Phase::Posted => {
+                r.phase = Phase::Matched;
                 Some(r.posted_at)
             }
             _ => None,
         }
     };
     let Some(posted_at) = posted_at else { return };
-    // The flag flip above is protocol state (the watchdog reads it to name
-    // the stall phase); only the telemetry below is gated.
+    // The phase change above is protocol state; only the telemetry below
+    // is gated.
     if !ep.tunables.metrics() && !ep.tunables.trace() {
         return;
     }
@@ -1399,7 +1410,7 @@ fn maybe_complete_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64) {
         let st = ep.state.lock();
         match st.recv_reqs.get(&rid) {
             Some(r) => {
-                !r.done
+                !r.phase.is_done()
                     && r.matched
                         .as_ref()
                         .map(|m| r.bytes_received >= m.msg_len)
@@ -1440,10 +1451,10 @@ fn maybe_complete_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64) {
         let mut st = ep.state.lock();
         // Reaped, or completed with an error by a failure path that ran
         // during the unpack's advance: the request is already finished.
-        let Some(r) = st.recv_reqs.get_mut(&rid).filter(|r| !r.done) else {
+        let Some(r) = st.recv_reqs.get_mut(&rid).filter(|r| !r.phase.is_done()) else {
             return;
         };
-        r.done = true;
+        r.phase = Phase::Done(None);
         let gid = r.matched.as_ref().map(|m| m.gid).unwrap_or(0);
         (Held::of_recv(r), r.posted_at, gid)
     };
@@ -1454,8 +1465,8 @@ fn maybe_complete_send(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
     let (held, posted_at, gid) = {
         let mut st = ep.state.lock();
         match st.send_reqs.get_mut(&sid) {
-            Some(r) if !r.done && r.bytes_confirmed >= r.msg_len => {
-                r.done = true;
+            Some(r) if !r.phase.is_done() && r.bytes_confirmed >= r.msg_len => {
+                r.phase = Phase::Done(None);
                 (Held::of_send(r), r.posted_at, r.gid)
             }
             _ => return,
@@ -1589,11 +1600,11 @@ fn store_mapping(
     let (held, stored) = {
         let mut st = ep.state.lock();
         let slot = match kind {
-            ReqKind::Send => st.send_reqs.get_mut(&id).map(|r| (r.done, &mut r.src_e4)),
-            ReqKind::Recv => st.recv_reqs.get_mut(&id).map(|r| (r.done, &mut r.dst_e4)),
+            ReqKind::Send => st.send_reqs.get_mut(&id).map(|r| (r.phase, &mut r.src_e4)),
+            ReqKind::Recv => st.recv_reqs.get_mut(&id).map(|r| (r.phase, &mut r.dst_e4)),
         };
         match slot {
-            Some((false, slot)) => {
+            Some((phase, slot)) if !phase.is_done() => {
                 let stored = slot.is_none();
                 (Some(*slot.get_or_insert(fresh)), stored)
             }
@@ -2330,7 +2341,7 @@ fn pipe_chunk_landed(
 
 /// Pump every live pipeline. A safety net for the thread-progress modes —
 /// chunk completions normally refill their own windows.
-pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
+fn pipe_pump_all(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     let mut ids = {
         let mut st = ep.state.lock();
         if st.pipelines.is_empty() {
@@ -2355,7 +2366,7 @@ pub(crate) fn pipe_pump_all(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
 /// push per call: the pacing that replaced `handle_ack`'s unbounded
 /// fragment loop. Returns true when fragments went out, so the polling
 /// wait loop keeps cycling until the pushes drain instead of blocking.
-pub(crate) fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
+fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     let host = ep.cfg.host.clone();
     let burst_frags = ep.tunables.pipeline_depth();
     let bursts: Vec<(u64, crate::peer::PeerInfo, Hdr, HostBuf, usize, usize)> = {
@@ -2661,7 +2672,7 @@ fn send_credit_return(proc: &Proc, ep: &Rc<Endpoint>, to: ProcName, n: usize) {
 /// send queues whose windows re-opened, and flush hoarded credit returns
 /// (at least half a window's worth) for peers with no reverse traffic to
 /// piggyback on.
-pub(crate) fn flow_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
+fn flow_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     if !ep.tunables.flow_enable() {
         return false;
     }
@@ -2814,11 +2825,10 @@ pub(crate) fn fail_request(
         let mut st = ep.state.lock();
         match kind {
             ReqKind::Send => {
-                let Some(r) = st.send_reqs.get_mut(&id).filter(|r| !r.done) else {
+                let Some(r) = st.send_reqs.get_mut(&id).filter(|r| !r.phase.is_done()) else {
                     return;
                 };
-                r.done = true;
-                r.error = Some(err);
+                r.phase = Phase::Done(Some(err));
                 let (held, dst) = (Held::of_send(r), r.dst);
                 // A credit-starved send still parked in the flow queue
                 // never went on the wire; the parked frame dies with the
@@ -2829,11 +2839,10 @@ pub(crate) fn fail_request(
                 held
             }
             ReqKind::Recv => {
-                let Some(r) = st.recv_reqs.get_mut(&id).filter(|r| !r.done) else {
+                let Some(r) = st.recv_reqs.get_mut(&id).filter(|r| !r.phase.is_done()) else {
                     return;
                 };
-                r.done = true;
-                r.error = Some(err);
+                r.phase = Phase::Done(Some(err));
                 let (held, ctx) = (Held::of_recv(r), r.ctx);
                 // An unmatched recv failed here is still in its comm's
                 // posted list; drop it so matching never dereferences the
@@ -3015,14 +3024,14 @@ fn give_up_on(proc: &Proc, ep: &Rc<Endpoint>, e: InflightCtl) {
         let sends: Vec<u64> = st
             .send_reqs
             .values()
-            .filter(|r| !r.done && r.dst == e.peer)
+            .filter(|r| !r.phase.is_done() && r.dst == e.peer)
             .map(|r| r.id)
             .collect();
         let recvs: Vec<u64> = st
             .recv_reqs
             .values()
             .filter(|r| {
-                if r.done {
+                if r.phase.is_done() {
                     return false;
                 }
                 match &r.matched {

@@ -47,6 +47,39 @@ impl MpiErrClass {
     }
 }
 
+/// Where a request stands in its protocol: the one record of its progress
+/// (the paper's rendezvous posted, matched, ACK or RDMA read, FIN or
+/// FIN_ACK, complete, Figs. 3–4).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// An eager send waiting on its peer's exhausted credit window.
+    Parked,
+    /// A receive nothing has matched yet, or a rendezvous send whose
+    /// receiver has not answered.
+    Posted,
+    /// A receive that matched its first fragment, or a rendezvous send its
+    /// receiver has answered (ACK or FIN_ACK): the payload is on its way.
+    Matched,
+    /// Finished: delivered, or given up on with an error class (the
+    /// payload outcome is then undefined).
+    Done(Option<MpiErrClass>),
+}
+
+impl Phase {
+    /// Has the request finished, successfully or not?
+    pub fn is_done(self) -> bool {
+        matches!(self, Phase::Done(_))
+    }
+
+    /// The error class a finished request completed with.
+    pub fn error(self) -> Option<MpiErrClass> {
+        match self {
+            Phase::Done(err) => err,
+            _ => None,
+        }
+    }
+}
+
 /// One sequence-stamped control frame awaiting its [`HdrType::CtlAck`]
 /// receipt: the retransmit buffer entry of the TCP reliability layer.
 pub struct InflightCtl {
@@ -134,16 +167,11 @@ pub struct SendReq {
     pub bounce: Option<elan4::HostBuf>,
     /// Bytes whose delivery the protocol has confirmed.
     pub bytes_confirmed: usize,
-    /// Completed (locally for eager, fully acknowledged for rendezvous).
-    pub done: bool,
+    /// Where the send stands; `Done` locally for eager, fully acknowledged
+    /// for rendezvous.
+    pub phase: Phase,
     /// Virtual time the request was posted (telemetry).
     pub posted_at: Time,
-    /// Rendezvous only: the receiver has been heard from at least once
-    /// (first ACK or FIN_ACK closes the handshake histogram sample).
-    pub rndv_acked: bool,
-    /// Error class the request completed with, if the protocol gave up on
-    /// it (`done` is also set; the payload outcome is undefined).
-    pub error: Option<MpiErrClass>,
 }
 
 /// A receive request.
@@ -168,13 +196,11 @@ pub struct RecvReq {
     pub bounce: Option<elan4::HostBuf>,
     /// Packed bytes landed so far.
     pub bytes_received: usize,
-    /// Fully received (and unpacked, for non-contiguous types).
-    pub done: bool,
+    /// Where the receive stands; `Done` once fully received (and unpacked,
+    /// for non-contiguous types).
+    pub phase: Phase,
     /// Virtual time the request was posted (telemetry).
     pub posted_at: Time,
-    /// Error class the request completed with, if the protocol gave up on
-    /// it (`done` is also set; the payload outcome is undefined).
-    pub error: Option<MpiErrClass>,
 }
 
 /// What a receive matched against.
@@ -780,7 +806,8 @@ impl EpState {
 
     /// Are all live requests complete? (Finalize's drain condition.)
     pub fn all_requests_done(&self) -> bool {
-        self.send_reqs.values().all(|r| r.done) && self.recv_reqs.values().all(|r| r.done)
+        self.send_reqs.values().all(|r| r.phase.is_done())
+            && self.recv_reqs.values().all(|r| r.phase.is_done())
     }
 }
 
@@ -861,9 +888,8 @@ mod tests {
                 dst_e4: None,
                 bounce: None,
                 bytes_received: 0,
-                done: false,
+                phase: Phase::Posted,
                 posted_at: Time::ZERO,
-                error: None,
             },
         );
         st.comms.get_mut(&0).unwrap().posted.push(id);

@@ -415,7 +415,7 @@ fn receive_failed_during_its_unpack_completes_once() {
                 let landed = {
                     let st = ep.state.lock();
                     match st.recv_reqs.get(&r.id) {
-                        Some(q) if !q.done => q
+                        Some(q) if !q.phase.is_done() => q
                             .matched
                             .as_ref()
                             .is_some_and(|m| q.bytes_received >= m.msg_len),

@@ -3,66 +3,25 @@
 //! host memory, moved through the QDMA deposit, stripped of its header in
 //! place at the receiver and copied out at the match. This binary counts
 //! the payload-sized heap allocations a 2-rank exchange of 1 KiB eager
-//! messages makes, with its own counting global allocator, and requires
-//! exactly one per message whether the receive was pre-posted, the message
+//! messages makes, with the counting global allocator of `common` and a
+//! 1 KiB floor, and requires exactly one per message whether the receive was pre-posted, the message
 //! arrived unexpected, or the send parked for flow-control credits.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use openmpi_core::{Mpi, Placement, StackConfig, Universe};
 
+mod common;
+use common::{ALLOCS, WINDOW};
+
+#[global_allocator]
+static ALLOC: common::Counting = common::Counting { floor: LEN };
+
 /// Payload bytes per message; allocations at least this large count.
 const LEN: usize = 1024;
 /// Messages each rank sends the other per round.
 const MSGS: usize = 8;
-
-thread_local! {
-    /// Whether this thread's simulation is inside the counted window.
-    static WINDOW: Cell<bool> = const { Cell::new(false) };
-    /// Payload-sized allocations this thread made inside the window.
-    static BIG: Cell<usize> = const { Cell::new(0) };
-}
-
-/// `System`, counting this thread's payload-sized allocations while its
-/// window is open. Counters are per thread: a simulation runs on the
-/// thread that calls `run`, and the test harness runs tests in parallel.
-struct Counting;
-
-fn note(size: usize) {
-    if size >= LEN && WINDOW.try_with(Cell::get).unwrap_or(false) {
-        let _ = BIG.try_with(|b| b.set(b.get() + 1));
-    }
-}
-
-// SAFETY: every method passes its arguments unchanged to `System`, so
-// `System`'s guarantees hold for the caller. `note` only reads and sets
-// const-initialised thread-local `Cell`s, which neither allocate nor
-// register a destructor, so it never re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Case {
@@ -104,7 +63,7 @@ fn exchange(case: Case) -> (usize, [(u64, u64); 2]) {
     }
     // The second rank to finish the counted round closes the window.
     let finished = Rc::new(Cell::new(0));
-    BIG.set(0);
+    ALLOCS.set(0);
     let uni = Universe::paper_testbed(cfg);
     let (_, shape) = {
         let finished = finished.clone();
@@ -178,7 +137,7 @@ fn exchange(case: Case) -> (usize, [(u64, u64); 2]) {
         })
     };
     assert_eq!(finished.get(), 2, "{case:?}: both ranks finish the round");
-    (BIG.get(), [shape[0], shape[1]])
+    (ALLOCS.get(), [shape[0], shape[1]])
 }
 
 fn assert_one_per_message(case: Case) -> [(u64, u64); 2] {

@@ -843,7 +843,8 @@ impl Cluster {
     /// verbatim when no reduction is configured); on fire that one buffer
     /// goes to the host, if it captures payloads, and to every chained
     /// payload-forwarding spec, and an auto-reset event re-arms its count
-    /// for the next round.
+    /// for the next round. Only an auto-reset event keeps its chain: any
+    /// other event's fire launches its chained specs once.
     pub(crate) fn event_complete_with_data(
         self: &Rc<Self>,
         sim: &SimHandle,
@@ -899,11 +900,18 @@ impl Cluster {
                 sig.notify(sim);
             }
         }
-        for spec in &st.chained {
+        // A one-shot event's fire spends its chain: each spec's data moves
+        // out, and the list keeps its capacity for the slot's next
+        // occupant. An auto-reset event fires every round, so its standing
+        // specs are copied.
+        let one_shot = st.auto_reset.is_none();
+        for spec in &mut st.chained {
             // Chained commands launch on the NIC without crossing the I/O
             // bus: no PIO, just the chain launch latency.
             let data = if spec.payload_from_event {
                 payload.hand_out(&mut holders)
+            } else if one_shot {
+                std::mem::take(&mut spec.data)
             } else {
                 spec.data.clone()
             };
@@ -913,6 +921,9 @@ impl Cluster {
             sim.call_at(at, move |s| {
                 me.qdma_from_nic(s, s.now(), vpid, spec, None);
             });
+        }
+        if one_shot {
+            st.chained.clear();
         }
     }
 }

@@ -497,7 +497,10 @@ impl ElanEvent {
     /// Re-arm with a fresh count. The paper's Fig. 5c/5d race (host reset vs
     /// NIC decrement) does not arise here because the simulation serializes
     /// them — which is exactly why the real design needs the shared
-    /// completion queue instead.
+    /// completion queue instead. Only the count re-arms: the fire of an
+    /// event without auto-reset spent its chain, so a chained QDMA is not
+    /// relaunched (an event that relaunches its chain every round is
+    /// [`ElanEvent::set_auto_reset`]).
     pub fn reset(&self, count: u32) {
         self.with_state(|e| e.count = count as i64);
     }

@@ -697,6 +697,39 @@ fn counted_event_reset_and_reuse() {
 }
 
 #[test]
+fn a_reset_event_does_not_relaunch_its_spent_chain() {
+    // A one-shot event's fire moves its chained frame onto the wire; a
+    // host reset re-arms only the count, so the second fire launches
+    // nothing.
+    let cl = cluster();
+    let sim = Simulation::new();
+    let a = Rc::new(ElanCtx::attach(&cl, 0).unwrap());
+    let b = Rc::new(ElanCtx::attach(&cl, 1).unwrap());
+    let (mine, theirs) = (a.alloc(1024), b.alloc(1024));
+    sim.spawn("p", move |p| {
+        let q = b.create_queue(4, 2048);
+        let local = a.map(&p, &mine);
+        let remote = b.map(&p, &theirs);
+        let ev = a.event_create(1);
+        ev.chain_qdma(QdmaSpec::to_queue(b.vpid(), q.id(), vec![0xF1], 0));
+        let sig = p.signal();
+        ev.set_signal(sig.clone());
+        for round in 0..2 {
+            let done = Some(ev.event_ref());
+            a.rdma(&p, 0, DmaKind::Write, local, remote, 512, done);
+            p.wait(&sig).expect_signaled();
+            assert!(ev.take_fired_ready(), "round {round} did not fire");
+            ev.reset(1);
+        }
+        p.advance(Dur::from_us(20));
+        assert_eq!(q.pop_ready(), Some(vec![0xF1]), "the first fire's frame");
+        assert_eq!(q.pop_ready(), None, "the second fire launched nothing");
+    });
+    sim.run().unwrap();
+    assert_eq!(cl.stats().chained_launches, 1);
+}
+
+#[test]
 fn stale_rdma_completion_skips_the_slots_next_event() {
     // The old event is freed with its RDMA still in flight, and the new
     // event takes its slot and arms its own RDMA behind it on the same

@@ -5,7 +5,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use openmpi_core::{Placement, StackConfig, Universe};
+use ompi_bench::measure::run_until_stall;
+use openmpi_core::{Mpi, Placement, StackConfig, Universe};
 
 /// A parent spawns workers which themselves spawn grandchildren: contexts
 /// are claimed and released at three different times during the run.
@@ -240,31 +241,19 @@ fn watchdog_diagnoses_dropped_fin_ack() {
     uni.tcp_net
         .inject_drop(openmpi_core::hdr::HdrType::FinAck, 1);
 
-    type Captured = Vec<(u32, Rc<openmpi_core::Endpoint>)>;
-    let eps: Rc<qsim::Local<Captured>> = Rc::new(qsim::Local::new(Vec::new()));
-    let e2 = eps.clone();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        uni.run_world(2, Placement::RoundRobin, move |mpi| {
-            e2.lock().push((mpi.rank() as u32, mpi.endpoint().clone()));
-            let w = mpi.world();
-            let len = 64 << 10;
-            let buf = mpi.alloc(len);
-            if mpi.rank() == 0 {
-                mpi.send(&w, 1, 7, &buf, len);
-            } else {
-                mpi.recv(&w, 0, 7, &buf, len);
-            }
-            mpi.free(buf);
-        });
-    }));
-
+    let (msg, eps) = run_until_stall(&uni, |mpi| {
+        let w = mpi.world();
+        let len = 64 << 10;
+        let buf = mpi.alloc(len);
+        if mpi.rank() == 0 {
+            mpi.send(&w, 1, 7, &buf, len);
+        } else {
+            mpi.recv(&w, 0, 7, &buf, len);
+        }
+        mpi.free(buf);
+    });
     // The stalled rank aborts the simulation through a watchdog panic whose
     // message is the structured diagnostic.
-    let payload = result.expect_err("watchdog must fire");
-    let msg = payload
-        .downcast_ref::<String>()
-        .expect("panic carries a rendered message")
-        .clone();
     assert!(
         msg.contains("progress watchdog"),
         "diagnostic header: {msg}"
@@ -281,10 +270,9 @@ fn watchdog_diagnoses_dropped_fin_ack() {
 
     // The diagnostic is also recorded on the stalled endpoint, and only
     // there: the receiver finished its transfer and parks in finalize.
-    let eps = eps.lock();
-    for (rank, ep) in eps.iter() {
+    for (rank, ep) in eps.iter().enumerate() {
         let ins = ep.introspect.lock();
-        if *rank == 0 {
+        if rank == 0 {
             assert_eq!(ins.stalls_detected, 1, "sender stalls once");
             assert_eq!(ins.diagnostics.len(), 1);
             let d = &ins.diagnostics[0];
@@ -298,6 +286,13 @@ fn watchdog_diagnoses_dropped_fin_ack() {
                 d.stuck[0].bytes_done < d.stuck[0].bytes_total,
                 "payload incomplete"
             );
+            // Nothing of the send's own is in flight: only the receiver's
+            // lost FIN_ACK would finish it.
+            assert!(
+                d.stuck[0].stalled_stage.starts_with("fin_wait"),
+                "stage: {}",
+                d.stuck[0].stalled_stage
+            );
             let json = d.to_json();
             assert!(json.contains("\"kind\":\"send\""), "json: {json}");
             assert!(json.contains("\"peer\":\"rank 1\""), "json: {json}");
@@ -307,6 +302,79 @@ fn watchdog_diagnoses_dropped_fin_ack() {
     }
     // Exactly the one injected frame vanished.
     assert_eq!(uni.tcp_net.stats().frames_injected, 1);
+}
+
+/// The watchdog diagnoses each stuck request from its own phase, whatever
+/// the message size: an eager send parked on an exhausted credit window
+/// waits in `queued`, and a 64 B synchronous send is a rendezvous whose
+/// receiver, matched but missing its one pushed fragment, waits in
+/// `fin_wait`.
+#[test]
+fn watchdog_names_each_stuck_requests_phase_and_stage() {
+    let armed = StackConfig {
+        watchdog_interval: 8,
+        watchdog_grace: 4,
+        ..StackConfig::best()
+    };
+    // Three 64 B sends into a two-credit window, toward a rank that posts
+    // no receive and so never returns a credit.
+    let credits = Universe::paper_testbed(StackConfig {
+        flow_enable: true,
+        flow_credits: 2,
+        ..armed.clone()
+    });
+    let parked: fn(&Mpi) = |mpi| {
+        let (w, buf) = (mpi.world(), mpi.alloc(64));
+        if mpi.rank() == 0 {
+            mpi.waitall(
+                (0..3)
+                    .map(|tag| mpi.isend(&w, 1, tag, &buf, 64))
+                    .collect::<Vec<_>>(),
+            );
+        }
+    };
+    // A 64 B ssend over TCP alone, its one pushed fragment lost.
+    let tcp = Universe::new(
+        elan4::NicConfig::default(),
+        qsnet::FabricConfig::default(),
+        armed,
+        openmpi_core::Transports {
+            elan_rails: 0,
+            tcp: true,
+        },
+    );
+    tcp.tcp_net.inject_drop(openmpi_core::hdr::HdrType::Frag, 1);
+    let ssend: fn(&Mpi) = |mpi| {
+        let (w, buf) = (mpi.world(), mpi.alloc(64));
+        if mpi.rank() == 0 {
+            mpi.ssend(&w, 1, 7, &buf, 64);
+        } else {
+            mpi.recv(&w, 0, 7, &buf, 64);
+        }
+    };
+    let send_phase = "eager: parked on the peer's exhausted credit window";
+    let recv_phase = "rdma-read+fin_ack: matched, awaiting remaining payload";
+    let cases = [
+        (&credits, parked, (0, "send", send_phase, "queued")),
+        (&tcp, ssend, (1, "recv", recv_phase, "fin_wait")),
+    ];
+    for (uni, body, (rank, kind, phase, stage)) in cases {
+        let (_, eps) = run_until_stall(uni, body);
+        // Exactly one rank stalls, on exactly one request.
+        let diags: Vec<_> = eps
+            .iter()
+            .flat_map(|ep| ep.introspect.lock().diagnostics.clone())
+            .collect();
+        let [d] = diags.as_slice() else {
+            panic!("{kind} on rank {rank}: expected one diagnostic, got {diags:?}");
+        };
+        let [s] = d.stuck.as_slice() else {
+            panic!("{kind} on rank {rank}: expected one stuck request, got {d:?}");
+        };
+        assert_eq!((d.rank, s.kind, s.phase.as_str()), (rank, kind, phase));
+        let got_stage = &s.stalled_stage;
+        assert!(got_stage.starts_with(stage), "{phase}: stage {got_stage}");
+    }
 }
 
 /// The same job re-run after another job used the cluster sees a clean

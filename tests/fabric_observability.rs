@@ -196,6 +196,12 @@ fn flight_enable_off_means_no_dump_on_either_path() {
     );
     assert_eq!(demo.diagnostics.len(), 1);
     assert_eq!(demo.flight_dumps, Vec::<String>::new(), "stall path");
+    // The diagnosis reads the stuck request's own state, not the ring.
+    assert_eq!(
+        demo.stuck,
+        stall_flight_demo(true).stuck,
+        "stalled stage with the recorder off"
+    );
     assert_eq!(
         unroutable_send_dumps(false),
         Vec::<String>::new(),
