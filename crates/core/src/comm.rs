@@ -63,8 +63,7 @@ pub fn register_comm(proc: &Proc, ep: &Rc<Endpoint>, comm: &Communicator) {
                 !st.comms.contains_key(&ctx),
                 "context id {ctx} registered twice"
             );
-            st.comms
-                .insert(ctx, CommState::new(ctx, comm.group.to_vec(), comm.my_rank));
+            st.comms.insert(ctx, CommState::new(comm.group.to_vec()));
         }
         let mut early = Vec::new();
         let mut keep = Vec::new();

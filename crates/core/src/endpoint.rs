@@ -3,9 +3,9 @@
 //!
 //! A rank's endpoint owns its Elan4 context (claimed dynamically from the
 //! capability — paper §4.1/§5), its receive queue(s), an optional TCP inbox,
-//! and its [`EpState`], in a [`qsim::Local`] cell. Progress is driven
-//! either by the application thread (polling / interrupt modes) or by one
-//! or two asynchronous progress threads over the shared completion queue
+//! and its PML state (`EpState`), in a [`qsim::Local`] cell. Progress is
+//! driven either by the application thread (polling / interrupt modes) or by
+//! one or two asynchronous progress threads over the shared completion queue
 //! (paper §4.3).
 
 use std::cell::Cell;
@@ -97,7 +97,7 @@ pub struct Endpoint {
     /// Incoming TCP frames.
     pub tcp_inbox: Option<Rc<TcpInbox>>,
     /// PML state (requests, matching, peers).
-    pub state: Local<EpState>,
+    pub(crate) state: Local<EpState>,
     /// Component lifecycle registry (paper §2.2's five stages).
     pub ptls: Local<PtlRegistry>,
     /// The progress driver's wakeup signal (polling/interrupt modes).
@@ -413,44 +413,49 @@ impl Endpoint {
     /// Drive progress until `done()` (checked under the state lock) returns
     /// true. Used by request waits, barriers, and finalize. In the polling
     /// modes the caller runs progress passes and sleeps on the doorbell;
-    /// under progress threads it sleeps on a per-wait signal they notify,
-    /// paying the thread handoff on each wakeup.
-    pub fn wait_until(self: &Rc<Self>, proc: &Proc, mut done: impl FnMut(&mut EpState) -> bool) {
+    /// under progress threads it sleeps on one signal per call that they
+    /// notify, paying the thread handoff on each wakeup.
+    pub(crate) fn wait_until(
+        self: &Rc<Self>,
+        proc: &Proc,
+        mut done: impl FnMut(&mut EpState) -> bool,
+    ) {
         let host = &self.cfg.host;
-        let (bell, wake_cost) = match self.cfg.progress {
+        let (sig, polls, wake_cost) = match self.cfg.progress {
             ProgressMode::Polling | ProgressMode::Interrupt => (
-                Some(self.doorbell().expect("progress not started")),
+                self.doorbell().expect("progress not started"),
+                true,
                 self.cluster.cfg().poll_check,
             ),
-            ProgressMode::OneThread => (None, host.thread_handoff),
-            ProgressMode::TwoThreads => (None, host.thread_handoff + host.thread_contention),
+            ProgressMode::OneThread => (proc.signal(), false, host.thread_handoff),
+            ProgressMode::TwoThreads => (
+                proc.signal(),
+                false,
+                host.thread_handoff + host.thread_contention,
+            ),
         };
         loop {
-            let waiter;
-            let sig = match &bell {
-                Some(bell) => {
-                    if done(&mut self.state.lock()) {
-                        return;
-                    }
-                    if proto::progress_pass(proc, self) {
-                        continue;
-                    }
-                    if done(&mut self.state.lock()) {
-                        return;
-                    }
-                    bell
+            if polls {
+                if done(&mut self.state.lock()) {
+                    return;
                 }
-                None => {
-                    waiter = proc.signal();
-                    let mut st = self.state.lock();
-                    if done(&mut st) {
-                        return;
-                    }
-                    st.waiters.push(waiter.clone());
-                    &waiter
+                if proto::progress_pass(proc, self) {
+                    continue;
                 }
-            };
-            if !self.park(proc, sig, wake_cost) {
+                if done(&mut self.state.lock()) {
+                    return;
+                }
+            } else {
+                // Drop a notification latched since the last park: the
+                // check below sees whatever it announced.
+                sig.clear();
+                let mut st = self.state.lock();
+                if done(&mut st) {
+                    return;
+                }
+                st.waiters.push(sig.clone());
+            }
+            if !self.park(proc, &sig, wake_cost) {
                 panic!("simulation shut down during MPI wait");
             }
         }
@@ -592,20 +597,7 @@ impl Endpoint {
         // completion or failure path.
         let (slots, leaked) = {
             let mut st = self.state.lock();
-            let mut stages: Vec<HostBuf> = Vec::new();
-            for c in st.comms.values_mut() {
-                for f in c.unexpected.iter_mut().chain(c.out_of_order.iter_mut()) {
-                    if let Some(s) = f.stage.take() {
-                        stages.push(s);
-                    }
-                }
-            }
-            let mut leaked = Vec::new();
-            for s in stages {
-                if !st.bounce_pool.release(s) {
-                    leaked.push(s);
-                }
-            }
+            let leaked = st.release_stages(None);
             (st.bounce_pool.drain(), leaked)
         };
         for b in slots.into_iter().chain(leaked) {

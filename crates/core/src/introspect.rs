@@ -139,17 +139,21 @@ fn hist_vars(out: &mut Vec<(String, u64)>, name: &str, h: &crate::metrics::Histo
 /// Snapshot every pvar of `ep` without stopping the stack.
 ///
 /// Counter pvars are the rows of [`crate::metrics::Counters::table`], read
-/// from [`Endpoint::metrics_snapshot`]; queue pvars come from live
-/// [`crate::state::EpState`], and watchdog pvars from the introspection
-/// state.
+/// from [`Endpoint::metrics_snapshot`]; queue pvars come from the live PML
+/// state (`EpState`), and watchdog pvars from the introspection state.
 pub fn pvar_snapshot(ep: &Endpoint) -> PvarSnapshot {
     let mut vars: Vec<(String, u64)> = Vec::with_capacity(64);
 
     // Live protocol state (under the state lock, released before metrics).
     {
         let st = ep.state.lock();
-        let send_live = st.send_reqs.values().filter(|r| !r.phase.is_done()).count();
-        let recv_live = st.recv_reqs.values().filter(|r| !r.phase.is_done()).count();
+        let live = |send: bool| {
+            st.reqs
+                .values()
+                .filter(|r| !r.phase.is_done() && r.is_send() == send)
+                .count()
+        };
+        let (send_live, recv_live) = (live(true), live(false));
         let posted: usize = st.comms.values().map(|c| c.posted.len()).sum();
         let unexpected: usize = st.comms.values().map(|c| c.unexpected.len()).sum();
         let dma_bytes: usize = st.pending_dmas.iter().map(|p| p.role.bytes).sum();
@@ -626,13 +630,14 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
     ins.scans += 1;
 
     // A live request's fingerprint is its phase and the bytes it has done.
-    let mut live = Vec::new();
-    for r in st.send_reqs.values().filter(|r| !r.phase.is_done()) {
-        live.push((r.id, (r.phase, r.bytes_confirmed)));
-    }
-    for r in st.recv_reqs.values().filter(|r| !r.phase.is_done()) {
-        live.push((r.id, (r.phase, r.bytes_received)));
-    }
+    // Listed in id order, which is post order.
+    let mut live: Vec<(u64, (Phase, usize))> = st
+        .reqs
+        .values()
+        .filter(|r| !r.phase.is_done())
+        .map(|r| (r.id, (r.phase, r.bytes_done)))
+        .collect();
+    live.sort_unstable_by_key(|&(id, _)| id);
 
     // Requests no longer live stop being tracked.
     let live_ids: qsim::FastSet<u64> = live.iter().map(|(id, _)| *id).collect();
@@ -662,56 +667,40 @@ fn watchdog_scan(ep: &Endpoint, now: Time) -> Option<StallDiagnostic> {
         let unissued = st.pipelines.get(&id).map_or(0, |ps| ps.total - ps.next_off);
         dmas.map(|p| p.role.bytes).sum::<usize>() + unissued
     };
-    let diag = |kind, phase, id| diagnose(kind, phase, ep.cfg.scheme, in_flight(id));
     let flight = ep.flight.lock();
     let lifecycle =
         |gid: u64| crate::flight::events_json(flight.iter().filter(|(_, e)| e.gid() == Some(gid)));
     let mut stuck = Vec::new();
-    for (id, stale) in &stalled {
-        if let Some(r) = st.send_reqs.get(id) {
-            let (phase, stalled_stage) = diag(ReqKind::Send, r.phase, *id);
-            stuck.push(StuckReq {
-                id: *id,
-                gid: r.gid,
-                kind: "send",
-                peer: format!("rank {}", r.dst_rank),
-                tag: r.tag.to_string(),
-                bytes_done: r.bytes_confirmed,
-                bytes_total: r.msg_len,
-                phase,
-                stalled_stage,
-                lifecycle: lifecycle(r.gid),
-                stale_scans: *stale,
-            });
-        } else if let Some(r) = st.recv_reqs.get(id) {
-            let (peer, tag, total) = match &r.matched {
-                Some(m) => (format!("rank {}", m.src_rank), m.tag.to_string(), m.msg_len),
-                None => (
-                    r.src_sel
-                        .map(|s| format!("rank {s}"))
-                        .unwrap_or_else(|| "any".to_string()),
-                    r.tag_sel
-                        .map(|t| t.to_string())
-                        .unwrap_or_else(|| "any".to_string()),
+    for &(id, stale_scans) in &stalled {
+        let r = &st.reqs[&id];
+        // A send, or a matched receive, names its peer; an unmatched
+        // receive only has its selectors.
+        let (peer, tag, bytes_total) = match (&r.envelope, &r.recv) {
+            (Some(env), _) => (format!("rank {}", env.rank), env.tag.to_string(), env.len),
+            (None, sel) => {
+                let src = sel.as_ref().and_then(|s| s.src_sel);
+                let tag = sel.as_ref().and_then(|s| s.tag_sel);
+                (
+                    src.map_or("any".into(), |s| format!("rank {s}")),
+                    tag.map_or("any".into(), |t| t.to_string()),
                     0,
-                ),
-            };
-            let gid = r.matched.as_ref().map(|m| m.gid).unwrap_or(0);
-            let (phase, stalled_stage) = diag(ReqKind::Recv, r.phase, *id);
-            stuck.push(StuckReq {
-                id: *id,
-                gid,
-                kind: "recv",
-                peer,
-                tag,
-                bytes_done: r.bytes_received,
-                bytes_total: total,
-                phase,
-                stalled_stage,
-                lifecycle: lifecycle(gid),
-                stale_scans: *stale,
-            });
-        }
+                )
+            }
+        };
+        let (phase, stalled_stage) = diagnose(r.kind(), r.phase, ep.cfg.scheme, in_flight(id));
+        stuck.push(StuckReq {
+            id,
+            gid: r.gid,
+            kind: if r.is_send() { "send" } else { "recv" },
+            peer,
+            tag,
+            bytes_done: r.bytes_done,
+            bytes_total,
+            phase,
+            stalled_stage,
+            lifecycle: lifecycle(r.gid),
+            stale_scans,
+        });
     }
     drop(flight);
     // Snapshot the flight recorder for the post-mortem: first record the

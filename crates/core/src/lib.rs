@@ -4,7 +4,7 @@
 //! Quadrics hardware:
 //!
 //! - [`hdr`] — the 64-byte match/control header (vs. MPICH-QsNetII's 32).
-//! - [`state`] + [`proto`] — the PML: request management, FIFO matching
+//! - `state` + [`proto`] — the PML: request management, FIFO matching
 //!   with wildcards, per-peer sequence ordering, and the long-message
 //!   protocols: **RDMA write + FIN** and **RDMA read + FIN_ACK** (paper
 //!   Figs. 3 & 4), optionally with the control message *chained* to the
@@ -39,7 +39,7 @@ pub mod ptl;
 pub mod ptl_tcp;
 pub mod regcache;
 pub mod rma;
-pub mod state;
+pub(crate) mod state;
 pub mod trace;
 pub mod universe;
 

@@ -261,30 +261,31 @@ impl Mpi {
         assert_eq!(req.kind, ReqKind::Recv, "wait_status is for receives");
         self.ep
             .wait_until(&self.proc, |st| proto::req_done(st, req));
-        let mut st = self.ep.state.lock();
-        let r = st
-            .recv_reqs
+        let r = self
+            .ep
+            .state
+            .lock()
+            .reqs
             .remove(&req.id)
             .expect("request already reaped");
-        drop(st);
         let error = r.phase.error();
         if error.is_some() {
             self.ep.metric(|m| m.counters.errs_surfaced += 1);
         }
-        match (&r.matched, error) {
-            (Some(m), error) => Status {
-                source: m.src_rank as usize,
-                tag: m.tag,
-                len: m.msg_len,
+        match (r.envelope, r.recv) {
+            (Some(env), _) => Status {
+                source: env.rank as usize,
+                tag: env.tag,
+                len: env.len,
                 error,
             },
             // Failed before matching: fall back to the request's selectors
             // (0 / ANY_TAG when wildcarded) so the caller still gets a
             // well-formed status around the error class.
-            (None, error) => Status {
-                source: r.src_sel.map(|s| s as usize).unwrap_or(0),
-                tag: r.tag_sel.unwrap_or(ANY_TAG),
-                len: r.bytes_received,
+            (None, sel) => Status {
+                source: sel.as_ref().and_then(|s| s.src_sel).unwrap_or(0) as usize,
+                tag: sel.and_then(|s| s.tag_sel).unwrap_or(ANY_TAG),
+                len: r.bytes_done,
                 error,
             },
         }
@@ -302,7 +303,7 @@ impl Mpi {
     /// notified, so the test must degrade both ends itself.
     #[doc(hidden)]
     pub fn abort_request(&self, req: Request, err: crate::state::MpiErrClass) {
-        proto::fail_request(&self.proc, &self.ep, req.kind, req.id, err);
+        proto::fail_request(&self.proc, &self.ep, req.id, err);
     }
 
     /// Wait for every request in order. Request errors are dropped, as with

@@ -19,8 +19,8 @@ use crate::endpoint::Endpoint;
 use crate::hdr::{Hdr, HdrType, HDR_LEN, MAX_INLINE};
 use crate::metrics::ControlKind;
 use crate::state::{
-    DmaRole, EpState, InflightCtl, MatchInfo, MpiErrClass, PendingDma, Phase, PipeChunk, PipeState,
-    QueuedSend, RecvReq, SendReq, TcpPush, UnexpectedFrag,
+    DmaRole, Envelope, EpState, InflightCtl, MpiErrClass, PendingDma, Phase, PipeChunk, PipeState,
+    QueuedSend, RecvSel, Req, TcpPush, UnexpectedFrag,
 };
 
 /// Payload room in one TCP frame after the 64-byte header.
@@ -119,21 +119,22 @@ pub fn post_send_mode(
     } else {
         first_route(ep, &peer)
     };
-    let mut req = SendReq {
+    let mut req = Req {
         id,
         gid,
-        ctx: comm.ctx,
-        dst,
-        dst_rank: dst_rank as u32,
-        tag,
-        seq,
-        msg_len,
-        src_e4: None,
-        src_region: buf,
-        bounce: None,
-        bytes_confirmed: 0,
         phase: Phase::Posted,
         posted_at,
+        buf,
+        bounce: None,
+        e4: None,
+        bytes_done: 0,
+        envelope: Some(Envelope {
+            peer: dst,
+            rank: dst_rank as u32,
+            tag,
+            len: msg_len,
+        }),
+        recv: None,
     };
     let Some(route) = route else {
         let err = if stale_comm {
@@ -144,7 +145,7 @@ pub fn post_send_mode(
             MpiErrClass::NoTransport
         };
         req.phase = Phase::Done(Some(err));
-        ep.state.lock().send_reqs.insert(id, req);
+        ep.state.lock().reqs.insert(id, req);
         record_failure(proc, ep, id, true, err);
         return Request {
             id,
@@ -231,10 +232,10 @@ pub fn post_send_mode(
         if parked {
             req.phase = Phase::Parked;
         } else {
-            req.bytes_confirmed = msg_len;
+            req.bytes_done = msg_len;
             req.phase = Phase::Done(None);
         }
-        ep.state.lock().send_reqs.insert(id, req);
+        ep.state.lock().reqs.insert(id, req);
         if !parked {
             ep.metric(|m| {
                 m.counters.eager_sent += 1;
@@ -272,7 +273,8 @@ pub fn post_send_mode(
         proc.advance(ep.cfg.copy.convertor(&conv, msg_len));
         Some(b)
     };
-    let region = bounce.unwrap_or(buf);
+    req.bounce = bounce;
+    let region = req.region();
     // The read scheme needs the whole source exposed up front: the receiver
     // pulls straight out of it, and the remote side of an RDMA must be one
     // contiguous mapping. The write scheme's source is only touched by our
@@ -297,10 +299,8 @@ pub fn post_send_mode(
     proc.advance(host.hdr_build);
     send_frame(proc, ep, &peer, route, hdr, frame);
 
-    req.src_e4 = src_e4;
-    req.src_region = region;
-    req.bounce = bounce;
-    ep.state.lock().send_reqs.insert(id, req);
+    req.e4 = src_e4;
+    ep.state.lock().reqs.insert(id, req);
     ep.metric(|m| m.counters.rndv_sent += 1);
     // The handshake span closes when the receiver is first heard from
     // (ACK or FIN_ACK) — see `first_receiver_contact`.
@@ -341,21 +341,24 @@ pub fn post_recv(
     let (id, hit, stale_comm) = {
         let mut st = ep.state.lock();
         let id = st.alloc_req_id();
-        st.recv_reqs.insert(
+        st.reqs.insert(
             id,
-            RecvReq {
+            Req {
                 id,
-                ctx: comm.ctx,
-                src_sel: src,
-                tag_sel: tag,
-                buf,
-                conv,
-                matched: None,
-                dst_e4: None,
-                bounce,
-                bytes_received: 0,
+                gid: 0,
                 phase: Phase::Posted,
                 posted_at,
+                buf,
+                bounce,
+                e4: None,
+                bytes_done: 0,
+                envelope: None,
+                recv: Some(RecvSel {
+                    ctx: comm.ctx,
+                    src_sel: src,
+                    tag_sel: tag,
+                    conv,
+                }),
             },
         );
         // Check the unexpected queue before exposing the request.
@@ -375,7 +378,7 @@ pub fn post_recv(
     ep.metric(|m| m.counters.recvs_posted += 1);
     ep.trace(proc.now(), crate::trace::TraceEvent::RecvPosted { req: id });
     if stale_comm {
-        fail_request(proc, ep, ReqKind::Recv, id, MpiErrClass::Internal);
+        fail_request(proc, ep, id, MpiErrClass::Internal);
     } else if let Some(frag) = hit {
         matched(proc, ep, id, frag);
     }
@@ -449,20 +452,12 @@ pub fn wait(proc: &Proc, ep: &Rc<Endpoint>, req: Request) -> Option<MpiErrClass>
 
 /// Has `req` finished? A request missing from the table was reaped.
 pub(crate) fn req_done(st: &EpState, req: Request) -> bool {
-    let phase = match req.kind {
-        ReqKind::Send => st.send_reqs.get(&req.id).map(|r| r.phase),
-        ReqKind::Recv => st.recv_reqs.get(&req.id).map(|r| r.phase),
-    };
-    phase.is_none_or(Phase::is_done)
+    st.reqs.get(&req.id).is_none_or(|r| r.phase.is_done())
 }
 
 /// Forget a completed request; its error class if it failed.
 fn reap(st: &mut EpState, req: Request) -> Option<MpiErrClass> {
-    let phase = match req.kind {
-        ReqKind::Send => st.send_reqs.remove(&req.id).map(|r| r.phase),
-        ReqKind::Recv => st.recv_reqs.remove(&req.id).map(|r| r.phase),
-    };
-    phase.and_then(Phase::error)
+    st.reqs.remove(&req.id).and_then(|r| r.phase.error())
 }
 
 /// Block until any of `reqs` completes; returns its index and reaps it.
@@ -694,21 +689,23 @@ pub fn dispatch(proc: &Proc, ep: &Rc<Endpoint>, frame: Vec<u8>) {
             handle_match_frame(proc, ep, hdr, payload);
         }
         HdrType::Ack => handle_ack(proc, ep, hdr),
-        HdrType::Fin => credit_recv(proc, ep, hdr.recv_req, hdr.offset as usize),
+        HdrType::Fin => credit(proc, ep, ReqKind::Recv, hdr.recv_req, hdr.offset as usize),
         HdrType::FinAck => {
             // Piggybacked flow credits ride in `e4_vpid` (unused on a
             // FIN_ACK); hand them back before the byte credit completes
             // (and possibly reaps) the send.
             if hdr.e4_vpid > 0 {
                 let peer = {
-                    let st = ep.state.lock();
-                    st.send_reqs.get(&hdr.send_req).map(|r| r.dst)
+                    let mut st = ep.state.lock();
+                    st.req_of(ReqKind::Send, hdr.send_req)
+                        .and_then(|r| r.envelope)
+                        .map(|e| e.peer)
                 };
                 if let Some(peer) = peer {
                     flow_credits_in(proc, ep, peer, hdr.e4_vpid as usize);
                 }
             }
-            credit_send(proc, ep, hdr.send_req, hdr.offset as usize)
+            credit(proc, ep, ReqKind::Send, hdr.send_req, hdr.offset as usize)
         }
         HdrType::Frag => handle_frag(proc, ep, hdr, payload),
         HdrType::Completion => {
@@ -866,9 +863,9 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
     };
 
     // Record the match and copy the inline bytes.
-    let recv_posted_at = {
+    let (recv_posted_at, ctx) = {
         let mut st = ep.state.lock();
-        let Some(r) = st.recv_reqs.get_mut(&rid) else {
+        let Some(r) = st.reqs.get_mut(&rid) else {
             // The receive was failed or reaped between match and delivery:
             // nothing to land into. Return any staging slot; the sender's
             // request is cleaned up by its own completion or failure path.
@@ -880,27 +877,26 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             }
             return;
         };
+        let sel = r.recv.as_ref().expect("only a posted receive matches");
         assert!(
-            msg_len <= r.conv.packed_len(),
+            msg_len <= sel.conv.packed_len(),
             "message truncation: incoming {} bytes into a {}-byte receive",
             msg_len,
-            r.conv.packed_len()
+            sel.conv.packed_len()
         );
-        r.matched = Some(MatchInfo {
-            gid,
-            src_rank: hdr.src_rank,
-            src: frag.from,
+        let ctx = sel.ctx;
+        r.gid = gid;
+        r.envelope = Some(Envelope {
+            peer: frag.from,
+            rank: hdr.src_rank,
             tag: hdr.tag,
-            msg_len,
-            send_req: hdr.send_req,
-            src_e4_va: hdr.e4_va,
-            src_e4_vpid: hdr.e4_vpid,
+            len: msg_len,
         });
         // A receive failed while its match was collected stays finished.
         if r.phase == Phase::Posted {
             r.phase = Phase::Matched;
         }
-        r.posted_at
+        (r.posted_at, ctx)
     };
     // Match latency covers both directions of waiting: a pre-posted receive
     // waits for the fragment, an unexpected fragment waits for the receive.
@@ -922,13 +918,13 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
     if inline_len > 0 {
         {
             let st = ep.state.lock();
-            if let Some(r) = st.recv_reqs.get(&rid) {
+            if let Some(r) = st.reqs.get(&rid) {
                 write_packed(ep, r, 0, &frag.payload);
             }
         }
         charge_unpack(proc, ep, inline_len);
-        if let Some(r) = ep.state.lock().recv_reqs.get_mut(&rid) {
-            r.bytes_received += inline_len;
+        if let Some(r) = ep.state.lock().reqs.get_mut(&rid) {
+            r.bytes_done += inline_len;
         }
     }
     // Delivery: the payload now lives in the application buffer, so the
@@ -945,7 +941,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
         if ep.tunables.flow_enable() && hdr.send_req != 0 && frag.from != ep.name {
             flow_note_delivered(ep, frag.from);
         }
-        maybe_complete_recv(proc, ep, rid);
+        maybe_complete(proc, ep, rid);
         return;
     }
 
@@ -964,7 +960,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
         // an error status and the sender is told (best effort) to give up
         // on its request too, instead of panicking either rank.
         send_nack(proc, ep, &peer, hdr.send_req, 0, MpiErrClass::NoTransport);
-        fail_request(proc, ep, ReqKind::Recv, rid, MpiErrClass::NoTransport);
+        fail_request(proc, ep, rid, MpiErrClass::NoTransport);
         return;
     };
     let pull_elan = ep.cfg.scheme == RdmaScheme::Read && elan_share > 0;
@@ -984,9 +980,9 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
     {
         let info = {
             let st = ep.state.lock();
-            st.recv_reqs
+            st.reqs
                 .get(&rid)
-                .map(|r| (r.dst_e4, r.bounce.unwrap_or(r.buf), r.bounce.is_none()))
+                .map(|r| (r.e4, r.region(), r.bounce.is_none()))
         };
         let Some((have, region, cacheable)) = info else {
             // Failed while the match was in flight.
@@ -996,7 +992,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             Some(e4) => e4,
             None => {
                 let fresh = expose(proc, ep, gid, &region, remainder, cacheable, false);
-                match store_mapping(proc, ep, ReqKind::Recv, rid, &region, fresh) {
+                match store_mapping(proc, ep, rid, &region, fresh) {
                     Some(e4) => e4,
                     // Failed (or reaped) while we were mapping: nothing
                     // left to pull into.
@@ -1024,10 +1020,10 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
                     // FIN_ACK rides the final chunk.
                     let dst = {
                         let st = ep.state.lock();
-                        st.recv_reqs
+                        st.reqs
                             .get(&rid)
                             .filter(|r| !r.phase.is_done())
-                            .map(|r| (r.bounce.unwrap_or(r.buf), r.bounce.is_none()))
+                            .map(|r| (r.region(), r.bounce.is_none()))
                     };
                     if let Some((region, cacheable)) = dst {
                         ep.metric(|m| m.counters.rdma_read_batches += 1);
@@ -1087,7 +1083,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             if tcp_share > 0 {
                 // Ask the sender to push the TCP share.
                 let mut ack = Hdr::new(HdrType::Ack);
-                ack.ctx = ctx_of(ep, rid);
+                ack.ctx = ctx;
                 ack.send_req = hdr.send_req;
                 ack.recv_req = rid;
                 ack.offset = (inline_len + elan_share) as u64;
@@ -1101,7 +1097,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             // Expose the destination and let the sender drive everything
             // (Fig. 3). `seq` carries the inline credit.
             let mut ack = Hdr::new(HdrType::Ack);
-            ack.ctx = ctx_of(ep, rid);
+            ack.ctx = ctx;
             ack.send_req = hdr.send_req;
             ack.recv_req = rid;
             ack.offset = inline_len as u64;
@@ -1120,16 +1116,7 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
             }
         }
     }
-    maybe_complete_recv(proc, ep, rid);
-}
-
-fn ctx_of(ep: &Rc<Endpoint>, rid: u64) -> u32 {
-    ep.state
-        .lock()
-        .recv_reqs
-        .get(&rid)
-        .map(|r| r.ctx)
-        .unwrap_or(0)
+    maybe_complete(proc, ep, rid);
 }
 
 /// Sender side: the receiver acknowledged a rendezvous (write scheme), or
@@ -1146,17 +1133,16 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
 
     let Some((peer, src_e4, src_region, cacheable, msg_len, gid)) = ({
         let mut st = ep.state.lock();
-        match st.send_reqs.get_mut(&sid) {
+        match st.req_of(ReqKind::Send, sid) {
             Some(r) => {
-                r.bytes_confirmed += credit;
-                let dst = r.dst;
-                let src_e4 = r.src_e4;
-                let region = r.src_region;
+                r.bytes_done += credit;
+                let env = r.envelope.expect("a send has its envelope from post time");
+                let src_e4 = r.e4;
+                let region = r.region();
                 let cacheable = r.bounce.is_none();
-                let msg_len = r.msg_len;
                 let gid = r.gid;
-                let peer = st.peer(&dst).cloned().expect("unresolved peer");
-                Some((peer, src_e4, region, cacheable, msg_len, gid))
+                let peer = st.peer(&env.peer).cloned().expect("unresolved peer");
+                Some((peer, src_e4, region, cacheable, env.len, gid))
             }
             None => None,
         }
@@ -1173,7 +1159,7 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
         // outside the message. Abandon the request (and tell the receiver
         // to do the same) instead of panicking the rank.
         send_nack(proc, ep, &peer, 0, hdr.recv_req, MpiErrClass::Internal);
-        fail_request(proc, ep, ReqKind::Send, sid, MpiErrClass::Internal);
+        fail_request(proc, ep, sid, MpiErrClass::Internal);
         return;
     }
 
@@ -1189,7 +1175,7 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
                     // No transport for the bulk bytes: degrade both sides
                     // instead of panicking.
                     send_nack(proc, ep, &peer, 0, hdr.recv_req, MpiErrClass::NoTransport);
-                    fail_request(proc, ep, ReqKind::Send, sid, MpiErrClass::NoTransport);
+                    fail_request(proc, ep, sid, MpiErrClass::NoTransport);
                     return;
                 }
             },
@@ -1231,7 +1217,7 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
                     Some(e4) => e4,
                     None => {
                         let fresh = expose(proc, ep, gid, &src_region, elan_share, cacheable, true);
-                        match store_mapping(proc, ep, ReqKind::Send, sid, &src_region, fresh) {
+                        match store_mapping(proc, ep, sid, &src_region, fresh) {
                             Some(e4) => e4,
                             // Failed (or reaped) while we were mapping.
                             None => return,
@@ -1273,20 +1259,20 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
             tcp_push_pump(proc, ep);
         }
     }
-    maybe_complete_send(proc, ep, sid);
+    maybe_complete(proc, ep, sid);
 }
 
 /// A pushed fragment landed (TCP path).
 fn handle_frag(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
     {
-        let st = ep.state.lock();
-        let Some(r) = st.recv_reqs.get(&hdr.recv_req) else {
+        let mut st = ep.state.lock();
+        let Some(r) = st.req_of(ReqKind::Recv, hdr.recv_req) else {
             return;
         };
         write_packed(ep, r, hdr.offset as usize, &payload);
     }
     proc.advance(ep.memcpy_cost(payload.len()));
-    credit_recv(proc, ep, hdr.recv_req, payload.len());
+    credit(proc, ep, ReqKind::Recv, hdr.recv_req, payload.len());
 }
 
 /// A local DMA descriptor completed (observed via event poll or a
@@ -1298,9 +1284,9 @@ fn dma_done(proc: &Proc, ep: &Rc<Endpoint>, token: u64, role: DmaRole) {
     let gid = {
         let st = ep.state.lock();
         let piped = role.chunk.then(|| st.pipelines.get(&role.req)).flatten();
-        piped.map_or_else(|| req_gid(&st, !role.is_read, role.req), |p| p.gid)
+        piped.map_or_else(|| st.reqs.get(&role.req).map_or(0, |r| r.gid), |p| p.gid)
     };
-    let bytes = role.bytes;
+    let (bytes, kind) = (role.bytes, role.served());
     ep.trace(proc.now(), crate::trace::TraceEvent::DmaDone { gid, bytes });
     ep.trace(
         proc.now(),
@@ -1311,63 +1297,34 @@ fn dma_done(proc: &Proc, ep: &Rc<Endpoint>, token: u64, role: DmaRole) {
         },
     );
     if role.chunk {
-        pipe_chunk_landed(proc, ep, role.req, token, bytes, role.is_read);
+        pipe_chunk_landed(proc, ep, role.req, token, bytes, kind);
         return;
     }
     if let Some((to, hdr)) = role.ctl {
         send_unchained(proc, ep, to, hdr);
     }
-    credit(proc, ep, role.is_read, role.req, bytes);
+    credit(proc, ep, kind, role.req, bytes);
 }
 
 // ---------------------------------------------------------------------------
 // credits & completion
 // ---------------------------------------------------------------------------
 
-/// Resolve a live request's globally unique message id from local state:
-/// a send carries it from post time; a receive learns it at match time.
-/// 0 = unattributed (reaped request, or an unmatched receive).
-fn req_gid(st: &EpState, send: bool, id: u64) -> u64 {
-    if send {
-        st.send_reqs.get(&id).map(|r| r.gid).unwrap_or(0)
-    } else {
-        st.recv_reqs
-            .get(&id)
-            .and_then(|r| r.matched.as_ref())
-            .map(|m| m.gid)
-            .unwrap_or(0)
-    }
-}
-
-fn credit_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, bytes: usize) {
-    {
+/// Credit `bytes` done to request `id` if it is of `kind`: bytes landed in
+/// a receive, or confirmed delivered for a send. Crediting a send is also
+/// how it hears from its receiver.
+fn credit(proc: &Proc, ep: &Rc<Endpoint>, kind: ReqKind, id: u64, bytes: usize) {
+    let credited = {
         let mut st = ep.state.lock();
-        if let Some(r) = st.recv_reqs.get_mut(&rid) {
-            r.bytes_received += bytes;
-        }
+        st.req_of(kind, id).map(|r| r.bytes_done += bytes).is_some()
+    };
+    if !credited {
+        return;
     }
-    maybe_complete_recv(proc, ep, rid);
-}
-
-fn credit_send(proc: &Proc, ep: &Rc<Endpoint>, sid: u64, bytes: usize) {
-    {
-        let mut st = ep.state.lock();
-        if let Some(r) = st.send_reqs.get_mut(&sid) {
-            r.bytes_confirmed += bytes;
-        }
+    if kind == ReqKind::Send {
+        first_receiver_contact(proc, ep, id);
     }
-    first_receiver_contact(proc, ep, sid);
-    maybe_complete_send(proc, ep, sid);
-}
-
-/// Credit `bytes` that an RDMA moved to the request it served: the receive
-/// for a read, the send for a write.
-fn credit(proc: &Proc, ep: &Rc<Endpoint>, is_read: bool, req: u64, bytes: usize) {
-    if is_read {
-        credit_recv(proc, ep, req, bytes);
-    } else {
-        credit_send(proc, ep, req, bytes);
-    }
+    maybe_complete(proc, ep, id);
 }
 
 /// The first time a rendezvous sender hears back from the receiver (ACK in
@@ -1377,7 +1334,7 @@ fn credit(proc: &Proc, ep: &Rc<Endpoint>, is_read: bool, req: u64, bytes: usize)
 fn first_receiver_contact(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
     let posted_at = {
         let mut st = ep.state.lock();
-        match st.send_reqs.get_mut(&sid) {
+        match st.reqs.get_mut(&sid) {
             Some(r) if r.phase == Phase::Posted => {
                 r.phase = Phase::Matched;
                 Some(r.posted_at)
@@ -1405,88 +1362,49 @@ fn first_receiver_contact(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
     );
 }
 
-fn maybe_complete_recv(proc: &Proc, ep: &Rc<Endpoint>, rid: u64) {
-    let finish = {
-        let st = ep.state.lock();
-        match st.recv_reqs.get(&rid) {
-            Some(r) => {
-                !r.phase.is_done()
-                    && r.matched
-                        .as_ref()
-                        .map(|m| r.bytes_received >= m.msg_len)
-                        .unwrap_or(false)
-            }
-            None => false,
-        }
-    };
-    if !finish {
-        return;
-    }
-    // Unpack the bounce buffer for non-contiguous receives: each typemap
-    // segment is copied straight from the packed stream into the user
-    // buffer, up to the message's end, leaving the gaps between them as
-    // they were.
+/// Finish request `id` once every byte of its envelope is done: unpack a
+/// non-contiguous receive's bounce buffer, mark the request done, give
+/// back what it held, then bookkeeping, the completion-time sample, the
+/// `Completed` event and the waiter wakeup.
+fn maybe_complete(proc: &Proc, ep: &Rc<Endpoint>, id: u64) {
     let unpack_cost = {
         let st = ep.state.lock();
-        st.recv_reqs.get(&rid).and_then(|r| {
-            let bounce = r.bounce?;
-            let msg_len = r.matched.as_ref().map_or(0, |m| m.msg_len);
+        let Some(r) = st.reqs.get(&id).filter(|r| !r.phase.is_done()) else {
+            return;
+        };
+        let Some(len) = r.envelope.map(|e| e.len).filter(|&len| len <= r.bytes_done) else {
+            return;
+        };
+        // Each typemap segment is copied straight from the packed stream
+        // into the user buffer, up to the message's end, leaving the gaps
+        // between them as they were.
+        r.recv.as_ref().zip(r.bounce).map(|(sel, bounce)| {
             let mut packed = 0;
-            for (off, seg_len) in r.conv.segments() {
-                if packed == msg_len {
+            for (off, seg_len) in sel.conv.segments() {
+                if packed == len {
                     break;
                 }
-                let take = seg_len.min(msg_len - packed);
+                let take = seg_len.min(len - packed);
                 ep.ectx.copy(&bounce, packed, &r.buf, off, take);
                 packed += take;
             }
-            assert_eq!(packed, msg_len, "packed bytes did not fit typemap");
-            Some(ep.cfg.copy.convertor(&r.conv, msg_len))
+            assert_eq!(packed, len, "packed bytes did not fit typemap");
+            ep.cfg.copy.convertor(&sel.conv, len)
         })
     };
     if let Some(cost) = unpack_cost {
         proc.advance(cost);
     }
-    let (held, posted_at, gid) = {
+    let (held, posted_at, gid, send) = {
         let mut st = ep.state.lock();
         // Reaped, or completed with an error by a failure path that ran
         // during the unpack's advance: the request is already finished.
-        let Some(r) = st.recv_reqs.get_mut(&rid).filter(|r| !r.phase.is_done()) else {
+        let Some(r) = st.reqs.get_mut(&id).filter(|r| !r.phase.is_done()) else {
             return;
         };
         r.phase = Phase::Done(None);
-        let gid = r.matched.as_ref().map(|m| m.gid).unwrap_or(0);
-        (Held::of_recv(r), r.posted_at, gid)
+        (Held::of(r), r.posted_at, r.gid, r.is_send())
     };
-    complete(proc, ep, rid, false, held, posted_at, gid);
-}
-
-fn maybe_complete_send(proc: &Proc, ep: &Rc<Endpoint>, sid: u64) {
-    let (held, posted_at, gid) = {
-        let mut st = ep.state.lock();
-        match st.send_reqs.get_mut(&sid) {
-            Some(r) if !r.phase.is_done() && r.bytes_confirmed >= r.msg_len => {
-                r.phase = Phase::Done(None);
-                (Held::of_send(r), r.posted_at, r.gid)
-            }
-            _ => return,
-        }
-    };
-    complete(proc, ep, sid, true, held, posted_at, gid);
-}
-
-/// The success tail of both request kinds, once the request is marked
-/// done: give back what it held, then bookkeeping, the completion-time
-/// sample, the `Completed` event and the waiter wakeup.
-fn complete(
-    proc: &Proc,
-    ep: &Rc<Endpoint>,
-    id: u64,
-    send: bool,
-    held: Held,
-    posted_at: qsim::Time,
-    gid: u64,
-) {
     held.release(proc, ep);
     proc.advance(ep.cfg.host.req_bookkeep);
     ep.metric(|m| {
@@ -1509,18 +1427,10 @@ struct Held {
 }
 
 impl Held {
-    fn of_send(r: &mut SendReq) -> Held {
+    fn of(r: &mut Req) -> Held {
         Held {
-            region: r.src_region,
-            e4: r.src_e4.take(),
-            bounce: r.bounce.take(),
-        }
-    }
-
-    fn of_recv(r: &mut RecvReq) -> Held {
-        Held {
-            region: r.bounce.unwrap_or(r.buf),
-            e4: r.dst_e4.take(),
+            region: r.region(),
+            e4: r.e4.take(),
             bounce: r.bounce.take(),
         }
     }
@@ -1592,23 +1502,18 @@ fn expose(
 fn store_mapping(
     proc: &Proc,
     ep: &Rc<Endpoint>,
-    kind: ReqKind,
     id: u64,
     region: &HostBuf,
     fresh: E4Addr,
 ) -> Option<E4Addr> {
     let (held, stored) = {
         let mut st = ep.state.lock();
-        let slot = match kind {
-            ReqKind::Send => st.send_reqs.get_mut(&id).map(|r| (r.phase, &mut r.src_e4)),
-            ReqKind::Recv => st.recv_reqs.get_mut(&id).map(|r| (r.phase, &mut r.dst_e4)),
-        };
-        match slot {
-            Some((phase, slot)) if !phase.is_done() => {
-                let stored = slot.is_none();
-                (Some(*slot.get_or_insert(fresh)), stored)
+        match st.reqs.get_mut(&id).filter(|r| !r.phase.is_done()) {
+            Some(r) => {
+                let stored = r.e4.is_none();
+                (Some(*r.e4.get_or_insert(fresh)), stored)
             }
-            _ => (None, false),
+            None => (None, false),
         }
     };
     if !stored {
@@ -1938,7 +1843,6 @@ fn pipe_start(
     let rails = ep.transports.elan_rails.max(1);
     let ps = PipeState {
         is_read,
-        req,
         gid,
         peer,
         remote,
@@ -2286,7 +2190,7 @@ fn pipe_chunk_landed(
     req: u64,
     token: u64,
     bytes: usize,
-    is_read: bool,
+    kind: ReqKind,
 ) {
     let (chunk, fin) = {
         let mut st = ep.state.lock();
@@ -2333,7 +2237,7 @@ fn pipe_chunk_landed(
             send_unchained(proc, ep, to, ctl);
         }
     }
-    credit(proc, ep, is_read, req, bytes);
+    credit(proc, ep, kind, req, bytes);
     if !finished {
         pipe_pump(proc, ep, req);
     }
@@ -2416,13 +2320,7 @@ fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
             ep.metric(|m| m.counters.frags_sent += 1);
             off += take;
         }
-        {
-            let mut st = ep.state.lock();
-            if let Some(r) = st.send_reqs.get_mut(&sid) {
-                r.bytes_confirmed += end - start;
-            }
-        }
-        maybe_complete_send(proc, ep, sid);
+        credit(proc, ep, ReqKind::Send, sid, end - start);
     }
     true
 }
@@ -2605,7 +2503,7 @@ fn flow_drain_peer(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName) -> bool {
     let peer_info = ep.state.lock().peer(&peer).cloned();
     let Some(pi) = peer_info else {
         for q in batch {
-            fail_request(proc, ep, ReqKind::Send, q.sid, MpiErrClass::ProcFailed);
+            fail_request(proc, ep, q.sid, MpiErrClass::ProcFailed);
         }
         return true;
     };
@@ -2623,19 +2521,14 @@ fn flow_drain_peer(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName) -> bool {
             },
         );
         let Some(route) = first_route(ep, &pi) else {
-            fail_request(proc, ep, ReqKind::Send, q.sid, MpiErrClass::NoTransport);
+            fail_request(proc, ep, q.sid, MpiErrClass::NoTransport);
             continue;
         };
+        let len = q.hdr.msg_len as usize;
         proc.advance(ep.cfg.host.hdr_build);
         send_frame(proc, ep, &pi, route, q.hdr, q.frame);
         // Buffered eager semantics: on the wire = locally complete.
-        {
-            let mut st = ep.state.lock();
-            if let Some(r) = st.send_reqs.get_mut(&q.sid) {
-                r.bytes_confirmed = r.msg_len;
-            }
-        }
-        maybe_complete_send(proc, ep, q.sid);
+        credit(proc, ep, ReqKind::Send, q.sid, len);
     }
     true
 }
@@ -2783,11 +2676,11 @@ fn handle_ctl_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
 /// status instead of leaving it to stall.
 fn handle_nack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
     let err = err_from_code(hdr.seq);
-    if hdr.send_req != 0 {
-        fail_request(proc, ep, ReqKind::Send, hdr.send_req, err);
-    }
-    if hdr.recv_req != 0 {
-        fail_request(proc, ep, ReqKind::Recv, hdr.recv_req, err);
+    for (kind, id) in [(ReqKind::Send, hdr.send_req), (ReqKind::Recv, hdr.recv_req)] {
+        let named = ep.state.lock().req_of(kind, id).is_some();
+        if named {
+            fail_request(proc, ep, id, err);
+        }
     }
 }
 
@@ -2814,56 +2707,39 @@ fn send_nack(
 /// degradation path for exhausted retries, NACKed requests, and unroutable
 /// peers. Mirrors the completion path (resource release, telemetry,
 /// waiter wakeup) with `error` set instead of a delivered payload.
-pub(crate) fn fail_request(
-    proc: &Proc,
-    ep: &Rc<Endpoint>,
-    kind: ReqKind,
-    id: u64,
-    err: MpiErrClass,
-) {
-    let held = {
+pub(crate) fn fail_request(proc: &Proc, ep: &Rc<Endpoint>, id: u64, err: MpiErrClass) {
+    let (held, send, handshake_open, chunks, staged) = {
         let mut st = ep.state.lock();
-        match kind {
-            ReqKind::Send => {
-                let Some(r) = st.send_reqs.get_mut(&id).filter(|r| !r.phase.is_done()) else {
-                    return;
-                };
-                r.phase = Phase::Done(Some(err));
-                let (held, dst) = (Held::of_send(r), r.dst);
-                // A credit-starved send still parked in the flow queue
-                // never went on the wire; the parked frame dies with the
-                // request.
-                if let Some(fp) = st.flow.get_mut(&dst) {
-                    fp.queued.retain(|q| q.sid != id);
-                }
-                held
-            }
-            ReqKind::Recv => {
-                let Some(r) = st.recv_reqs.get_mut(&id).filter(|r| !r.phase.is_done()) else {
-                    return;
-                };
-                r.phase = Phase::Done(Some(err));
-                let (held, ctx) = (Held::of_recv(r), r.ctx);
-                // An unmatched recv failed here is still in its comm's
-                // posted list; drop it so matching never dereferences the
-                // request after the application reaps it.
-                if let Some(c) = st.comms.get_mut(&ctx) {
-                    c.posted.retain(|rid| *rid != id);
-                }
-                held
-            }
+        let Some(r) = st.reqs.get_mut(&id).filter(|r| !r.phase.is_done()) else {
+            return;
+        };
+        // A rendezvous send its receiver never answered still has its
+        // handshake span open.
+        let handshake_open = r.is_send() && r.phase == Phase::Posted;
+        r.phase = Phase::Done(Some(err));
+        let (held, send, ctx, peer) = (
+            Held::of(r),
+            r.is_send(),
+            r.recv.as_ref().map(|s| s.ctx),
+            r.envelope.map(|e| e.peer),
+        );
+        // An unmatched recv failed here is still in its comm's posted list;
+        // drop it so matching never dereferences the request after the
+        // application reaps it.
+        if let Some(c) = ctx.and_then(|ctx| st.comms.get_mut(&ctx)) {
+            c.posted.retain(|rid| *rid != id);
         }
-    };
-    // Tear down any pipelined transfer this request owned: forget its
-    // in-flight chunk completions (stale event fires are ignored), drop
-    // parked TCP pushes, and release every chunk mapping — a failed
-    // request must leave `mapping_count()` untouched.
-    let (chunks, staged) = {
-        let mut st = ep.state.lock();
-        if kind == ReqKind::Send {
-            st.tcp_pushes.retain(|p| p.send_req != id);
+        // A credit-starved send still parked in the flow queue never went
+        // on the wire; the parked frame dies with the request.
+        if let Some(fp) = peer.and_then(|peer| st.flow.get_mut(&peer)) {
+            fp.queued.retain(|q| q.sid != id);
         }
-        match st.pipelines.remove(&id) {
+        // Tear down any pipelined transfer this request owned: forget its
+        // in-flight chunk completions (stale event fires are ignored), drop
+        // parked TCP pushes, and release every chunk mapping — a failed
+        // request must leave `mapping_count()` untouched.
+        st.tcp_pushes.retain(|p| p.send_req != id);
+        let (chunks, staged) = match st.pipelines.remove(&id) {
             Some(ps) => {
                 let tokens: Vec<u64> = ps.inflight.iter().map(|c| c.token).collect();
                 let mut i = 0;
@@ -2878,8 +2754,19 @@ pub(crate) fn fail_request(
                 (ps.inflight, ps.staged_final)
             }
             None => (Vec::new(), None),
-        }
+        };
+        (held, send, handshake_open, chunks, staged)
     };
+    if handshake_open {
+        ep.trace(
+            proc.now(),
+            crate::trace::TraceEvent::SpanEnd {
+                id,
+                cat: "rndv",
+                name: "rndv_handshake",
+            },
+        );
+    }
     for c in &chunks {
         crate::regcache::release(proc, ep, &c.sub, c.e4);
     }
@@ -2897,7 +2784,7 @@ pub(crate) fn fail_request(
         );
     }
     held.release(proc, ep);
-    record_failure(proc, ep, id, kind == ReqKind::Send, err);
+    record_failure(proc, ep, id, send, err);
     notify_waiters(proc, ep);
 }
 
@@ -3018,45 +2905,33 @@ fn give_up_on(proc: &Proc, ep: &Rc<Endpoint>, e: InflightCtl) {
             );
         }
     }
-    // Degrade every live local request bound to the failed peer.
-    let (sends, recvs) = {
+    // Degrade every live local request bound to the failed peer, in post
+    // order: each one whose envelope names the peer (a send, or a receive
+    // in flight from it), and each unmatched receive selecting the peer by
+    // name, which no other sender can ever satisfy.
+    let doomed = {
         let st = ep.state.lock();
-        let sends: Vec<u64> = st
-            .send_reqs
+        let mut ids: Vec<u64> = st
+            .reqs
             .values()
-            .filter(|r| !r.phase.is_done() && r.dst == e.peer)
-            .map(|r| r.id)
-            .collect();
-        let recvs: Vec<u64> = st
-            .recv_reqs
-            .values()
-            .filter(|r| {
-                if r.phase.is_done() {
-                    return false;
-                }
-                match &r.matched {
-                    // In flight from the failed peer: it will never finish.
-                    Some(m) => m.src == e.peer,
-                    // Unmatched but selecting the failed peer by name: no
-                    // other sender can ever satisfy it, so complete it with
-                    // the error instead of letting it hang silently.
-                    None => r.src_sel.is_some_and(|s| {
-                        st.comms
-                            .get(&r.ctx)
-                            .and_then(|c| c.group.get(s as usize))
-                            .is_some_and(|name| *name == e.peer)
-                    }),
-                }
+            .filter(|r| !r.phase.is_done())
+            .filter(|r| match (&r.envelope, &r.recv) {
+                (Some(env), _) => env.peer == e.peer,
+                (None, Some(sel)) => sel.src_sel.is_some_and(|s| {
+                    st.comms
+                        .get(&sel.ctx)
+                        .and_then(|c| c.group.get(s as usize))
+                        .is_some_and(|name| *name == e.peer)
+                }),
+                (None, None) => false,
             })
             .map(|r| r.id)
             .collect();
-        (sends, recvs)
+        ids.sort_unstable();
+        ids
     };
-    for id in sends {
-        fail_request(proc, ep, ReqKind::Send, id, MpiErrClass::ProcFailed);
-    }
-    for id in recvs {
-        fail_request(proc, ep, ReqKind::Recv, id, MpiErrClass::ProcFailed);
+    for id in doomed {
+        fail_request(proc, ep, id, MpiErrClass::ProcFailed);
     }
     // Purge the failed peer's parked receive-side state: its unexpected
     // fragments will never match a receive that completes, and each one
@@ -3066,36 +2941,7 @@ fn give_up_on(proc: &Proc, ep: &Rc<Endpoint>, e: InflightCtl) {
     let leaked = {
         let mut st = ep.state.lock();
         st.flow.remove(&e.peer);
-        let mut stages: Vec<HostBuf> = Vec::new();
-        for c in st.comms.values_mut() {
-            c.unexpected.retain_mut(|f| {
-                if f.from == e.peer {
-                    if let Some(s) = f.stage.take() {
-                        stages.push(s);
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-            c.out_of_order.retain_mut(|f| {
-                if f.from == e.peer {
-                    if let Some(s) = f.stage.take() {
-                        stages.push(s);
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let mut leaked = Vec::new();
-        for s in stages {
-            if !st.bounce_pool.release(s) {
-                leaked.push(s);
-            }
-        }
-        leaked
+        st.release_stages(Some(e.peer))
     };
     for b in leaked {
         ep.free(b);
@@ -3161,13 +3007,9 @@ fn packed_frame(
 }
 
 /// Write packed-stream bytes into a receive's landing region.
-fn write_packed(ep: &Rc<Endpoint>, r: &RecvReq, off: usize, data: &[u8]) {
-    if data.is_empty() {
-        return;
-    }
-    match &r.bounce {
-        Some(b) => ep.write_buf(b, off, data),
-        None => ep.write_buf(&r.buf, off, data),
+fn write_packed(ep: &Rc<Endpoint>, r: &Req, off: usize, data: &[u8]) {
+    if !data.is_empty() {
+        ep.write_buf(&r.region(), off, data);
     }
 }
 

@@ -15,11 +15,7 @@ use qsim::{Dur, FastMap, FastSet, Signal, Time};
 
 use crate::hdr::{Hdr, HdrType};
 use crate::peer::PeerInfo;
-
-/// MPI_ANY_SOURCE.
-pub const ANY_SOURCE: i32 = -1;
-/// MPI_ANY_TAG.
-pub const ANY_TAG: i32 = -0x7fff_fff0;
+use crate::proto::ReqKind;
 
 /// MPI-style error class a request completes with when the protocol gives
 /// up on it instead of panicking the rank (graceful degradation).
@@ -133,96 +129,90 @@ impl SeenSeqs {
     }
 
     /// Sequence numbers held one by one: those seen above the floor.
+    #[cfg(test)]
     pub fn held(&self) -> usize {
         self.above.len()
     }
 }
 
-/// A send request in flight.
-pub struct SendReq {
-    /// Request token (appears in wire headers).
+/// A request, send or receive: one record for both directions, as MPI
+/// gives both the same envelope of peer, tag and communicator.
+pub struct Req {
+    /// Request token (appears in wire headers); unique across both kinds.
     pub id: u64,
     /// Globally unique message id ([`crate::hdr::msg_gid`]); stamps every
-    /// trace/flight event of this logical message on both ranks.
+    /// trace/flight event of this logical message on both ranks. A send
+    /// has it from post time, a receive from its match; 0 before that.
     pub gid: u64,
-    /// Communicator context id.
-    pub ctx: u32,
-    /// Destination process.
-    pub dst: ProcName,
-    /// Destination rank within the communicator.
-    pub dst_rank: u32,
-    /// MPI tag.
-    pub tag: i32,
-    /// Ordering sequence number for this (comm, dst) pair.
-    pub seq: u32,
-
-    /// Total packed length of the message.
-    pub msg_len: usize,
-    /// Packed source region exposed for RDMA (message-base addressing).
-    pub src_e4: Option<E4Addr>,
-    /// Where the packed bytes live (the user buffer for contiguous sends,
-    /// or the bounce buffer).
-    pub src_region: elan4::HostBuf,
-    /// Bounce buffer to free on completion (non-contiguous sends).
-    pub bounce: Option<elan4::HostBuf>,
-    /// Bytes whose delivery the protocol has confirmed.
-    pub bytes_confirmed: usize,
-    /// Where the send stands; `Done` locally for eager, fully acknowledged
-    /// for rendezvous.
+    /// Where the request stands; `Done` once delivered (locally for an
+    /// eager send, fully acknowledged for a rendezvous one, received and
+    /// unpacked for a receive) or failed.
     pub phase: Phase,
     /// Virtual time the request was posted (telemetry).
     pub posted_at: Time,
+    /// The user buffer: a send's source, a receive's destination.
+    pub buf: elan4::HostBuf,
+    /// Bounce buffer holding the packed stream of a non-contiguous
+    /// request, freed on completion.
+    pub bounce: Option<elan4::HostBuf>,
+    /// The packed region ([`Req::region`]) exposed for RDMA.
+    pub e4: Option<E4Addr>,
+    /// Packed bytes done: confirmed delivered for a send, landed for a
+    /// receive.
+    pub bytes_done: usize,
+    /// Peer, tag and length: a send's from post time, a receive's from
+    /// its match.
+    pub envelope: Option<Envelope>,
+    /// What only a receive has; `None` for a send.
+    pub recv: Option<RecvSel>,
 }
 
-/// A receive request.
-pub struct RecvReq {
-    /// Request token (appears in wire headers).
-    pub id: u64,
+impl Req {
+    /// Where the packed bytes live: the bounce buffer, or the user buffer
+    /// of a contiguous request.
+    pub fn region(&self) -> elan4::HostBuf {
+        self.bounce.unwrap_or(self.buf)
+    }
+
+    /// Is this a send?
+    pub fn is_send(&self) -> bool {
+        self.recv.is_none()
+    }
+
+    /// Send or receive.
+    pub fn kind(&self) -> ReqKind {
+        if self.is_send() {
+            ReqKind::Send
+        } else {
+            ReqKind::Recv
+        }
+    }
+}
+
+/// The envelope of a message, seen from this rank.
+#[derive(Copy, Clone, Debug)]
+pub struct Envelope {
+    /// The process on the other side: a send's destination, a receive's
+    /// matched source.
+    pub peer: ProcName,
+    /// That process's rank within the communicator.
+    pub rank: u32,
+    /// MPI tag.
+    pub tag: i32,
+    /// Total packed message length.
+    pub len: usize,
+}
+
+/// What a receive selects and how it unpacks.
+pub struct RecvSel {
     /// Communicator context id.
     pub ctx: u32,
     /// `None` = MPI_ANY_SOURCE, else the comm-rank we accept.
     pub src_sel: Option<u32>,
     /// `None` = MPI_ANY_TAG.
     pub tag_sel: Option<i32>,
-    /// The user buffer.
-    pub buf: elan4::HostBuf,
     /// Datatype convertor for the buffer.
     pub conv: Convertor,
-    /// Match result (set once matched).
-    pub matched: Option<MatchInfo>,
-    /// Destination region exposed for RDMA (packed-stream base).
-    pub dst_e4: Option<E4Addr>,
-    /// Bounce buffer for non-contiguous receives.
-    pub bounce: Option<elan4::HostBuf>,
-    /// Packed bytes landed so far.
-    pub bytes_received: usize,
-    /// Where the receive stands; `Done` once fully received (and unpacked,
-    /// for non-contiguous types).
-    pub phase: Phase,
-    /// Virtual time the request was posted (telemetry).
-    pub posted_at: Time,
-}
-
-/// What a receive matched against.
-#[derive(Clone, Debug)]
-pub struct MatchInfo {
-    /// Globally unique message id, reconstructed at match time from the
-    /// sender's identity and request token ([`crate::hdr::msg_gid`]).
-    pub gid: u64,
-    /// Sender's rank within the communicator.
-    pub src_rank: u32,
-    /// Sender's process name.
-    pub src: ProcName,
-    /// Matched tag.
-    pub tag: i32,
-    /// Total packed message length.
-    pub msg_len: usize,
-    /// Sender-side request token.
-    pub send_req: u64,
-    /// Source E4 address value (read scheme).
-    pub src_e4_va: u64,
-    /// VPID owning the source mapping.
-    pub src_e4_vpid: u32,
 }
 
 /// A fragment parked in the unexpected queue.
@@ -371,11 +361,6 @@ impl BouncePool {
         self.slots.len()
     }
 
-    /// Free slots right now.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-
     /// Take every slot back for freeing at finalize.
     pub fn drain(&mut self) -> Vec<elan4::HostBuf> {
         assert_eq!(self.in_use, 0, "bounce pool drained with slots in use");
@@ -392,12 +377,8 @@ impl Default for BouncePool {
 
 /// Matching and ordering state for one communicator.
 pub struct CommState {
-    /// Context id.
-    pub ctx: u32,
     /// Members in rank order.
     pub group: Vec<ProcName>,
-    /// This process's rank.
-    pub my_rank: usize,
     /// Recv request ids in post order (MPI matching is FIFO over these).
     pub posted: Vec<u64>,
     /// Fragments that matched no posted receive yet.
@@ -414,11 +395,9 @@ pub struct CommState {
 
 impl CommState {
     /// Fresh matching state for one communicator.
-    pub fn new(ctx: u32, group: Vec<ProcName>, my_rank: usize) -> Self {
+    pub fn new(group: Vec<ProcName>) -> Self {
         CommState {
-            ctx,
             group,
-            my_rank,
             posted: Vec::new(),
             unexpected: Vec::new(),
             next_send_seq: FastMap::default(),
@@ -508,6 +487,16 @@ impl DmaRole {
             ctl: None,
         }
     }
+
+    /// The kind of request the descriptor serves: a read lands a
+    /// receive's bytes, a write moves a send's.
+    pub(crate) fn served(&self) -> ReqKind {
+        if self.is_read {
+            ReqKind::Recv
+        } else {
+            ReqKind::Send
+        }
+    }
 }
 
 /// One pipeline chunk whose RDMA is in flight: the per-chunk mapping to
@@ -524,14 +513,12 @@ pub struct PipeChunk {
 }
 
 /// Per-request state of a pipelined rendezvous bulk transfer (the chunk
-/// engine in [`crate::proto`]). Lives beside the request — request structs
-/// stay untouched — keyed by request id in [`EpState::pipelines`].
+/// engine in [`crate::proto`]). Lives beside the request, keyed by request
+/// id in [`EpState::pipelines`].
 pub struct PipeState {
     /// `true` for receiver-side RDMA reads (read scheme), `false` for
     /// sender-side RDMA writes (write scheme).
     pub is_read: bool,
-    /// The local request being served (recv for reads, send for writes).
-    pub req: u64,
     /// Globally unique message id of the message being piped (causal
     /// attribution of per-chunk events).
     pub gid: u64,
@@ -625,10 +612,8 @@ pub struct PendingDma {
 pub struct EpState {
     /// Matching state per registered context id.
     pub comms: FastMap<u32, CommState>,
-    /// Live send requests by id.
-    pub send_reqs: FastMap<u64, SendReq>,
-    /// Live receive requests by id.
-    pub recv_reqs: FastMap<u64, RecvReq>,
+    /// Live requests, sends and receives, by id.
+    pub reqs: FastMap<u64, Req>,
     /// DMA descriptors whose completion the host has not yet observed.
     pub pending_dmas: Vec<PendingDma>,
     /// Addressing of the peers this rank has resolved so far; read it
@@ -661,8 +646,7 @@ pub struct EpState {
     /// Peers declared failed after retransmission retries were exhausted.
     /// New sends to them error out immediately.
     pub failed_peers: FastSet<ProcName>,
-    /// Active pipelined bulk transfers, keyed by the owning request id
-    /// (request ids are unique across sends and receives).
+    /// Active pipelined bulk transfers, keyed by the owning request id.
     pub pipelines: FastMap<u64, PipeState>,
     /// Scratch list of `pipelines` keys that one progress pass pumps,
     /// kept between passes so pumping does not allocate.
@@ -682,8 +666,7 @@ impl EpState {
     pub fn new() -> Self {
         EpState {
             comms: FastMap::default(),
-            send_reqs: FastMap::default(),
-            recv_reqs: FastMap::default(),
+            reqs: FastMap::default(),
             pending_dmas: Vec::new(),
             peers: FastMap::default(),
             ptl_table: None,
@@ -751,15 +734,12 @@ impl EpState {
     /// removes and returns its id.
     pub fn match_posted(&mut self, ctx: u32, hdr: &Hdr) -> Option<u64> {
         let comm = self.comms.get_mut(&ctx)?;
-        let mut hit = None;
-        for (i, rid) in comm.posted.iter().enumerate() {
-            let r = &self.recv_reqs[rid];
-            if selector_matches(r.src_sel, r.tag_sel, hdr.src_rank, hdr.tag) {
-                hit = Some(i);
-                break;
-            }
-        }
-        let i = hit?;
+        let i = comm.posted.iter().position(|rid| {
+            self.reqs[rid]
+                .recv
+                .as_ref()
+                .is_some_and(|s| selector_matches(s.src_sel, s.tag_sel, hdr.src_rank, hdr.tag))
+        })?;
         Some(comm.posted.remove(i))
     }
 
@@ -806,8 +786,36 @@ impl EpState {
 
     /// Are all live requests complete? (Finalize's drain condition.)
     pub fn all_requests_done(&self) -> bool {
-        self.send_reqs.values().all(|r| r.phase.is_done())
-            && self.recv_reqs.values().all(|r| r.phase.is_done())
+        self.reqs.values().all(|r| r.phase.is_done())
+    }
+
+    /// The live request `id` if it is of `kind`. An id read off the wire
+    /// names one kind (an ACK or FIN_ACK a send, a FIN or FRAG a
+    /// receive), and a handler ignores a request of the other.
+    pub fn req_of(&mut self, kind: ReqKind, id: u64) -> Option<&mut Req> {
+        self.reqs.get_mut(&id).filter(|r| r.kind() == kind)
+    }
+
+    /// Give back the bounce stages of the fragments parked in every
+    /// communicator's unexpected and out-of-order lists: each pool slot
+    /// returns to the pool, and the fallback allocations are returned for
+    /// the caller to free outside the lock. With `peer`, only that peer's
+    /// fragments are released, and they are dropped as well.
+    pub fn release_stages(&mut self, peer: Option<ProcName>) -> Vec<elan4::HostBuf> {
+        let mut stages = Vec::new();
+        for c in self.comms.values_mut() {
+            for parked in [&mut c.unexpected, &mut c.out_of_order] {
+                parked.retain_mut(|f| {
+                    if peer.is_some_and(|p| f.from != p) {
+                        return true;
+                    }
+                    stages.extend(f.stage.take());
+                    peer.is_none()
+                });
+            }
+        }
+        stages.retain(|s| !self.bounce_pool.release(*s));
+        stages
     }
 }
 
@@ -865,31 +873,33 @@ mod tests {
 
     fn mk_state_with_comm() -> EpState {
         let mut st = EpState::new();
-        st.comms
-            .insert(0, CommState::new(0, vec![name(0), name(1)], 0));
+        st.comms.insert(0, CommState::new(vec![name(0), name(1)]));
         st
     }
 
     fn post_recv(st: &mut EpState, src: Option<u32>, tag: Option<i32>) -> u64 {
         let id = st.alloc_req_id();
-        st.recv_reqs.insert(
+        st.reqs.insert(
             id,
-            RecvReq {
+            Req {
                 id,
-                ctx: 0,
-                src_sel: src,
-                tag_sel: tag,
+                gid: 0,
+                phase: Phase::Posted,
+                posted_at: Time::ZERO,
                 buf: elan4::HostBuf {
                     addr: elan4::HostAddr { node: 0, off: 0 },
                     len: 0,
                 },
-                conv: Convertor::new(ompi_datatype::Datatype::bytes(0), 0),
-                matched: None,
-                dst_e4: None,
                 bounce: None,
-                bytes_received: 0,
-                phase: Phase::Posted,
-                posted_at: Time::ZERO,
+                e4: None,
+                bytes_done: 0,
+                envelope: None,
+                recv: Some(RecvSel {
+                    ctx: 0,
+                    src_sel: src,
+                    tag_sel: tag,
+                    conv: Convertor::new(ompi_datatype::Datatype::bytes(0), 0),
+                }),
             },
         );
         st.comms.get_mut(&0).unwrap().posted.push(id);

@@ -385,7 +385,7 @@ fn noncontiguous_datatypes_roundtrip() {
 /// unpack's success tail does not run after the failure.
 #[test]
 fn receive_failed_during_its_unpack_completes_once() {
-    use crate::proto::{fail_request, ReqKind};
+    use crate::proto::fail_request;
     use crate::state::MpiErrClass;
 
     let dt = Datatype::vector(256, 16, 48, Datatype::u8());
@@ -414,16 +414,15 @@ fn receive_failed_during_its_unpack_completes_once() {
             mpi.proc().spawn("give-up", move |p| loop {
                 let landed = {
                     let st = ep.state.lock();
-                    match st.recv_reqs.get(&r.id) {
-                        Some(q) if !q.phase.is_done() => q
-                            .matched
-                            .as_ref()
-                            .is_some_and(|m| q.bytes_received >= m.msg_len),
+                    match st.reqs.get(&r.id) {
+                        Some(q) if !q.phase.is_done() => {
+                            q.envelope.is_some_and(|e| q.bytes_done >= e.len)
+                        }
                         _ => return,
                     }
                 };
                 if landed {
-                    fail_request(&p, &ep, ReqKind::Recv, r.id, MpiErrClass::ProcFailed);
+                    fail_request(&p, &ep, r.id, MpiErrClass::ProcFailed);
                     failed_by.set(true);
                     return;
                 }
@@ -444,6 +443,58 @@ fn receive_failed_during_its_unpack_completes_once() {
     assert_eq!(res, Err(MpiErrClass::ProcFailed));
     assert_eq!(reqs_failed, 1);
     assert_eq!(completions, 0, "a failed receive also completed");
+}
+
+/// Request ids are one space across sends and receives, but an id read off
+/// the wire keeps its kind: a FIN naming a live send, or an ACK naming a
+/// live receive, moves neither request, and the exchange then completes.
+#[test]
+fn wire_ids_of_the_other_kind_are_ignored() {
+    use crate::hdr::{pack_ack_seq, Hdr, HdrType};
+
+    let len = 64 << 10;
+    let out = run_pair(
+        StackConfig::best(),
+        move |mpi| {
+            let w = mpi.world();
+            let (sbuf, rbuf) = (mpi.alloc(len), mpi.alloc(len));
+            mpi.write(&sbuf, 0, &pattern(len, 3));
+            let r = mpi.irecv(&w, 1, 7, &rbuf, len);
+            let s = mpi.isend(&w, 1, 7, &sbuf, len);
+            let ep = mpi.endpoint();
+            let marks = || {
+                let st = ep.state.lock();
+                [r.id, s.id].map(|id| (st.reqs[&id].phase, st.reqs[&id].bytes_done))
+            };
+            let mut fin = Hdr::new(HdrType::Fin);
+            fin.recv_req = s.id;
+            fin.offset = len as u64;
+            let mut ack = Hdr::new(HdrType::Ack);
+            ack.send_req = r.id;
+            ack.seq = pack_ack_seq(4096, 0);
+            for hdr in [fin, ack] {
+                let (kind, before) = (hdr.kind, marks());
+                crate::proto::dispatch(mpi.proc(), ep, hdr.frame(&[]));
+                assert_eq!(
+                    marks(),
+                    before,
+                    "a {kind:?} moved a request of the other kind"
+                );
+            }
+            mpi.wait(s);
+            mpi.wait(r);
+            mpi.read(&rbuf, 0, len) == pattern(len, 4)
+        },
+        move |mpi| {
+            let w = mpi.world();
+            let (sbuf, rbuf) = (mpi.alloc(len), mpi.alloc(len));
+            mpi.write(&sbuf, 0, &pattern(len, 4));
+            mpi.recv(&w, 0, 7, &rbuf, len);
+            mpi.send(&w, 0, 7, &sbuf, len);
+            mpi.read(&rbuf, 0, len) == pattern(len, 3)
+        },
+    );
+    assert_eq!(out, [true, true]);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! histograms fill during real traffic, the trace ring stays bounded, and
 //! the Chrome trace export is well-formed with per-rank monotone time.
 
-use openmpi_core::{chrome_trace_json, Metrics, Placement, StackConfig, TraceLog, Universe};
+use openmpi_core::{
+    chrome_trace_json, Metrics, MpiErrClass, Placement, StackConfig, TraceEvent, TraceLog, Universe,
+};
 
 /// Two-rank ping-pong of `iters` round trips of `len`-byte messages under
 /// `cfg`; returns each rank's metrics and trace ring plus the sim report.
@@ -261,9 +263,40 @@ fn chrome_export_is_valid_json_with_monotone_per_rank_time() {
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"ph\":\"b\""), "spans open");
     assert!(json.contains("\"ph\":\"e\""), "spans close");
+    assert_spans_balanced(&traces);
+}
 
-    // Each rank's timeline must be non-decreasing, and every span that
-    // begins must end at or after its begin.
+/// A rendezvous send failed before its receiver answered closes the
+/// handshake span its post opened.
+#[test]
+fn failed_rendezvous_send_closes_its_handshake_span() {
+    let len = 64 << 10;
+    let (_, traces) =
+        Universe::paper_testbed(telemetry_cfg()).run_ranks(2, Placement::RoundRobin, move |mpi| {
+            // Rank 1 posts nothing, so the send is still in its handshake.
+            if mpi.rank() == 0 {
+                let w = mpi.world();
+                let buf = mpi.alloc(len);
+                let r = mpi.isend(&w, 1, 0, &buf, len);
+                mpi.abort_request(r, MpiErrClass::Internal);
+                assert_eq!(mpi.wait_result(r), Err(MpiErrClass::Internal));
+            }
+            mpi.endpoint().trace.lock().clone()
+        });
+    let logs: Vec<(u32, &TraceLog)> = traces
+        .iter()
+        .enumerate()
+        .map(|(r, t)| (r as u32, t))
+        .collect();
+    let json = chrome_trace_json(&logs);
+    check_json(&json);
+    assert!(json.contains("rndv_handshake"), "the send opened its span");
+    assert_spans_balanced(&traces);
+}
+
+/// Each rank's timeline must be non-decreasing, and every span that
+/// begins must end at or after its begin.
+fn assert_spans_balanced(traces: &[TraceLog]) {
     for (rank, t) in traces.iter().enumerate() {
         let mut last = 0u64;
         let mut open = qsim::FastMap::default();
@@ -272,10 +305,10 @@ fn chrome_export_is_valid_json_with_monotone_per_rank_time() {
             assert!(ns >= last, "rank {rank} time went backwards");
             last = ns;
             match ev {
-                openmpi_core::TraceEvent::SpanBegin { id, cat, .. } => {
+                TraceEvent::SpanBegin { id, cat, .. } => {
                     open.insert((*cat, *id), ns);
                 }
-                openmpi_core::TraceEvent::SpanEnd { id, cat, .. } => {
+                TraceEvent::SpanEnd { id, cat, .. } => {
                     let begin = open
                         .remove(&(*cat, *id))
                         .unwrap_or_else(|| panic!("rank {rank} span {cat}/{id} ends unopened"));
