@@ -56,7 +56,8 @@ echo "== core allocation-count tests, optimised"
 # Under -O, LLVM may remove or merge heap allocations, so the exact counts
 # of the eager path (tests/eager_allocs.rs), of the NIC-offloaded
 # collectives (tests/nic_coll_allocs.rs) and of the rendezvous RDMA path
-# (tests/rdma_allocs.rs) must also hold in a release build.
+# (tests/rdma_allocs.rs: the doorbell rows, and the shared completion
+# queue's combined and separate rows) must also hold in a release build.
 cargo test -p openmpi-core --release -q --test eager_allocs --test nic_coll_allocs \
     --test rdma_allocs
 
