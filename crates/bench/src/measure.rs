@@ -450,16 +450,16 @@ impl BwCurveReport {
 }
 
 /// Measure the bandwidth curve: each size is run through Open MPI twice —
-/// pipeline enabled and pipeline disabled — and once through MPICH-QsNet.
+/// pipelined, and monolithic with `pipe.min_len` above every size — and
+/// once through MPICH-QsNet.
 /// Both Open MPI series run with the registration cache **off**, so every
 /// message pays its full map cost; the gap between the two series is
 /// exactly the registration time the pipeline hides behind the wire.
 pub fn bw_curve(setup: &Setup, sizes: &[usize], window: usize, reps: usize) -> BwCurveReport {
     let mut pipe_setup = setup.clone();
     pipe_setup.stack.reg_cache = false;
-    pipe_setup.stack.pipeline_enable = true;
     let mut mono_setup = pipe_setup.clone();
-    mono_setup.stack.pipeline_enable = false;
+    mono_setup.stack.pipeline_min_len = usize::MAX;
     let points = sizes
         .iter()
         .map(|&len| BwCurvePoint {

@@ -59,7 +59,6 @@ const TAG_BCAST: i32 = 2;
 const TAG_REDUCE: i32 = 3;
 const TAG_GATHER: i32 = 4;
 const TAG_ALLTOALL: i32 = 5;
-const TAG_ALLGATHER: i32 = 6;
 const TAG_BCAST_HW: i32 = 7;
 const TAG_SCATTER: i32 = 8;
 
@@ -432,7 +431,6 @@ impl Mpi {
                 self.wait(sr);
                 self.wait(rr);
             }
-            let _ = TAG_ALLGATHER;
         })
     }
 }

@@ -63,7 +63,7 @@ pub fn register_comm(proc: &Proc, ep: &Rc<Endpoint>, comm: &Communicator) {
                 !st.comms.contains_key(&ctx),
                 "context id {ctx} registered twice"
             );
-            st.comms.insert(ctx, CommState::new(comm.group.to_vec()));
+            st.comms.insert(ctx, CommState::new(comm.group.clone()));
         }
         let mut early = Vec::new();
         let mut keep = Vec::new();

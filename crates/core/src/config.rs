@@ -488,14 +488,6 @@ knobs! {
     "reg.cache_entries" rw [1..]
     "entry capacity of the registration cache";
 
-    /// Pipelined rendezvous: the DMA-issuing side splits its bulk share
-    /// into `pipeline_chunk`-sized pieces and registers chunk *i+1* while
-    /// chunk *i*'s RDMA is in flight, hiding the pin-down cost behind the
-    /// transfer (the MPICH2-over-InfiniBand optimization).
-    pipeline_enable: bool = true;
-    "pipe.enable" rw []
-    "pipelined chunked-RDMA rendezvous (overlap registration with transfer)";
-
     /// Bytes per pipeline chunk.
     pipeline_chunk: usize = 32 << 10;
     "pipe.chunk" rw [1..]
@@ -506,8 +498,13 @@ knobs! {
     "pipe.depth" rw [1..]
     "pipeline chunks allowed in flight per rail";
 
-    /// Elan shares shorter than this keep the monolithic single-RDMA path
-    /// (chunking overhead would outweigh the registration overlap).
+    /// Pipelined rendezvous: the DMA-issuing side splits an Elan bulk share
+    /// of at least this many bytes into `pipeline_chunk`-sized pieces and
+    /// registers chunk *i+1* while chunk *i*'s RDMA is in flight, hiding the
+    /// pin-down cost behind the transfer (the MPICH2-over-InfiniBand
+    /// optimization). Shorter shares keep the monolithic single-RDMA path
+    /// (chunking overhead would outweigh the registration overlap);
+    /// `usize::MAX` keeps every transfer monolithic.
     pipeline_min_len: usize = 256 << 10;
     "pipe.min_len" rw []
     "Elan shares below this many bytes keep the monolithic RDMA path";
@@ -687,7 +684,6 @@ mod tests {
         assert!(c.tcp_retransmit_backoff >= 1);
         assert!(c.reg_cache);
         assert!(c.reg_cache_entries > 0);
-        assert!(c.pipeline_enable);
         assert!(c.pipeline_chunk > 0 && c.pipeline_depth >= 1);
         assert!(c.pipeline_min_len >= c.pipeline_chunk);
     }

@@ -174,9 +174,6 @@ counters! {
     /// Rendezvous bulk transfers that went through the pipelined chunk
     /// engine.
     pipe_started: count = "pipe.started";
-    /// Rendezvous bulk transfers eligible by scheme but kept monolithic
-    /// (pipelining disabled, or the share below `pipe.min_len`).
-    pipe_fallback: count = "pipe.fallback";
     /// Pipeline chunks handed to the NIC.
     pipe_chunks_issued: count = "pipe.chunks_issued";
     /// Pipeline chunk completions observed.
@@ -553,8 +550,8 @@ mod tests {
         m.match_time.record(Dur::from_ns(300));
         let j = m.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
-        // 43 scalar counters, 5 control kinds, 13 collective ops.
-        assert_eq!(m.counters.rows().count(), 43 + 5 + 13);
+        // 42 scalar counters, 5 control kinds, 13 collective ops.
+        assert_eq!(m.counters.rows().count(), 42 + 5 + 13);
         for ((name, v), def) in m.counters.rows().zip(Counters::table()) {
             let key = format!("\"{name}\":");
             assert_eq!(j.matches(&key).count(), 1, "{name} appears once");

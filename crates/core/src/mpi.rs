@@ -584,15 +584,20 @@ impl Mpi {
             blob,
         );
 
-        let mut group = vec![self.ep.name];
-        group.extend((0..count).map(|r| ProcName {
-            job: child_job,
-            rank: r,
-        }));
+        // The children's world and the parent-plus-children list, built
+        // once and shared by every child.
+        let world_group: Rc<[ProcName]> = (0..count)
+            .map(|rank| ProcName {
+                job: child_job,
+                rank,
+            })
+            .collect();
         let inter = Communicator {
             ctx: ictx,
             coll_ctx: icoll,
-            group: group.into(),
+            group: std::iter::once(self.ep.name)
+                .chain(world_group.iter().copied())
+                .collect(),
             my_rank: 0,
             hw_coll: false,
         };
@@ -603,6 +608,8 @@ impl Mpi {
         for (rank, &node) in nodes.iter().enumerate() {
             let uni = uni.clone();
             let entry = entry.clone();
+            let world_group = world_group.clone();
+            let inter_group = inter.group.clone();
             self.proc
                 .spawn(&format!("spawned-{}-{rank}", child_job.0), move |p| {
                     let name = ProcName {
@@ -628,12 +635,6 @@ impl Mpi {
                         .chunks_exact(4)
                         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
                         .collect();
-                    let world_group = (0..count)
-                        .map(|r| ProcName {
-                            job: child_job,
-                            rank: r,
-                        })
-                        .collect();
                     let world = Communicator {
                         ctx: v[2],
                         coll_ctx: v[3],
@@ -644,12 +645,10 @@ impl Mpi {
                         hw_coll: false,
                     };
                     register_comm(&p, &ep, &world);
-                    let mut inter_group = vec![parent_name];
-                    inter_group.extend(world.group.iter().copied());
                     let inter = Communicator {
                         ctx: v[0],
                         coll_ctx: v[1],
-                        group: inter_group.into(),
+                        group: inter_group,
                         my_rank: rank + 1,
                         hw_coll: false,
                     };

@@ -199,7 +199,6 @@ pub fn post_send_mode(
             if fp.credits == 0 || !fp.queued.is_empty() {
                 fp.queued.push_back(QueuedSend {
                     sid: id,
-                    gid,
                     hdr,
                     frame,
                     queued_at: proc.now(),
@@ -1017,35 +1016,26 @@ fn matched(proc: &Proc, ep: &Rc<Endpoint>, rid: u64, frag: UnexpectedFrag) {
                 if pipe_read {
                     // Chunked pull: register the landing region piece by
                     // piece, overlapped with the in-flight pulls; the
-                    // FIN_ACK rides the final chunk.
-                    let dst = {
-                        let st = ep.state.lock();
-                        st.reqs
-                            .get(&rid)
-                            .filter(|r| !r.phase.is_done())
-                            .map(|r| (r.region(), r.bounce.is_none()))
-                    };
-                    if let Some((region, cacheable)) = dst {
-                        ep.metric(|m| m.counters.rdma_read_batches += 1);
+                    // FIN_ACK rides the final chunk. A receive failed while
+                    // the match was scheduled takes no credits.
+                    let live = ep
+                        .state
+                        .lock()
+                        .reqs
+                        .get(&rid)
+                        .is_some_and(|r| !r.phase.is_done());
+                    if live {
                         pipe_start(
                             proc,
                             ep,
-                            true,
                             rid,
-                            gid,
-                            frag.from,
                             src_e4.offset(inline_len),
-                            region,
                             inline_len,
                             elan_share,
-                            cacheable,
                             fin_ack_with_credits(ep, frag.from, hdr.send_req, credit),
                         );
                     }
                 } else {
-                    if ep.tunables.pipeline_enable() {
-                        ep.metric(|m| m.counters.pipe_fallback += 1);
-                    }
                     issue_rdma(
                         proc,
                         ep,
@@ -1189,30 +1179,20 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
                 // Chunked push: the source was left unregistered at post
                 // time; register it piece by piece, overlapped with the
                 // in-flight writes. The FIN rides the final chunk.
-                ep.metric(|m| m.counters.rdma_write_batches += 1);
                 pipe_start(
                     proc,
                     ep,
-                    false,
                     sid,
-                    gid,
-                    peer.name,
                     dst_e4.offset(range_start),
-                    src_region,
                     range_start,
                     elan_share,
-                    cacheable,
                     fin,
                 );
             } else {
                 // Monolithic write: the whole source must be exposed. The
                 // write scheme defers the post-time map, so acquire it
-                // lazily here (also covering pipelining having been turned
-                // off between post and ACK), tolerating the request having
-                // been raced to a mapping or failed while registering.
-                if ep.tunables.pipeline_enable() {
-                    ep.metric(|m| m.counters.pipe_fallback += 1);
-                }
+                // lazily here, tolerating the request having been raced to
+                // a mapping or failed while registering.
                 let src_e4 = match src_e4 {
                     Some(e4) => e4,
                     None => {
@@ -1246,13 +1226,9 @@ fn handle_ack(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr) {
             // burst per progress pass (buffered semantics still credit each
             // fragment at issue).
             let start = range_start + elan_share;
-            let mut fh = Hdr::new(HdrType::Frag);
-            fh.recv_req = hdr.recv_req;
             ep.state.lock().tcp_pushes.push(TcpPush {
                 send_req: sid,
-                peer: peer.name,
-                src_region,
-                frag_hdr: fh,
+                recv_req: hdr.recv_req,
                 next_off: start,
                 end: start + tcp_share,
             });
@@ -1281,11 +1257,7 @@ fn handle_frag(proc: &Proc, ep: &Rc<Endpoint>, hdr: Hdr, payload: Vec<u8>) {
 fn dma_done(proc: &Proc, ep: &Rc<Endpoint>, token: u64, role: DmaRole) {
     // Attribute the completion to its message: the role names the owning
     // request, whose state carries the globally unique id.
-    let gid = {
-        let st = ep.state.lock();
-        let piped = role.chunk.then(|| st.pipelines.get(&role.req)).flatten();
-        piped.map_or_else(|| st.reqs.get(&role.req).map_or(0, |r| r.gid), |p| p.gid)
-    };
+    let gid = ep.state.lock().reqs.get(&role.req).map_or(0, |r| r.gid);
     let (bytes, kind) = (role.bytes, role.served());
     ep.trace(proc.now(), crate::trace::TraceEvent::DmaDone { gid, bytes });
     ep.trace(
@@ -1782,14 +1754,7 @@ fn arm_descriptor(
     }
     let token = ep.state.lock().alloc_dma_token();
     match ep.cfg.completion {
-        CompletionMode::PollEvent => {
-            if let Some(bell) = ep.doorbell() {
-                event.set_signal(bell);
-            }
-            if ep.cfg.progress == ProgressMode::Interrupt {
-                event.arm_irq(true);
-            }
-        }
+        CompletionMode::PollEvent => arm_doorbell(ep, &event),
         CompletionMode::SharedQueueCombined | CompletionMode::SharedQueueSeparate => {
             let my_elan = ep.my_info.elan.as_ref().unwrap();
             let q = if ep.cfg.completion == CompletionMode::SharedQueueSeparate {
@@ -1806,63 +1771,76 @@ fn arm_descriptor(
     (event, token)
 }
 
+/// Have `event`'s fire ring the progress doorbell the host polls or sleeps
+/// on, and raise an interrupt under interrupt progress.
+pub(crate) fn arm_doorbell(ep: &Endpoint, event: &elan4::ElanEvent) {
+    if let Some(bell) = ep.doorbell() {
+        event.set_signal(bell);
+    }
+    if ep.cfg.progress == ProgressMode::Interrupt {
+        event.arm_irq(true);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // pipelined rendezvous: chunked RDMA with registration/transfer overlap
 // ---------------------------------------------------------------------------
 
-/// Is an Elan bulk share worth pipelining? Gated on the runtime tunables:
-/// pipelining enabled, share at least `pipe.min_len`, and spanning more
+/// Is an Elan bulk share worth pipelining? The share's size alone decides,
+/// against the runtime tunables: at least `pipe.min_len`, and spanning more
 /// than one chunk (a single chunk is the monolithic path with extra
 /// bookkeeping).
 fn pipe_eligible(ep: &Rc<Endpoint>, elan_share: usize) -> bool {
-    ep.tunables.pipeline_enable()
-        && elan_share >= ep.tunables.pipeline_min_len()
-        && elan_share > ep.tunables.pipeline_chunk()
+    elan_share >= ep.tunables.pipeline_min_len() && elan_share > ep.tunables.pipeline_chunk()
 }
 
-/// Begin a pipelined bulk transfer and issue its first window of chunks.
-/// `remote` addresses the first bulk byte on the peer — one contiguous peer
-/// mapping, because the remote side of an RDMA must translate within a
-/// single mapping; only the local, DMA-issuing side is chunked. `base_off`
-/// locates that byte in the local `region`.
-#[expect(clippy::too_many_arguments)]
+/// Begin request `req`'s pipelined bulk transfer (a receive pulls, a send
+/// pushes) and issue its first window of chunks. `remote` addresses the
+/// first bulk byte on the peer — one contiguous peer mapping, because the
+/// remote side of an RDMA must translate within a single mapping; only the
+/// local, DMA-issuing side is chunked. `base_off` locates that byte in the
+/// request's packed region. A request that already finished starts
+/// nothing, as [`store_mapping`] stores nothing for it.
 fn pipe_start(
     proc: &Proc,
     ep: &Rc<Endpoint>,
-    is_read: bool,
     req: u64,
-    gid: u64,
-    peer: ProcName,
     remote: E4Addr,
-    region: HostBuf,
     base_off: usize,
     total: usize,
-    cacheable: bool,
     fin: Hdr,
 ) {
-    let rails = ep.transports.elan_rails.max(1);
-    let ps = PipeState {
-        is_read,
-        gid,
-        peer,
-        remote,
-        region,
-        base_off,
-        total,
-        chunk: ep.tunables.pipeline_chunk(),
-        depth: ep.tunables.pipeline_depth(),
-        rails,
-        cacheable,
-        next_off: 0,
-        landed: 0,
-        inflight: Vec::new(),
-        per_rail: vec![0; rails],
-        staged_final: None,
-        fin,
-        next_rail: 0,
+    let pull = {
+        let mut st = ep.state.lock();
+        let Some(r) = st.reqs.get(&req).filter(|r| !r.phase.is_done()) else {
+            return;
+        };
+        let pull = !r.is_send();
+        let ps = PipeState {
+            remote,
+            base_off,
+            total,
+            chunk: ep.tunables.pipeline_chunk(),
+            depth: ep.tunables.pipeline_depth(),
+            next_off: 0,
+            landed: 0,
+            inflight: Vec::new(),
+            per_rail: vec![0; ep.transports.elan_rails.max(1)],
+            staged_final: None,
+            fin,
+            next_rail: 0,
+        };
+        st.pipelines.insert(req, ps);
+        pull
     };
-    ep.state.lock().pipelines.insert(req, ps);
-    ep.metric(|m| m.counters.pipe_started += 1);
+    ep.metric(|m| {
+        if pull {
+            m.counters.rdma_read_batches += 1;
+        } else {
+            m.counters.rdma_write_batches += 1;
+        }
+        m.counters.pipe_started += 1;
+    });
     ep.trace(
         proc.now(),
         crate::trace::TraceEvent::SpanBegin {
@@ -1905,10 +1883,11 @@ enum PipeStep {
 
 /// Round-robin rail choice honoring the per-rail in-flight cap.
 fn pipe_pick_rail(ps: &mut PipeState) -> Option<usize> {
-    for i in 0..ps.rails {
-        let r = (ps.next_rail + i) % ps.rails;
+    let rails = ps.per_rail.len();
+    for i in 0..rails {
+        let r = (ps.next_rail + i) % rails;
         if ps.per_rail[r] < ps.depth {
-            ps.next_rail = (r + 1) % ps.rails;
+            ps.next_rail = (r + 1) % rails;
             return Some(r);
         }
     }
@@ -1931,13 +1910,16 @@ fn pipe_pump(proc: &Proc, ep: &Rc<Endpoint>, req: u64) -> bool {
     loop {
         let dma_cap = ep.tunables.flow_dma_cap();
         let (step, peer, info) = {
-            let mut st = ep.state.lock();
+            let mut guard = ep.state.lock();
+            let st = &mut *guard;
             // Endpoint-wide outstanding-DMA cap: when flow control is on,
             // a full descriptor window idles the pump (non-blocking — the
             // next completion or progress pass refills it).
             let throttled =
                 ep.tunables.flow_enable() && dma_cap > 0 && st.pending_dmas.len() >= dma_cap;
-            let Some(ps) = st.pipelines.get_mut(&req) else {
+            // The request gives the direction, the message id, the peer and
+            // the region; every path that finishes it drops its pipeline.
+            let (Some(ps), Some(r)) = (st.pipelines.get_mut(&req), st.reqs.get(&req)) else {
                 return worked;
             };
             let final_off = ps.final_off();
@@ -1997,17 +1979,17 @@ fn pipe_pump(proc: &Proc, ep: &Rc<Endpoint>, req: u64) -> bool {
             } else {
                 PipeStep::Idle
             };
-            let peer_name = ps.peer;
+            let peer = r.envelope.expect("a piped request has its envelope").peer;
             let info = (
-                ps.region,
+                r.region(),
                 ps.base_off,
-                ps.cacheable,
+                r.bounce.is_none(),
                 ps.remote,
-                ps.is_read,
+                !r.is_send(),
                 ps.fin.clone(),
-                ps.gid,
+                r.gid,
             );
-            (step, st.peer(&peer_name).cloned(), info)
+            (step, st.peer(&peer).cloned(), info)
         };
         let Some(peer) = peer else { return worked };
         let (region, base_off, cacheable, remote, is_read, fin, gid) = info;
@@ -2119,18 +2101,19 @@ fn pipe_issue_chunk(
     // Publish the chunk, tolerating the pipeline having been torn down
     // while its mapping was acquired.
     let depth_now = {
-        let mut st = ep.state.lock();
-        match st.pipelines.get_mut(&req) {
-            Some(ps) => {
+        let mut guard = ep.state.lock();
+        let st = &mut *guard;
+        match (st.pipelines.get_mut(&req), st.reqs.get(&req)) {
+            (Some(ps), Some(r)) => {
                 ps.inflight.push(PipeChunk {
                     token,
                     sub,
                     e4,
                     rail,
                 });
-                Some((ps.inflight.len(), ps.gid))
+                Some((ps.inflight.len(), r.gid))
             }
-            None => None,
+            _ => None,
         }
     };
     let Some((depth_now, gid)) = depth_now else {
@@ -2209,7 +2192,11 @@ fn pipe_chunk_landed(
         ps.landed += bytes;
         let finished = ps.landed >= ps.total && ps.inflight.is_empty();
         let fin = if finished {
-            st.pipelines.remove(&req).map(|ps| (ps.peer, ps.fin))
+            let ps = st.pipelines.remove(&req).expect("looked up above");
+            let to = st.reqs[&req]
+                .envelope
+                .expect("a piped request has its envelope");
+            Some((to.peer, ps.fin))
         } else {
             None
         };
@@ -2268,38 +2255,37 @@ fn pipe_pump_all(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
 
 /// Drain the parked TCP bulk pushes, at most `pipe.depth` fragments per
 /// push per call: the pacing that replaced `handle_ack`'s unbounded
-/// fragment loop. Returns true when fragments went out, so the polling
-/// wait loop keeps cycling until the pushes drain instead of blocking.
+/// fragment loop. The send gives the destination and the packed region; a
+/// push whose send finished is dropped unsent. Returns true when fragments
+/// went out, so the polling wait loop keeps cycling until the pushes drain
+/// instead of blocking.
 fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     let host = ep.cfg.host.clone();
     let burst_frags = ep.tunables.pipeline_depth();
-    let bursts: Vec<(u64, crate::peer::PeerInfo, Hdr, HostBuf, usize, usize)> = {
-        let mut st = ep.state.lock();
+    let bursts: Vec<(u64, crate::peer::PeerInfo, u64, HostBuf, usize, usize)> = {
+        let mut guard = ep.state.lock();
+        let st = &mut *guard;
         if st.tcp_pushes.is_empty() {
             return false;
         }
+        st.tcp_pushes
+            .retain(|p| st.reqs.get(&p.send_req).is_some_and(|r| !r.phase.is_done()));
         let mut out = Vec::new();
         for i in 0..st.tcp_pushes.len() {
-            let (sid, peer_name, fh, region, start, end) = {
-                let p = &st.tcp_pushes[i];
-                (
-                    p.send_req,
-                    p.peer,
-                    p.frag_hdr.clone(),
-                    p.src_region,
-                    p.next_off,
-                    p.end,
-                )
-            };
+            let p = &st.tcp_pushes[i];
+            let (sid, recv_req, start, end) = (p.send_req, p.recv_req, p.next_off, p.end);
             let burst_end = end.min(start + burst_frags * TCP_FRAG_PAYLOAD);
             if burst_end <= start {
                 continue;
             }
-            let Some(peer) = st.peer(&peer_name).cloned() else {
+            let send = &st.reqs[&sid];
+            let region = send.region();
+            let dst = send.envelope.expect("a send has its envelope").peer;
+            let Some(peer) = st.peer(&dst).cloned() else {
                 continue;
             };
             st.tcp_pushes[i].next_off = burst_end;
-            out.push((sid, peer, fh, region, start, burst_end));
+            out.push((sid, peer, recv_req, region, start, burst_end));
         }
         st.tcp_pushes.retain(|p| p.next_off < p.end);
         out
@@ -2307,13 +2293,14 @@ fn tcp_push_pump(proc: &Proc, ep: &Rc<Endpoint>) -> bool {
     if bursts.is_empty() {
         return false;
     }
-    for (sid, peer, fh_template, region, start, end) in bursts {
+    for (sid, peer, recv_req, region, start, end) in bursts {
         let mut off = start;
         while off < end {
             let take = (end - off).min(TCP_FRAG_PAYLOAD);
             let mut frame = frame_with_room(take);
             ep.ectx.read_into(&region, off, take, &mut frame);
-            let mut fh = fh_template.clone();
+            let mut fh = Hdr::new(HdrType::Frag);
+            fh.recv_req = recv_req;
             fh.offset = off as u64;
             proc.advance(host.hdr_build);
             send_frame(proc, ep, &peer, Route::Tcp, fh, frame);
@@ -2517,7 +2504,7 @@ fn flow_drain_peer(proc: &Proc, ep: &Rc<Endpoint>, peer: ProcName) -> bool {
             proc.now(),
             crate::trace::TraceEvent::FlowSent {
                 req: q.sid,
-                gid: q.gid,
+                gid: crate::hdr::msg_gid(ep.name.job.0, ep.name.rank as u32, q.sid),
             },
         );
         let Some(route) = first_route(ep, &pi) else {

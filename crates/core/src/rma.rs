@@ -104,7 +104,7 @@ impl Mpi {
         let (local, unmap) = self.origin_mapping(win, src, src_off, len);
         let ep = self.endpoint();
         let event = ep.ectx.event_create(1);
-        self.arm_rma_event(&event);
+        crate::proto::arm_doorbell(ep, &event);
         ep.ectx.rdma(
             self.proc(),
             0,
@@ -138,7 +138,7 @@ impl Mpi {
         let (local, unmap) = self.origin_mapping(win, dst, dst_off, len);
         let ep = self.endpoint();
         let event = ep.ectx.event_create(1);
-        self.arm_rma_event(&event);
+        crate::proto::arm_doorbell(ep, &event);
         ep.ectx.rdma(
             self.proc(),
             0,
@@ -214,16 +214,6 @@ impl Mpi {
             let e4 = crate::regcache::acquire(self.proc(), self.endpoint(), &region);
             self.compute(self.endpoint().cfg.host.req_bookkeep);
             (e4, Some((e4, region)))
-        }
-    }
-
-    fn arm_rma_event(&self, event: &ElanEvent) {
-        let ep = self.endpoint();
-        if let Some(bell) = ep.doorbell() {
-            event.set_signal(bell);
-        }
-        if ep.cfg.progress == ProgressMode::Interrupt {
-            event.arm_irq(true);
         }
     }
 

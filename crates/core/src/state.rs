@@ -241,8 +241,6 @@ pub struct UnexpectedFrag {
 pub struct QueuedSend {
     /// The owning send request.
     pub sid: u64,
-    /// Globally unique message id (trace attribution).
-    pub gid: u64,
     /// The wire header, ready to go.
     pub hdr: Hdr,
     /// The built frame: room for the header, then the packed payload.
@@ -377,8 +375,8 @@ impl Default for BouncePool {
 
 /// Matching and ordering state for one communicator.
 pub struct CommState {
-    /// Members in rank order.
-    pub group: Vec<ProcName>,
+    /// Members in rank order: the communicator's own list, shared.
+    pub group: Rc<[ProcName]>,
     /// Recv request ids in post order (MPI matching is FIFO over these).
     pub posted: Vec<u64>,
     /// Fragments that matched no posted receive yet.
@@ -395,7 +393,7 @@ pub struct CommState {
 
 impl CommState {
     /// Fresh matching state for one communicator.
-    pub fn new(group: Vec<ProcName>) -> Self {
+    pub fn new(group: Rc<[ProcName]>) -> Self {
         CommState {
             group,
             posted: Vec::new(),
@@ -514,23 +512,16 @@ pub struct PipeChunk {
 
 /// Per-request state of a pipelined rendezvous bulk transfer (the chunk
 /// engine in [`crate::proto`]). Lives beside the request, keyed by request
-/// id in [`EpState::pipelines`].
+/// id in [`EpState::pipelines`], and holds only what the request lacks: the
+/// request itself gives the direction (a receive pulls, a send pushes), the
+/// message id, the peer and the local packed region.
 pub struct PipeState {
-    /// `true` for receiver-side RDMA reads (read scheme), `false` for
-    /// sender-side RDMA writes (write scheme).
-    pub is_read: bool,
-    /// Globally unique message id of the message being piped (causal
-    /// attribution of per-chunk events).
-    pub gid: u64,
-    /// The peer on the far side.
-    pub peer: ProcName,
     /// Remote address of the first bulk byte (one contiguous mapping on the
     /// far side — only the local, DMA-issuing side is chunked).
     pub remote: E4Addr,
-    /// The local packed region (user buffer or bounce buffer).
-    pub region: elan4::HostBuf,
-    /// Offset of the first bulk byte within `region` (inline bytes and any
-    /// TCP-routed range come before/after the Elan share).
+    /// Offset of the first bulk byte within the request's packed region
+    /// (inline bytes and any TCP-routed range come before/after the Elan
+    /// share).
     pub base_off: usize,
     /// Bulk bytes this pipeline moves.
     pub total: usize,
@@ -538,18 +529,14 @@ pub struct PipeState {
     pub chunk: usize,
     /// Chunks allowed in flight per rail (frozen from `pipe.depth`).
     pub depth: usize,
-    /// Rails to stripe chunks across.
-    pub rails: usize,
-    /// Register chunks through the regcache (user buffers) or map them
-    /// directly (bounce buffers, which die with the request).
-    pub cacheable: bool,
     /// Offset of the next chunk to issue, relative to the bulk start.
     pub next_off: usize,
     /// Bulk bytes whose completion landed.
     pub landed: usize,
     /// Chunks currently in flight.
     pub inflight: Vec<PipeChunk>,
-    /// In-flight chunk count per rail.
+    /// In-flight chunk count per rail; one entry for each rail chunks
+    /// stripe across.
     pub per_rail: Vec<usize>,
     /// The final chunk's mapping, registered ahead of time; its descriptor
     /// is only issued once every other chunk has landed, so the chained
@@ -582,16 +569,13 @@ impl PipeState {
 /// A paced TCP bulk push: the remainder of `handle_ack`'s TCP share that
 /// has not been fragmented onto the wire yet. Draining is bounded to
 /// `pipe.depth` fragments per progress pass so one large share cannot
-/// monopolize the progress loop.
+/// monopolize the progress loop. The send gives the destination and the
+/// packed region.
 pub struct TcpPush {
     /// The send request whose bytes are being pushed.
     pub send_req: u64,
-    /// Destination process.
-    pub peer: ProcName,
-    /// Where the packed bytes live (user buffer or bounce buffer).
-    pub src_region: elan4::HostBuf,
-    /// Fragment header template (`offset` is rewritten per fragment).
-    pub frag_hdr: Hdr,
+    /// The receive each fragment lands in, on the destination.
+    pub recv_req: u64,
     /// Next packed offset to push.
     pub next_off: usize,
     /// One past the last packed offset of the share.
@@ -873,7 +857,8 @@ mod tests {
 
     fn mk_state_with_comm() -> EpState {
         let mut st = EpState::new();
-        st.comms.insert(0, CommState::new(vec![name(0), name(1)]));
+        st.comms
+            .insert(0, CommState::new([name(0), name(1)].into()));
         st
     }
 

@@ -445,6 +445,64 @@ fn receive_failed_during_its_unpack_completes_once() {
     assert_eq!(completions, 0, "a failed receive also completed");
 }
 
+/// A write-scheme send failed while `handle_ack` schedules its bulk share
+/// (another process of the rank gives up on the peer once the receiver's
+/// ACK has matched the send) starts no pipeline and pushes no TCP share:
+/// it issues no chunk and no fragment, and holds no chunk mapping at
+/// finalize. The receive, sent neither bytes nor a FIN, fails when it is
+/// aborted.
+#[test]
+fn send_failed_before_its_pipeline_starts_issues_no_chunk() {
+    use crate::proto::fail_request;
+    use crate::state::{MpiErrClass, Phase};
+
+    let len = 1 << 20;
+    let mut cfg = StackConfig::best();
+    cfg.scheme = RdmaScheme::Write;
+    cfg.metrics = true;
+    for tcp in [false, true] {
+        let uni = Universe::new(
+            elan4::NicConfig::default(),
+            qsnet::FabricConfig::default(),
+            cfg.clone(),
+            Transports { elan_rails: 1, tcp },
+        );
+        let (_, out) = uni.run_ranks(2, Placement::RoundRobin, move |mpi| {
+            let w = mpi.world();
+            let buf = mpi.alloc(len);
+            if mpi.rank() == 1 {
+                let r = mpi.irecv(&w, 0, 3, &buf, len);
+                let deadline = mpi.now() + qsim::Dur::from_us(5000);
+                while mpi.now() < deadline {
+                    assert!(!mpi.test(r), "the receive finished without its FIN");
+                    mpi.compute(qsim::Dur::from_us(5));
+                }
+                mpi.abort_request(r, MpiErrClass::ProcFailed);
+                return (mpi.wait_result(r), 0, 0);
+            }
+            let s = mpi.isend(&w, 1, 3, &buf, len);
+            let ep = mpi.endpoint().clone();
+            mpi.proc().spawn("give-up", move |p| loop {
+                let matched = match ep.state.lock().reqs.get(&s.id) {
+                    Some(q) if !q.phase.is_done() => q.phase == Phase::Matched,
+                    _ => return,
+                };
+                if matched {
+                    fail_request(&p, &ep, s.id, MpiErrClass::ProcFailed);
+                    return;
+                }
+                p.advance(qsim::Dur::from_ns(10));
+            });
+            let res = mpi.wait_result(s);
+            let m = mpi.endpoint().metrics.lock();
+            (res, m.counters.pipe_chunks_issued, m.counters.frags_sent)
+        });
+        let failed = Err(MpiErrClass::ProcFailed);
+        assert_eq!(out[0], (failed, 0, 0), "tcp {tcp}: send, chunks, fragments");
+        assert_eq!(out[1].0, failed, "tcp {tcp}");
+    }
+}
+
 /// Request ids are one space across sends and receives, but an id read off
 /// the wire keeps its kind: a FIN naming a live send, or an ACK naming a
 /// live receive, moves neither request, and the exchange then completes.

@@ -104,11 +104,13 @@ impl Universe {
         // rank's body raised a 256-rank world's peak RSS by ~3.5 KiB a rank.
         let slots: Vec<Rc<Cell<Option<T>>>> = (0..n).map(|_| Rc::new(Cell::new(None))).collect();
         let nodes = self.cluster.nodes();
+        let group: Rc<[ProcName]> = (0..n).map(|rank| ProcName { job, rank }).collect();
         for (rank, out) in slots.iter().enumerate() {
             let node = placement.node_of(rank, nodes);
             let uni = self.clone();
             let entry = entry.clone();
             let out = out.clone();
+            let group = group.clone();
             sim.spawn(&format!("rank{rank}"), move |p| {
                 let name = ProcName { job, rank };
                 let ep = Endpoint::init(
@@ -122,7 +124,6 @@ impl Universe {
                     Some(uni.tcp_net.clone()),
                 );
                 ep.start_progress(&p);
-                let group = (0..n).map(|r| ProcName { job, rank: r }).collect();
                 let world = Communicator {
                     ctx,
                     coll_ctx,

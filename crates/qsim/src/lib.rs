@@ -76,7 +76,7 @@ pub use queue::{default_queue_kind, set_default_queue_kind, QueueKind};
 pub use ring::Ring;
 pub use rng::Pcg32;
 pub use signal::{Signal, TimedWait, Wait};
-pub use sync::{Local, Mailbox, MailboxTx};
+pub use sync::Local;
 pub use time::{Dur, Time};
 
 #[cfg(test)]

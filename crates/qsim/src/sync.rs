@@ -1,17 +1,8 @@
 //! Host-side state of a run: [`Local`], the cell every layer of the stack
-//! keeps its run state in, plus two virtual-time helpers built on
-//! [`Signal`] — a single-owner mailbox (used for out-of-band control
-//! messages) and its sending side.
+//! keeps its run state in.
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::VecDeque;
 use std::panic::Location;
-use std::rc::Rc;
-
-use crate::handle::SimHandle;
-use crate::proc::Proc;
-use crate::signal::{Signal, Wait};
-use crate::time::Dur;
 
 /// Run state shared by the processes and device callbacks of one
 /// simulation: a [`RefCell`] handed out whole by [`Local::lock`].
@@ -92,140 +83,12 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Local<T> {
     }
 }
 
-struct MailboxInner<T> {
-    queue: RefCell<VecDeque<T>>,
-    signal: Signal,
-}
-
-/// Receiving side of a virtual-time mailbox; owned by one process.
-pub struct Mailbox<T> {
-    inner: Rc<MailboxInner<T>>,
-}
-
-/// Sending side; freely cloneable across processes and device callbacks.
-pub struct MailboxTx<T> {
-    inner: Rc<MailboxInner<T>>,
-}
-
-impl<T> Clone for MailboxTx<T> {
-    fn clone(&self) -> Self {
-        MailboxTx {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl<T: 'static> Mailbox<T> {
-    /// Create a mailbox owned by `proc`.
-    pub fn new(proc: &Proc) -> (MailboxTx<T>, Mailbox<T>) {
-        let inner = Rc::new(MailboxInner {
-            queue: RefCell::new(VecDeque::new()),
-            signal: proc.signal(),
-        });
-        (
-            MailboxTx {
-                inner: inner.clone(),
-            },
-            Mailbox { inner },
-        )
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.queue.borrow_mut().pop_front()
-    }
-
-    /// Block (in virtual time) until a message is available.
-    pub fn recv(&self, proc: &Proc) -> Result<T, Wait> {
-        loop {
-            if let Some(v) = self.try_recv() {
-                return Ok(v);
-            }
-            match proc.wait(&self.inner.signal) {
-                Wait::Signaled => continue,
-                Wait::Shutdown => return Err(Wait::Shutdown),
-            }
-        }
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.inner.queue.borrow().len()
-    }
-
-    /// True when no message is queued.
-    pub fn is_empty(&self) -> bool {
-        self.inner.queue.borrow().is_empty()
-    }
-}
-
-impl<T: 'static> MailboxTx<T> {
-    /// Deliver immediately (at the current virtual instant).
-    pub fn send(&self, sim: &SimHandle, value: T) {
-        self.inner.queue.borrow_mut().push_back(value);
-        self.inner.signal.notify(sim);
-    }
-
-    /// Deliver after `delay` of virtual time (models a control-network hop).
-    ///
-    /// `value` travels in a device callback beside this sender's `Rc`, so
-    /// it may be at most 120 bytes: send a `Box` or an `Rc` of a larger
-    /// value (see [`SimHandle::call_after`]).
-    pub fn send_after(&self, sim: &SimHandle, delay: Dur, value: T) {
-        let inner = self.inner.clone();
-        sim.call_after(delay, move |sim| {
-            inner.queue.borrow_mut().push_back(value);
-            inner.signal.notify(sim);
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::{SimError, Simulation};
-    use crate::time::Time;
-    use std::cell::Cell;
-
-    #[test]
-    fn mailbox_delivers_in_order_and_in_time() {
-        let sim = Simulation::new();
-        let got = Rc::new(Local::new(Vec::new()));
-        let got2 = got.clone();
-        #[expect(clippy::type_complexity)]
-        let (tx_slot, rx_slot): (
-            Rc<Local<Option<MailboxTx<u32>>>>,
-            Rc<Local<Option<MailboxTx<u32>>>>,
-        ) = {
-            let s = Rc::new(Local::new(None));
-            (s.clone(), s)
-        };
-
-        sim.spawn("receiver", move |p| {
-            let (tx, rx) = Mailbox::<u32>::new(&p);
-            *rx_slot.lock() = Some(tx);
-            for _ in 0..3 {
-                let v = rx.recv(&p).unwrap();
-                got2.lock().push((v, p.now()));
-            }
-        });
-        let tx_slot2 = tx_slot.clone();
-        sim.spawn("sender", move |p| {
-            // Let the receiver run first and publish its tx.
-            p.advance(Dur::from_ns(10));
-            let tx = tx_slot2.lock().clone().unwrap();
-            tx.send(&p.sim(), 1);
-            tx.send_after(&p.sim(), Dur::from_us(5), 3);
-            tx.send_after(&p.sim(), Dur::from_us(2), 2);
-        });
-        sim.run().unwrap();
-        let got = got.lock();
-        assert_eq!(got[0].0, 1);
-        assert_eq!(got[1].0, 2);
-        assert_eq!(got[2].0, 3);
-        assert_eq!(got[1].1, Time::from_ns(2_010));
-        assert_eq!(got[2].1, Time::from_ns(5_010));
-    }
+    use crate::time::Dur;
+    use std::rc::Rc;
 
     #[test]
     fn a_panic_while_held_leaves_the_lock_usable() {
@@ -294,26 +157,5 @@ mod tests {
         assert_eq!(format!("{m:?}"), "Local(<held>)");
         drop(g);
         assert_eq!(format!("{m:?}"), "Local(7)");
-    }
-
-    #[test]
-    fn daemon_mailbox_sees_shutdown() {
-        let sim = Simulation::new();
-        let woke = Rc::new(Cell::new(0u64));
-        let woke2 = woke.clone();
-        sim.spawn_daemon("progress", move |p| {
-            let (_tx, rx) = Mailbox::<u32>::new(&p);
-            match rx.recv(&p) {
-                Err(Wait::Shutdown) => {
-                    woke2.set(1);
-                }
-                other => panic!("unexpected: {other:?}"),
-            }
-        });
-        sim.spawn("main", |p| {
-            p.advance(Dur::from_us(1));
-        });
-        sim.run().unwrap();
-        assert_eq!(woke.get(), 1);
     }
 }

@@ -67,7 +67,6 @@ struct JobState {
     tables: FastMap<String, Rc<[Vec<u8>]>>,
     modex_waiters: Vec<Signal>,
     barrier: BarrierState,
-    finalized: usize,
 }
 
 struct RteInner {
@@ -117,7 +116,6 @@ impl Rte {
                     arrived: 0,
                     waiters: Vec::new(),
                 },
-                finalized: 0,
             },
         );
         id
@@ -232,16 +230,6 @@ impl Rte {
             }
             None => proc.wait(&sig).expect_signaled(),
         }
-    }
-
-    /// Record one rank's finalization; returns true when the whole job has
-    /// finalized (the last one out can tear shared state down).
-    pub fn finalize_rank(&self, proc: &Proc, job: JobId) -> bool {
-        proc.advance(self.cfg.oob_latency);
-        let mut inner = self.inner.lock();
-        let st = inner.jobs.get_mut(&job).expect("unknown job");
-        st.finalized += 1;
-        st.finalized == st.size
     }
 }
 
@@ -388,26 +376,6 @@ mod tests {
         assert_eq!(rte.job_parent(child), Some(parent));
         assert_eq!(rte.job_parent(world), None);
         assert_eq!(rte.job_size(child), 2);
-    }
-
-    #[test]
-    fn finalize_counts_to_job_size() {
-        let sim = Simulation::new();
-        let rte = Rte::new(RteConfig::default());
-        let job = rte.create_job(3, None);
-        let last = Rc::new(Cell::new(usize::MAX));
-        for r in 0..3usize {
-            let rte = rte.clone();
-            let last = last.clone();
-            sim.spawn(&format!("r{r}"), move |p| {
-                p.advance(Dur::from_us(r as u64));
-                if rte.finalize_rank(&p, job) {
-                    last.set(r);
-                }
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(last.get(), 2);
     }
 }
 

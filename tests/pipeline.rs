@@ -117,7 +117,7 @@ fn depth_one_matches_monolithic_semantics() {
 
     let mono = run(StackConfig {
         metrics: true,
-        pipeline_enable: false,
+        pipeline_min_len: usize::MAX,
         ..StackConfig::best()
     });
     let (_, eps) = elan_universe(StackConfig {
